@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit, log_ndtr, logsumexp, ndtr
 
-from .numerics import DEFAULT_GH_ORDER, gauss_hermite, gauss_panels, integrate_1d
+from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, gauss_hermite,
+                       gauss_panels, integrate_1d)
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _INF = math.inf
 
@@ -67,6 +67,14 @@ class OutputDenoiser:
 
 def _norm_logpdf(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
+
+
+def _logsumexp0(x):
+    """log(sum(exp(x), axis=0)), max-shifted; all -inf columns stay -inf."""
+    m = np.max(x, axis=0)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.sum(np.exp(x - shift), axis=0))
 
 
 def _log1mexp(t):
@@ -387,7 +395,8 @@ class _PiecewiseChannel(Channel):
     # -- evidence core ---------------------------------------------------------
 
     def _piece_stats(self, y, omega, v):
-        """Per piece: log weight and conditional 1st/2nd moments of x."""
+        """Per piece, stacked on a leading piece axis: log weight and
+        conditional 1st/2nd moments of x."""
         y, omega = np.broadcast_arrays(np.asarray(y, float), np.asarray(omega, float))
         sqv = math.sqrt(v)
         delta = self.delta
@@ -425,9 +434,7 @@ class _PiecewiseChannel(Channel):
                 logws.append(logw)
                 m1s.append(m1x)
                 m2s.append(m2x)
-        return (np.stack(logws, axis=-1),
-                np.stack(m1s, axis=-1),
-                np.stack(m2s, axis=-1))
+        return np.stack(logws), np.stack(m1s), np.stack(m2s)
 
     def log_zout(self, y, omega, v):
         if v < 0:
@@ -437,31 +444,33 @@ class _PiecewiseChannel(Channel):
                 out = np.log(self.density(y, omega))
             return float(out) if np.ndim(out) == 0 else out
         logw, _, _ = self._piece_stats(y, omega, v)
-        out = logsumexp(logw, axis=-1)
+        out = _logsumexp0(logw)
         return float(out) if np.ndim(out) == 0 else out
 
     def _posterior_x_stats(self, y, omega, v):
+        """(log Z, per-piece posterior weights, per-piece E[x], E[x^2]);
+        rows with zero evidence get zero weights."""
         logw, m1x, m2x = self._piece_stats(y, omega, v)
-        logz = logsumexp(logw, axis=-1)
+        logz = _logsumexp0(logw)
         ok = np.isfinite(logz)
         with np.errstate(invalid="ignore"):
-            post = np.exp(logw - np.where(ok, logz, 0.0)[..., None])
-        post = np.where(ok[..., None], post, 0.0)
-        ex = np.sum(post * m1x, axis=-1)
-        ex2 = np.sum(post * m2x, axis=-1)
-        return logz, post, ex, ex2
+            post = np.exp(logw - np.where(ok, logz, 0.0))
+        post = np.where(ok, post, 0.0)
+        return logz, post, m1x, m2x
 
     def _gout_raw(self, y, omega, v):
-        logz, _, ex, _ = self._posterior_x_stats(y, omega, v)
-        g = (ex - np.asarray(omega)) / math.sqrt(v)
+        logz, post, m1x, _ = self._posterior_x_stats(y, omega, v)
+        g = (np.sum(post * m1x, axis=0) - np.asarray(omega)) / math.sqrt(v)
         return np.where(np.isfinite(logz), g, 0.0)
 
     def gout(self, y, omega, v) -> OutputDenoiser:
         if v <= 0:
             raise ValueError(f"V must be positive, got {v}")
-        logz, _, ex, ex2 = self._posterior_x_stats(y, omega, v)
+        logz, post, m1x, m2x = self._posterior_x_stats(y, omega, v)
         if not np.all(np.isfinite(logz)):
             raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
+        ex = np.sum(post * m1x, axis=0)
+        ex2 = np.sum(post * m2x, axis=0)
         g = (ex - np.asarray(omega)) / math.sqrt(v)
         var_w = np.maximum(ex2 - ex * ex, 0.0) / v
         z = np.exp(logz)
@@ -472,11 +481,11 @@ class _PiecewiseChannel(Channel):
     def posterior_phi_mean(self, y, omega, v):
         if v <= 0:
             raise ValueError(f"V must be positive, got {v}")
-        logz, post, _, _ = self._posterior_x_stats(y, omega, v)
-        _, m1x, _ = self._piece_stats(y, omega, v)
-        cs = np.array([p[2] for p in self.pieces()])
-        ds = np.array([p[3] for p in self.pieces()])
-        out = np.sum(post * (cs + ds * m1x), axis=-1)
+        _, post, m1x, _ = self._posterior_x_stats(y, omega, v)
+        piece_axis = (-1,) + (1,) * (post.ndim - 1)
+        cs = np.array([p[2] for p in self.pieces()]).reshape(piece_axis)
+        ds = np.array([p[3] for p in self.pieces()]).reshape(piece_axis)
+        out = np.sum(post * (cs + ds * m1x), axis=0)
         return float(out) if np.ndim(out) == 0 else out
 
     # -- generative expectations ------------------------------------------------
@@ -576,8 +585,8 @@ class _PiecewiseChannel(Channel):
         """A(y) = E[(x^2/rho - 1) P_out(y|x)], B(y) = E[P_out(y|x)], x ~ N(0, rho)."""
         logw, _, m2x = self._piece_stats(y, 0.0, rho)
         w = np.exp(logw)
-        num = np.sum(w * (m2x / rho - 1.0), axis=-1)
-        den = np.sum(w, axis=-1)
+        num = np.sum(w * (m2x / rho - 1.0), axis=0)
+        den = np.sum(w, axis=0)
         return num, den
 
     def stability_integral(self, rho: float) -> float:

@@ -19,16 +19,15 @@ import json
 import math
 import sys
 import time
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, oracle, replica, state_evolution as se_mod
 from .channels import Channel
-from .gamp import (GampOptions, channel_from_dict,
+from .gamp import (GampOptions, channel_from_dict, channel_to_dict,
                    empirical_generalization_error, gamp_run,
-                   generate_instance, prior_from_dict)
+                   generate_instance, prior_from_dict, prior_to_dict)
 from .numerics import FixedPointOptions
 from .priors import Prior
 
@@ -142,10 +141,6 @@ def _alpha_grid(cfg: ExperimentConfig) -> np.ndarray:
     return start + step * np.arange(n)
 
 
-def _row_seed(seed: int, index: int) -> int:
-    return zlib.crc32(f"{seed}:{index}".encode()) + index
-
-
 def _map_rows(func, items, workers: int):
     if workers <= 1:
         return [func(i, x) for i, x in enumerate(items)]
@@ -245,6 +240,11 @@ def _run_gamp(cfg: ExperimentConfig, workers: int) -> ResultTable:
         columns=("t", "overlap", "norm_sq", "mse", "gen_error_mc"), rows=rows)
 
 
+def _scalar_fields(spec: dict) -> set:
+    """Keys of a prior/channel spec that a phase-diagram grid can sweep."""
+    return {k for k, v in spec.items() if k != "kind" and isinstance(v, float)}
+
+
 def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
     g = cfg.grid
     try:
@@ -255,22 +255,23 @@ def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
     alpha_hi = float(g.get("alpha_hi", 2.0))
     tol = float(cfg.numerics.get("bisect_tol", 1e-3))
     param_target = str(g.get("param", "sparsity"))
+    key = "sparsity" if param_target == "rho" else param_target
+    prior_keys = _scalar_fields(prior_to_dict(cfg.prior()))
+    channel_keys = _scalar_fields(channel_to_dict(cfg.channel()))
+    if key not in prior_keys | channel_keys:
+        raise ConfigError(
+            f"grid.param {param_target!r} is not a field of the configured "
+            f"prior ({sorted(prior_keys)}) or channel ({sorted(channel_keys)})")
 
     def make_prior(p):
-        spec = dict(cfg.prior_spec)
-        if param_target in ("sparsity", "rho", "p_plus", "variance"):
-            key = "sparsity" if param_target == "rho" else param_target
-            if key in ("sparsity",) and spec.get("kind") == "gauss_bernoulli":
-                spec["sparsity"] = p
-            elif key in spec or key in ("p_plus", "variance"):
-                spec[key] = p
-        return prior_from_dict(spec)
+        if key in prior_keys:
+            return prior_from_dict({**cfg.prior_spec, key: p})
+        return cfg.prior()
 
     def make_channel(p):
-        spec = dict(cfg.channel_spec)
-        if param_target == "K":
-            spec["K"] = p
-        return channel_from_dict(spec)
+        if key in channel_keys:
+            return channel_from_dict({**cfg.channel_spec, key: p})
+        return cfg.channel()
 
     reports = se_mod.phase_sweep(make_prior, make_channel, params,
                                  alpha_lo, alpha_hi, tol=tol, workers=workers)
@@ -498,7 +499,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    table = run(cfg, workers=args.workers)
+    try:
+        table = run(cfg, workers=args.workers)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     fmt = args.format or cfg.output.get("format", "csv")
     out_path = args.out or cfg.output.get("path")

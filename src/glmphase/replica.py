@@ -15,16 +15,22 @@ its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
 q = rho (1 - 1e-6).  For setups where that limit diverges (continuous prior
 or continuous noiseless channel) the transition finders in
 ``state_evolution`` compare branches through the divergence slope instead.
+The alpha-independent terms of that branch (the inner-inf r and the
+exact-profile psi_pout) are cached per (prior, channel, depth); the cache
+is exact, not an approximation: ``recovery_f`` returns the same float as
+``f_hat`` at the clamp.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
 
-from .channels import Channel, LinearAWGN, Sign, Abs, ReLU, SymmetricDoor, Sigmoid
+from .channels import (Channel, LinearAWGN, Sign, Abs, ReLU, SymmetricDoor, Sigmoid,
+                       quad_profile)
 from .numerics import DEFAULT_GH_ORDER, gauss_hermite
 from .priors import Prior, R_CAP
 
@@ -76,7 +82,12 @@ def f_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
         raise ValueError(f"need 0 <= q <= rho, got q={q}")
     if r < 0:
         raise ValueError(f"need r >= 0, got r={r}")
-    return prior.psi_p0(r) + alpha * channel.psi_pout(q, rho) - 0.5 * r * q
+    return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, r)
+
+
+def _f_rs_terms(prior: Prior, psi_out: float, alpha: float, q: float,
+                r: float) -> float:
+    return prior.psi_p0(r) + alpha * psi_out - 0.5 * r * q
 
 
 def _psi_pout_at_rho(channel: Channel, rho: float) -> float:
@@ -120,8 +131,19 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     f_rs(rho, r) decreases in r, so lim_{r->inf} f_rs(rho, r) = inf_r, which
     this approximates from inside the domain.
     """
+    q, r, psi_out = _recovery_terms(prior, channel, depth)
+    return _f_rs_terms(prior, psi_out, alpha, q, r)
+
+
+@lru_cache(maxsize=256)
+def _recovery_terms(prior: Prior, channel: Channel, depth: float):
+    """(q, inner-inf r, psi_pout(q)) at the clamp q = rho (1 - depth); none
+    depends on alpha.  psi_pout is always taken under the exact profile."""
     rho = prior.second_moment
-    return f_hat(prior, channel, alpha, rho * (1.0 - depth))[0]
+    q = rho * (1.0 - depth)
+    with quad_profile("exact"):
+        psi_out = channel.psi_pout(q, rho)
+    return q, inner_inf_r(prior, q), psi_out
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,

@@ -36,10 +36,10 @@ from . import replica
 from .channels import Channel, LinearAWGN, quad_profile
 from .numerics import BracketError, FixedPointOptions
 from .priors import Prior, R_CAP
+from .replica import RECOVERY_FRAC
 
 # recovery declared at q > rho (1 - RECOVERY_FRAC); uninformative /
 # informative initializations sit a factor 100 inside that threshold
-RECOVERY_FRAC = 1e-4
 UNINFORMATIVE_FRAC = 1e-6
 INFORMATIVE_FRAC = 1e-6
 # hard ceiling keeping psi_pout' evaluations inside their domain

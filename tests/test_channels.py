@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf, ndtr
+from scipy.special import erf, logsumexp, ndtr
 from scipy.stats import norm
 
 from glmphase.channels import (Abs, GoutUnderflowError, LinearAWGN, ReLU,
@@ -318,3 +318,149 @@ class TestMeanLabel:
         assert ReLU(1e-8).second_moment_phi(0.6) == pytest.approx(0.3, abs=1e-9)
         assert SymmetricDoor().second_moment_phi(1.0) == pytest.approx(1.0)
         assert Sigmoid().second_moment_phi(1.0) == pytest.approx(1.0)
+
+
+# (channel, labels drawn for the array inputs, an off-support label whose
+# pieces all carry zero evidence, or None when every label has some)
+PIECEWISE_CASES = [
+    (LinearAWGN(0.0), None, None),
+    (LinearAWGN(0.5), None, None),
+    (Sign(), (-1.0, 1.0), 3.0),
+    (Sign(0.2), None, None),
+    (Abs(0.0), None, -0.5),
+    (Abs(0.2), None, None),
+    (ReLU(0.3), None, None),
+    (SymmetricDoor(), (-1.0, 1.0), 0.5),
+    (SymmetricDoor(K=0.9, delta=0.1), None, None),
+]
+
+
+def _reference_kernel(ch, y, omega, v):
+    """Evidence and posterior moments from scipy's logsumexp over the
+    stacked per-piece arrays."""
+    logw, m1x, m2x = ch._piece_stats(y, omega, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logz = logsumexp(logw, axis=0)
+        ok = np.isfinite(logz)
+        post = np.where(ok, np.exp(logw - np.where(ok, logz, 0.0)), 0.0)
+    ex, ex2 = np.sum(post * m1x, axis=0), np.sum(post * m2x, axis=0)
+    piece_axis = (-1,) + (1,) * np.ndim(logz)
+    cs = np.array([p[2] for p in ch.pieces()]).reshape(piece_axis)
+    ds = np.array([p[3] for p in ch.pieces()]).reshape(piece_axis)
+    return {"log_zout": logz,
+            "gout": (ex - omega) / math.sqrt(v),
+            "vout": np.maximum(ex2 - ex * ex, 0.0) / v,
+            "phi": np.sum(post * (cs + ds * m1x), axis=0)}
+
+
+def _assert_kernel_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    finite = np.isfinite(ref)
+    assert np.array_equal(got[~finite], ref[~finite])  # -inf stays -inf
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-14)
+
+
+class TestPieceAxisKernel:
+    """The evidence kernel reduces over a leading piece axis with its own
+    max-shifted log-sum-exp; it must agree with scipy's logsumexp."""
+
+    V = 0.6
+
+    def _inputs(self, ch, labels):
+        rng = np.random.default_rng(7)
+        omega = rng.uniform(-3.0, 3.0, size=(4, 5))
+        if labels is not None:
+            y = rng.choice(labels, size=omega.shape)
+        else:
+            y = ch.phi(omega + rng.standard_normal(omega.shape))
+            y = y + math.sqrt(ch.delta) * rng.standard_normal(omega.shape)
+        return y, omega
+
+    @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES)
+    def test_pieces_lead(self, ch, labels, _):
+        y, omega = self._inputs(ch, labels)
+        for arr in ch._piece_stats(y, omega, self.V):
+            assert arr.shape == (len(ch.pieces()),) + omega.shape
+
+    @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES)
+    def test_arrays_match_scipy_reference(self, ch, labels, _):
+        y, omega = self._inputs(ch, labels)
+        ref = _reference_kernel(ch, y, omega, self.V)
+        res = ch.gout(y, omega, self.V)
+        _assert_kernel_close(ch.log_zout(y, omega, self.V), ref["log_zout"])
+        _assert_kernel_close(res.log_zout, ref["log_zout"])
+        _assert_kernel_close(res.gout, ref["gout"])
+        _assert_kernel_close(res.vout, ref["vout"])
+        _assert_kernel_close(ch._gout_raw(y, omega, self.V), ref["gout"])
+        if ch.delta > 0:
+            _assert_kernel_close(ch.posterior_phi_mean(y, omega, self.V),
+                                 ref["phi"])
+
+    @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES)
+    def test_scalar_inputs_stay_float(self, ch, labels, _):
+        y = labels[1] if labels is not None else float(ch.phi(0.4)) + 0.1
+        ref = _reference_kernel(ch, y, 0.4, self.V)
+        res = ch.gout(y, 0.4, self.V)
+        lz = ch.log_zout(y, 0.4, self.V)
+        assert all(type(x) is float for x in (lz, res.gout, res.vout, res.log_zout))
+        _assert_kernel_close(lz, ref["log_zout"])
+        _assert_kernel_close(res.gout, ref["gout"])
+        _assert_kernel_close(res.vout, ref["vout"])
+        if ch.delta > 0:
+            phi = ch.posterior_phi_mean(y, 0.4, self.V)
+            assert type(phi) is float
+            _assert_kernel_close(phi, ref["phi"])
+
+    @pytest.mark.parametrize("ch,labels,off",
+                             [c for c in PIECEWISE_CASES if c[2] is not None])
+    def test_all_pieces_zero_rows(self, ch, labels, off):
+        y, omega = self._inputs(ch, labels)
+        y[1] = off  # a whole row of zero-evidence observations
+        ref = _reference_kernel(ch, y, omega, self.V)
+        lz = ch.log_zout(y, omega, self.V)
+        assert np.all(lz[1] == -np.inf)
+        _assert_kernel_close(lz, ref["log_zout"])
+        g = ch._gout_raw(y, omega, self.V)
+        assert np.all(g[1] == 0.0)
+        _assert_kernel_close(g, np.where(np.isfinite(ref["log_zout"]),
+                                         ref["gout"], 0.0))
+        assert ch.log_zout(off, 0.4, self.V) == -math.inf
+        with pytest.raises(GoutUnderflowError):
+            ch.gout(y, omega, self.V)
+        with pytest.raises(GoutUnderflowError):
+            ch.gout(off, 0.4, self.V)
+
+    def test_deep_tail_is_shifted_not_underflowed(self):
+        # wrong-side label far out: every piece weight is below exp(-745),
+        # so an unshifted sum would underflow to zero evidence
+        omega = np.array([-40.0, 40.0])
+        for ch, y in ((Sign(), np.array([1.0, -1.0])),
+                      (SymmetricDoor(K=0.5), np.array([-1.0, -1.0]))):
+            ref = _reference_kernel(ch, y, omega, 1e-4)
+            assert np.all(ref["log_zout"] < -1e6)
+            res = ch.gout(y, omega, 1e-4)
+            _assert_kernel_close(res.log_zout, ref["log_zout"])
+            np.testing.assert_allclose(res.gout, ref["gout"], rtol=1e-12)
+
+    @pytest.mark.parametrize("ch", [Abs(0.0), Abs(0.2), SymmetricDoor(),
+                                    SymmetricDoor(K=0.9, delta=0.1)])
+    def test_stability_integral_matches_reference(self, ch):
+        rho = 1.0
+
+        def ratio(y):
+            logw, _, m2x = ch._piece_stats(np.asarray(y), 0.0, rho)
+            log_den = logsumexp(logw, axis=0)
+            log_num, sign = logsumexp(logw, b=m2x / rho - 1.0, axis=0,
+                                      return_sign=True)
+            if log_den < math.log(1e-300):
+                return 0.0
+            return float(np.exp(2.0 * log_num - log_den))
+
+        if ch.is_discrete:
+            ref = sum(ratio(lab) for lab in ch.labels)
+        else:
+            lo, hi = ch._phi_range(rho)
+            pad = 10.0 * math.sqrt(ch.delta) + 1e-6
+            ref = integrate_1d(ratio, lo - pad, hi + pad, tol=1e-9)
+        assert stability_integral(ch, rho) == pytest.approx(ref, rel=1e-12)

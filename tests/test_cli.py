@@ -198,6 +198,33 @@ bisect_tol = 5e-3
         assert row[2] == pytest.approx(1.566, abs=0.02)
         assert row[3] == pytest.approx(1.36, abs=0.01)
 
+    @pytest.mark.parametrize("prior,channel,param", [
+        ("kind = rademacher", "kind = door", "sparsity"),
+        ("kind = rademacher", "kind = sign", "K"),
+        ("kind = gauss_bernoulli\nsparsity = 0.5", "kind = abs", "p_plus"),
+    ])
+    def test_phase_diagram_rejects_unknown_param(self, tmp_path, prior,
+                                                 channel, param):
+        path = tmp_path / "pd.ini"
+        path.write_text(f"""
+[experiment]
+task = phase-diagram
+seed = 3
+[prior]
+{prior}
+[channel]
+{channel}
+[grid]
+param = {param}
+param_values = 0.5,0.7
+""")
+        with pytest.raises(ConfigError, match=param):
+            run(parse_config(str(path)))
+        out = tmp_path / "pd.csv"
+        assert main(["phase-diagram", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_potential_task(self, tmp_path):
         path = tmp_path / "pot.ini"
         path.write_text("""

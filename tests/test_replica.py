@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from glmphase import replica
 from glmphase.channels import (Abs, LinearAWGN, ReLU, Sigmoid, Sign,
-                               SymmetricDoor)
+                               SymmetricDoor, quad_profile)
 from glmphase.numerics import gauss_hermite
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior)
@@ -143,6 +144,32 @@ class TestSolve:
                       for q in qs)
         sup_inf = alpha * psi_rho - sol.free_entropy
         assert inf_sup == pytest.approx(sup_inf, abs=1e-6)
+
+
+class TestRecoveryTermCache:
+    """recovery_f reuses its alpha-independent terms across alphas; the
+    cached value must be the same float f_hat gives at the clamp."""
+
+    CASES = [(GaussBernoulliPrior(0.6), Abs(0.0), 1e-5),
+             (RademacherPrior(), SymmetricDoor(), 1e-10),
+             (RademacherPrior(), Abs(0.0), 1e-4)]
+
+    @pytest.mark.parametrize("prior,ch,depth", CASES)
+    def test_bitwise_equal_to_f_hat(self, prior, ch, depth):
+        replica._recovery_terms.cache_clear()
+        rho = prior.second_moment
+        for alpha in (0.3, 0.75, 1.1, 1.6):
+            got = replica.recovery_f(prior, ch, alpha, depth)
+            assert got == f_hat(prior, ch, alpha, rho * (1.0 - depth))[0]
+
+    @pytest.mark.parametrize("prior,ch,depth", CASES)
+    def test_first_call_under_fast_profile(self, prior, ch, depth):
+        replica._recovery_terms.cache_clear()
+        with quad_profile("fast"):
+            first = replica.recovery_f(prior, ch, 0.9, depth)
+        rho = prior.second_moment
+        assert first == f_hat(prior, ch, 0.9, rho * (1.0 - depth))[0]
+        assert replica.recovery_f(prior, ch, 0.9, depth) == first
 
 
 class TestGeneralizationError:
