@@ -23,10 +23,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit, log_ndtr, logsumexp, ndtr
+from scipy.special import expit, log_expit, log_ndtr, ndtr
 
-from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, gauss_hermite,
-                       gauss_panels, integrate_1d)
+from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _gl_on_edges,
+                       gauss_hermite, gauss_panels, integrate_1d, logsumexp)
 
 _LN2 = math.log(2.0)
 _INF = math.inf
@@ -69,14 +69,6 @@ def _norm_logpdf(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
 
 
-def _logsumexp0(x):
-    """log(sum(exp(x), axis=0)), max-shifted; all -inf columns stay -inf."""
-    m = np.max(x, axis=0)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(np.exp(x - shift), axis=0))
-
-
 def _log1mexp(t):
     """log(1 - exp(t)) for t <= 0, elementwise stable."""
     t = np.asarray(t, dtype=float)
@@ -90,19 +82,21 @@ def _log_gauss_prob(alpha, beta):
     """log P(alpha < W < beta), W ~ N(0,1), stable in both tails."""
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     out = np.full(alpha.shape, -np.inf)
+    # Beyond about 1e154 standard deviations log_ndtr of both bounds is -inf
+    # and their difference NaN; the probability there is 0, its log -inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         # right tail: 0 <= alpha < beta
         m = (alpha >= 0) & (beta > alpha)
         if np.any(m):
             la = log_ndtr(-alpha[m])
             lb = log_ndtr(-beta[m])
-            out[m] = la + _log1mexp(lb - la)
+            out[m] = np.where(la > -np.inf, la + _log1mexp(lb - la), -np.inf)
         # left tail: alpha < beta <= 0
         m = (beta <= 0) & (beta > alpha)
         if np.any(m):
             la = log_ndtr(alpha[m])
             lb = log_ndtr(beta[m])
-            out[m] = lb + _log1mexp(la - lb)
+            out[m] = np.where(lb > -np.inf, lb + _log1mexp(la - lb), -np.inf)
         # straddling zero: no cancellation in linear domain
         m = (alpha < 0) & (beta > 0)
         if np.any(m):
@@ -164,13 +158,10 @@ def _prof():
     return _PROFILES[getattr(_profile_state, "name", "exact")]
 
 
-from .numerics import _gl_edges_cached as _gl_on_edges
-
-
 def _master_grid():
     """Uniformly chunked Gauss-Legendre master nodes/weights on [0, 1]."""
     p = _prof()
-    return _gl_on_edges(tuple(np.linspace(0.0, 1.0, p["w_chunks"] + 1)), p["w_gl"])
+    return _gl_on_edges(np.linspace(0.0, 1.0, p["w_chunks"] + 1), p["w_gl"])
 
 
 def _graded_master(smallest, grade_lo, grade_hi, order):
@@ -187,7 +178,7 @@ def _graded_master(smallest, grade_lo, grade_hi, order):
         while e < 0.75:
             edges.add(1.0 - e)
             e *= 2.0
-    return _gl_on_edges(tuple(sorted(edges)), order)
+    return _gl_on_edges(sorted(edges), order)
 
 
 def _panel_nodes_1d(features, widths):
@@ -444,14 +435,14 @@ class _PiecewiseChannel(Channel):
                 out = np.log(self.density(y, omega))
             return float(out) if np.ndim(out) == 0 else out
         logw, _, _ = self._piece_stats(y, omega, v)
-        out = _logsumexp0(logw)
+        out = logsumexp(logw)
         return float(out) if np.ndim(out) == 0 else out
 
     def _posterior_x_stats(self, y, omega, v):
         """(log Z, per-piece posterior weights, per-piece E[x], E[x^2]);
         rows with zero evidence get zero weights."""
         logw, m1x, m2x = self._piece_stats(y, omega, v)
-        logz = _logsumexp0(logw)
+        logz = logsumexp(logw)
         ok = np.isfinite(logz)
         with np.errstate(invalid="ignore"):
             post = np.exp(logw - np.where(ok, logz, 0.0))

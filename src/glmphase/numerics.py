@@ -41,10 +41,16 @@ class FixedPointDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for expectations under the standard Gaussian."""
+    """Nodes and weights for expectations under the standard Gaussian.
+
+    A rule built for many rows at once (``gauss_panels`` with 2-D features)
+    carries the row of each node in ``row``; sum per row with
+    ``np.bincount(rule.row, weights=...)``, not with ``expect``.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+    row: np.ndarray | None = None
 
     def expect(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
@@ -72,18 +78,33 @@ def gauss_hermite(order: int) -> QuadratureRule:
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def logsumexp(x, axis: int = 0):
+    """log(sum(exp(x), axis)), max-shifted; all -inf slices stay -inf."""
+    m = np.max(x, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
 @lru_cache(maxsize=64)
 def _leggauss_unit(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _gl_edges_cached(edges: tuple, order: int):
+def _gl_on_edges(edges, order: int):
+    """Composite Gauss-Legendre nodes/weights, one panel between each pair of
+    consecutive edges."""
     x, w = _leggauss_unit(order)
     e = np.asarray(edges)
     lo = e[:-1][:, None]
     width = np.diff(e)[:, None]
     return (lo + width * x[None, :]).ravel(), (width * w[None, :]).ravel()
+
+
+# panel break points sit at feature + k * width for these k
+_FEATURE_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
 
 def gauss_panels(features=(), widths=(), half_range: float = 9.0,
@@ -93,22 +114,44 @@ def gauss_panels(features=(), widths=(), half_range: float = 9.0,
 
     Unlike Gauss-Hermite, this resolves integrand structure much narrower
     than the node spacing of any practical Hermite order.
+
+    ``features`` and ``widths`` of shape (F,) give one rule.  Shape
+    (rows, F) gives one rule per row in a single pass, flat, with the row
+    of each node in ``row``; NaN marks a missing feature.  Each row's nodes
+    and weights are bit-identical to the rule built for that row alone.
     """
-    pts = {-half_range, half_range}
-    for f, s in zip(features, widths):
-        for k in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0):
-            p = f + k * s
-            if -half_range < p < half_range:
-                pts.add(p)
-    spts = sorted(pts)
-    edges = []
-    for lo, hi in zip(spts[:-1], spts[1:]):
-        n_chunks = max(1, int(np.ceil((hi - lo) / chunk)))
-        edges.extend(np.linspace(lo, hi, n_chunks + 1)[:-1])
-    edges.append(spts[-1])
-    nodes, weights = _gl_edges_cached(tuple(edges), order)
+    f = np.asarray(features, dtype=float)
+    many = f.ndim == 2
+    if not many:
+        f = f.reshape(1, f.size)
+    s = np.asarray(widths, dtype=float).reshape(f.shape)
+    rows = len(f)
+    # break points: +-half_range and every feature + k * width inside
+    p = (f[:, :, None] + _FEATURE_OFFSETS * s[:, :, None]).reshape(rows, -1)
+    p[~((p > -half_range) & (p < half_range))] = np.nan
+    ends = np.full((rows, 1), half_range)
+    pts = np.sort(np.concatenate([-ends, p, ends], axis=1), axis=1)  # NaN last
+    keep = ~np.isnan(pts)
+    keep[:, 1:] &= pts[:, 1:] != pts[:, :-1]
+    pt_row = np.nonzero(keep)[0]
+    pts = pts[keep]
+    # segments between consecutive break points of a row, each cut into
+    # n equal chunks exactly as np.linspace(lo, hi, n + 1) cuts it
+    seg = pt_row[1:] == pt_row[:-1]
+    lo, hi, seg_row = pts[:-1][seg], pts[1:][seg], pt_row[:-1][seg]
+    n = np.maximum(1, np.ceil((hi - lo) / chunk).astype(int))
+    step = np.repeat((hi - lo) / n, n)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    start = np.repeat(lo, n)
+    a = j * step + start
+    b = np.where(j + 1 < np.repeat(n, n), (j + 1) * step + start, np.repeat(hi, n))
+    x, w = _leggauss_unit(order)
+    width = (b - a)[:, None]
+    nodes = (a[:, None] + width * x[None, :]).ravel()
+    weights = (width * w[None, :]).ravel()
     weights = weights * np.exp(-0.5 * nodes * nodes - _LOG_SQRT_2PI)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    row = np.repeat(seg_row, n * order) if many else None
+    return QuadratureRule(nodes=nodes, weights=weights, row=row)
 
 
 def integrate_1d(f: Callable[[float], float], lo: float, hi: float,

@@ -9,19 +9,23 @@ Every prior exposes the same surface:
 * ``psi_p0(r)``                 -- scalar-channel free entropy
 * ``psi_p0_prime(r)``           -- its derivative, E[g(Y0, r)^2] / 2
 
-Discrete support is summed exactly; Gaussian parts use Gauss-Hermite.
+``psi_p0`` and ``psi_p0_prime`` take a scalar r (and return a float) or an
+array of r, evaluated in one pass over blocks of r values; a scalar is an
+array of one.  Discrete support is summed exactly; the expectation over Y0
+uses panel quadrature refined where the posterior switches regime.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numerics import DEFAULT_GH_ORDER, gauss_hermite, gauss_panels
+from .numerics import gauss_panels, logsumexp
 
 # The fixed-point set admits r = +infinity; psi' saturates far below this cap.
 R_CAP = 1e8
+# r values per vectorized pass; bounds the node arrays, so peak memory stays flat
+_R_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,16 @@ class DenoiserOutput:
     variance: float | np.ndarray
 
 
-def _check_r(r: float) -> float:
-    if r < 0:
+def _check_r(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError(f"r must be nonnegative, got {r}")
-    return min(float(r), R_CAP)
+    return np.minimum(r, R_CAP)
+
+
+def _like(r, out):
+    """float for a scalar r, else the array."""
+    return float(out) if np.ndim(r) == 0 else out
 
 
 class Prior:
@@ -71,7 +81,8 @@ class Prior:
         raise NotImplementedError
 
     def log_partition(self, y, r):
-        """ln integral dP0(x) exp(sqrt(r) y x - r x^2 / 2), vectorized in y."""
+        """ln integral dP0(x) exp(sqrt(r) y x - r x^2 / 2), elementwise in
+        (y, r)."""
         raise NotImplementedError
 
     def denoise(self, R, lam) -> DenoiserOutput:
@@ -85,27 +96,32 @@ class Prior:
 
     # -- scalar-channel free entropy ----------------------------------------
 
-    def _expect_y0(self, r: float, g) -> float:
-        """E over Y0 = sqrt(r) X0 + Z0 of g(Y0)."""
+    def _expect_y0(self, r: np.ndarray, g) -> np.ndarray:
+        """E over Y0 = sqrt(r) X0 + Z0 of g(Y0, r), for each r > 0 of a 1-D
+        array; g is evaluated once on the flat nodes of all rows."""
         raise NotImplementedError
 
-    def psi_p0(self, r: float) -> float:
+    def _over_r(self, r, at_zero: float, g):
+        """E[g(Y0, r)] for each r of a scalar or array, at_zero where r = 0."""
+        r_in = r
         r = _check_r(r)
-        if r == 0.0:
-            return 0.0
-        return self._expect_y0(r, lambda y: self.log_partition(y, r))
+        out = np.full(r.shape, at_zero)
+        flat, out_flat = r.reshape(-1), out.reshape(-1)
+        todo = np.flatnonzero(flat != 0.0)
+        for start in range(0, todo.size, _R_BLOCK):
+            idx = todo[start:start + _R_BLOCK]
+            out_flat[idx] = self._expect_y0(flat[idx], g)
+        return _like(r_in, out)
 
-    def psi_p0_prime(self, r: float) -> float:
-        r = _check_r(r)
-        if r == 0.0:
-            return 0.5 * self.mean ** 2
-        sqr = np.sqrt(r)
+    def psi_p0(self, r):
+        return self._over_r(r, 0.0, self.log_partition)
 
-        def g_sq(y):
-            m, _ = self.posterior_mean_var(sqr * y, r)
+    def psi_p0_prime(self, r):
+        def g_sq(y, r):
+            m, _ = self.posterior_mean_var(np.sqrt(r) * y, r)
             return m ** 2
 
-        return 0.5 * self._expect_y0(r, g_sq)
+        return 0.5 * self._over_r(r, self.mean ** 2, g_sq)
 
 
 @dataclass(frozen=True)
@@ -138,19 +154,12 @@ class GaussianPrior(Prior):
         return -0.5 * np.log1p(r * s2) + s2 * r * np.asarray(y) ** 2 / (2.0 * (1.0 + r * s2))
 
     def psi_p0(self, r):
-        r = _check_r(r)
-        s2 = self.prior_variance
-        return 0.5 * (s2 * r - np.log1p(r * s2))
+        s2, rc = self.prior_variance, _check_r(r)
+        return _like(r, 0.5 * (s2 * rc - np.log1p(rc * s2)))
 
     def psi_p0_prime(self, r):
-        r = _check_r(r)
-        s2 = self.prior_variance
-        return 0.5 * s2 * s2 * r / (1.0 + s2 * r)
-
-    def _expect_y0(self, r, g):
-        gh = gauss_hermite(DEFAULT_GH_ORDER)
-        sd = np.sqrt(1.0 + r * self.prior_variance)
-        return float(np.dot(gh.weights, g(sd * gh.nodes)))
+        s2, rc = self.prior_variance, _check_r(r)
+        return _like(r, 0.5 * s2 * s2 * rc / (1.0 + s2 * rc))
 
 
 class _AtomicPrior(Prior):
@@ -177,49 +186,55 @@ class _AtomicPrior(Prior):
     def _sample(self, count, rng):
         return rng.choice(self.atoms, size=count, p=self.probs)
 
+    def _atom_axis(self, x):
+        """(atoms, log probs) on a leading axis against the array x, so sums
+        over atoms run over contiguous rows."""
+        shape = (-1,) + (1,) * np.ndim(x)
+        return self.atoms.reshape(shape), np.log(self.probs).reshape(shape)
+
     def posterior_mean_var(self, theta, lam):
         theta = np.asarray(theta, dtype=float)
-        a = self.atoms
-        logw = np.log(self.probs) + np.multiply.outer(theta, a) \
-            - 0.5 * np.asarray(lam) * a ** 2
-        logw -= logsumexp(logw, axis=-1, keepdims=True)
-        w = np.exp(logw)
-        m = w @ a
-        m2 = w @ (a ** 2)
+        a, logp = self._atom_axis(theta)
+        logw = logp + a * theta - 0.5 * np.asarray(lam) * a ** 2
+        w = np.exp(logw - logsumexp(logw))
+        m = np.sum(w * a, axis=0)
+        m2 = np.sum(w * a ** 2, axis=0)
         return m, np.maximum(m2 - m ** 2, 0.0)
 
     def log_partition(self, y, r):
-        a = self.atoms
-        logw = np.log(self.probs) + np.sqrt(r) * np.multiply.outer(np.asarray(y, dtype=float), a) \
-            - 0.5 * r * a ** 2
-        return logsumexp(logw, axis=-1)
+        y = np.asarray(y, dtype=float)
+        a, logp = self._atom_axis(y)
+        return logsumexp(logp + np.sqrt(r) * (a * y) - 0.5 * np.asarray(r) * a ** 2)
 
     def _flip_points(self, r):
-        """Y0 values where the posterior tips between pairs of atoms; the
-        integrands of psi and psi' vary there on the 1/(sqrt(r) da) scale."""
-        a = self.atoms
-        p = self.probs
-        sqr = np.sqrt(r)
-        out = []
-        for j in range(len(a)):
-            for k in range(j + 1, len(a)):
-                da = a[k] - a[j]
-                if da == 0.0:
-                    continue
-                y = 0.5 * sqr * (a[k] + a[j]) - np.log(p[k] / p[j]) / (sqr * da)
-                out.append((y, 1.0 / (sqr * abs(da))))
-        return out
+        """Y0 values, shape (len(r), pairs), where the posterior tips between
+        pairs of atoms, and the 1/(sqrt(r) da) scale on which the integrands
+        of psi and psi' vary there."""
+        a, p = self.atoms, self.probs
+        j, k = np.triu_indices(len(a), 1)
+        da = a[k] - a[j]
+        j, k, da = j[da != 0.0], k[da != 0.0], da[da != 0.0]
+        sqr = np.sqrt(r)[:, None]
+        y = 0.5 * sqr * (a[k] + a[j]) - np.log(p[k] / p[j]) / (sqr * da)
+        return y, np.broadcast_to(1.0 / (sqr * np.abs(da)), y.shape)
 
     def _expect_y0(self, r, g):
-        flips = self._flip_points(r)
-        sqr = np.sqrt(r)
+        # one panel row per (r, atom): Y0 = sqrt(r) a + Z given the atom
+        flips, widths = self._flip_points(r)
+        shift = np.sqrt(r)[:, None] * self.atoms                 # (n, atoms)
+        # Z-coordinates of the posterior flips for each atom's channel
+        feats = flips[:, None, :] - shift[:, :, None]
+        widths = np.broadcast_to(widths[:, None, :], feats.shape)
+        rows = shift.size
+        rule = gauss_panels(feats.reshape(rows, -1), widths.reshape(rows, -1))
+        vals = g(shift.reshape(-1)[rule.row] + rule.nodes,
+                 np.repeat(r, len(self.atoms))[rule.row])
+        e = np.bincount(rule.row, weights=rule.weights * vals,
+                        minlength=rows).reshape(shift.shape)
+        # elementwise, so an r's value does not depend on the rest of its block
         total = 0.0
-        for a, p in zip(self.atoms, self.probs):
-            # Z-coordinates of the posterior flips for this atom's channel
-            feats = tuple((y - sqr * a) for y, _ in flips)
-            widths = tuple(w for _, w in flips)
-            rule = gauss_panels(feats, widths)
-            total += p * float(np.dot(rule.weights, g(sqr * a + rule.nodes)))
+        for j, p in enumerate(self.probs):
+            total = total + p * e[:, j]
         return total
 
 
@@ -317,34 +332,31 @@ class GaussBernoulliPrior(Prior):
                             np.log(rho) + log_slab)
 
     def _spike_slab_flip(self, r):
-        """|Y0| where spike and slab posterior weights balance."""
+        """|Y0| where spike and slab posterior weights balance, and the width
+        of the switch, for each r; NaN where they never balance."""
         rho = self.sparsity
         if rho >= 1.0:
-            return None
+            return np.full(r.shape, np.nan), np.full(r.shape, np.nan)
         c = np.log((1.0 - rho) / rho) + 0.5 * np.log1p(r)
-        if c <= 0.0:
-            return None
-        y = np.sqrt(2.0 * c * (1.0 + r) / r)
-        width = (1.0 + r) / (r * max(y, 1.0))
+        with np.errstate(invalid="ignore"):
+            y = np.sqrt(2.0 * np.where(c > 0.0, c, np.nan) * (1.0 + r) / r)
+        width = (1.0 + r) / (r * np.maximum(y, 1.0))
         return y, width
 
     def _expect_y0(self, r, g):
         # Conditionally on spike/slab, Y0 is exactly Gaussian; the integrands
-        # switch regime where spike and slab weights balance.
+        # switch regime where spike and slab weights balance.  One panel row
+        # per (r, spike) and (r, slab), in Z-coordinates of that component.
         rho = self.sparsity
-        flip = self._spike_slab_flip(r)
-        if flip is None:
-            rule_spike = rule_slab = gauss_panels()
-        else:
-            y_star, width = flip
-            rule_spike = gauss_panels((-y_star, y_star), (width, width))
-            sd = np.sqrt(1.0 + r)
-            rule_slab = gauss_panels((-y_star / sd, y_star / sd),
-                                     (width / sd, width / sd))
-        e_spike = float(np.dot(rule_spike.weights, g(rule_spike.nodes)))
-        sd_slab = np.sqrt(1.0 + r)
-        e_slab = float(np.dot(rule_slab.weights, g(sd_slab * rule_slab.nodes)))
-        return (1.0 - rho) * e_spike + rho * e_slab
+        y_star, width = self._spike_slab_flip(r)
+        sd = np.stack([np.ones_like(r), np.sqrt(1.0 + r)], axis=1)   # (n, 2)
+        feats = np.stack([-y_star[:, None] / sd, y_star[:, None] / sd], axis=2)
+        widths = np.repeat((width[:, None] / sd)[:, :, None], 2, axis=2)
+        rule = gauss_panels(feats.reshape(-1, 2), widths.reshape(-1, 2))
+        vals = g(sd.reshape(-1)[rule.row] * rule.nodes, np.repeat(r, 2)[rule.row])
+        e = np.bincount(rule.row, weights=rule.weights * vals,
+                        minlength=sd.size).reshape(sd.shape)
+        return (1.0 - rho) * e[:, 0] + rho * e[:, 1]
 
 
 def sample(prior: Prior, count: int, seed: int) -> np.ndarray:

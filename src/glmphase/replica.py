@@ -8,7 +8,9 @@ The potential is
 with optimizers characterized equivalently as the best state-evolution fixed
 point or as the direct sup over q of the inner inf over r (the inner inf is
 attained where 2 psi_p0'(r) = q, by convexity of psi_p0).  ``solve`` runs
-both routes and insists they agree.
+both routes and insists they agree.  Route B solves the roots of its whole q
+grid in one batched bracketing solve and stays independent of the
+state-evolution spline tables, so it remains a cross-check of Route A.
 
 The exact-recovery branch (q = rho, r = +inf) is represented by a sentinel;
 its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
@@ -105,17 +107,34 @@ def i_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
         - f_rs(prior, channel, alpha, q, r)
 
 
-def inner_inf_r(prior: Prior, q: float, r_max: float = R_CAP) -> float:
-    """argmin over r of f_rs(q, .): solves 2 psi_p0'(r) = q (psi' monotone)."""
-    if q <= 2.0 * prior.psi_p0_prime(0.0):
-        return 0.0
-    if 2.0 * prior.psi_p0_prime(r_max) <= q:
-        return r_max
-    # root in u = ln(1 + r): relative precision across 8 decades of r
-    from scipy.optimize import brentq
-    u = brentq(lambda t: 2.0 * prior.psi_p0_prime(math.expm1(t)) - q,
-               0.0, math.log1p(r_max), xtol=1e-13, rtol=1e-14)
-    return math.expm1(u)
+def inner_inf_r(prior: Prior, q, r_max: float = R_CAP, r_bracket=None):
+    """argmin over r of f_rs(q, .): solves 2 psi_p0'(r) = q (psi' monotone).
+
+    q may be an array: all roots come from one batched bracketing solve
+    (Chandrupatla's method), with psi_p0' evaluated on the array of active
+    iterates at each step.  ``r_bracket = (r_lo, r_hi)`` narrows the search
+    to where the roots are known to lie; roots it does not bracket are
+    solved again over [0, r_max].
+    """
+    from scipy.optimize.elementwise import find_root
+    q_arr = np.asarray(q, dtype=float)
+    qf = q_arr.reshape(-1)
+    at_zero, at_max = 2.0 * prior.psi_p0_prime(np.array([0.0, r_max]))
+    r = np.where(qf <= at_zero, 0.0, r_max)
+    todo = np.flatnonzero((qf > at_zero) & (qf < at_max))
+    brackets = [(0.0, r_max)] if r_bracket is None else [r_bracket, (0.0, r_max)]
+    for r_lo, r_hi in brackets:
+        if todo.size == 0:
+            break
+        # root in u = ln(1 + r): relative precision across 8 decades of r
+        res = find_root(lambda t, qt: 2.0 * prior.psi_p0_prime(np.expm1(t)) - qt,
+                        (math.log1p(r_lo), math.log1p(r_hi)), args=(qf[todo],),
+                        tolerances=dict(xatol=1e-13, xrtol=1e-14))
+        r[todo[res.success]] = np.expm1(res.x[res.success])
+        todo = todo[~res.success]
+    if todo.size:
+        raise ValueError(f"no root of 2 psi_p0'(r) = q for q = {qf[todo]}")
+    return float(r[0]) if q_arr.ndim == 0 else r.reshape(q_arr.shape)
 
 
 def f_hat(prior: Prior, channel: Channel, alpha: float, q: float) -> tuple[float, float]:
@@ -176,13 +195,20 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     f_gamma = max(p.f_value for p in points)
 
     # Route B: direct sup over q of the inner inf, golden-section refined.
+    # q -> r is monotone, so the roots at the neighbouring grid points
+    # bracket every root the refinement needs.
     qs = np.linspace(0.0, q_hi, grid_size)
-    fs = np.array([f_hat(prior, channel, alpha, q)[0] for q in qs])
+    rs = inner_inf_r(prior, qs)
+    psi_outs = np.array([channel.psi_pout(q, rho) for q in qs])
+    fs = prior.psi_p0(rs) + alpha * psi_outs - 0.5 * rs * qs
     k = int(np.argmax(fs))
-    lo = qs[max(k - 1, 0)]
-    hi = qs[min(k + 1, grid_size - 1)]
-    f_of = lambda q: f_hat(prior, channel, alpha, q)[0]
-    f_direct = max(fs[k], _golden_max(f_of, lo, hi, tol=1e-9 * max(rho, 1.0)))
+    lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
+
+    def f_of(q):
+        r = inner_inf_r(prior, q, r_bracket=(rs[lo], rs[hi]))
+        return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, r)
+
+    f_direct = max(fs[k], _golden_max(f_of, qs[lo], qs[hi], tol=1e-9 * max(rho, 1.0)))
 
     if not math.isfinite(f_gamma) or abs(f_gamma - f_direct) > route_tol:
         raise RouteDisagreementError(f_gamma, f_direct, route_tol)

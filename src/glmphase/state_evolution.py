@@ -77,7 +77,7 @@ class TransitionReport:
 def _prior_table(prior: Prior) -> Callable[[float], float]:
     """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r)."""
     ts = np.linspace(0.0, math.log1p(R_CAP), 241)
-    vals = np.array([2.0 * prior.psi_p0_prime(math.expm1(t)) for t in ts])
+    vals = 2.0 * prior.psi_p0_prime(np.expm1(ts))
     spline = CubicSpline(ts, vals)
     t_max = ts[-1]
 

@@ -8,8 +8,8 @@ from scipy.stats import norm
 
 from glmphase.channels import (Abs, GoutUnderflowError, LinearAWGN, ReLU,
                                Sigmoid, Sign, SymmetricDoor,
-                               _PiecewiseChannel, density, gout, psi_pout,
-                               psi_pout_prime, sample_label,
+                               _PiecewiseChannel, _log_gauss_prob, density,
+                               gout, psi_pout, psi_pout_prime, sample_label,
                                stability_integral, zout)
 from glmphase.numerics import integrate_1d
 
@@ -150,6 +150,19 @@ class TestZout:
         # linear domain but the log value stays finite
         val = Sign().log_zout(-1.0, 40.0, 1e-2)
         assert -1e6 < val < math.log(1e-300)
+
+    @pytest.mark.parametrize("lo,hi", [(1e155, 2e155), (1e155, math.inf),
+                                       (-2e155, -1e155), (-math.inf, -1e155)])
+    def test_gauss_prob_beyond_log_ndtr_range(self, lo, hi):
+        # log_ndtr of both bounds is -inf there; the mass is 0, not NaN
+        assert _log_gauss_prob(lo, hi) == -math.inf
+        assert np.array_equal(_log_gauss_prob([lo, 0.5], [hi, 1.0]) == -math.inf,
+                              [True, False])
+
+    @pytest.mark.parametrize("y,omega", [(-1.0, 1e155), (1.0, -1e155)])
+    def test_log_zout_beyond_log_ndtr_range(self, y, omega):
+        with np.errstate(over="ignore"):
+            assert Sign().log_zout(y, omega, 1.0) == -math.inf
 
 
 class TestGout:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glmphase.numerics import (BracketError, FixedPointDivergenceError,
-                               FixedPointOptions, NonFiniteIntegrandError,
-                               bisect, damped_fixed_point, gauss_hermite,
-                               gauss_panels, integrate_1d)
+from scipy.special import logsumexp as scipy_logsumexp
+
+from glmphase.numerics import (_LOG_SQRT_2PI, BracketError,
+                               FixedPointDivergenceError, FixedPointOptions,
+                               NonFiniteIntegrandError, _gl_on_edges, bisect,
+                               damped_fixed_point, gauss_hermite, gauss_panels,
+                               integrate_1d, logsumexp)
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0,
                     6: 15.0, 7: 0.0, 8: 105.0, 9: 0.0, 10: 945.0}
@@ -63,6 +66,90 @@ class TestGaussPanels:
         est = rule.expect(lambda z: ((z > c - w) & (z < c + w)).astype(float))
         exact = 2 * w * math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
         assert est == pytest.approx(exact, rel=1e-6)
+
+
+def _one_row_reference(features, widths, half_range=9.0, chunk=0.6, order=16):
+    """The single-row panel rule written out with sets and np.linspace."""
+    pts = {-half_range, half_range}
+    for f, s in zip(features, widths):
+        for k in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0):
+            p = f + k * s
+            if -half_range < p < half_range:
+                pts.add(p)
+    spts = sorted(pts)
+    edges = []
+    for lo, hi in zip(spts[:-1], spts[1:]):
+        n_chunks = max(1, int(np.ceil((hi - lo) / chunk)))
+        edges.extend(np.linspace(lo, hi, n_chunks + 1)[:-1])
+    edges.append(spts[-1])
+    nodes, weights = _gl_on_edges(edges, order)
+    return nodes, weights * np.exp(-0.5 * nodes * nodes - _LOG_SQRT_2PI)
+
+
+class TestGaussPanelsRows:
+    """gauss_panels over many rows at once, NaN marking a missing feature."""
+
+    @staticmethod
+    def _rows(count=300, F=3, seed=0):
+        rng = np.random.default_rng(seed)
+        feats = rng.uniform(-12, 12, (count, F)) * rng.choice([1.0, 1e-3, 1e-9], (count, F))
+        widths = 10.0 ** rng.uniform(-10, 1, (count, F))
+        feats[::7, :2] = [0.0, -0.0]           # coinciding break points
+        widths[::7, 1] = widths[::7, 0]
+        used = rng.integers(0, F + 1, count)
+        missing = np.arange(F) >= used[:, None]
+        feats[missing] = widths[missing] = np.nan
+        return feats, widths
+
+    def test_rows_match_reference_bit_for_bit(self):
+        feats, widths = self._rows()
+        many = gauss_panels(feats, widths)
+        for i in range(len(feats)):
+            ok = ~np.isnan(feats[i])
+            ref_nodes, ref_weights = _one_row_reference(feats[i][ok], widths[i][ok])
+            assert np.array_equal(many.nodes[many.row == i], ref_nodes)
+            assert np.array_equal(many.weights[many.row == i], ref_weights)
+            one = gauss_panels(tuple(feats[i][ok]), tuple(widths[i][ok]))
+            assert np.array_equal(one.nodes, ref_nodes)
+            assert np.array_equal(one.weights, ref_weights)
+
+    def test_other_rule_parameters(self):
+        feats, widths = self._rows(40, 2, seed=3)
+        many = gauss_panels(feats, widths, half_range=6.0, chunk=0.25, order=7)
+        for i in range(len(feats)):
+            ok = ~np.isnan(feats[i])
+            ref_nodes, ref_weights = _one_row_reference(
+                feats[i][ok], widths[i][ok], 6.0, 0.25, 7)
+            assert np.array_equal(many.nodes[many.row == i], ref_nodes)
+            assert np.array_equal(many.weights[many.row == i], ref_weights)
+
+    def test_single_row_has_no_row_index(self):
+        assert gauss_panels((0.3,), (0.1,)).row is None
+        rule = gauss_panels(np.full((3, 2), np.nan), np.full((3, 2), np.nan))
+        assert np.array_equal(np.bincount(rule.row), [len(gauss_panels().nodes)] * 3)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_scipy(self, axis):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=30.0, size=(4, 6, 5))
+        x[1, 2, :] = -np.inf              # an all -inf slice along every axis
+        x[:, 3, 1] = -np.inf
+        x[2, :, 4] = -np.inf
+        x[0, 0, 0] = 700.0                # exp overflows without the shift
+        with np.errstate(divide="ignore"):
+            ref = scipy_logsumexp(x, axis=axis)
+        got = logsumexp(x, axis=axis)
+        assert got.shape == ref.shape
+        finite = np.isfinite(ref)
+        assert np.array_equal(got[~finite], ref[~finite])
+        np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14, atol=1e-14)
+
+    def test_all_minus_inf(self):
+        assert logsumexp(np.full(3, -np.inf)) == -np.inf
+        assert np.array_equal(logsumexp(np.full((2, 3), -np.inf), axis=-1),
+                              [-np.inf, -np.inf])
 
 
 class TestIntegrate1d:

@@ -204,3 +204,79 @@ class TestPsiP0Prime:
                 return (f_spike + f_slab) * float(m) ** 2
             e_g2 = quad(integrand, -40, 40, epsabs=1e-13, limit=400)[0]
             assert 2 * psi_p0_prime(prior, r) == pytest.approx(e_g2, rel=1e-7)
+
+
+BATCH_PRIORS = [
+    GaussianPrior(1.0),
+    RademacherPrior(0.5),
+    RademacherPrior(0.3),
+    TwoPointPrior(values=(0.5, -1.5), probabilities=(0.6, 0.4)),
+    GaussBernoulliPrior(0.2),
+    GaussBernoulliPrior(1.0),
+]
+# 0, eight decades up to the cap, and two values beyond it
+BATCH_RS = np.array([0.0, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.7, 10.0, 1e3, 1e6, 1e8,
+                     2e8, 1e12])
+
+
+class TestBatchedPsi:
+    """psi_p0 and psi_p0' on an array of r equal a loop of scalar calls."""
+
+    @pytest.mark.parametrize("name", ["psi_p0", "psi_p0_prime"])
+    @pytest.mark.parametrize("prior", BATCH_PRIORS)
+    def test_array_matches_scalar_loop(self, prior, name):
+        fn = getattr(prior, name)
+        loop = np.array([fn(float(r)) for r in BATCH_RS])
+        got = fn(BATCH_RS)
+        assert isinstance(got, np.ndarray) and got.shape == BATCH_RS.shape
+        np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS)
+    def test_shape_is_kept(self, prior):
+        rs = BATCH_RS[1:9].reshape(2, 4)
+        got = prior.psi_p0_prime(rs)
+        assert got.shape == (2, 4)
+        np.testing.assert_allclose(got.ravel(), prior.psi_p0_prime(rs.ravel()),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS)
+    def test_scalar_returns_float(self, prior):
+        for r in (0.0, 1.3, np.float64(2.0), 5e8):
+            assert type(prior.psi_p0(r)) is float
+            assert type(prior.psi_p0_prime(r)) is float
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS)
+    def test_cap_and_zero(self, prior):
+        got = prior.psi_p0_prime(np.array([0.0, 1e8, 3e8]))
+        assert got[0] == 0.5 * prior.mean ** 2
+        assert got[1] == got[2]
+
+    def test_negative_r_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            RademacherPrior().psi_p0_prime(np.array([1.0, -1e-3]))
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS[1:])
+    def test_batched_panels_equal_single_row_rules(self, prior):
+        """Every row of the many-row panel rule the prior builds is the rule
+        gauss_panels builds for that row alone, bit for bit."""
+        from glmphase.numerics import gauss_panels
+        r = BATCH_RS[1:11]
+        if isinstance(prior, GaussBernoulliPrior):
+            y, w = prior._spike_slab_flip(r)
+            sd = np.sqrt(1.0 + r)
+            feats = np.concatenate([np.stack([-y, y], 1),
+                                    np.stack([-y / sd, y / sd], 1)])
+            widths = np.concatenate([np.stack([w, w], 1),
+                                     np.stack([w / sd, w / sd], 1)])
+        else:
+            flips, w = prior._flip_points(r)
+            shift = np.sqrt(r)[:, None] * prior.atoms
+            feats = (flips[:, None, :] - shift[:, :, None]).reshape(-1, flips.shape[1])
+            widths = np.broadcast_to(w[:, None, :], (len(r), len(prior.atoms),
+                                                     w.shape[1])).reshape(feats.shape)
+        many = gauss_panels(feats, widths)
+        for i in range(len(feats)):
+            ok = ~np.isnan(feats[i])
+            one = gauss_panels(tuple(feats[i][ok]), tuple(widths[i][ok]))
+            assert np.array_equal(many.nodes[many.row == i], one.nodes)
+            assert np.array_equal(many.weights[many.row == i], one.weights)

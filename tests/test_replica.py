@@ -8,8 +8,8 @@ from glmphase import replica
 from glmphase.channels import (Abs, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor, quad_profile)
 from glmphase.numerics import gauss_hermite
-from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
-                             RademacherPrior)
+from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
+                             RademacherPrior, TwoPointPrior)
 from glmphase.replica import (RouteDisagreementError, denoising_error, f_hat,
                               f_rs, generalization_error, i_rs, inner_inf_r,
                               solve)
@@ -241,3 +241,74 @@ class TestDenoisingError:
     def test_requires_positive_delta(self):
         with pytest.raises(ValueError):
             denoising_error(Sign(), 1.0, 0.5, 0.0)
+
+
+INNER_PRIORS = [GaussianPrior(1.0), RademacherPrior(0.5), RademacherPrior(0.3),
+                TwoPointPrior(values=(0.5, -1.5), probabilities=(0.6, 0.4)),
+                GaussBernoulliPrior(0.2), GaussBernoulliPrior(1.0)]
+
+
+class TestBatchedInnerInf:
+    """inner_inf_r on an array of q: one batched bracketing solve."""
+
+    @staticmethod
+    def _qs(prior):
+        rho = prior.second_moment
+        return rho * np.array([0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.8, 0.99,
+                               1.0 - 1e-6, 1.0])
+
+    @pytest.mark.parametrize("prior", INNER_PRIORS)
+    def test_array_equals_scalar_calls(self, prior):
+        qs = self._qs(prior)
+        got = inner_inf_r(prior, qs)
+        loop = np.array([inner_inf_r(prior, float(q)) for q in qs])
+        np.testing.assert_array_equal(got, loop)
+        assert type(inner_inf_r(prior, float(qs[4]))) is float
+
+    @pytest.mark.parametrize("prior", INNER_PRIORS)
+    def test_roots_and_clamps(self, prior):
+        qs = self._qs(prior)
+        rs = inner_inf_r(prior, qs)
+        at_zero, at_cap = 2.0 * prior.psi_p0_prime(np.array([0.0, R_CAP]))
+        inside = (qs > at_zero) & (qs < at_cap)
+        assert np.all(rs[qs <= at_zero] == 0.0)
+        assert np.all(rs[qs >= at_cap] == R_CAP)
+        assert inside.sum() >= 5
+        np.testing.assert_allclose(2.0 * prior.psi_p0_prime(rs[inside]),
+                                   qs[inside], rtol=0.0, atol=1e-9)
+
+    def test_nonzero_mean_clamps_to_zero(self):
+        # 2 psi_p0'(0) = mean^2 = 0.16 for p_plus = 0.3
+        prior = RademacherPrior(0.3)
+        assert np.all(inner_inf_r(prior, np.array([0.0, 0.1, 0.16])) == 0.0)
+        assert inner_inf_r(prior, 0.2) > 0.0
+
+    def test_bracket_narrows_without_moving_roots(self):
+        prior = RademacherPrior()
+        qs = np.linspace(0.0, 1.0 - 1e-6, 21)
+        rs = inner_inf_r(prior, qs)
+        for k in (3, 10, 18):
+            q = 0.5 * (qs[k] + qs[k + 1])
+            full = inner_inf_r(prior, q)
+            narrow = inner_inf_r(prior, q, r_bracket=(rs[k], rs[k + 1]))
+            assert narrow == pytest.approx(full, rel=1e-11)
+
+    def test_bracket_missing_the_root_falls_back(self):
+        prior = RademacherPrior()
+        full = inner_inf_r(prior, 0.5)
+        assert inner_inf_r(prior, 0.5, r_bracket=(10.0, 20.0)) == pytest.approx(
+            full, rel=1e-11)
+
+
+def test_route_b_needs_no_spline_tables(monkeypatch):
+    """solve's direct route evaluates psi_p0' itself: it must not touch the
+    state-evolution spline tables, so it stays a cross-check of Route A."""
+    from glmphase import state_evolution as se
+
+    def forbidden(*args):
+        raise AssertionError("spline table used")
+
+    monkeypatch.setattr(se, "_prior_table", forbidden)
+    monkeypatch.setattr(se, "_channel_table", forbidden)
+    sol = solve(RademacherPrior(), Sign(), 0.93)
+    assert sol.q_star < 1.0
