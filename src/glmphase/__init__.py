@@ -23,8 +23,9 @@ from .priors import (DenoiserOutput, GaussBernoulliPrior, GaussianPrior,
 from .replica import (ReplicaPoint, ReplicaSolution, RouteDisagreementError,
                       denoising_error, f_rs, generalization_error, i_rs,
                       solve)
-from .state_evolution import (SETrajectory, TransitionReport, find_alpha_amp,
-                              find_alpha_c, find_alpha_it, gamma_branches,
-                              phase_sweep, se_run)
+from .state_evolution import (SENonConvergenceError, SETrajectory,
+                              TransitionReport, find_alpha_amp, find_alpha_c,
+                              find_alpha_it, gamma_branches, phase_sweep,
+                              se_run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

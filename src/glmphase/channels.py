@@ -7,8 +7,14 @@ exact Gaussian closed forms for the evidence
     Z_out(y, omega, V) = E_{w ~ N(0,1)}[ P_out(y | omega + sqrt(V) w) ]
 
 and for the posterior moments of the hidden pre-activation, via truncated
-normal integrals per linear piece.  Everything runs in log space so deep
-tails (door/sign at large |omega|/sqrt(V)) stay finite.
+normal integrals per linear piece.  Everything runs in log space, and the
+moments are those of the standardized w = (x - omega) / sqrt(V), so deep
+tails (door/sign at large |omega|/sqrt(V)) stay finite and do not cancel.
+
+``psi_pout(q, rho)`` and ``psi_pout_prime(q, rho)`` take a scalar q (and
+return a float) or an array of q.  A discrete channel builds the E_V rules
+of a block of q values in one ``gauss_panels`` pass and evaluates all their
+nodes at once; a continuous one goes through the q values one at a time.
 
 Conventions:
 * ``gout`` is the posterior mean of the standardized hidden Gaussian w.
@@ -23,12 +29,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit, log_ndtr, ndtr
+from scipy.special import erfcx, expit, log_expit, ndtr
 
-from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _gl_on_edges,
+from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _gl_on_edges, _like,
                        gauss_hermite, gauss_panels, integrate_1d, logsumexp)
 
-_LN2 = math.log(2.0)
 _INF = math.inf
 
 # Gaussian mass beyond 9 sigma is ~1e-19; quadrature windows stop there.
@@ -37,6 +42,15 @@ _GAUSS_RANGE = 9.0
 _CHUNK_WIDTH = 0.6
 _GL_ORDER = 16
 _LOG_TINY = math.log(1e-300)
+# q values per vectorized pass of a discrete channel; bounds the node arrays,
+# so peak memory stays flat
+_Q_BLOCK = 4
+# elements per pass of the truncated-normal kernel: temporaries stay small
+# enough for the allocator to reuse them instead of mapping fresh pages
+_ELEM_BLOCK = 8192
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class GoutUnderflowError(FloatingPointError):
@@ -69,58 +83,71 @@ def _norm_logpdf(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
 
 
-def _log1mexp(t):
-    """log(1 - exp(t)) for t <= 0, elementwise stable."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.log(-np.expm1(np.minimum(t, 0.0)))
-        large = np.log1p(-np.exp(np.minimum(t, 0.0)))
-    return np.where(t > -_LN2, small, large)
+def _trunc_moments(alpha, beta):
+    """(logP, E[W], Var[W]) for the standard normal truncated to (alpha, beta).
+
+    An interval inside the left tail is mirrored right of zero.  In the
+    right tail, Q(x) = erfcx(x / sqrt 2) exp(-x^2 / 2) / 2 gives the log mass
+    and the ratios phi / P without cancellation however far out the interval
+    lies, so the mean stays accurate; beyond about 1e154 standard deviations
+    the mass is 0 and its log -inf.  Both moments are 0 where the mass is 0.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    left = beta <= 0.0
+    lo, hi = np.where(left, -beta, alpha), np.where(left, -alpha, beta)
+    logp = np.full(lo.shape, -np.inf)
+    mean, var = np.zeros(lo.shape), np.zeros(lo.shape)
+    # flat views, in slices of _ELEM_BLOCK elements; each case gathers its
+    # elements by index and scatters back
+    lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
+    logp_f, mean_f, var_f = logp.reshape(-1), mean.reshape(-1), var.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, lo_f.size, _ELEM_BLOCK):
+            blk = slice(start, start + _ELEM_BLOCK)
+            _trunc_block(lo_f[blk], hi_f[blk], logp_f[blk], mean_f[blk], var_f[blk])
+    np.negative(mean, out=mean, where=left)
+    return logp, mean, var
+
+
+def _trunc_block(lo, hi, logp, mean, var):
+    """Fill logp, mean and var (preset to -inf, 0, 0) for 1-D bounds that
+    are already mirrored right of zero where the interval lies in the left
+    tail; empty intervals keep the preset values."""
+    for tail, i in ((True, np.flatnonzero((lo >= 0.0) & (hi > lo))),
+                    (False, np.flatnonzero((lo < 0.0) & (hi > 0.0)))):
+        if not i.size:
+            continue
+        l, h = lo[i], hi[i]
+        if tail:
+            el, eh = erfcx(l / _SQRT2), erfcx(h / _SQRT2)
+            # log phi(h) / phi(l), and r = Q(h) / Q(l), the share of the
+            # tail beyond the far end; P = Q(l) (1 - r), scaled by el
+            log_g = -0.5 * (h - l) * (h + l)
+            den = el * -np.expm1(np.log(eh / el) + log_g)
+            lp = np.log(0.5 * den) - 0.5 * l * l
+            ra = _SQRT_2_OVER_PI / den            # phi(l) / P
+            rb = ra * np.exp(log_g)                # phi(h) / P
+        else:
+            # straddles zero, so P is not small
+            p = ndtr(h) - ndtr(l)
+            lp = np.log(p)
+            ra = np.exp(-0.5 * l * l) / (_SQRT_2PI * p)
+            rb = np.exp(-0.5 * h * h) / (_SQRT_2PI * p)
+        m = np.clip(ra - rb, l, h)
+        # E[W^2] = 1 + l ra - h rb; an infinite end has ratio 0
+        v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) \
+            - np.where(rb > 0.0, h * rb, 0.0) - m * m
+        ok = lp > -np.inf
+        logp[i] = lp
+        mean[i] = np.where(ok, m, 0.0)
+        # a truncated standard normal has variance in [0, 1]; far out,
+        # where the terms cancel or overflow, that bound is all that is kept
+        var[i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
 
 
 def _log_gauss_prob(alpha, beta):
     """log P(alpha < W < beta), W ~ N(0,1), stable in both tails."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
-    out = np.full(alpha.shape, -np.inf)
-    # Beyond about 1e154 standard deviations log_ndtr of both bounds is -inf
-    # and their difference NaN; the probability there is 0, its log -inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # right tail: 0 <= alpha < beta
-        m = (alpha >= 0) & (beta > alpha)
-        if np.any(m):
-            la = log_ndtr(-alpha[m])
-            lb = log_ndtr(-beta[m])
-            out[m] = np.where(la > -np.inf, la + _log1mexp(lb - la), -np.inf)
-        # left tail: alpha < beta <= 0
-        m = (beta <= 0) & (beta > alpha)
-        if np.any(m):
-            la = log_ndtr(alpha[m])
-            lb = log_ndtr(beta[m])
-            out[m] = np.where(lb > -np.inf, lb + _log1mexp(la - lb), -np.inf)
-        # straddling zero: no cancellation in linear domain
-        m = (alpha < 0) & (beta > 0)
-        if np.any(m):
-            out[m] = np.log(ndtr(beta[m]) - ndtr(alpha[m]))
-    return out
-
-
-def _trunc_moments(alpha, beta):
-    """(logP, E[W], E[W^2]) for the standard normal truncated to (alpha, beta)."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
-    logp = _log_gauss_prob(alpha, beta)
-    ok = np.isfinite(logp)
-    with np.errstate(invalid="ignore", over="ignore"):
-        ra = np.where(np.isfinite(alpha) & ok,
-                      np.exp(_norm_logpdf(alpha) - logp), 0.0)
-        rb = np.where(np.isfinite(beta) & ok,
-                      np.exp(_norm_logpdf(beta) - logp), 0.0)
-        m1 = ra - rb
-        m2 = 1.0 + np.where(np.isfinite(alpha), alpha, 0.0) * ra \
-            - np.where(np.isfinite(beta), beta, 0.0) * rb
-    m1 = np.clip(m1, np.minimum(alpha, beta), np.maximum(alpha, beta))
-    m1 = np.where(ok, m1, 0.0)
-    m2 = np.where(ok, np.maximum(m2, m1 * m1), 0.0)
-    return logp, m1, m2
+    return _trunc_moments(alpha, beta)[0]
 
 
 # Quadrature profiles: "exact" drives analysis-grade evaluations; "fast" is
@@ -181,13 +208,13 @@ def _graded_master(smallest, grade_lo, grade_hi, order):
     return _gl_on_edges(sorted(edges), order)
 
 
-def _panel_nodes_1d(features, widths):
-    """Nodes/weights (standard normal measure folded in) on [-R, R] with
-    extra resolution around each feature +- a few widths."""
-    rule = gauss_panels(tuple(features), tuple(widths),
-                        half_range=_GAUSS_RANGE, chunk=_CHUNK_WIDTH,
-                        order=_GL_ORDER)
-    return rule.nodes, rule.weights
+def _check_q(q, rho, closed: bool) -> np.ndarray:
+    """q as an array; every element in [0, rho] (closed) or [0, rho)."""
+    qa = np.asarray(q, dtype=float)
+    if not np.all((qa >= 0.0) & ((qa <= rho) if closed else (qa < rho))):
+        raise ValueError(f"need 0 <= q {'<=' if closed else '<'} rho, "
+                         f"got q={q}, rho={rho}")
+    return qa
 
 
 class Channel:
@@ -253,46 +280,110 @@ class Channel:
 
     # -- free entropy of the non-linear scalar channel -------------------------
 
+    def _v_rules(self, q, rho):
+        """Quadratures for E_V of each q of a 1-D array, flat as (nodes,
+        weights, row): panels refined near the decision-threshold images
+        k / sqrt(q), built in one pass, or Gauss-Hermite where there are no
+        thresholds or their images are wider than the profile's v_sigma."""
+        gh = gauss_hermite(DEFAULT_GH_ORDER)
+        kinks = np.array(self._x_kinks())
+        panel = np.zeros(q.shape, dtype=bool)
+        parts = []
+        if kinks.size:
+            pos = q > 0.0
+            qs = np.where(pos, q, 1.0)
+            sigma = np.sqrt((rho - q + self.delta) / qs)
+            panel = ~pos | (sigma < _prof()["v_sigma"])
+            if np.any(panel):
+                # q = 0 rows get no features (NaN)
+                feats = np.where(pos[panel, None],
+                                 kinks / np.sqrt(qs[panel, None]), np.nan)
+                widths = np.broadcast_to(sigma[panel, None], feats.shape)
+                rule = gauss_panels(feats, widths, half_range=_GAUSS_RANGE,
+                                    chunk=_CHUNK_WIDTH, order=_GL_ORDER)
+                parts.append((rule.nodes, rule.weights,
+                              np.flatnonzero(panel)[rule.row]))
+        gh_rows = np.flatnonzero(~panel)
+        if gh_rows.size:
+            parts.append((np.tile(gh.nodes, gh_rows.size),
+                          np.tile(gh.weights, gh_rows.size),
+                          np.repeat(gh_rows, gh.nodes.size)))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
     def _v_grid(self, q, rho):
-        """Quadrature for E_V, refined near the decision-threshold images."""
-        kinks = self._x_kinks()
-        if not kinks:
-            gh = gauss_hermite(DEFAULT_GH_ORDER)
-            return gh.nodes, gh.weights
-        if q <= 0.0:
-            return _panel_nodes_1d([], [])
-        sigma = math.sqrt((rho - q + self.delta) / q)
-        if sigma >= _prof()["v_sigma"]:
-            gh = gauss_hermite(DEFAULT_GH_ORDER)
-            return gh.nodes, gh.weights
-        features = [k / math.sqrt(q) for k in kinks]
-        return _panel_nodes_1d(features, [sigma] * len(features))
+        """E_V quadrature (nodes, weights) at one q."""
+        nodes, weights, _ = self._v_rules(np.array([float(q)]), rho)
+        return nodes, weights
 
     def _x_kinks(self):
         return ()
 
     def _expect_given_v(self, q, rho, func):
-        """E over (V, Y~) of func(y, omega, rho - q) on the generative law."""
+        """E over (V, Y~) of an integrand on the generative law, for a scalar
+        q (a float) or each q of an array (same shape).
+
+        func(y, omega, rho - q) returns (log Z_out, integrand): a discrete
+        channel weights each label by Z_out, a continuous one draws y from
+        the law itself and uses the integrand alone.
+        """
+        qa = np.asarray(q, dtype=float)
+        qf = qa.reshape(-1)
+        out = np.empty(qf.size)
+        inside = np.flatnonzero(qf < rho)
+        for start in range(0, inside.size, _Q_BLOCK):
+            idx = inside[start:start + _Q_BLOCK]
+            out[idx] = self._expect_rows(qf[idx], rho, func)
+        at_rho = qf >= rho
+        if np.any(at_rho):
+            out[at_rho] = self._expect_rows(np.array([rho]), rho, func)[0]
+        return _like(qa, out.reshape(qa.shape))
+
+    def _expect_rows(self, q, rho, func):
+        """_expect_given_v for a 1-D block of q, all below rho or the single
+        q = rho.  A discrete channel evaluates every row's nodes in one pass
+        and sums per row; a continuous one goes row by row."""
+        nodes, weights, row = self._v_rules(q, rho)
+        if not self.is_discrete:
+            return np.array([self._expect_row(q[i], rho, nodes[row == i],
+                                              weights[row == i], func)
+                             for i in range(q.size)])
+        omega = np.sqrt(q)[row] * nodes
+        vp = (rho - q)[row] if q[0] < rho else 0.0
+        vals = np.zeros_like(omega)
+        for lab in self.labels:
+            logz, val = func(lab, omega, vp)
+            w = np.exp(logz)
+            with np.errstate(invalid="ignore"):
+                vals += np.where(w > 0.0, w * val, 0.0)
+        return np.bincount(row, weights=weights * vals, minlength=q.size)
+
+    def _expect_row(self, q, rho, vnodes, vweights, func):
+        """_expect_given_v at one q of a continuous channel, on its V rule."""
         raise NotImplementedError
 
-    def psi_pout(self, q: float, rho: float) -> float:
-        """E ln Z_out over the scalar channel at overlap q; literal constants kept."""
-        if not 0.0 <= q <= rho:
-            raise ValueError(f"need 0 <= q <= rho, got q={q}, rho={rho}")
-        return self._expect_given_v(q, rho, lambda y, om, vp: self.log_zout(y, om, vp))
+    def psi_pout(self, q, rho: float):
+        """E ln Z_out over the scalar channel at overlap q; literal constants
+        kept.  q is a scalar (returns a float) or an array (same shape)."""
+        def log_z(y, om, vp):
+            logz = self.log_zout(y, om, vp)
+            return logz, logz
 
-    def psi_pout_prime(self, q: float, rho: float) -> float:
-        """Psi'(q) = E[gout^2] / (2 (rho - q)); rejects q = rho."""
-        if not 0.0 <= q < rho:
-            raise ValueError(f"need 0 <= q < rho, got q={q}, rho={rho}")
-        vp = rho - q
+        return self._expect_given_v(_check_q(q, rho, closed=True), rho, log_z)
 
-        def g_sq(y, om, _vp):
-            return self._gout_raw(y, om, _vp) ** 2
+    def psi_pout_prime(self, q, rho: float):
+        """Psi'(q) = E[gout^2] / (2 (rho - q)), for a scalar or an array of
+        q; rejects q = rho."""
+        qa = _check_q(q, rho, closed=False)
 
-        return self._expect_given_v(q, rho, g_sq) / (2.0 * vp)
+        def g_sq(y, om, vp):
+            logz, g = self._log_zout_gout(y, om, vp)
+            return logz, g * g
 
-    def _gout_raw(self, y, omega, v):
+        return _like(qa, self._expect_given_v(qa, rho, g_sq) / (2.0 * (rho - qa)))
+
+    def _log_zout_gout(self, y, omega, v):
+        """(log Z_out, gout) from one kernel pass, without the checks of
+        gout; zero evidence gives (-inf, 0)."""
         raise NotImplementedError
 
     def stability_integral(self, rho: float) -> float:
@@ -376,61 +467,74 @@ class _PiecewiseChannel(Channel):
         s = math.sqrt(rho)
         total = 0.0
         for a, b, c, d in self.pieces():
-            logp, m1, m2 = _trunc_moments(a / s, b / s)
+            logp, m1, var = _trunc_moments(a / s, b / s)
             p = float(np.exp(logp))
             ex = s * float(m1)
-            ex2 = rho * float(m2)
+            ex2 = rho * float(var + m1 * m1)
             total += p * (c * c) + 2.0 * c * d * p * ex + d * d * p * ex2
         return total
 
     # -- evidence core ---------------------------------------------------------
 
     def _piece_stats(self, y, omega, v):
-        """Per piece, stacked on a leading piece axis: log weight and
-        conditional 1st/2nd moments of x."""
-        y, omega = np.broadcast_arrays(np.asarray(y, float), np.asarray(omega, float))
-        sqv = math.sqrt(v)
+        """Per piece, stacked on a leading piece axis: log weight, and the
+        conditional mean and variance of the standardized hidden Gaussian
+        w = (x - omega) / sqrt(V).  y, omega and V broadcast together; an
+        array V must be positive."""
+        y, omega, _ = np.broadcast_arrays(np.asarray(y, float),
+                                          np.asarray(omega, float), np.asarray(v, float))
+        sqv = np.sqrt(v)
         delta = self.delta
-        logws, m1s, m2s = [], [], []
-        with np.errstate(divide="ignore", invalid="ignore"):
+        logws, means, variances = [], [], []
+        # log densities of far-off labels overflow to -inf, which is exact
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for a, b, c, d in self.pieces():
-                if d == 0.0:
-                    if delta > 0:
-                        sd = math.sqrt(delta)
-                        logpref = _norm_logpdf((y - c) / sd) - math.log(sd)
+                if d == 0.0 and delta == 0.0:
+                    # noiseless: only the observations y = c come from here
+                    emits = y == c
+                    if np.all(emits):
+                        logw, mean, var = _trunc_moments((a - omega) / sqv,
+                                                         (b - omega) / sqv)
                     else:
-                        logpref = np.where(y == c, 0.0, -np.inf)
-                    logp, m1, m2 = _trunc_moments((a - omega) / sqv,
-                                                  (b - omega) / sqv)
+                        logw = np.full(y.shape, -np.inf)
+                        mean, var = np.zeros(y.shape), np.zeros(y.shape)
+                        if np.any(emits):
+                            om = omega[emits]
+                            s = np.broadcast_to(sqv, y.shape)[emits]
+                            logw[emits], mean[emits], var[emits] = \
+                                _trunc_moments((a - om) / s, (b - om) / s)
+                elif d == 0.0:
+                    sd = math.sqrt(delta)
+                    logpref = _norm_logpdf((y - c) / sd) - math.log(sd)
+                    logp, mean, var = _trunc_moments((a - omega) / sqv,
+                                                     (b - omega) / sqv)
                     logw = logpref + logp
-                    m1x = omega + sqv * m1
-                    m2x = omega ** 2 + 2.0 * omega * sqv * m1 + v * m2
                 else:
+                    # the piece's Gaussian factor in x has mean m and
+                    # variance V delta / sig2; in w it is centred at shift
                     sig2 = delta + d * d * v
-                    sig = math.sqrt(sig2)
                     resid = y - c - d * omega
-                    logpref = _norm_logpdf(resid / sig) - math.log(sig)
-                    m = omega + d * v * resid / sig2
-                    s2 = v * delta / sig2
-                    if s2 == 0.0:
-                        inside = (a < m) & (m < b)
-                        logw = np.where(inside, logpref, -np.inf)
-                        m1x, m2x = m, m * m
+                    logpref = _norm_logpdf(resid / np.sqrt(sig2)) - 0.5 * np.log(sig2)
+                    m = omega + d * (v / sig2) * resid
+                    shift = d * (sqv / sig2) * resid
+                    if delta == 0.0:
+                        logw = np.where((a < m) & (m < b), logpref, -np.inf)
+                        mean, var = shift, np.broadcast_to(0.0, shift.shape)
                     else:
-                        s = math.sqrt(s2)
-                        logp, m1, m2 = _trunc_moments((a - m) / s, (b - m) / s)
+                        s = np.sqrt(v * delta / sig2)
+                        logp, m1, var1 = _trunc_moments((a - m) / s, (b - m) / s)
                         logw = logpref + logp
-                        m1x = m + s * m1
-                        m2x = m ** 2 + 2.0 * m * s * m1 + s2 * m2
+                        mean = shift + np.sqrt(delta / sig2) * m1
+                        var = delta / sig2 * var1
                 logws.append(logw)
-                m1s.append(m1x)
-                m2s.append(m2x)
-        return np.stack(logws), np.stack(m1s), np.stack(m2s)
+                means.append(mean)
+                variances.append(var)
+        return np.stack(logws), np.stack(means), np.stack(variances)
 
     def log_zout(self, y, omega, v):
-        if v < 0:
+        if np.any(np.asarray(v) < 0):
             raise ValueError(f"V must be nonnegative, got {v}")
-        if v == 0.0:
+        if np.all(np.asarray(v) == 0.0):
             with np.errstate(divide="ignore"):
                 out = np.log(self.density(y, omega))
             return float(out) if np.ndim(out) == 0 else out
@@ -438,61 +542,55 @@ class _PiecewiseChannel(Channel):
         out = logsumexp(logw)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _posterior_x_stats(self, y, omega, v):
-        """(log Z, per-piece posterior weights, per-piece E[x], E[x^2]);
-        rows with zero evidence get zero weights."""
-        logw, m1x, m2x = self._piece_stats(y, omega, v)
+    def _posterior_w_stats(self, y, omega, v):
+        """(log Z, per-piece posterior weights, per-piece mean and variance
+        of w); rows with zero evidence get zero weights."""
+        logw, mean, var = self._piece_stats(y, omega, v)
         logz = logsumexp(logw)
         ok = np.isfinite(logz)
         with np.errstate(invalid="ignore"):
             post = np.exp(logw - np.where(ok, logz, 0.0))
         post = np.where(ok, post, 0.0)
-        return logz, post, m1x, m2x
+        return logz, post, mean, var
 
-    def _gout_raw(self, y, omega, v):
-        logz, post, m1x, _ = self._posterior_x_stats(y, omega, v)
-        g = (np.sum(post * m1x, axis=0) - np.asarray(omega)) / math.sqrt(v)
-        return np.where(np.isfinite(logz), g, 0.0)
+    def _log_zout_gout(self, y, omega, v):
+        logz, post, mean, _ = self._posterior_w_stats(y, omega, v)
+        return logz, np.sum(post * mean, axis=0)
 
     def gout(self, y, omega, v) -> OutputDenoiser:
-        if v <= 0:
+        if np.any(np.asarray(v) <= 0):
             raise ValueError(f"V must be positive, got {v}")
-        logz, post, m1x, m2x = self._posterior_x_stats(y, omega, v)
+        logz, post, mean, var = self._posterior_w_stats(y, omega, v)
         if not np.all(np.isfinite(logz)):
             raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
-        ex = np.sum(post * m1x, axis=0)
-        ex2 = np.sum(post * m2x, axis=0)
-        g = (ex - np.asarray(omega)) / math.sqrt(v)
-        var_w = np.maximum(ex2 - ex * ex, 0.0) / v
+        g = np.sum(post * mean, axis=0)
+        # within-piece plus between-piece spread; (post * dev) * dev stays
+        # finite for the far-off means of pieces without posterior weight
+        dev = mean - g
+        var_w = np.sum(post * var + post * dev * dev, axis=0)
         z = np.exp(logz)
         if np.ndim(g) == 0:
             return OutputDenoiser(float(g), float(z), float(logz), float(var_w))
         return OutputDenoiser(g, z, logz, var_w)
 
     def posterior_phi_mean(self, y, omega, v):
-        if v <= 0:
+        if np.any(np.asarray(v) <= 0):
             raise ValueError(f"V must be positive, got {v}")
-        _, post, m1x, _ = self._posterior_x_stats(y, omega, v)
+        _, post, mean, _ = self._posterior_w_stats(y, omega, v)
         piece_axis = (-1,) + (1,) * (post.ndim - 1)
         cs = np.array([p[2] for p in self.pieces()]).reshape(piece_axis)
         ds = np.array([p[3] for p in self.pieces()]).reshape(piece_axis)
-        out = np.sum(post * (cs + ds * m1x), axis=0)
+        out = np.sum(post * (cs + ds * (omega + np.sqrt(v) * mean)), axis=0)
         return float(out) if np.ndim(out) == 0 else out
 
     # -- generative expectations ------------------------------------------------
 
-    def _expect_given_v(self, q, rho, func):
-        vp = rho - q
-        vnodes, vweights = self._v_grid(q, rho)
-        omega = math.sqrt(max(q, 0.0)) * vnodes
+    def _expect_row(self, q, rho, vnodes, vweights, integrand):
+        vp = float(rho - q)
+        omega = math.sqrt(q) * vnodes
 
-        if self.is_discrete:
-            vals = np.zeros_like(omega)
-            for lab in self.labels:
-                w = np.exp(self.log_zout(lab, omega, vp))
-                with np.errstate(invalid="ignore"):
-                    vals += np.where(w > 0.0, w * func(lab, omega, vp), 0.0)
-            return float(np.dot(vweights, vals))
+        def func(y, om, v):
+            return integrand(y, om, v)[1]
 
         if vp == 0.0:
             # y = phi(omega) + noise; no hidden w left.
@@ -574,9 +672,10 @@ class _PiecewiseChannel(Channel):
 
     def _stability_num_den(self, y, rho):
         """A(y) = E[(x^2/rho - 1) P_out(y|x)], B(y) = E[P_out(y|x)], x ~ N(0, rho)."""
-        logw, _, m2x = self._piece_stats(y, 0.0, rho)
+        logw, mean, var = self._piece_stats(y, 0.0, rho)
         w = np.exp(logw)
-        num = np.sum(w * (m2x / rho - 1.0), axis=0)
+        # x / sqrt(rho) is the standardized w at omega = 0
+        num = np.sum(w * (var + mean * mean - 1.0), axis=0)
         den = np.sum(w, axis=0)
         return num, den
 
@@ -623,17 +722,15 @@ class LinearAWGN(_PiecewiseChannel):
 
     # Closed forms: evidence is a Gaussian convolution.
     def psi_pout(self, q, rho):
-        if not 0.0 <= q <= rho:
-            raise ValueError(f"need 0 <= q <= rho, got q={q}, rho={rho}")
-        s2 = self.delta + rho - q
-        if s2 <= 0:
+        qa = _check_q(q, rho, closed=True)
+        s2 = self.delta + rho - qa
+        if np.any(s2 <= 0):
             raise ValueError("noiseless linear channel has no density at q = rho")
-        return -0.5 * math.log(2.0 * math.pi * math.e * s2)
+        return _like(qa, -0.5 * np.log(2.0 * math.pi * math.e * s2))
 
     def psi_pout_prime(self, q, rho):
-        if not 0.0 <= q < rho:
-            raise ValueError(f"need 0 <= q < rho, got q={q}, rho={rho}")
-        return 0.5 / (self.delta + rho - q)
+        qa = _check_q(q, rho, closed=False)
+        return _like(qa, 0.5 / (self.delta + rho - qa))
 
 
 @dataclass(frozen=True)
@@ -774,15 +871,15 @@ class Sigmoid(Channel):
 
     def _log_pmf_grid(self, y, omega, v):
         gh = gauss_hermite(DEFAULT_GH_ORDER)
-        zs = np.asarray(omega, float)[..., None] + math.sqrt(v) * gh.nodes
+        zs = np.asarray(omega, float)[..., None] + np.sqrt(v)[..., None] * gh.nodes
         return log_expit(self.slope * np.asarray(y, float)[..., None] * zs), gh
 
     def log_zout(self, y, omega, v):
-        if v < 0:
+        if np.any(np.asarray(v) < 0):
             raise ValueError(f"V must be nonnegative, got {v}")
         y = np.asarray(y, dtype=float)
         omega = np.asarray(omega, dtype=float)
-        if v == 0.0:
+        if np.all(np.asarray(v) == 0.0):
             with np.errstate(divide="ignore"):
                 out = np.log(self.density(y, omega))
             return float(out) if np.ndim(out) == 0 else out
@@ -791,24 +888,24 @@ class Sigmoid(Channel):
         out = logsumexp(logp + np.log(gh.weights), axis=-1)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _gout_raw(self, y, omega, v):
+    def _posterior_grid(self, y, omega, v):
+        """(log Z, posterior weights of the Gauss-Hermite nodes of w, rule)."""
         y, omega = np.broadcast_arrays(np.asarray(y, float), np.asarray(omega, float))
         logp, gh = self._log_pmf_grid(y, omega, v)
         logw = logp + np.log(gh.weights)
         logz = logsumexp(logw, axis=-1)
-        post = np.exp(logw - logz[..., None])
-        return post @ gh.nodes
+        return logz, np.exp(logw - logz[..., None]), gh
+
+    def _log_zout_gout(self, y, omega, v):
+        logz, post, gh = self._posterior_grid(y, omega, v)
+        return logz, post @ gh.nodes
 
     def gout(self, y, omega, v) -> OutputDenoiser:
-        if v <= 0:
+        if np.any(np.asarray(v) <= 0):
             raise ValueError(f"V must be positive, got {v}")
-        y2, om2 = np.broadcast_arrays(np.asarray(y, float), np.asarray(omega, float))
-        logp, gh = self._log_pmf_grid(y2, om2, v)
-        logw = logp + np.log(gh.weights)
-        logz = logsumexp(logw, axis=-1)
+        logz, post, gh = self._posterior_grid(y, omega, v)
         if not np.all(np.isfinite(np.asarray(logz))):
             raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
-        post = np.exp(logw - logz[..., None])
         g = post @ gh.nodes
         var_w = np.maximum(post @ (gh.nodes ** 2) - g * g, 0.0)
         z = np.exp(logz)
@@ -818,16 +915,6 @@ class Sigmoid(Channel):
 
     def posterior_phi_mean(self, y, omega, v):
         raise ValueError("sigmoid channel has delta = 0; denoising is undefined")
-
-    def _expect_given_v(self, q, rho, func):
-        vp = rho - q
-        gh = gauss_hermite(DEFAULT_GH_ORDER)
-        omega = math.sqrt(max(q, 0.0)) * gh.nodes
-        vals = np.zeros_like(omega)
-        for lab in self.labels:
-            w = np.exp(self.log_zout(lab, omega, vp))
-            vals += w * func(lab, omega, vp)
-        return float(np.dot(gh.weights, vals))
 
     def stability_integral(self, rho):
         raise ValueError("stability integral requires an even channel")

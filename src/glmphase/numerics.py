@@ -78,6 +78,11 @@ def gauss_hermite(order: int) -> QuadratureRule:
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def _like(x, out):
+    """float for a scalar input x, else the array out."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def logsumexp(x, axis: int = 0):
     """log(sum(exp(x), axis)), max-shifted; all -inf slices stay -inf."""
     m = np.max(x, axis=axis, keepdims=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_panels, logsumexp
+from .numerics import _like, gauss_panels, logsumexp
 
 # The fixed-point set admits r = +infinity; psi' saturates far below this cap.
 R_CAP = 1e8
@@ -41,11 +41,6 @@ def _check_r(r) -> np.ndarray:
     if np.any(r < 0):
         raise ValueError(f"r must be nonnegative, got {r}")
     return np.minimum(r, R_CAP)
-
-
-def _like(r, out):
-    """float for a scalar r, else the array."""
-    return float(out) if np.ndim(r) == 0 else out
 
 
 class Prior:

@@ -9,8 +9,9 @@ with optimizers characterized equivalently as the best state-evolution fixed
 point or as the direct sup over q of the inner inf over r (the inner inf is
 attained where 2 psi_p0'(r) = q, by convexity of psi_p0).  ``solve`` runs
 both routes and insists they agree.  Route B solves the roots of its whole q
-grid in one batched bracketing solve and stays independent of the
-state-evolution spline tables, so it remains a cross-check of Route A.
+grid in one batched bracketing solve, takes psi_p0 and psi_pout of the grid
+in one call each, and stays independent of the state-evolution spline
+tables, so it remains a cross-check of Route A.
 
 The exact-recovery branch (q = rho, r = +inf) is represented by a sentinel;
 its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
@@ -199,8 +200,7 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     # bracket every root the refinement needs.
     qs = np.linspace(0.0, q_hi, grid_size)
     rs = inner_inf_r(prior, qs)
-    psi_outs = np.array([channel.psi_pout(q, rho) for q in qs])
-    fs = prior.psi_p0(rs) + alpha * psi_outs - 0.5 * rs * qs
+    fs = prior.psi_p0(rs) + alpha * channel.psi_pout(qs, rho) - 0.5 * rs * qs
     k = int(np.argmax(fs))
     lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
 
@@ -374,5 +374,6 @@ def denoising_error(channel: Channel, rho: float, q: float, delta: float) -> flo
     if q == rho:
         return 0.0  # the bracket collapses onto the (deterministic) truth
     post_sq = ch._expect_given_v(
-        q, rho, lambda y, om, vp: ch.posterior_phi_mean(y, om, vp) ** 2)
+        q, rho, lambda y, om, vp: (ch.log_zout(y, om, vp),
+                                   ch.posterior_phi_mean(y, om, vp) ** 2))
     return e_phi_sq - post_sq

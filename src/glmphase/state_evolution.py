@@ -18,8 +18,11 @@ potential; the transition finders bisect on branch indicators:
 * alpha_c = 1 / stability_integral for even channels.
 
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
-(built once per (prior) and (channel, rho)), which is what makes
-near-spinodal runs with ~1e5 iterations affordable.
+(built once per (prior) and (channel, rho), each from one array call of
+psi'), which is what makes near-spinodal runs with ~1e5 iterations
+affordable.  A finder that needs an SE limit raises SENonConvergenceError
+when the run stops at its iteration cap instead of reading the last iterate
+as the limit.  ``gamma_branches`` evaluates its residual grid in one call.
 """
 from __future__ import annotations
 
@@ -47,6 +50,20 @@ _Q_GUARD = 1e-14
 
 DEFAULT_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=5000)
 SPINODAL_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=200_000)
+
+
+class SENonConvergenceError(RuntimeError):
+    """A state-evolution run whose limit decides a threshold hit its
+    iteration cap; carries alpha and the iteration count."""
+
+    def __init__(self, alpha: float, iterations: int, init_kind: str):
+        super().__init__(
+            f"state evolution from the {init_kind} initialization did not "
+            f"converge in {iterations} iterations at alpha={alpha!r}; "
+            "raise FixedPointOptions.max_iter"
+        )
+        self.alpha = alpha
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -90,10 +107,12 @@ def _prior_table(prior: Prior) -> Callable[[float], float]:
 @lru_cache(maxsize=32)
 def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     """Cubic spline of ln psi_pout'(q) in u = logit(q / rho)."""
-    us = np.linspace(math.log(1e-9), math.log(1e13), 321)
-    qt = 1.0 / (1.0 + np.exp(-us))
+    qt = 1.0 / (1.0 + np.exp(-np.linspace(math.log(1e-9), math.log(1e13), 321)))
+    # abscissae are the logits of the q actually evaluated: near q = rho the
+    # rounding of qt moves them by up to 1e-3 from the uniform grid
+    us = np.log(qt / (1.0 - qt))
     with quad_profile("fast"):
-        vals = np.array([channel.psi_pout_prime(q * rho, rho) for q in qt])
+        vals = channel.psi_pout_prime(qt * rho, rho)
     vals = np.maximum(vals, 1e-300)
     spline = CubicSpline(us, np.log(vals))
     u_min, u_max = us[0], us[-1]
@@ -173,8 +192,8 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     psi0p, psioutp = _se_functions(prior, channel, rho, fast)
     q_cap = rho * (1.0 - _Q_GUARD)
 
-    def step(q: float) -> float:
-        r = min(2.0 * alpha * psioutp(min(q, q_cap)), R_CAP)
+    def step(q):
+        r = np.minimum(2.0 * alpha * psioutp(np.minimum(q, q_cap)), R_CAP)
         return psi0p(r)
 
     qs = [se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts, fast).q_limit,
@@ -188,7 +207,9 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         np.linspace(0.02, 1.0 - 1e-6, 25) * rho,
         (1.0 - np.geomspace(1e-6, 0.3, 9)) * rho,
     ]))
-    res = np.array([step(q) - q for q in grid])
+    # the exact functions take the whole grid at once; the tables one q
+    steps = np.array([step(q) for q in grid]) if fast else step(grid)
+    res = steps - grid
     for i in range(len(grid) - 1):
         if res[i] == 0.0:
             qs.append(float(grid[i]))
@@ -215,6 +236,16 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
 # transition finders
 # ---------------------------------------------------------------------------
 
+def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
+              opts: FixedPointOptions) -> float:
+    """Limit of a fast SE run from q0; a run stopped by the iteration cap
+    raises instead of being read as a limit."""
+    traj = se_run(prior, channel, alpha, q0, opts, fast=True)
+    if not traj.converged:
+        raise SENonConvergenceError(alpha, len(traj.r_seq), traj.init_kind)
+    return traj.q_limit
+
+
 def _bisect_bool(pred, lo: float, hi: float, tol: float) -> float:
     """Bisect a monotone boolean predicate: False at lo, True at hi."""
     while hi - lo > tol:
@@ -235,9 +266,8 @@ def find_alpha_amp(prior: Prior, channel: Channel, alpha_lo: float,
         opts = SPINODAL_SE_OPTS
 
     def recovered(alpha: float) -> bool:
-        traj = se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts,
-                      fast=True)
-        return traj.q_limit > rho * (1.0 - RECOVERY_FRAC)
+        q_limit = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
+        return q_limit > rho * (1.0 - RECOVERY_FRAC)
 
     if not recovered(alpha_hi):
         raise BracketError(f"no recovery at alpha_hi={alpha_hi}")
@@ -275,11 +305,9 @@ def _informative_state(prior: Prior, channel: Channel, alpha: float,
                        opts: FixedPointOptions):
     """(wins, merged): does the informative branch exist and globally win."""
     rho = prior.second_moment
-    traj_inf = se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC),
-                      opts, fast=True)
-    traj_un = se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts,
-                     fast=True)
-    q_inf, q_un = traj_inf.q_limit, traj_un.q_limit
+    q_inf = _se_limit(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC),
+                      opts)
+    q_un = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
     merged = abs(q_inf - q_un) < 1e-4 * rho
     if merged and q_inf > rho * (1.0 - RECOVERY_FRAC):
         return True, False  # both initializations recover: trivially optimal

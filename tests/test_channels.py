@@ -8,8 +8,9 @@ from scipy.stats import norm
 
 from glmphase.channels import (Abs, GoutUnderflowError, LinearAWGN, ReLU,
                                Sigmoid, Sign, SymmetricDoor,
-                               _PiecewiseChannel, _log_gauss_prob, density,
-                               gout, psi_pout, psi_pout_prime, sample_label,
+                               _PiecewiseChannel, _log_gauss_prob,
+                               _trunc_moments, density, gout, psi_pout,
+                               psi_pout_prime, quad_profile, sample_label,
                                stability_integral, zout)
 from glmphase.numerics import integrate_1d
 
@@ -161,8 +162,7 @@ class TestZout:
 
     @pytest.mark.parametrize("y,omega", [(-1.0, 1e155), (1.0, -1e155)])
     def test_log_zout_beyond_log_ndtr_range(self, y, omega):
-        with np.errstate(over="ignore"):
-            assert Sign().log_zout(y, omega, 1.0) == -math.inf
+        assert Sign().log_zout(y, omega, 1.0) == -math.inf
 
 
 class TestGout:
@@ -351,19 +351,19 @@ PIECEWISE_CASES = [
 def _reference_kernel(ch, y, omega, v):
     """Evidence and posterior moments from scipy's logsumexp over the
     stacked per-piece arrays."""
-    logw, m1x, m2x = ch._piece_stats(y, omega, v)
+    logw, mean, var = ch._piece_stats(y, omega, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         logz = logsumexp(logw, axis=0)
         ok = np.isfinite(logz)
         post = np.where(ok, np.exp(logw - np.where(ok, logz, 0.0)), 0.0)
-    ex, ex2 = np.sum(post * m1x, axis=0), np.sum(post * m2x, axis=0)
+    g = np.sum(post * mean, axis=0)
     piece_axis = (-1,) + (1,) * np.ndim(logz)
     cs = np.array([p[2] for p in ch.pieces()]).reshape(piece_axis)
     ds = np.array([p[3] for p in ch.pieces()]).reshape(piece_axis)
     return {"log_zout": logz,
-            "gout": (ex - omega) / math.sqrt(v),
-            "vout": np.maximum(ex2 - ex * ex, 0.0) / v,
-            "phi": np.sum(post * (cs + ds * m1x), axis=0)}
+            "gout": g,
+            "vout": np.sum(post * (var + (mean - g) ** 2), axis=0),
+            "phi": np.sum(post * (cs + ds * (omega + math.sqrt(v) * mean)), axis=0)}
 
 
 def _assert_kernel_close(got, ref):
@@ -405,7 +405,7 @@ class TestPieceAxisKernel:
         _assert_kernel_close(res.log_zout, ref["log_zout"])
         _assert_kernel_close(res.gout, ref["gout"])
         _assert_kernel_close(res.vout, ref["vout"])
-        _assert_kernel_close(ch._gout_raw(y, omega, self.V), ref["gout"])
+        _assert_kernel_close(ch._log_zout_gout(y, omega, self.V)[1], ref["gout"])
         if ch.delta > 0:
             _assert_kernel_close(ch.posterior_phi_mean(y, omega, self.V),
                                  ref["phi"])
@@ -434,7 +434,7 @@ class TestPieceAxisKernel:
         lz = ch.log_zout(y, omega, self.V)
         assert np.all(lz[1] == -np.inf)
         _assert_kernel_close(lz, ref["log_zout"])
-        g = ch._gout_raw(y, omega, self.V)
+        g = ch._log_zout_gout(y, omega, self.V)[1]
         assert np.all(g[1] == 0.0)
         _assert_kernel_close(g, np.where(np.isfinite(ref["log_zout"]),
                                          ref["gout"], 0.0))
@@ -462,9 +462,9 @@ class TestPieceAxisKernel:
         rho = 1.0
 
         def ratio(y):
-            logw, _, m2x = ch._piece_stats(np.asarray(y), 0.0, rho)
+            logw, mean, var = ch._piece_stats(np.asarray(y), 0.0, rho)
             log_den = logsumexp(logw, axis=0)
-            log_num, sign = logsumexp(logw, b=m2x / rho - 1.0, axis=0,
+            log_num, sign = logsumexp(logw, b=var + mean ** 2 - 1.0, axis=0,
                                       return_sign=True)
             if log_den < math.log(1e-300):
                 return 0.0
@@ -477,3 +477,126 @@ class TestPieceAxisKernel:
             pad = 10.0 * math.sqrt(ch.delta) + 1e-6
             ref = integrate_1d(ratio, lo - pad, hi + pad, tol=1e-9)
         assert stability_integral(ch, rho) == pytest.approx(ref, rel=1e-12)
+
+
+class TestFarTails:
+    """The kernel works on the standardized w = (x - omega) / sqrt(V), so
+    omega far beyond sqrt(V) neither cancels nor overflows."""
+
+    @pytest.mark.parametrize("omega", [1e8, 1e100])
+    def test_right_label_far_out_is_unit_gaussian(self, omega):
+        # x = omega + w is positive for every w that matters: w ~ N(0, 1)
+        res = gout(Sign(), 1.0, omega, 1.0)
+        assert (res.gout, res.vout, res.log_zout) == (0.0, 1.0, 0.0)
+
+    def test_abs_far_out(self):
+        # y = |x| = omega leaves w = 0 (the other root, w = -2 omega, has no
+        # Gaussian weight)
+        res = gout(Abs(), 1e155, 1e155, 1.0)
+        assert (res.gout, res.vout) == (0.0, 0.0)
+        assert res.zout == pytest.approx(norm.pdf(0.0), rel=1e-15)
+
+    def test_wrong_label_far_out_sits_at_the_threshold(self):
+        res = gout(Sign(), -1.0, 1e100, 1.0)
+        assert res.gout == pytest.approx(-1e100, rel=1e-15)
+        assert 0.0 <= res.vout <= 1.0
+        assert -1e201 < res.log_zout < -1e199
+
+    @pytest.mark.parametrize("x", [30.0, 1e4, 1e8, 1e100])
+    def test_truncated_moments_match_mills_series(self, x):
+        # E[W | W > x] = phi(x) / Q(x) ~ x + 1/x - 2/x^3 + 10/x^5 - ...
+        # and Var[W | W > x] ~ 1/x^2 - 6/x^4 + 50/x^6 - 518/x^8
+        u = 1.0 / x
+        mean = x + u * (1 + u * u * (-2 + u * u * (10 + u * u * (-74 + 706 * u * u))))
+        var = u * u * (1 + u * u * (-6 + u * u * (50 - 518 * u * u)))
+        _, right, right_var = _trunc_moments(x, math.inf)
+        _, left, left_var = _trunc_moments(-math.inf, -x)
+        assert right == pytest.approx(mean, rel=1e-13)
+        assert left == pytest.approx(-mean, rel=1e-13)
+        # the variance cancels in this tail: it keeps absolute accuracy only
+        assert right_var == left_var == pytest.approx(var, abs=2e-8)
+
+    def test_no_nan_on_extreme_inputs(self):
+        channels = [LinearAWGN(0.0), LinearAWGN(0.5), Sign(), Sign(0.2),
+                    Sign(epsilon=0.1), Abs(0.0), Abs(0.2), ReLU(1e-8),
+                    ReLU(0.3), SymmetricDoor(), SymmetricDoor(delta=0.1),
+                    SymmetricDoor(epsilon=0.05)]
+        scales = [1e-300, 1.0, 40.0, 1e8, 1e100, 1e155, 1e300]
+        omegas = [0.0] + scales + [-s for s in scales]
+        for ch in channels:
+            ys = ch.labels or (-1.0, 0.0, 1.0, 1e8, 1e155)
+            for y in ys:
+                for v in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+                    for omega in omegas:
+                        try:
+                            res = gout(ch, y, omega, v)
+                        except GoutUnderflowError:
+                            continue
+                        vals = (res.gout, res.vout, res.log_zout)
+                        assert np.all(np.isfinite(vals)), (ch, y, omega, v, vals)
+
+
+# Every channel family, noiseless and noisy; continuous channels run under
+# the fast profile, which changes nothing here but the cost.
+ARRAY_CASES = [
+    (LinearAWGN(0.0), 1.0), (LinearAWGN(0.5), 1.0), (Sign(), 1.0),
+    (Sign(0.2), 1.0), (Abs(0.0), 1.0), (Abs(0.1), 1.0), (ReLU(1e-8), 0.2),
+    (SymmetricDoor(), 1.0), (SymmetricDoor(epsilon=0.05), 1.0),
+    (Sigmoid(2.0), 1.0),
+]
+Q_FRACS = np.array([0.0, 1e-9, 1e-4, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-13])
+
+
+def _profile(ch):
+    closed = ch.is_discrete or isinstance(ch, LinearAWGN)
+    return quad_profile("exact" if closed else "fast")
+
+
+def _has_density_at_rho(ch):
+    return ch.is_discrete or ch.delta > 0.0
+
+
+class TestArrayOfQ:
+    """psi_pout and psi_pout' take an array of q: discrete channels evaluate
+    a block of rows in one pass, continuous ones go row by row."""
+
+    @pytest.mark.parametrize("ch,rho", ARRAY_CASES)
+    def test_prime_equals_scalar_loop(self, ch, rho):
+        qs = Q_FRACS * rho
+        with _profile(ch):
+            got = ch.psi_pout_prime(qs, rho)
+            loop = np.array([ch.psi_pout_prime(float(q), rho) for q in qs])
+        np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ch,rho", ARRAY_CASES)
+    def test_psi_equals_scalar_loop(self, ch, rho):
+        qs = Q_FRACS * rho
+        if _has_density_at_rho(ch):
+            qs = np.append(qs, rho)
+        with _profile(ch):
+            got = ch.psi_pout(qs, rho)
+            loop = np.array([ch.psi_pout(float(q), rho) for q in qs])
+        np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ch,rho", ARRAY_CASES)
+    def test_scalar_is_float_and_shape_is_kept(self, ch, rho):
+        grid = np.array([[0.1, 0.3], [0.5, 0.7]]) * rho
+        with _profile(ch):
+            assert type(ch.psi_pout(0.3 * rho, rho)) is float
+            assert type(ch.psi_pout_prime(np.float64(0.3 * rho), rho)) is float
+            assert ch.psi_pout(grid, rho).shape == (2, 2)
+            assert ch.psi_pout_prime(grid, rho).shape == (2, 2)
+            assert ch.psi_pout_prime(grid[:1, 0], rho).shape == (1,)
+
+    @pytest.mark.parametrize("ch,rho", ARRAY_CASES)
+    def test_out_of_domain_element_rejected(self, ch, rho):
+        for bad in (-1e-12, 1.1 * rho, math.nan):
+            with pytest.raises(ValueError):
+                ch.psi_pout(np.array([0.2 * rho, bad]), rho)
+            with pytest.raises(ValueError):
+                ch.psi_pout_prime(np.array([0.2 * rho, bad]), rho)
+        with pytest.raises(ValueError):
+            ch.psi_pout_prime(np.array([0.2 * rho, rho]), rho)
+        if not _has_density_at_rho(ch):
+            with pytest.raises(ValueError):
+                ch.psi_pout(np.array([0.2 * rho, rho]), rho)

@@ -300,9 +300,10 @@ class TestBatchedInnerInf:
             full, rel=1e-11)
 
 
-def test_route_b_needs_no_spline_tables(monkeypatch):
+def test_route_b_needs_no_spline_tables(monkeypatch, q_sizes):
     """solve's direct route evaluates psi_p0' itself: it must not touch the
-    state-evolution spline tables, so it stays a cross-check of Route A."""
+    state-evolution spline tables, so it stays a cross-check of Route A.
+    It takes psi_pout of its 201-point grid in one call."""
     from glmphase import state_evolution as se
 
     def forbidden(*args):
@@ -310,5 +311,7 @@ def test_route_b_needs_no_spline_tables(monkeypatch):
 
     monkeypatch.setattr(se, "_prior_table", forbidden)
     monkeypatch.setattr(se, "_channel_table", forbidden)
+    sizes = q_sizes("psi_pout")
     sol = solve(RademacherPrior(), Sign(), 0.93)
     assert sol.q_star < 1.0
+    assert sizes.count(201) == 1 and set(sizes) == {1, 201}

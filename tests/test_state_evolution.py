@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from glmphase.channels import Abs, LinearAWGN, Sign, SymmetricDoor
+from glmphase import state_evolution as se
+from glmphase.channels import (Abs, LinearAWGN, Sign, SymmetricDoor,
+                               quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior)
-from glmphase.state_evolution import (SPINODAL_SE_OPTS, find_alpha_amp,
+from glmphase.state_evolution import (SPINODAL_SE_OPTS, SENonConvergenceError,
+                                      _channel_table, find_alpha_amp,
                                       find_alpha_c, find_alpha_it,
                                       gamma_branches, phase_sweep, se_run)
 
@@ -169,3 +172,68 @@ class TestPhaseSweep:
             phase_sweep(lambda p: RademacherPrior(),
                         lambda p: SymmetricDoor(), params=[],
                         alpha_lo=0.5, alpha_hi=2.0)
+
+
+CAPPED = FixedPointOptions(max_iter=5)
+
+
+class TestNonConvergenceIsLoud:
+    """A capped SE run is not a limit: the finders raise instead of reading
+    it as "not recovered"."""
+
+    def test_alpha_amp(self):
+        with pytest.raises(SENonConvergenceError) as info:
+            find_alpha_amp(RademacherPrior(), Sign(), 1.2, 1.8, opts=CAPPED)
+        assert (info.value.alpha, info.value.iterations) == (1.8, 5)
+
+    def test_alpha_it(self):
+        with pytest.raises(SENonConvergenceError) as info:
+            find_alpha_it(RademacherPrior(), Sign(), 1.0, 1.45, opts=CAPPED)
+        assert (info.value.alpha, info.value.iterations) == (1.45, 5)
+
+    def test_phase_sweep_records_it_in_the_row(self, monkeypatch):
+        monkeypatch.setattr(se, "SPINODAL_SE_OPTS", CAPPED)
+        (row,) = phase_sweep(lambda k: RademacherPrior(),
+                             lambda k: SymmetricDoor(K=k), [0.67449], 0.8, 1.8)
+        assert row.error.startswith("SENonConvergenceError")
+        assert row.alpha_amp is None and row.alpha_it is None
+
+
+def test_residual_grid_takes_one_call(q_sizes):
+    # the SE runs call psi_pout' one q at a time; the 50-point grid once
+    sizes = q_sizes("psi_pout_prime")
+    gamma_branches(RademacherPrior(), Sign(), 1.35)
+    assert set(sizes) == {1, 50} and sizes.count(50) == 1
+
+
+LOGITS = np.linspace(math.log(1e-9), math.log(1e13), 321)
+# about 4x the largest error measured, 1.26e-6 (SymmetricDoor, fast profile)
+TABLE_REL_BOUND = 5e-6
+
+
+class TestChannelTable:
+    def test_built_in_one_call(self, q_sizes):
+        sizes = q_sizes("psi_pout_prime")
+        _channel_table(SymmetricDoor(K=0.5), 1.0)
+        assert sizes == [321]
+
+    @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor()])
+    def test_nodes_match_scalar_loop(self, ch):
+        qt = 1.0 / (1.0 + np.exp(-LOGITS))
+        table = _channel_table(ch, 1.0)
+        with quad_profile("fast"):
+            loop = np.array([ch.psi_pout_prime(float(q), 1.0) for q in qt])
+        got = np.array([table(q) for q in qt])
+        np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ch,stride", [(Sign(), 1), (SymmetricDoor(), 1),
+                                           (Abs(0.0), 20)])
+    def test_error_bound_at_midpoints(self, ch, stride):
+        """Fast-profile spline against exact-profile psi_pout' halfway
+        between the logit nodes, where interpolation error peaks."""
+        mid = (0.5 * (LOGITS[:-1] + LOGITS[1:]))[::stride]
+        q = 1.0 / (1.0 + np.exp(-mid))
+        table = _channel_table(ch, 1.0)
+        exact = ch.psi_pout_prime(q, 1.0)
+        got = np.array([table(x) for x in q])
+        assert np.max(np.abs(got - exact) / exact) <= TABLE_REL_BOUND
