@@ -9,8 +9,9 @@ from .channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
                        density, gout, psi_pout, psi_pout_prime, sample_label,
                        stability_integral, zout)
 from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
-                   Instance, empirical_generalization_error, gamp_predict,
-                   gamp_run, generate_instance, load_instance, save_instance)
+                   Instance, empirical_generalization_error, from_spec,
+                   gamp_predict, gamp_run, generate_instance, load_instance,
+                   save_instance, to_spec)
 from .numerics import (BracketError, FixedPointDivergenceError,
                        FixedPointOptions, FixedPointResult,
                        NonFiniteIntegrandError, QuadratureRule, bisect,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,8 @@ _LOG_TINY = math.log(1e-300)
 # q values per vectorized pass of a discrete channel; bounds the node arrays,
 # so peak memory stays flat
 _Q_BLOCK = 4
+# mu values per panel rule of Sigmoid.mean_label_gauss, for the same reason
+_MU_BLOCK = 256
 # elements per pass of the truncated-normal kernel: temporaries stay small
 # enough for the allocator to reuse them instead of mapping fresh pages
 _ELEM_BLOCK = 8192
@@ -152,19 +153,18 @@ def _log_gauss_prob(alpha, beta):
 
 # Quadrature profiles: "exact" drives analysis-grade evaluations; "fast" is
 # used when tabulating psi' for state-evolution sweeps (interpolation error
-# dominates there anyway).  The active profile is thread-local so sweep
-# workers building tables never disturb concurrent exact evaluations.
+# dominates there anyway).
 _PROFILES = {
     "exact": dict(w_chunks=14, w_gl=16, near_gl=12, z_near=11, z_wide=15,
                   v_sigma=math.inf),
     "fast": dict(w_chunks=8, w_gl=10, near_gl=8, z_near=7, z_wide=9,
                  v_sigma=0.75),
 }
-_profile_state = threading.local()
+_profile = "exact"
 
 
 class quad_profile:
-    """Context manager switching the (thread-local) quadrature profile."""
+    """Context manager switching the active quadrature profile."""
 
     def __init__(self, name: str):
         if name not in _PROFILES:
@@ -172,17 +172,18 @@ class quad_profile:
         self.name = name
 
     def __enter__(self):
-        self.saved = getattr(_profile_state, "name", "exact")
-        _profile_state.name = self.name
+        global _profile
+        self.saved, _profile = _profile, self.name
         return self
 
     def __exit__(self, *exc):
-        _profile_state.name = self.saved
+        global _profile
+        _profile = self.saved
         return False
 
 
 def _prof():
-    return _PROFILES[getattr(_profile_state, "name", "exact")]
+    return _PROFILES[_profile]
 
 
 def _master_grid():
@@ -862,12 +863,21 @@ class Sigmoid(Channel):
     def mean_label_gauss(self, mu, var):
         mu = np.asarray(mu, dtype=float)
         if var == 0.0:
-            out = self.mean_label(mu)
-            return float(out) if np.ndim(out) == 0 else out
-        gh = gauss_hermite(DEFAULT_GH_ORDER)
-        zs = mu[..., None] + math.sqrt(var) * gh.nodes
-        out = np.tanh(0.5 * self.slope * zs) @ gh.weights
-        return float(out) if np.ndim(out) == 0 else out
+            return _like(mu, self.mean_label(mu))
+        # panels around the tanh step at w = -mu / s, 1 / (slope s) wide:
+        # at steep slopes it is narrower than the Hermite node spacing
+        s = math.sqrt(var)
+        flat = mu.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _MU_BLOCK):
+            m = flat[start:start + _MU_BLOCK]
+            width = np.full((m.size, 1), 1.0 / (self.slope * s))
+            rule = gauss_panels((-m / s)[:, None], width, half_range=_GAUSS_RANGE,
+                                chunk=_CHUNK_WIDTH, order=_GL_ORDER)
+            vals = self.mean_label(m[rule.row] + s * rule.nodes)
+            out[start:start + m.size] = np.bincount(
+                rule.row, weights=rule.weights * vals, minlength=m.size)
+        return _like(mu, out.reshape(mu.shape))
 
     def _log_pmf_grid(self, y, omega, v):
         gh = gauss_hermite(DEFAULT_GH_ORDER)

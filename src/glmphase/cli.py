@@ -2,7 +2,7 @@
 deterministic seeded sweeps, plot-ready CSV/JSON tables.
 
     glmphase <task> --config cfg.ini [--out path] [--format csv|json]
-                    [--workers N] [--override section.key=value ...]
+                    [--override section.key=value ...]
 
 Tasks: potential, se, gamp, phase-diagram, errors, validate.
 Exit codes: 0 success, 1 validation failure, 2 config error.
@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import dataclasses
 import hashlib
@@ -25,9 +24,8 @@ import numpy as np
 
 from . import __version__, oracle, replica, state_evolution as se_mod
 from .channels import Channel
-from .gamp import (GampOptions, channel_from_dict, channel_to_dict,
-                   empirical_generalization_error, gamp_run,
-                   generate_instance, prior_from_dict, prior_to_dict)
+from .gamp import (GampOptions, empirical_generalization_error, from_spec,
+                   gamp_run, generate_instance, to_spec)
 from .numerics import FixedPointOptions
 from .priors import Prior
 
@@ -49,10 +47,10 @@ class ExperimentConfig:
     seed: int
 
     def prior(self) -> Prior:
-        return prior_from_dict(self.prior_spec)
+        return from_spec(self.prior_spec, Prior)
 
     def channel(self) -> Channel:
-        return channel_from_dict(self.channel_spec)
+        return from_spec(self.channel_spec, Channel)
 
     def config_hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -82,6 +80,7 @@ def _to_number(s: str):
 
 def parse_config(path: str, overrides=()) -> ExperimentConfig:
     cp = configparser.ConfigParser()
+    cp.optionxform = str  # keys keep their case: the door channel's "K"
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -106,15 +105,12 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
     prior_spec = {k: _to_number(v) for k, v in _section(cp, "prior").items()}
     channel_spec = {k: _to_number(v) for k, v in _section(cp, "channel").items()}
     if task != "validate":
-        if "kind" not in prior_spec:
-            raise ConfigError("missing prior.kind")
-        if "kind" not in channel_spec:
-            raise ConfigError("missing channel.kind")
-        try:
-            prior_from_dict(prior_spec)
-            channel_from_dict(channel_spec)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad prior/channel spec: {exc}") from exc
+        for layer, spec, base in (("prior", prior_spec, Prior),
+                                  ("channel", channel_spec, Channel)):
+            try:
+                from_spec(spec, base)
+            except ValueError as exc:
+                raise ConfigError(f"bad {layer} spec: {exc}") from exc
 
     cfg = ExperimentConfig(
         task=task,
@@ -141,14 +137,7 @@ def _alpha_grid(cfg: ExperimentConfig) -> np.ndarray:
     return start + step * np.arange(n)
 
 
-def _map_rows(func, items, workers: int):
-    if workers <= 1:
-        return [func(i, x) for i, x in enumerate(items)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: func(*t), enumerate(items)))
-
-
-def run(config: ExperimentConfig, workers: int = 1) -> ResultTable:
+def run(config: ExperimentConfig) -> ResultTable:
     """Dispatch an experiment; returns the result table (caller writes it)."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     handler = {
@@ -159,7 +148,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultTable:
         "potential": _run_potential,
         "validate": _run_validate,
     }[config.task]
-    table = handler(config, workers)
+    table = handler(config)
     table.provenance = {
         "config_hash": config.config_hash(),
         "artifact_version": __version__,
@@ -169,13 +158,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultTable:
     return table
 
 
-def _run_errors(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_errors(cfg: ExperimentConfig) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
     alphas = _alpha_grid(cfg)
     grid_size = int(cfg.numerics.get("grid_size", 201))
 
-    def row(i, alpha):
+    def row(alpha):
         try:
             sol = replica.solve(prior, channel, float(alpha), grid_size=grid_size)
             traj = se_mod.se_run(prior, channel, float(alpha),
@@ -190,7 +179,7 @@ def _run_errors(cfg: ExperimentConfig, workers: int) -> ResultTable:
                     math.nan, math.nan, math.nan, False,
                     f"{type(exc).__name__}: {exc}")
 
-    rows = _map_rows(row, alphas, workers)
+    rows = [row(alpha) for alpha in alphas]
     return ResultTable(
         columns=("alpha", "q_star", "r_star", "free_entropy", "mmse",
                  "matrix_mmse", "gen_error_replica", "gen_error_se",
@@ -198,7 +187,7 @@ def _run_errors(cfg: ExperimentConfig, workers: int) -> ResultTable:
         rows=rows)
 
 
-def _run_se(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_se(cfg: ExperimentConfig) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
     alpha = float(cfg.grid.get("alpha", 1.0))
@@ -213,7 +202,7 @@ def _run_se(cfg: ExperimentConfig, workers: int) -> ResultTable:
     return ResultTable(columns=("t", "q", "r", "mse_pred"), rows=rows)
 
 
-def _run_gamp(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_gamp(cfg: ExperimentConfig) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
     g = cfg.grid
@@ -245,7 +234,7 @@ def _scalar_fields(spec: dict) -> set:
     return {k for k, v in spec.items() if k != "kind" and isinstance(v, float)}
 
 
-def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_phase_diagram(cfg: ExperimentConfig) -> ResultTable:
     g = cfg.grid
     try:
         params = [float(p) for p in str(g["param_values"]).split(",")]
@@ -256,8 +245,8 @@ def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
     tol = float(cfg.numerics.get("bisect_tol", 1e-3))
     param_target = str(g.get("param", "sparsity"))
     key = "sparsity" if param_target == "rho" else param_target
-    prior_keys = _scalar_fields(prior_to_dict(cfg.prior()))
-    channel_keys = _scalar_fields(channel_to_dict(cfg.channel()))
+    prior_keys = _scalar_fields(to_spec(cfg.prior()))
+    channel_keys = _scalar_fields(to_spec(cfg.channel()))
     if key not in prior_keys | channel_keys:
         raise ConfigError(
             f"grid.param {param_target!r} is not a field of the configured "
@@ -265,16 +254,16 @@ def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
 
     def make_prior(p):
         if key in prior_keys:
-            return prior_from_dict({**cfg.prior_spec, key: p})
+            return from_spec({**cfg.prior_spec, key: p}, Prior)
         return cfg.prior()
 
     def make_channel(p):
         if key in channel_keys:
-            return channel_from_dict({**cfg.channel_spec, key: p})
+            return from_spec({**cfg.channel_spec, key: p}, Channel)
         return cfg.channel()
 
     reports = se_mod.phase_sweep(make_prior, make_channel, params,
-                                 alpha_lo, alpha_hi, tol=tol, workers=workers)
+                                 alpha_lo, alpha_hi, tol=tol)
     rows = [(r.param,
              math.nan if r.alpha_it is None else r.alpha_it,
              math.nan if r.alpha_amp is None else r.alpha_amp,
@@ -284,19 +273,19 @@ def _run_phase_diagram(cfg: ExperimentConfig, workers: int) -> ResultTable:
                                 "error"), rows=rows)
 
 
-def _run_potential(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_potential(cfg: ExperimentConfig) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
     alpha = float(cfg.grid.get("alpha", 1.0))
     n_q = int(cfg.grid.get("q_points", 101))
     qs = np.linspace(0.0, rho * (1.0 - 1e-6), n_q)
 
-    def row(i, q):
+    def row(q):
         f, r = replica.f_hat(prior, channel, alpha, float(q))
         i_val = replica.i_rs(prior, channel, alpha, float(q), r)
         return (float(q), r, f, i_val)
 
-    rows = _map_rows(row, qs, workers)
+    rows = [row(q) for q in qs]
     return ResultTable(columns=("q", "r_inner", "f_rs", "i_rs"), rows=rows)
 
 
@@ -305,7 +294,7 @@ def _run_potential(cfg: ExperimentConfig, workers: int) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _validate_checks(seed: int):
-    from .channels import Abs, LinearAWGN, Sigmoid, Sign, SymmetricDoor
+    from .channels import Abs, LinearAWGN, ReLU, Sigmoid, Sign, SymmetricDoor
     from .priors import GaussBernoulliPrior, GaussianPrior, RademacherPrior
 
     rad = RademacherPrior()
@@ -394,7 +383,8 @@ def _validate_checks(seed: int):
 
     def check_gen_error_closed_forms():
         for ch, rho in ((Sign(), 1.0), (SymmetricDoor(), 1.0), (Abs(0.0), 1.0),
-                        (LinearAWGN(0.3), 1.0), (Sigmoid(1.5), 1.0)):
+                        (LinearAWGN(0.3), 1.0), (Sigmoid(1.5), 1.0),
+                        (Sigmoid(8.0), 2.5), (ReLU(1e-8), 0.2)):
             for qf in (0.0, 0.5, 0.99):
                 replica.generalization_error(ch, rho, qf * rho)  # asserts inside
         return None
@@ -426,7 +416,7 @@ def _validate_checks(seed: int):
     ]
 
 
-def _run_validate(cfg: ExperimentConfig, workers: int) -> ResultTable:
+def _run_validate(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     for name, fn in _validate_checks(cfg.seed):
         try:
@@ -487,7 +477,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--override", action="append", default=[])
     args = parser.parse_args(argv)
 
@@ -500,7 +489,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        table = run(cfg, workers=args.workers)
+        table = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

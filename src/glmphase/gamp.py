@@ -25,8 +25,10 @@ manifold); the data are always generated at epsilon = 0.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,80 +256,79 @@ def empirical_generalization_error(instance_train: Instance, x_hat: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# instance serialization
+# prior/channel specs and instance serialization
 # ---------------------------------------------------------------------------
 
-_PRIOR_TAGS = {
-    GaussianPrior: "gaussian",
-    RademacherPrior: "rademacher",
-    GaussBernoulliPrior: "gauss_bernoulli",
-    TwoPointPrior: "two_point",
+# spec kind -> class; a field's spec key is its name, or the "spec_key" of
+# its metadata
+SPEC_KINDS = {
+    "gaussian": GaussianPrior,
+    "rademacher": RademacherPrior,
+    "gauss_bernoulli": GaussBernoulliPrior,
+    "two_point": TwoPointPrior,
+    "linear": LinearAWGN,
+    "sign": Sign,
+    "abs": Abs,
+    "relu": ReLU,
+    "door": SymmetricDoor,
+    "sigmoid": Sigmoid,
 }
-_CHANNEL_TAGS = {
-    LinearAWGN: "linear",
-    Sign: "sign",
-    Abs: "abs",
-    ReLU: "relu",
-    SymmetricDoor: "door",
-    Sigmoid: "sigmoid",
-}
 
 
-def prior_to_dict(prior: Prior) -> dict:
-    d = {"kind": _PRIOR_TAGS[type(prior)]}
-    if isinstance(prior, GaussianPrior):
-        d["variance"] = prior.prior_variance
-    elif isinstance(prior, RademacherPrior):
-        d["p_plus"] = prior.p_plus
-    elif isinstance(prior, GaussBernoulliPrior):
-        d["sparsity"] = prior.sparsity
-    elif isinstance(prior, TwoPointPrior):
-        d["values"] = list(prior.values)
-        d["probabilities"] = list(prior.probabilities)
-    return d
+def _spec_keys(cls) -> dict:
+    return {f.metadata.get("spec_key", f.name): f for f in dataclasses.fields(cls)}
 
 
-def prior_from_dict(d: dict) -> Prior:
-    kind = d["kind"]
-    if kind == "gaussian":
-        return GaussianPrior(float(d.get("variance", 1.0)))
-    if kind == "rademacher":
-        return RademacherPrior(float(d.get("p_plus", 0.5)))
-    if kind == "gauss_bernoulli":
-        return GaussBernoulliPrior(float(d["sparsity"]))
-    if kind == "two_point":
-        return TwoPointPrior(tuple(d["values"]), tuple(d["probabilities"]))
-    raise ValueError(f"unknown prior kind {kind!r}")
+def to_spec(obj: Prior | Channel) -> dict:
+    """{"kind": ..., key: value for every field} of a prior or channel."""
+    spec = {"kind": next(k for k, cls in SPEC_KINDS.items() if type(obj) is cls)}
+    for key, f in _spec_keys(type(obj)).items():
+        value = getattr(obj, f.name)
+        spec[key] = list(value) if isinstance(value, tuple) else value
+    return spec
 
 
-def channel_to_dict(channel: Channel) -> dict:
-    d = {"kind": _CHANNEL_TAGS[type(channel)], "epsilon": channel.epsilon}
-    if isinstance(channel, Sigmoid):
-        d["slope"] = channel.slope
-    else:
-        d["delta"] = channel.delta
-        if isinstance(channel, SymmetricDoor):
-            d["K"] = channel.K
-    return d
+def from_spec(spec: dict, base: type):
+    """The prior (base=Prior) or channel (base=Channel) a spec describes.
+
+    Omitted fields take the class default.  A tuple field reads a list or a
+    comma-separated string.  Unknown keys, a kind of the other layer,
+    missing required fields and non-numeric values raise ValueError.
+    """
+    kind = spec.get("kind")
+    cls = SPEC_KINDS.get(kind)
+    if cls is None or not issubclass(cls, base):
+        kinds = [k for k, c in SPEC_KINDS.items() if issubclass(c, base)]
+        raise ValueError(f"unknown {base.__name__.lower()} kind {kind!r}; "
+                         f"expected one of {kinds}")
+    keys = _spec_keys(cls)
+    unknown = sorted(set(spec) - set(keys) - {"kind"})
+    if unknown:
+        raise ValueError(f"{kind}: unknown keys {unknown}; it takes {sorted(keys)}")
+    missing = [k for k, f in keys.items()
+               if k not in spec and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{kind}: missing required keys {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in keys.items():
+        if key in spec:
+            kwargs[f.name] = _spec_value(f"{kind}.{key}", spec[key],
+                                         typing.get_origin(hints[f.name]) is tuple)
+    return cls(**kwargs)
 
 
-def channel_from_dict(d: dict) -> Channel:
-    kind = d["kind"]
-    eps = float(d.get("epsilon", 0.0))
-    if kind == "sigmoid":
-        return Sigmoid(slope=float(d.get("slope", 1.0)), epsilon=eps)
-    delta = float(d.get("delta", 0.0))
-    if kind == "linear":
-        return LinearAWGN(delta=delta, epsilon=eps)
-    if kind == "sign":
-        return Sign(delta=delta, epsilon=eps)
-    if kind == "abs":
-        return Abs(delta=delta, epsilon=eps)
-    if kind == "relu":
-        return ReLU(delta=delta, epsilon=eps)
-    if kind == "door":
-        return SymmetricDoor(K=float(d.get("K", 0.67449)), delta=delta, epsilon=eps)
-    raise ValueError(f"unknown channel kind {kind!r}")
+def _spec_value(name: str, value, many: bool):
+    """A float, or for a tuple field a tuple of floats read from a list or
+    a comma-separated string."""
+    try:
+        if not many:
+            return float(value)
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected {'numbers' if many else 'a number'}, "
+                         f"got {value!r}") from None
 
 
 def save_instance(instance: Instance, path, include_phi: bool = False) -> None:
@@ -339,8 +340,8 @@ def save_instance(instance: Instance, path, include_phi: bool = False) -> None:
         "n": instance.n,
         "m": instance.m,
         "seed": instance.seed,
-        "prior": prior_to_dict(instance.prior),
-        "channel": channel_to_dict(instance.channel),
+        "prior": to_spec(instance.prior),
+        "channel": to_spec(instance.channel),
     }
     if include_phi:
         doc["phi"] = instance.phi.tolist()
@@ -355,8 +356,8 @@ def load_instance(path) -> Instance:
         doc = json.load(fh)
     if doc.get("format") != "glmphase-instance":
         raise ValueError(f"not a glmphase instance file: {path}")
-    prior = prior_from_dict(doc["prior"])
-    channel = channel_from_dict(doc["channel"])
+    prior = from_spec(doc["prior"], Prior)
+    channel = from_spec(doc["channel"], Channel)
     n, m, seed = doc["n"], doc["m"], doc["seed"]
     if "phi" in doc:
         return Instance(

@@ -16,7 +16,7 @@ uses panel quadrature refined where the posterior switches regime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class Prior:
 class GaussianPrior(Prior):
     """Zero-mean Gaussian prior N(0, variance)."""
 
-    prior_variance: float = 1.0
+    prior_variance: float = field(default=1.0, metadata={"spec_key": "variance"})
 
     def __post_init__(self):
         if self.prior_variance <= 0:

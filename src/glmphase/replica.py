@@ -30,11 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
-from .channels import (Channel, LinearAWGN, Sign, Abs, ReLU, SymmetricDoor, Sigmoid,
-                       quad_profile)
-from .numerics import DEFAULT_GH_ORDER, gauss_hermite
+from .channels import Channel, quad_profile
 from .priors import Prior, R_CAP
 
 # q above rho * (1 - RECOVERY_FRAC) counts as the exact-recovery branch
@@ -254,66 +251,6 @@ def _golden_max(f, lo, hi, tol):
 # generalization error
 # ---------------------------------------------------------------------------
 
-def _abs_posterior_mean(x, y):
-    """E|G| for G ~ N(x, y)."""
-    x = np.asarray(x, dtype=float)
-    if y == 0.0:
-        return np.abs(x)
-    return np.sqrt(2.0 * y / math.pi) * np.exp(-x * x / (2.0 * y)) \
-        + x * erf(x / np.sqrt(2.0 * y))
-
-
-def _closed_form_gen_error(channel: Channel, rho: float, q: float) -> float:
-    """Registered noiseless closed forms; additive noise contributes + delta.
-
-    ReLU tail: integrating the erf cross term by parts gives
-    (rho - q)^{3/2} / sqrt(rho + q) * (1/(2 pi) + q/(rho pi)); the whole
-    expression is cross-checked against the direct quadrature of the
-    defining expectation at every call.
-    """
-    vp = rho - q
-    v, w = channel._v_grid(q, rho)
-
-    if isinstance(channel, LinearAWGN):
-        return vp
-    if isinstance(channel, Sign):
-        if vp == 0.0:
-            return 0.0
-        t = erf(v * np.sqrt(q / (2.0 * vp)))
-        return 1.0 - float(np.dot(w, t * t))
-    if isinstance(channel, SymmetricDoor):
-        if vp == 0.0:
-            return 0.0
-        k = channel.K
-        s = np.sqrt(2.0 * vp)
-        bracket = erf((k - np.sqrt(q) * v) / s) - erf(-(k + np.sqrt(q) * v) / s) - 1.0
-        return 1.0 - float(np.dot(w, bracket * bracket))
-    if isinstance(channel, ReLU):
-        if vp == 0.0:
-            return 0.0
-        t = v * v * erf(v * np.sqrt(q / (2.0 * vp))) ** 2
-        tail = vp ** 1.5 / math.sqrt(rho + q) \
-            * (1.0 / (2.0 * math.pi) + q / (rho * math.pi))
-        return rho / 2.0 - (q / 4.0) * (1.0 + float(np.dot(w, t))) - tail
-    if isinstance(channel, Abs):
-        b = _abs_posterior_mean(np.sqrt(q) * v, vp)
-        return rho - float(np.dot(w, b * b))
-    if isinstance(channel, Sigmoid):
-        inner = _sigmoid_mean_plus(channel, np.sqrt(q) * v, vp)
-        return 2.0 - 4.0 * float(np.dot(w, inner * inner))
-    raise ValueError(f"no registered closed form for {type(channel).__name__}")
-
-
-def _sigmoid_mean_plus(channel: Sigmoid, mu, var):
-    """E_w[ f_lambda(mu + sqrt(var) w) ]: probability of label +1."""
-    from scipy.special import expit
-    mu = np.asarray(mu, dtype=float)
-    if var == 0.0:
-        return expit(channel.slope * mu)
-    gh = gauss_hermite(DEFAULT_GH_ORDER)
-    return expit(channel.slope * (mu[..., None] + math.sqrt(var) * gh.nodes)) @ gh.weights
-
-
 def _mean_label_rows(channel: Channel, mu: np.ndarray, var: float) -> np.ndarray:
     """E_{W,A}[phi(mu_i + sqrt(var) W, A)] by pointwise-activation quadrature,
     independent of the closed truncated-moment route."""
@@ -348,11 +285,18 @@ def _generic_gen_error(channel: Channel, rho: float, q: float) -> float:
 
 
 def generalization_error(channel: Channel, rho: float, q: float) -> float:
-    """Bayes generalization error at overlap q; closed form cross-checked
-    against the generic quadrature to 1e-6."""
+    """Bayes generalization error at overlap q,
+
+        E[phi^2] - E_V[(E_w phi(sqrt(q) V + sqrt(rho - q) w))^2] + delta,
+
+    with the inner mean from ``mean_label_gauss``; cross-checked against the
+    pointwise-activation quadrature of ``_generic_gen_error`` to 1e-6."""
     if not 0.0 <= q <= rho:
         raise ValueError(f"need 0 <= q <= rho, got q={q}")
-    closed = _closed_form_gen_error(channel, rho, q) + channel.delta
+    v, w = channel._v_grid(q, rho)
+    inner = channel.mean_label_gauss(math.sqrt(q) * v, rho - q)
+    closed = channel.second_moment_phi(rho) - float(np.dot(w, inner * inner)) \
+        + channel.delta
     generic = _generic_gen_error(channel, rho, q)
     if abs(closed - generic) > 1e-6:
         raise RuntimeError(

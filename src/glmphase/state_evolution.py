@@ -26,7 +26,6 @@ as the limit.  ``gamma_branches`` evaluates its residual grid in one call.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -375,7 +374,7 @@ def find_alpha_c(channel: Channel, rho: float) -> float:
 def phase_sweep(make_prior: Callable[[float], Prior],
                 make_channel: Callable[[float], Channel],
                 params, alpha_lo: float, alpha_hi: float,
-                tol: float = 1e-3, workers: int = 1) -> list[TransitionReport]:
+                tol: float = 1e-3) -> list[TransitionReport]:
     """One TransitionReport per secondary-parameter value; row errors are
     recorded in-row and the sweep continues."""
     params = list(params)
@@ -402,7 +401,4 @@ def phase_sweep(make_prior: Callable[[float], Prior],
                                     alpha_c=None, bracket_width=tol,
                                     error=f"{type(exc).__name__}: {exc}")
 
-    if workers <= 1:
-        return [row(p) for p in params]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, params))
+    return [row(p) for p in params]

@@ -313,11 +313,26 @@ class TestMeanLabel:
         assert Sigmoid(2.0).mean_label(0.3) == pytest.approx(math.tanh(0.3))
 
     def test_gaussian_smoothing_matches_quadrature(self):
-        for ch in (Sign(), Abs(0.0), ReLU(1e-6), SymmetricDoor(), Sigmoid(1.5)):
-            mu, var = 0.4, 0.6
-            ref = quad(lambda w: norm.pdf(w) * float(ch.mean_label(mu + math.sqrt(var) * w)),
-                       -10, 10, limit=200)[0]
+        for ch, mu, var in (
+                (Sign(), 0.4, 0.6), (Abs(0.0), 0.4, 0.6), (ReLU(1e-6), 0.4, 0.6),
+                (SymmetricDoor(), 0.4, 0.6), (Sigmoid(1.5), 0.4, 0.6),
+                # steep slopes: the tanh step is narrower than the Hermite
+                # node spacing
+                (Sigmoid(5.0), 0.4, 1.25), (Sigmoid(8.0), 0.4, 2.5),
+                (Sigmoid(50.0), 0.4, 1.0), (Sigmoid(50.0), -1.3, 1.0)):
+            s = math.sqrt(var)
+            ref = quad(lambda w: norm.pdf(w) * float(ch.mean_label(mu + s * w)),
+                       -10, 10, points=[-mu / s], limit=200)[0]
             assert ch.mean_label_gauss(mu, var) == pytest.approx(ref, abs=1e-7)
+
+    def test_sigmoid_smoothing_blocks_keep_shape(self):
+        ch = Sigmoid(8.0)
+        mu = np.linspace(-3.0, 3.0, 600).reshape(20, 30)
+        got = ch.mean_label_gauss(mu, 0.5)
+        assert got.shape == mu.shape
+        each = [ch.mean_label_gauss(float(m), 0.5) for m in mu.reshape(-1)[::37]]
+        assert got.reshape(-1)[::37] == pytest.approx(each, abs=1e-15)
+        assert isinstance(ch.mean_label_gauss(0.3, 0.5), float)
 
     def test_sign_erf_identity(self):
         mu, var = 0.7, 0.3

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from glmphase.channels import ReLU, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
+from glmphase.priors import GaussianPrior, TwoPointPrior
 
 ERRORS_CFG = """
 [experiment]
@@ -86,6 +88,33 @@ alpha_stop = 1.0
 """)
         with pytest.raises(ConfigError):
             parse_config(str(path))
+
+    def _spec_cfg(self, tmp_path, prior, channel):
+        path = tmp_path / "spec.ini"
+        path.write_text(f"""
+[experiment]
+task = se
+seed = 1
+[prior]
+{prior}
+[channel]
+{channel}
+""")
+        return parse_config(str(path))
+
+    def test_two_point_prior_from_lists(self, tmp_path):
+        cfg = self._spec_cfg(tmp_path, "kind = two_point\nvalues = 1.0,-1.0\n"
+                             "probabilities = 0.5,0.5", "kind = sign")
+        assert cfg.prior() == TwoPointPrior((1.0, -1.0), (0.5, 0.5))
+
+    def test_omitted_fields_take_class_defaults(self, tmp_path):
+        cfg = self._spec_cfg(tmp_path, "kind = gaussian", "kind = relu")
+        assert cfg.prior() == GaussianPrior(1.0)
+        assert cfg.channel() == ReLU(1e-8)
+
+    def test_keys_keep_their_case(self, tmp_path):
+        cfg = self._spec_cfg(tmp_path, "kind = rademacher", "kind = door\nK = 1.2")
+        assert cfg.channel() == SymmetricDoor(K=1.2)
 
 
 class TestEmit:
@@ -268,12 +297,6 @@ q_points = 11
                     if not l.startswith("# timestamp")]
         assert body(run(cfg)) == body(run(cfg))
 
-    def test_worker_count_invariance(self, errors_cfg):
-        cfg = parse_config(str(errors_cfg))
-        a = run(cfg, workers=1)
-        b = run(cfg, workers=3)
-        assert a.rows == b.rows
-
 
 class TestCliEntry:
     def test_main_writes_csv(self, errors_cfg, tmp_path):
@@ -287,6 +310,25 @@ class TestCliEntry:
         bad = tmp_path / "bad.ini"
         bad.write_text("[experiment]\ntask = errors\n")
         assert main(["errors", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("prior,channel,named", [
+        ("kind = rademacher", "kind = sign\nK = 3.0", "'K'"),
+        ("kind = sign", "kind = sign", "prior kind 'sign'"),
+        ("kind = gauss_bernoulli", "kind = sign", "sparsity"),
+        ("kind = rademacher", "kind = sign\ndelta = lots", "sign.delta"),
+        ("kind = rademacher", "delta = 0.0", "channel kind None"),
+    ])
+    def test_bad_spec_exit_code(self, tmp_path, capsys, prior, channel, named):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\ntask = se\nseed = 1\n"
+                        f"[prior]\n{prior}\n[channel]\n{channel}\n")
+        assert main(["se", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_workers_option_is_gone(self, errors_cfg):
+        with pytest.raises(SystemExit) as exc:
+            main(["phase-diagram", "--config", str(errors_cfg), "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_module_invocation(self, errors_cfg, tmp_path):
         out = tmp_path / "cli.json"

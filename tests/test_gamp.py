@@ -1,16 +1,41 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from glmphase.channels import Abs, LinearAWGN, Sign, SymmetricDoor
-from glmphase.gamp import (GampOptions, empirical_generalization_error,
+from glmphase.channels import (Abs, Channel, LinearAWGN, ReLU, Sigmoid, Sign,
+                               SymmetricDoor)
+from glmphase.gamp import (GampOptions, Instance,
+                           empirical_generalization_error, from_spec,
                            gamp_predict, gamp_run, generate_instance,
-                           load_instance, save_instance)
+                           load_instance, save_instance, to_spec)
 from glmphase.numerics import FixedPointOptions
-from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
-                             RademacherPrior)
+from glmphase.priors import (GaussBernoulliPrior, GaussianPrior, Prior,
+                             RademacherPrior, TwoPointPrior)
+
+# every prior and channel, with non-default fields
+SPEC_PRIORS = [GaussianPrior(2.0), RademacherPrior(0.3), GaussBernoulliPrior(0.2),
+               TwoPointPrior((1.0, -0.5), (0.25, 0.75))]
+SPEC_CHANNELS = [LinearAWGN(0.3, epsilon=0.1), Sign(0.2, epsilon=0.1),
+                 Abs(0.1, epsilon=0.2), ReLU(0.3, epsilon=0.1),
+                 SymmetricDoor(K=1.2, delta=0.1, epsilon=0.05),
+                 Sigmoid(3.0, epsilon=0.1)]
+# the spec dicts instance files have always held, one per class above
+PARENT_SPECS = [
+    ({"kind": "gaussian", "variance": 2.0}, Prior),
+    ({"kind": "rademacher", "p_plus": 0.3}, Prior),
+    ({"kind": "gauss_bernoulli", "sparsity": 0.2}, Prior),
+    ({"kind": "two_point", "values": [1.0, -0.5],
+      "probabilities": [0.25, 0.75]}, Prior),
+    ({"kind": "linear", "epsilon": 0.1, "delta": 0.3}, Channel),
+    ({"kind": "sign", "epsilon": 0.1, "delta": 0.2}, Channel),
+    ({"kind": "abs", "epsilon": 0.2, "delta": 0.1}, Channel),
+    ({"kind": "relu", "epsilon": 0.1, "delta": 0.3}, Channel),
+    ({"kind": "door", "epsilon": 0.05, "delta": 0.1, "K": 1.2}, Channel),
+    ({"kind": "sigmoid", "epsilon": 0.1, "slope": 3.0}, Channel),
+]
 from glmphase.state_evolution import se_run
 
 
@@ -211,3 +236,64 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_instance(path)
+
+    @pytest.mark.parametrize("obj", SPEC_PRIORS + SPEC_CHANNELS)
+    def test_spec_round_trip(self, obj):
+        base = Prior if isinstance(obj, Prior) else Channel
+        spec = to_spec(obj)
+        assert json.loads(json.dumps(spec)) == spec
+        assert from_spec(spec, base) == obj
+
+    @pytest.mark.parametrize("prior,channel",
+                             zip(SPEC_PRIORS + SPEC_PRIORS[:2], SPEC_CHANNELS))
+    def test_instance_round_trip_keeps_specs(self, tmp_path, prior, channel):
+        path = tmp_path / "inst.json"
+        phi = np.ones((2, 3))
+        inst = Instance(phi=phi, x_star=np.zeros(3), y=np.zeros(2),
+                        prior=prior, channel=channel, seed=5)
+        save_instance(inst, path, include_phi=True)
+        back = load_instance(path)
+        assert (back.prior, back.channel) == (prior, channel)
+        assert json.loads(path.read_text())["prior"] == to_spec(prior)
+
+    @pytest.mark.parametrize("spec,base", PARENT_SPECS)
+    def test_parent_format_specs_load(self, spec, base):
+        obj = from_spec(spec, base)
+        assert obj in SPEC_PRIORS + SPEC_CHANNELS
+        assert to_spec(obj) == spec
+
+    def test_parent_format_instance_file_loads(self, tmp_path):
+        inst = generate_instance(GaussianPrior(2.0), SymmetricDoor(K=1.2),
+                                 10, 1.5, seed=3)
+        path = tmp_path / "parent.json"
+        path.write_text(json.dumps({
+            "format": "glmphase-instance", "version": 1, "n": 10, "m": 15,
+            "seed": 3, "prior": {"kind": "gaussian", "variance": 2.0},
+            "channel": {"kind": "door", "epsilon": 0.0, "delta": 0.0,
+                        "K": 1.2}}))
+        back = load_instance(path)
+        assert (back.prior, back.channel) == (inst.prior, inst.channel)
+        assert np.array_equal(back.y, inst.y)
+
+    def test_defaults_and_list_strings(self):
+        assert from_spec({"kind": "relu"}, Channel) == ReLU(1e-8)
+        assert from_spec({"kind": "door", "K": 1}, Channel) == SymmetricDoor(K=1.0)
+        assert from_spec({"kind": "two_point", "values": "1.0,-1.0",
+                          "probabilities": [0.5, 0.5]}, Prior) \
+            == TwoPointPrior((1.0, -1.0), (0.5, 0.5))
+
+    @pytest.mark.parametrize("spec,base,match", [
+        ({"kind": "sign", "K": 3.0}, Channel, "K"),
+        ({"kind": "sign"}, Prior, "prior kind 'sign'"),
+        ({"kind": "gaussian"}, Channel, "channel kind 'gaussian'"),
+        ({"kind": "wormhole"}, Channel, "wormhole"),
+        ({"delta": 0.1}, Channel, "kind None"),
+        ({"kind": "gauss_bernoulli"}, Prior, "sparsity"),
+        ({"kind": "two_point", "values": [1.0, -1.0]}, Prior, "probabilities"),
+        ({"kind": "linear", "delta": "lots"}, Channel, "linear.delta"),
+        ({"kind": "two_point", "values": "1.0,x",
+          "probabilities": [0.5, 0.5]}, Prior, "two_point.values"),
+    ])
+    def test_bad_specs_rejected(self, spec, base, match):
+        with pytest.raises(ValueError, match=match):
+            from_spec(spec, base)

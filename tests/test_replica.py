@@ -215,6 +215,30 @@ class TestGeneralizationError:
         with pytest.raises(ValueError):
             generalization_error(Sign(), 1.0, 1.2)
 
+    @pytest.mark.parametrize("ch,rho,q", [
+        (Sigmoid(5.0), 2.5, 1.25),
+        (Sigmoid(8.0), 1.0, 0.5),
+        (Sigmoid(8.0), 2.5, 0.99 * 2.5),
+    ])
+    def test_steep_sigmoid_routes_agree(self, ch, rho, q):
+        generalization_error(ch, rho, q)
+
+    def test_relu_near_full_overlap(self):
+        ch, rho = ReLU(0.3), 1.0
+        q = rho * (1.0 - 1e-6)
+        assert generalization_error(ch, rho, q) == pytest.approx(
+            replica._generic_gen_error(ch, rho, q), abs=1e-12)
+
+    # channels whose mean label is not zero on average, so the shift moves
+    # E_V[inner^2] by about 2e-5 E[phi]
+    @pytest.mark.parametrize("ch,rho", [(Abs(0.0), 1.0), (ReLU(1e-8), 0.2)])
+    def test_cross_check_catches_a_shifted_mean(self, ch, rho, monkeypatch):
+        original = type(ch).mean_label_gauss
+        monkeypatch.setattr(type(ch), "mean_label_gauss",
+                            lambda self, mu, var: original(self, mu, var) + 1e-5)
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            generalization_error(ch, rho, 0.5 * rho)
+
 
 class TestDenoisingError:
     def test_linear_closed_form(self):

@@ -158,15 +158,6 @@ class TestPhaseSweep:
             alpha_lo=0.8, alpha_hi=2.0)
         assert reports[0].error is not None
 
-    def test_workers_do_not_change_results(self):
-        args = (lambda p: RademacherPrior(), lambda p: SymmetricDoor(K=p))
-        seq = phase_sweep(*args, params=[0.67449], alpha_lo=0.8,
-                          alpha_hi=2.0, tol=5e-3)
-        par = phase_sweep(*args, params=[0.67449], alpha_lo=0.8,
-                          alpha_hi=2.0, tol=5e-3, workers=2)
-        assert seq[0].alpha_amp == par[0].alpha_amp
-        assert seq[0].alpha_it == par[0].alpha_it
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             phase_sweep(lambda p: RademacherPrior(),
