@@ -12,10 +12,9 @@ from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
                    Instance, empirical_generalization_error, from_spec,
                    gamp_predict, gamp_run, generate_instance, load_instance,
                    save_instance, to_spec)
-from .numerics import (BracketError, FixedPointDivergenceError,
-                       FixedPointOptions, FixedPointResult,
+from .numerics import (BracketError, FixedPointOptions,
                        NonFiniteIntegrandError, QuadratureRule, bisect,
-                       damped_fixed_point, gauss_hermite, integrate_1d)
+                       gauss_hermite, integrate_1d)
 from .oracle import (ExactPosterior, NishimoriReport, exact_posterior,
                      mc_psi_p0, mc_psi_pout, nishimori_check)
 from .priors import (DenoiserOutput, GaussBernoulliPrior, GaussianPrior,

@@ -49,6 +49,11 @@ _MU_BLOCK = 256
 # elements per pass of the truncated-normal kernel: temporaries stay small
 # enough for the allocator to reuse them instead of mapping fresh pages
 _ELEM_BLOCK = 8192
+# Var[W | W > x] = y (1 - 6 y + 50 y^2 - ...), y = 1 / x^2, for x >= 20;
+# the ten terms kept err by at most 3e-15 relative there (at x = 20)
+_TAIL_SERIES_X = 20.0
+_TAIL_VAR_SERIES = (-10944711398.0, 505785122.0, -25625910.0, 1435330.0,
+                    -89782.0, 6354.0, -518.0, 50.0, -6.0, 1.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -92,6 +97,9 @@ def _trunc_moments(alpha, beta):
     and the ratios phi / P without cancellation however far out the interval
     lies, so the mean stays accurate; beyond about 1e154 standard deviations
     the mass is 0 and its log -inf.  Both moments are 0 where the mass is 0.
+    Where 1 + l ra - h rb - m^2 would cancel (a tail interval starting 20 or
+    more deviations out whose far end carries no mass), the variance is the
+    tail series 1/x^2 - 6/x^4 + ... instead.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     left = beta <= 0.0
@@ -136,8 +144,14 @@ def _trunc_block(lo, hi, logp, mean, var):
             rb = np.exp(-0.5 * h * h) / (_SQRT_2PI * p)
         m = np.clip(ra - rb, l, h)
         # E[W^2] = 1 + l ra - h rb; an infinite end has ratio 0
-        v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) \
-            - np.where(rb > 0.0, h * rb, 0.0) - m * m
+        far = np.where(rb > 0.0, h * rb, 0.0)
+        v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) - far - m * m
+        if tail and np.any(l >= _TAIL_SERIES_X):
+            # E[W^2] - m^2 loses about eps l^4 relative: far out, where the
+            # far end carries no mass, take the tail series of the variance
+            series = (l >= _TAIL_SERIES_X) & (far * l * l < 1e-17)
+            y = 1.0 / np.square(l[series])
+            v[series] = y * np.polyval(_TAIL_VAR_SERIES, y)
         ok = lp > -np.inf
         logp[i] = lp
         mean[i] = np.where(ok, m, 0.0)
@@ -612,20 +626,26 @@ class _PiecewiseChannel(Channel):
         om2 = omega[:, None]
 
         def add_segment(seg_lo, seg_hi, master, with_z, c, d, z_order):
-            width = np.maximum(seg_hi - seg_lo, 0.0)[:, None]
+            # only the V rows whose clipped segment has positive width are
+            # evaluated; the others contribute 0
+            out = np.zeros_like(omega)
+            live = np.flatnonzero(seg_hi > seg_lo)
+            if not live.size:
+                return out
+            width = (seg_hi - seg_lo)[live, None]
+            om = omega[live, None]
             t, mw = master
-            wn = seg_lo[:, None] + width * t[None, :]
+            wn = seg_lo[live, None] + width * t[None, :]
             ww = width * mw[None, :] * np.exp(_norm_logpdf(wn))
-            y0 = c + d * (omega[:, None] + sqvp * wn)
+            y0 = c + d * (om + sqvp * wn)
             if with_z:
                 gz = gauss_hermite(z_order)
                 y = y0[:, :, None] + sqd * gz.nodes[None, None, :]
-                vals = func(y, om2[:, :, None], vp) @ gz.weights
+                vals = func(y, om[:, :, None], vp) @ gz.weights
             else:
-                vals = func(y0, om2, vp)
-            # zero-width (clipped-away) rows evaluate off-support: mask them
-            vals = np.where(width > 0, vals, 0.0)
-            return np.sum(ww * vals, axis=1)
+                vals = func(y0, om, vp)
+            out[live] = np.sum(ww * vals, axis=1)
+            return out
 
         # Piece by piece over w: constant pieces integrate exactly in w;
         # linear pieces split near/far around their kinks, where the evidence

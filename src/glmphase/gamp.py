@@ -116,6 +116,8 @@ class GampRun:
     mse_seq: np.ndarray
     converged: bool
     iterations: int
+    attempts: int               # 2 after a divergence retry
+    damping: float              # damping of the attempt returned
 
 
 def _label_seeds(seed: int, m: int) -> np.ndarray:
@@ -208,11 +210,13 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
         x_hat_final=x_hat, v_final=v,
         overlap_seq=np.asarray(overlaps), norm_sq_seq=np.asarray(norms),
         mse_seq=np.asarray(mses), converged=converged, iterations=t_done,
+        attempts=1, damping=damping,
     )
 
 
 def gamp_run(instance: Instance, opts: GampOptions | None = None) -> GampRun:
-    """Run GAMP; on divergence retry once with damping 0.5."""
+    """Run GAMP; on divergence retry once with damping 0.5, recorded in the
+    run's ``attempts`` and ``damping``."""
     if opts is None:
         opts = GampOptions()
     try:
@@ -220,7 +224,7 @@ def gamp_run(instance: Instance, opts: GampOptions | None = None) -> GampRun:
     except (GampDivergenceError, GoutUnderflowError):
         if opts.damping >= 0.5:
             raise
-        return _gamp_iterate(instance, opts, 0.5)
+        return dataclasses.replace(_gamp_iterate(instance, opts, 0.5), attempts=2)
 
 
 def gamp_predict(x_hat: np.ndarray, q_t: float, phi_new_row: np.ndarray,

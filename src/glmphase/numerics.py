@@ -1,4 +1,4 @@
-"""Quadrature, root finding, and damped fixed-point iteration.
+"""Quadrature, root finding, and fixed-point iteration options.
 
 Every Gaussian expectation in this package goes through the probabilists'
 Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,16 +27,6 @@ class NonFiniteIntegrandError(ValueError):
 
 class BracketError(ValueError):
     """Root bracket has no sign change."""
-
-
-class FixedPointDivergenceError(RuntimeError):
-    """Fixed-point iterate left the finite floats; carries the trajectory prefix."""
-
-    def __init__(self, trajectory):
-        super().__init__(
-            f"fixed-point iteration diverged after {len(trajectory)} steps"
-        )
-        self.trajectory = list(trajectory)
 
 
 @dataclass(frozen=True)
@@ -239,28 +229,3 @@ class FixedPointOptions:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-class FixedPointResult(NamedTuple):
-    x: float
-    iterations: int
-    converged: bool
-
-
-def damped_fixed_point(F: Callable[[float], float], x0: float,
-                       opts: FixedPointOptions | None = None) -> FixedPointResult:
-    """Iterate x <- (1 - damping) * F(x) + damping * x until |step| < tol."""
-    if opts is None:
-        opts = FixedPointOptions()
-    x = float(x0)
-    trajectory = [x]
-    for t in range(1, opts.max_iter + 1):
-        fx = float(F(x))
-        x_new = (1.0 - opts.damping) * fx + opts.damping * x
-        if not np.isfinite(x_new):
-            raise FixedPointDivergenceError(trajectory)
-        trajectory.append(x_new)
-        if abs(x_new - x) < opts.tol:
-            return FixedPointResult(x_new, t, True)
-        x = x_new
-    return FixedPointResult(x, opts.max_iter, False)

@@ -20,7 +20,19 @@ potential; the transition finders bisect on branch indicators:
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
 (built once per (prior) and (channel, rho), each from one array call of
 psi'), which is what makes near-spinodal runs with ~1e5 iterations
-affordable.  A finder that needs an SE limit raises SENonConvergenceError
+affordable.  Their node sets are module constants:
+
+* PRIOR_TABLE_NODES, in t = ln(1 + r): steps of h = ln(1 + R_CAP) / 240,
+  except near r = 0, where 2 psi_p0' bends fastest relative to its value:
+  there the first step is h / 32 and each next one 1.25 times longer,
+  until they reach h at t = 0.33 (253 nodes);
+* CHANNEL_TABLE_LOGITS, in u = logit(q / rho): the 321-node uniform grid on
+  [ln 1e-9, ln 1e13] (spacing 0.158) up to u = 10, and above that only
+  every 8th of its nodes, counted down from the top one (211 nodes).  Rows
+  that close to q = rho cost the most kernel points, and ln psi_pout' is
+  nearly linear in u there.
+
+A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
 as the limit.  ``gamma_branches`` evaluates its residual grid in one call.
 """
@@ -36,7 +48,7 @@ from scipy.interpolate import CubicSpline
 
 from . import replica
 from .channels import Channel, LinearAWGN, quad_profile
-from .numerics import BracketError, FixedPointOptions
+from .numerics import BracketError, FixedPointOptions, bisect
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -89,10 +101,38 @@ class TransitionReport:
 # fast scalar-function tables
 # ---------------------------------------------------------------------------
 
+def _prior_nodes() -> np.ndarray:
+    """PRIOR_TABLE_NODES; see the module docstring."""
+    t_max = math.log1p(R_CAP)
+    h = t_max / 240
+    ts, step = [0.0], h / 32
+    while step < h:
+        ts.append(ts[-1] + step)
+        step *= 1.25
+    n = math.ceil((t_max - ts[-1]) / h)
+    return np.concatenate([ts[:-1], np.linspace(ts[-1], t_max, n + 1)])
+
+
+# a uniform grid down to r = 0 made the spline 4.7e-4 low for Rademacher at
+# its first midpoint; 253 nodes
+PRIOR_TABLE_NODES = _prior_nodes()
+
+
+def _channel_logits() -> np.ndarray:
+    """CHANNEL_TABLE_LOGITS; see the module docstring."""
+    u = np.linspace(math.log(1e-9), math.log(1e13), 321)
+    return u[(u <= 10.0) | ((u.size - 1 - np.arange(u.size)) % 8 == 0)]
+
+
+# the 126 uniform nodes above u = 10 (q / rho > 0.99995) took half of a
+# table build and carried almost no interpolation error; 211 nodes
+CHANNEL_TABLE_LOGITS = _channel_logits()
+
+
 @lru_cache(maxsize=32)
 def _prior_table(prior: Prior) -> Callable[[float], float]:
-    """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r)."""
-    ts = np.linspace(0.0, math.log1p(R_CAP), 241)
+    """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r) on PRIOR_TABLE_NODES."""
+    ts = PRIOR_TABLE_NODES
     vals = 2.0 * prior.psi_p0_prime(np.expm1(ts))
     spline = CubicSpline(ts, vals)
     t_max = ts[-1]
@@ -105,10 +145,12 @@ def _prior_table(prior: Prior) -> Callable[[float], float]:
 
 @lru_cache(maxsize=32)
 def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
-    """Cubic spline of ln psi_pout'(q) in u = logit(q / rho)."""
-    qt = 1.0 / (1.0 + np.exp(-np.linspace(math.log(1e-9), math.log(1e13), 321)))
+    """Cubic spline of ln psi_pout'(q) in u = logit(q / rho), on the nodes
+    CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8 times
+    sparser above, from one array call of fast-profile psi_pout'."""
+    qt = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS))
     # abscissae are the logits of the q actually evaluated: near q = rho the
-    # rounding of qt moves them by up to 1e-3 from the uniform grid
+    # rounding of qt moves them by up to 1e-3 from the nominal nodes
     us = np.log(qt / (1.0 - qt))
     with quad_profile("fast"):
         vals = channel.psi_pout_prime(qt * rho, rho)
@@ -213,7 +255,6 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         if res[i] == 0.0:
             qs.append(float(grid[i]))
         elif res[i] * res[i + 1] < 0.0:
-            from .numerics import bisect
             qs.append(bisect(lambda q: step(q) - q, float(grid[i]),
                              float(grid[i + 1]), tol=1e-12 * rho))
 

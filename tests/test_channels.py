@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -528,8 +529,20 @@ class TestFarTails:
         _, left, left_var = _trunc_moments(-math.inf, -x)
         assert right == pytest.approx(mean, rel=1e-13)
         assert left == pytest.approx(-mean, rel=1e-13)
-        # the variance cancels in this tail: it keeps absolute accuracy only
+        # four terms of the variance series are good to 1e-8 at x = 30
         assert right_var == left_var == pytest.approx(var, abs=2e-8)
+
+    @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e6])
+    def test_tail_variance_keeps_relative_accuracy(self, x):
+        # 1 + x ra - m^2 cancels to eps x^4 relative (2.5e-4 at x = 1e3, and
+        # 0 for x >= 1e4); five series terms are good to 1e-11 at x = 100
+        y = 1.0 / (x * x)
+        var = y * (1 + y * (-6 + y * (50 + y * (-518 + 6354 * y))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in ((x, math.inf), (-math.inf, -x), (x, 2.0 * x)):
+                _, _, got = _trunc_moments(lo, hi)
+                assert got == pytest.approx(var, rel=1e-10, abs=0.0)
 
     def test_no_nan_on_extreme_inputs(self):
         channels = [LinearAWGN(0.0), LinearAWGN(0.5), Sign(), Sign(0.2),
@@ -615,3 +628,30 @@ class TestArrayOfQ:
         if not _has_density_at_rho(ch):
             with pytest.raises(ValueError):
                 ch.psi_pout(np.array([0.2 * rho, rho]), rho)
+
+
+# psi_pout' of the masked kernel, which evaluated every V row of every w
+# segment and zeroed the clipped-away ones: skipping those rows leaves each
+# value bit for bit the same
+PIN_FRACS = np.array([0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+PINNED = [
+    (Abs(0.0), 1.0, "exact", [0.24483545409679605, 4.006710240907237,
+                              499694.1623110277, 500010755262.22925]),
+    (Abs(0.0), 1.0, "fast", [0.24483537200818822, 4.006710241245934,
+                             499694.162311226, 500010755260.0915]),
+    (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945034,
+                                1190908.0423033114, 24999487.388463676]),
+    (ReLU(1e-8), 0.2, "fast", [2.7747002269558054, 15.308570020844794,
+                               1190908.0418088178, 24999487.38846475]),
+    (ReLU(0.3), 0.2, "exact", [0.42300117614283494, 0.6761723038890767,
+                               0.8332220905159329, 0.8333333333327777]),
+    (ReLU(0.3), 0.2, "fast", [0.4230011720568626, 0.6761719858095153,
+                              0.7809807097033796, 0.7809811962406681]),
+]
+
+
+@pytest.mark.parametrize("ch,rho,profile,values", PINNED)
+def test_continuous_psi_prime_pinned(ch, rho, profile, values):
+    with quad_profile(profile):
+        got = ch.psi_pout_prime(PIN_FRACS * rho, rho)
+    assert got.tolist() == values

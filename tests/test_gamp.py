@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from glmphase import gamp
 from glmphase.channels import (Abs, Channel, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor)
-from glmphase.gamp import (GampOptions, Instance,
-                           empirical_generalization_error, from_spec,
-                           gamp_predict, gamp_run, generate_instance,
-                           load_instance, save_instance, to_spec)
+from glmphase.gamp import (GampDivergenceError, GampOptions, GampState,
+                           Instance, empirical_generalization_error,
+                           from_spec, gamp_predict, gamp_run,
+                           generate_instance, load_instance, save_instance,
+                           to_spec)
 from glmphase.numerics import FixedPointOptions
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior, Prior,
                              RademacherPrior, TwoPointPrior)
@@ -161,6 +163,32 @@ class TestGampRun:
     def test_bad_onsager_rejected(self):
         with pytest.raises(ValueError):
             GampOptions(onsager="bogus")
+
+    def test_single_attempt_is_recorded(self):
+        inst = generate_instance(GaussianPrior(1.0), LinearAWGN(0.2), 300,
+                                 1.5, seed=3)
+        run = gamp_run(inst, GampOptions(seed=3, damping=0.2))
+        assert (run.attempts, run.damping) == (1, 0.2)
+
+    def test_damping_retry_is_recorded(self, monkeypatch):
+        inst = generate_instance(GaussianPrior(1.0), LinearAWGN(0.2), 300,
+                                 1.5, seed=3)
+        iterate, dampings = gamp._gamp_iterate, []
+
+        def diverge_undamped(instance, opts, damping):
+            dampings.append(damping)
+            if damping < 0.5:
+                raise GampDivergenceError(GampState(
+                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
+                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
+                    V_scalar=1.0, lam=1.0, t=1))
+            return iterate(instance, opts, damping)
+
+        monkeypatch.setattr(gamp, "_gamp_iterate", diverge_undamped)
+        run = gamp_run(inst, GampOptions(seed=3))
+        assert dampings == [0.0, 0.5]
+        assert (run.attempts, run.damping) == (2, 0.5)
+        assert run.converged
 
 
 class TestPrediction:

@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from glmphase.numerics import (_LOG_SQRT_2PI, BracketError,
-                               FixedPointDivergenceError, FixedPointOptions,
-                               NonFiniteIntegrandError, _gl_on_edges, bisect,
-                               damped_fixed_point, gauss_hermite, gauss_panels,
-                               integrate_1d, logsumexp)
+                               FixedPointOptions, NonFiniteIntegrandError,
+                               _gl_on_edges, bisect, gauss_hermite,
+                               gauss_panels, integrate_1d, logsumexp)
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0,
                     6: 15.0, 7: 0.0, 8: 105.0, 9: 0.0, 10: 945.0}
@@ -216,38 +215,7 @@ class TestBisect:
         assert got == pytest.approx(root, abs=1e-10)
 
 
-class TestDampedFixedPoint:
-    def test_contraction_to_zero(self):
-        res = damped_fixed_point(lambda x: 0.5 * x, 1.0,
-                                 FixedPointOptions(tol=1e-12, max_iter=200))
-        assert res.converged
-        assert res.x == pytest.approx(0.0, abs=1e-10)
-
-    def test_dottie_number(self):
-        res = damped_fixed_point(math.cos, 1.0,
-                                 FixedPointOptions(tol=1e-13, max_iter=500))
-        assert res.converged
-        assert res.x == pytest.approx(0.7390851332151607, abs=1e-9)
-
-    def test_identity_converges_immediately(self):
-        res = damped_fixed_point(lambda x: x, 0.3, FixedPointOptions())
-        assert res.converged and res.iterations == 1
-        assert res.x == 0.3
-
-    def test_divergence_carries_trajectory(self):
-        with pytest.raises(FixedPointDivergenceError) as exc:
-            damped_fixed_point(lambda x: x * 1e300, 1.0,
-                               FixedPointOptions(max_iter=10))
-        assert len(exc.value.trajectory) >= 1
-
-    @given(st.floats(min_value=0.0, max_value=0.9))
-    def test_damping_independent_fixed_point(self, damping):
-        # contraction F: fixed point x* = 2 regardless of damping
-        opts = FixedPointOptions(damping=damping, tol=1e-12, max_iter=5000)
-        res = damped_fixed_point(lambda x: 0.5 * x + 1.0, 0.0, opts)
-        assert res.converged
-        assert res.x == pytest.approx(2.0, abs=1e-9)
-
+class TestFixedPointOptions:
     def test_option_validation(self):
         with pytest.raises(ValueError):
             FixedPointOptions(damping=1.0)

@@ -8,11 +8,13 @@ from glmphase.channels import (Abs, LinearAWGN, Sign, SymmetricDoor,
                                quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
-                             RademacherPrior)
-from glmphase.state_evolution import (SPINODAL_SE_OPTS, SENonConvergenceError,
-                                      _channel_table, find_alpha_amp,
-                                      find_alpha_c, find_alpha_it,
-                                      gamma_branches, phase_sweep, se_run)
+                             RademacherPrior, TwoPointPrior)
+from glmphase.state_evolution import (CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES,
+                                      SPINODAL_SE_OPTS, SENonConvergenceError,
+                                      _channel_table, _prior_table,
+                                      find_alpha_amp, find_alpha_c,
+                                      find_alpha_it, gamma_branches,
+                                      phase_sweep, se_run)
 
 
 class TestSERun:
@@ -197,16 +199,36 @@ def test_residual_grid_takes_one_call(q_sizes):
     assert set(sizes) == {1, 50} and sizes.count(50) == 1
 
 
-LOGITS = np.linspace(math.log(1e-9), math.log(1e13), 321)
+LOGITS = CHANNEL_TABLE_LOGITS
+MID = 0.5 * (LOGITS[:-1] + LOGITS[1:])
 # about 4x the largest error measured, 1.26e-6 (SymmetricDoor, fast profile)
 TABLE_REL_BOUND = 5e-6
 
 
+def _table_rel_error(ch, u):
+    """Relative error of the fast-profile spline against exact-profile
+    psi_pout' at the logits u (rho = 1)."""
+    q = 1.0 / (1.0 + np.exp(-u))
+    table = _channel_table(ch, 1.0)
+    exact = ch.psi_pout_prime(q, 1.0)
+    got = np.array([table(x) for x in q])
+    return np.max(np.abs(got - exact) / exact)
+
+
 class TestChannelTable:
+    def test_node_layout(self):
+        # uniform up to u = 10, every 8th node above, the top node kept
+        assert LOGITS.size == 211
+        steps = np.diff(LOGITS)
+        h = steps[0]
+        np.testing.assert_allclose(steps[LOGITS[1:] <= 10.0], h, rtol=1e-9)
+        np.testing.assert_allclose(steps[LOGITS[:-1] > 10.0], 8 * h, rtol=1e-9)
+        assert LOGITS[-1] == pytest.approx(math.log(1e13), rel=1e-15)
+
     def test_built_in_one_call(self, q_sizes):
         sizes = q_sizes("psi_pout_prime")
         _channel_table(SymmetricDoor(K=0.5), 1.0)
-        assert sizes == [321]
+        assert sizes == [211]
 
     @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor()])
     def test_nodes_match_scalar_loop(self, ch):
@@ -222,9 +244,28 @@ class TestChannelTable:
     def test_error_bound_at_midpoints(self, ch, stride):
         """Fast-profile spline against exact-profile psi_pout' halfway
         between the logit nodes, where interpolation error peaks."""
-        mid = (0.5 * (LOGITS[:-1] + LOGITS[1:]))[::stride]
-        q = 1.0 / (1.0 + np.exp(-mid))
-        table = _channel_table(ch, 1.0)
-        exact = ch.psi_pout_prime(q, 1.0)
-        got = np.array([table(x) for x in q])
-        assert np.max(np.abs(got - exact) / exact) <= TABLE_REL_BOUND
+        assert _table_rel_error(ch, MID[::stride]) <= TABLE_REL_BOUND
+
+    @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor(), Abs(0.0)])
+    def test_error_bound_above_u10(self, ch):
+        """Every midpoint of the thinned nodes above u = 10."""
+        assert _table_rel_error(ch, MID[MID > 10.0]) <= TABLE_REL_BOUND
+
+
+# about 3x the largest error measured, 6.7e-6 (GaussBernoulli(0.2) at
+# r = 0.45); the uniform grid it replaced was 4.7e-4 low for Rademacher
+PRIOR_REL_BOUND = 2e-5
+
+
+@pytest.mark.parametrize("prior", [GaussianPrior(1.0), RademacherPrior(),
+                                   GaussBernoulliPrior(0.2),
+                                   TwoPointPrior((1.0, -0.5), (0.3, 0.7))])
+def test_prior_table_error_bound_at_midpoints(prior):
+    """The spline of 2 psi_p0'(r) against a direct evaluation halfway
+    between every pair of nodes, and at r -> 0 where it vanishes."""
+    t_mid = 0.5 * (PRIOR_TABLE_NODES[:-1] + PRIOR_TABLE_NODES[1:])
+    r = np.concatenate([[1e-10, 1e-6], np.expm1(t_mid)])
+    table = _prior_table(prior)
+    exact = 2.0 * prior.psi_p0_prime(r)
+    got = np.array([table(x) for x in r])
+    assert np.max(np.abs(got - exact) / exact) <= PRIOR_REL_BOUND
