@@ -250,6 +250,11 @@ class Channel:
     def is_discrete(self) -> bool:
         raise NotImplementedError
 
+    @property
+    def is_deterministic(self) -> bool:
+        """The label is ``phi(z)``: sampling it draws no randomness."""
+        raise NotImplementedError
+
     # -- sampling and densities ----------------------------------------------
 
     def sample_label(self, z, seed: int):
@@ -414,7 +419,11 @@ class _PiecewiseChannel(Channel):
 
     @property
     def is_discrete(self) -> bool:
-        return self.delta == 0.0 and all(p[3] == 0.0 for p in self.pieces())
+        return self.is_deterministic and all(p[3] == 0.0 for p in self.pieces())
+
+    @property
+    def is_deterministic(self) -> bool:
+        return self.delta == 0.0
 
     def _x_kinks(self):
         ks = []
@@ -845,6 +854,7 @@ class Sigmoid(Channel):
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
     is_even = False
+    is_deterministic = False
     delta = 0.0
 
     def __post_init__(self):
@@ -899,45 +909,61 @@ class Sigmoid(Channel):
                 rule.row, weights=rule.weights * vals, minlength=m.size)
         return _like(mu, out.reshape(mu.shape))
 
-    def _log_pmf_grid(self, y, omega, v):
-        gh = gauss_hermite(DEFAULT_GH_ORDER)
-        zs = np.asarray(omega, float)[..., None] + np.sqrt(v)[..., None] * gh.nodes
-        return log_expit(self.slope * np.asarray(y, float)[..., None] * zs), gh
+    def _w_posterior(self, y, omega, v):
+        """(log Z_out, E[w | y], Var[w | y]) for the standardized w of
+        z = omega + sqrt(V) w, shapes broadcast.  Each entry integrates on
+        panels around the step at w = -omega / sqrt(V), 1 / (slope sqrt(V))
+        wide, as mean_label_gauss does, _MU_BLOCK entries per rule; an entry
+        with V = 0 takes the label probability at omega."""
+        y, omega, v = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                            for a in (y, omega, v)))
+        shape = y.shape
+        y, omega, s = y.ravel(), omega.ravel(), np.sqrt(v).ravel()
+        logz = log_expit(self.slope * y * omega)
+        mean = np.zeros(y.size)
+        var = np.zeros(y.size)
+        for start in range(0, y.size, _MU_BLOCK):
+            idx = start + np.flatnonzero(s[start:start + _MU_BLOCK] > 0.0)
+            if not idx.size:
+                continue
+            om, sv = omega[idx], s[idx]
+            rule = gauss_panels((-om / sv)[:, None], (1.0 / (self.slope * sv))[:, None],
+                                half_range=_GAUSS_RANGE, chunk=_CHUNK_WIDTH,
+                                order=_GL_ORDER)
+            r, w = rule.row, rule.nodes
+            logw = (log_expit(self.slope * y[idx][r] * (om[r] + sv[r] * w))
+                    + np.log(rule.weights))
+            # each entry's nodes are contiguous in the flat rule
+            top = np.maximum.reduceat(logw, np.flatnonzero(np.diff(r, prepend=-1)))
+            p = np.exp(logw - top[r])
+            tot = np.bincount(r, weights=p, minlength=idx.size)
+            m1 = np.bincount(r, weights=p * w, minlength=idx.size) / tot
+            m2 = np.bincount(r, weights=p * w * w, minlength=idx.size) / tot
+            logz[idx] = top + np.log(tot)
+            mean[idx] = m1
+            var[idx] = np.maximum(m2 - m1 * m1, 0.0)
+        return logz.reshape(shape), mean.reshape(shape), var.reshape(shape)
 
     def log_zout(self, y, omega, v):
         if np.any(np.asarray(v) < 0):
             raise ValueError(f"V must be nonnegative, got {v}")
-        y = np.asarray(y, dtype=float)
-        omega = np.asarray(omega, dtype=float)
         if np.all(np.asarray(v) == 0.0):
             with np.errstate(divide="ignore"):
                 out = np.log(self.density(y, omega))
-            return float(out) if np.ndim(out) == 0 else out
-        y, omega = np.broadcast_arrays(y, omega)
-        logp, gh = self._log_pmf_grid(y, omega, v)
-        out = logsumexp(logp + np.log(gh.weights), axis=-1)
+        else:
+            out = self._w_posterior(y, omega, v)[0]
         return float(out) if np.ndim(out) == 0 else out
 
-    def _posterior_grid(self, y, omega, v):
-        """(log Z, posterior weights of the Gauss-Hermite nodes of w, rule)."""
-        y, omega = np.broadcast_arrays(np.asarray(y, float), np.asarray(omega, float))
-        logp, gh = self._log_pmf_grid(y, omega, v)
-        logw = logp + np.log(gh.weights)
-        logz = logsumexp(logw, axis=-1)
-        return logz, np.exp(logw - logz[..., None]), gh
-
     def _log_zout_gout(self, y, omega, v):
-        logz, post, gh = self._posterior_grid(y, omega, v)
-        return logz, post @ gh.nodes
+        logz, g, _ = self._w_posterior(y, omega, v)
+        return logz, g
 
     def gout(self, y, omega, v) -> OutputDenoiser:
         if np.any(np.asarray(v) <= 0):
             raise ValueError(f"V must be positive, got {v}")
-        logz, post, gh = self._posterior_grid(y, omega, v)
-        if not np.all(np.isfinite(np.asarray(logz))):
+        logz, g, var_w = self._w_posterior(y, omega, v)
+        if not np.all(np.isfinite(logz)):
             raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
-        g = post @ gh.nodes
-        var_w = np.maximum(post @ (gh.nodes ** 2) - g * g, 0.0)
         z = np.exp(logz)
         if np.ndim(g) == 0:
             return OutputDenoiser(float(g), float(z), float(logz), float(var_w))

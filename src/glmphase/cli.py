@@ -209,12 +209,17 @@ def _run_gamp(cfg: ExperimentConfig) -> ResultTable:
     n = int(g.get("n", 1000))
     alpha = float(g.get("alpha", 1.0))
     n_test = int(g.get("n_test", 0))
-    inst = generate_instance(prior, channel, n, alpha, seed=cfg.seed)
-    opts = GampOptions(
-        max_iter=int(cfg.numerics.get("gamp_max_iter", 500)),
-        tol=float(cfg.numerics.get("gamp_tol", 1e-7)),
-        damping=float(cfg.numerics.get("damping", 0.0)),
-        seed=cfg.seed)
+    if n_test < 0:
+        raise ConfigError(f"grid.n_test must be >= 0, got {n_test}")
+    try:
+        inst = generate_instance(prior, channel, n, alpha, seed=cfg.seed)
+        opts = GampOptions(
+            max_iter=int(cfg.numerics.get("gamp_max_iter", 500)),
+            tol=float(cfg.numerics.get("gamp_tol", 1e-7)),
+            damping=float(cfg.numerics.get("damping", 0.0)),
+            seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = gamp_run(inst, opts)
     rows = []
     for t in range(len(result.overlap_seq)):

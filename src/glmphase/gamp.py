@@ -26,6 +26,7 @@ manifold); the data are always generated at epsilon = 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -40,6 +41,9 @@ from .priors import GaussBernoulliPrior, GaussianPrior, Prior, \
 
 _V_FLOOR = 1e-12
 _JITTER_SCALE = 1e-4  # variance of the init jitter, relative to rho
+# test rows drawn per block by empirical_generalization_error; blocks of one
+# Generator give the bits of a single (n_test, n) draw
+_TEST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,13 @@ class GampOptions:
     def __post_init__(self):
         if self.onsager not in ("variance", "square"):
             raise ValueError(f"unknown onsager estimator {self.onsager!r}")
+        # damping 1 never moves x_hat, which would read as convergence
+        if not 0.0 <= self.damping < 1.0:
+            raise ValueError(f"damping must be in [0, 1), got {self.damping}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -126,22 +137,38 @@ def _label_seeds(seed: int, m: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
+def draw_labels(channel: Channel, z: np.ndarray, row_seeds) -> np.ndarray:
+    """Labels at the pre-activations z (1-D).
+
+    A deterministic channel gives phi(z) in one call and never asks for
+    seeds.  Any other channel draws label mu from its own generator, seeded
+    by the mu-th of the ``row_seeds(len(z))`` integers, so a label depends
+    on its row's seed alone.
+    """
+    if channel.is_deterministic:
+        return channel.phi(z)
+    y = np.empty(z.size)
+    for mu, s in enumerate(row_seeds(z.size)):
+        y[mu] = channel.sample_label(z[mu], int(s))
+    return y
+
+
 def generate_instance(prior: Prior, channel: Channel, n: int, alpha: float,
                       seed: int) -> Instance:
-    """m = round(alpha n) rows of iid N(0,1), labels drawn per row so the
-    instance is regenerable from the seed alone."""
+    """m = round(alpha n) >= 1 rows of iid N(0,1) and their labels, all
+    regenerable from the seed alone."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     m = int(round(alpha * n))
+    if m < 1:
+        raise ValueError(f"round(alpha * n) must be >= 1, got alpha={alpha}, n={n}")
     x_star = prior.sample(n, int(np.random.SeedSequence((seed, 0)).generate_state(1)[0]))
     rng_phi = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     phi = rng_phi.standard_normal((m, n))
     z = phi @ x_star / math.sqrt(n)
-    y = np.empty(m)
-    for mu, s in enumerate(_label_seeds(seed, m)):
-        y[mu] = channel.sample_label(z[mu], int(s))
+    y = draw_labels(channel, z, functools.partial(_label_seeds, seed))
     return Instance(phi=phi, x_star=x_star, y=y, prior=prior,
                     channel=channel, seed=seed)
 
@@ -227,12 +254,16 @@ def gamp_run(instance: Instance, opts: GampOptions | None = None) -> GampRun:
         return dataclasses.replace(_gamp_iterate(instance, opts, 0.5), attempts=2)
 
 
+def _check_q_t(q_t: float, rho: float) -> None:
+    if not 0.0 <= q_t <= rho:
+        raise ValueError(f"need 0 <= q_t <= rho, got q_t={q_t}")
+
+
 def gamp_predict(x_hat: np.ndarray, q_t: float, phi_new_row: np.ndarray,
                  channel: Channel, rho: float):
     """Posterior-mean label for a fresh row under the Gaussian surrogate
     N(phi_new . x_hat / sqrt(n), rho - q_t) for the new pre-activation."""
-    if not 0.0 <= q_t <= rho:
-        raise ValueError(f"need 0 <= q_t <= rho, got q_t={q_t}")
+    _check_q_t(q_t, rho)
     phi_new_row = np.atleast_2d(phi_new_row)
     n = phi_new_row.shape[1]
     omega = phi_new_row @ x_hat / math.sqrt(n)
@@ -243,19 +274,27 @@ def gamp_predict(x_hat: np.ndarray, q_t: float, phi_new_row: np.ndarray,
 
 def empirical_generalization_error(instance_train: Instance, x_hat: np.ndarray,
                                    q_t: float, n_test: int, seed: int) -> float:
-    """Monte-Carlo MSE of the GAMP label predictor on fresh teacher rows."""
+    """Monte-Carlo MSE of the GAMP label predictor (``gamp_predict``) on
+    n_test fresh teacher rows, drawn _TEST_BLOCK rows at a time."""
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
     prior, channel = instance_train.prior, instance_train.channel
     n = instance_train.n
     rho = prior.second_moment
+    _check_q_t(q_t, rho)
+    sqn = math.sqrt(n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
-    phi_new = rng.standard_normal((n_test, n))
-    z_new = phi_new @ instance_train.x_star / math.sqrt(n)
-    y_new = np.empty(n_test)
-    for i, s in enumerate(_label_seeds(seed ^ 0x5EED, n_test)):
-        y_new[i] = channel.sample_label(z_new[i], int(s))
-    y_pred = gamp_predict(x_hat, q_t, phi_new, channel, rho)
+    z_new = np.empty(n_test)
+    omega = np.empty(n_test)
+    # a lone last row joins the block before it: numpy takes a one-row
+    # product through dot, which sums in another order than the matrix kernel
+    stops = [*range(_TEST_BLOCK, n_test - 1, _TEST_BLOCK), n_test]
+    for start, stop in zip([0, *stops], stops):
+        blk = rng.standard_normal((stop - start, n))
+        z_new[start:stop] = blk @ instance_train.x_star / sqn
+        omega[start:stop] = blk @ x_hat / sqn
+    y_new = draw_labels(channel, z_new, functools.partial(_label_seeds, seed ^ 0x5EED))
+    y_pred = channel.mean_label_gauss(omega, rho - q_t)
     return float(np.mean((y_new - y_pred) ** 2))
 
 

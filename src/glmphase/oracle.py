@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .channels import Channel
-from .gamp import Instance
+from .gamp import Instance, draw_labels
 from .priors import Prior
 
 _MAX_CONFIGS = 2 ** 20
@@ -119,8 +119,6 @@ def mc_psi_pout(channel: Channel, q: float, rho: float, samples: int, seed: int)
     v = rng.standard_normal(samples)
     w = rng.standard_normal(samples)
     z = math.sqrt(q) * v + math.sqrt(rho - q) * w
-    y = np.empty(samples)
-    for i in range(samples):
-        y[i] = channel.sample_label(z[i], int(rng.integers(2 ** 62)))
+    y = draw_labels(channel, z, lambda k: (rng.integers(2 ** 62) for _ in range(k)))
     vals = np.asarray(channel.log_zout(y, math.sqrt(q) * v, rho - q))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

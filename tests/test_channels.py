@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf, logsumexp, ndtr
+from scipy.special import erf, log_expit, logsumexp, ndtr
 from scipy.stats import norm
 
 from glmphase.channels import (Abs, GoutUnderflowError, LinearAWGN, ReLU,
@@ -39,6 +39,10 @@ class TestConstruction:
         assert Sigmoid().is_discrete
         assert not Sign(0.1).is_discrete
         assert not Abs(0.0).is_discrete  # continuous labels even at delta=0
+        assert Sign().is_deterministic and Abs(0.0).is_deterministic
+        assert SymmetricDoor().is_deterministic and LinearAWGN(0.0).is_deterministic
+        assert not Sign(0.1).is_deterministic and not ReLU(1e-8).is_deterministic
+        assert not Sigmoid().is_deterministic  # draws its labels
 
     def test_epsilon_shifts_door_threshold(self):
         ch = SymmetricDoor(K=0.67449).with_epsilon(1e-4)
@@ -325,6 +329,50 @@ class TestMeanLabel:
             ref = quad(lambda w: norm.pdf(w) * float(ch.mean_label(mu + s * w)),
                        -10, 10, points=[-mu / s], limit=200)[0]
             assert ch.mean_label_gauss(mu, var) == pytest.approx(ref, abs=1e-7)
+
+    @pytest.mark.parametrize("slope,var", [(5.0, 1.25), (8.0, 2.5), (50.0, 1.0)])
+    def test_steep_sigmoid_evidence_matches_quadrature(self, slope, var):
+        # a 99-node Hermite rule misses log Z_out here by 2.9e-5, 6.7e-3 and
+        # 0.14: the step is narrower than its node spacing
+        ch = Sigmoid(slope)
+        s = math.sqrt(var)
+        for om in (0.4, -1.3, 0.0):
+            for y in (1.0, -1.0):
+                c = -om / s
+                pts = [-12.0, c - 1.0, c, c + 1.0, 12.0]
+
+                def moment(k):
+                    return sum(quad(lambda w: w ** k * norm.pdf(w)
+                                    * float(ch.density(y, om + s * w)),
+                                    a, b, epsabs=0.0, epsrel=1e-13,
+                                    limit=400)[0]
+                               for a, b in zip(pts[:-1], pts[1:]))
+
+                z0, z1, z2 = moment(0), moment(1), moment(2)
+                assert ch.log_zout(y, om, var) == pytest.approx(
+                    math.log(z0), rel=0.0, abs=1e-12)
+                den = ch.gout(y, om, var)
+                assert den.gout == pytest.approx(z1 / z0, rel=0.0, abs=1e-12)
+                assert den.vout == pytest.approx(z2 / z0 - (z1 / z0) ** 2,
+                                                 rel=0.0, abs=1e-11)
+                logz, g = ch._log_zout_gout(y, om, var)
+                assert (logz, g) == (den.log_zout, den.gout)
+
+    def test_sigmoid_evidence_blocks_keep_shape(self):
+        ch = Sigmoid(8.0)
+        om = np.linspace(-3.0, 3.0, 600).reshape(20, 30)
+        y = np.where(np.arange(600) % 3 == 0, -1.0, 1.0).reshape(20, 30)
+        got = ch.log_zout(y, om, 0.5)
+        assert got.shape == om.shape
+        each = [ch.log_zout(yy, o, 0.5)
+                for yy, o in zip(y.reshape(-1)[::37], om.reshape(-1)[::37])]
+        assert got.reshape(-1)[::37] == pytest.approx(each, rel=0.0, abs=1e-15)
+        assert isinstance(ch.log_zout(1.0, 0.3, 0.5), float)
+        # V = 0 entries take the label probability at omega
+        v = np.where(np.arange(600) % 2 == 0, 0.0, 0.5).reshape(20, 30)
+        mixed = ch.log_zout(y, om, v)
+        assert np.array_equal(mixed[v == 0.0], log_expit(8.0 * y * om)[v == 0.0])
+        assert np.array_equal(mixed[v > 0.0], got[v > 0.0])
 
     def test_sigmoid_smoothing_blocks_keep_shape(self):
         ch = Sigmoid(8.0)

@@ -325,6 +325,21 @@ class TestCliEntry:
         assert main(["se", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid,numerics,named", [
+        ("n_test = -1", "", "n_test"),
+        ("n_test = 0", "damping = 1.0", "damping"),
+        ("n_test = 0", "gamp_max_iter = 0", "max_iter"),
+        ("n_test = 0\nalpha = 0.01", "", "round"),
+    ])
+    def test_bad_gamp_input_exit_code(self, tmp_path, capsys, grid, numerics,
+                                      named):
+        path = tmp_path / "gamp.ini"
+        path.write_text(f"[experiment]\ntask = gamp\nseed = 1\n"
+                        f"[prior]\nkind = rademacher\n[channel]\nkind = sign\n"
+                        f"[grid]\nn = 10\n{grid}\n[numerics]\n{numerics}\n")
+        assert main(["gamp", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_workers_option_is_gone(self, errors_cfg):
         with pytest.raises(SystemExit) as exc:
             main(["phase-diagram", "--config", str(errors_cfg), "--workers", "2"])

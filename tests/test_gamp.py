@@ -9,10 +9,10 @@ from glmphase import gamp
 from glmphase.channels import (Abs, Channel, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor)
 from glmphase.gamp import (GampDivergenceError, GampOptions, GampState,
-                           Instance, empirical_generalization_error,
-                           from_spec, gamp_predict, gamp_run,
-                           generate_instance, load_instance, save_instance,
-                           to_spec)
+                           Instance, _label_seeds, draw_labels,
+                           empirical_generalization_error, from_spec,
+                           gamp_predict, gamp_run, generate_instance,
+                           load_instance, save_instance, to_spec)
 from glmphase.numerics import FixedPointOptions
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior, Prior,
                              RademacherPrior, TwoPointPrior)
@@ -39,6 +39,30 @@ PARENT_SPECS = [
     ({"kind": "sigmoid", "epsilon": 0.1, "slope": 3.0}, Channel),
 ]
 from glmphase.state_evolution import se_run
+
+# deterministic and noisy piecewise channels, and Sigmoid
+LABEL_CHANNELS = [Sign(), Sign(0.2), Abs(0.0), ReLU(0.3), SymmetricDoor(),
+                  LinearAWGN(0.0), LinearAWGN(0.5), Sigmoid(2.0)]
+
+
+def _per_row_labels(channel, z, seed):
+    """Every label from its own generator, as instance files of version 1
+    were first written."""
+    return np.array([channel.sample_label(z[mu], int(s))
+                     for mu, s in enumerate(_label_seeds(seed, z.size))])
+
+
+def _full_matrix_error(inst, x_hat, q_t, n_test, seed):
+    """empirical_generalization_error as it was: the whole (n_test, n) test
+    design in one draw."""
+    n = inst.n
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
+    phi_new = rng.standard_normal((n_test, n))
+    z_new = phi_new @ inst.x_star / math.sqrt(n)
+    y_new = _per_row_labels(inst.channel, z_new, seed ^ 0x5EED)
+    y_pred = gamp_predict(x_hat, q_t, phi_new, inst.channel,
+                          inst.prior.second_moment)
+    return float(np.mean((y_new - y_pred) ** 2))
 
 
 class TestGenerateInstance:
@@ -75,6 +99,32 @@ class TestGenerateInstance:
             generate_instance(RademacherPrior(), Sign(), 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_instance(RademacherPrior(), Sign(), 10, -1.0, seed=0)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="round"):
+            generate_instance(RademacherPrior(), Sign(), 10, 0.01, seed=0)
+
+    @pytest.mark.parametrize("channel", LABEL_CHANNELS, ids=repr)
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_labels_match_per_row_reference(self, channel, seed):
+        inst = generate_instance(GaussBernoulliPrior(0.3), channel, 60, 1.5,
+                                 seed=seed)
+        z = inst.phi @ inst.x_star / math.sqrt(60)
+        assert np.array_equal(inst.y, _per_row_labels(channel, z, seed))
+
+    def test_deterministic_labels_draw_no_seeds(self, monkeypatch):
+        def no_seeds(*args):
+            raise AssertionError("a deterministic channel asked for seeds")
+
+        z = np.linspace(-2.0, 2.0, 9)
+        for channel in (Sign(), Abs(0.0), SymmetricDoor(), LinearAWGN(0.0)):
+            assert channel.is_deterministic
+            assert np.array_equal(draw_labels(channel, z, no_seeds),
+                                  channel.phi(z))
+        monkeypatch.setattr(gamp, "_label_seeds", no_seeds)
+        generate_instance(RademacherPrior(), Sign(), 20, 1.0, seed=3)
+        with pytest.raises(AssertionError):
+            generate_instance(RademacherPrior(), Sign(0.1), 20, 1.0, seed=3)
 
 
 class TestGampRun:
@@ -164,6 +214,15 @@ class TestGampRun:
         with pytest.raises(ValueError):
             GampOptions(onsager="bogus")
 
+    @pytest.mark.parametrize("bad", [
+        {"damping": 1.0}, {"damping": -0.1}, {"damping": 1.5},
+        {"tol": 0.0}, {"tol": -1e-7}, {"max_iter": 0}, {"max_iter": -3}],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_options_rejected(self, bad):
+        # damping 1 would leave x_hat at its start and report convergence
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            GampOptions(**bad)
+
     def test_single_attempt_is_recorded(self):
         inst = generate_instance(GaussianPrior(1.0), LinearAWGN(0.2), 300,
                                  1.5, seed=3)
@@ -228,6 +287,26 @@ class TestEmpiricalGenError:
         assert err == pytest.approx(delta, abs=3 * delta * math.sqrt(2.0 / 20000)
                                     + 0.01)
 
+    @pytest.mark.parametrize("n_test", [1, gamp._TEST_BLOCK - 1,
+                                        gamp._TEST_BLOCK + 1, 1000])
+    @pytest.mark.parametrize("channel", [Sign(), ReLU(0.3), Sigmoid(2.0)],
+                             ids=repr)
+    def test_streamed_design_matches_full_matrix(self, n_test, channel):
+        # n = 8 keeps the reference product below the size at which BLAS
+        # splits it over threads; a split row lands in a different kernel
+        # path and may differ in the last bit from any other split
+        inst = generate_instance(GaussBernoulliPrior(0.3), channel, 8, 1.5,
+                                 seed=4)
+        x_hat = inst.x_star + 0.3 * np.random.default_rng(4).standard_normal(8)
+        got = empirical_generalization_error(inst, x_hat, 0.2, n_test, seed=9)
+        assert got == _full_matrix_error(inst, x_hat, 0.2, n_test, seed=9)
+
+    def test_q_t_checked_before_drawing(self, monkeypatch):
+        inst = generate_instance(RademacherPrior(), Sign(), 20, 1.0, seed=1)
+        monkeypatch.setattr(gamp, "draw_labels", None)  # never reached
+        with pytest.raises(ValueError, match="q_t"):
+            empirical_generalization_error(inst, inst.x_star, 1.5, 10, seed=2)
+
     def test_perceptron_generalizes(self):
         inst = generate_instance(RademacherPrior(), Sign(), 2000, 2.0, seed=15)
         run = gamp_run(inst, GampOptions(seed=15))
@@ -248,6 +327,18 @@ class TestSerialization:
         assert np.array_equal(back.x_star, inst.x_star)
         assert np.array_equal(back.y, inst.y)
         assert back.prior == inst.prior
+        assert back.channel == inst.channel
+
+    def test_round_trip_without_phi_noisy_channel(self, tmp_path):
+        # noisy labels come from per-row streams, which the file does not hold
+        inst = generate_instance(GaussBernoulliPrior(0.3), ReLU(0.3), 40, 1.2,
+                                 seed=21)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert json.loads(path.read_text())["version"] == 1
+        back = load_instance(path)
+        assert np.array_equal(back.phi, inst.phi)
+        assert np.array_equal(back.y, inst.y)
         assert back.channel == inst.channel
 
     def test_round_trip_with_phi(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glmphase.channels import LinearAWGN, Sign, SymmetricDoor
+from glmphase.channels import LinearAWGN, ReLU, Sign, SymmetricDoor
 from glmphase.gamp import GampOptions, gamp_run, generate_instance
 from glmphase.oracle import (exact_posterior, mc_psi_p0, mc_psi_pout,
                              nishimori_check)
@@ -128,6 +128,15 @@ class TestMCFreeEntropies:
     def test_psi_pout_door(self):
         est, se = mc_psi_pout(SymmetricDoor(), 0.3, 1.0, 60000, seed=6)
         assert abs(est - SymmetricDoor().psi_pout(0.3, 1.0)) < 3 * se
+
+    @pytest.mark.parametrize("channel,pinned", [
+        (Sign(), (-0.5909537896945669, 0.009501701950523904)),
+        (ReLU(0.3), (-1.0992155991194144, 0.017135748748909194)),
+    ], ids=repr)
+    def test_psi_pout_pinned(self, channel, pinned):
+        # Sign draws nothing and skips the label seeds; ReLU keeps its
+        # per-sample streams; both give the values of per-sample generators
+        assert mc_psi_pout(channel, 0.3, 1.0, 2000, seed=4) == pinned
 
     def test_stderr_scales_with_samples(self):
         _, se1 = mc_psi_p0(GaussianPrior(1.0), 1.0, 4000, seed=7)
