@@ -13,8 +13,8 @@ from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
                    gamp_predict, gamp_run, generate_instance, load_instance,
                    save_instance, to_spec)
 from .numerics import (BracketError, FixedPointOptions,
-                       NonFiniteIntegrandError, QuadratureRule, bisect,
-                       gauss_hermite, integrate_1d)
+                       NonFiniteIntegrandError, QuadratureRule, gauss_hermite,
+                       integrate_1d)
 from .oracle import (ExactPosterior, NishimoriReport, exact_posterior,
                      mc_psi_p0, mc_psi_pout, nishimori_check)
 from .priors import (DenoiserOutput, GaussBernoulliPrior, GaussianPrior,

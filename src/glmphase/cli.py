@@ -5,7 +5,8 @@ deterministic seeded sweeps, plot-ready CSV/JSON tables.
                     [--override section.key=value ...]
 
 Tasks: potential, se, gamp, phase-diagram, errors, validate.
-Exit codes: 0 success, 1 validation failure, 2 config error.
+Exit codes: 0 success, 1 a failed validate check or a GAMP run cut at its
+iteration cap (the table is still written), 2 config error.
 """
 from __future__ import annotations
 
@@ -62,6 +63,8 @@ class ResultTable:
     columns: tuple[str, ...]
     rows: list[tuple]
     provenance: dict = field(default_factory=dict)
+    # one stderr line per failure; any failure makes the exit code 1
+    failures: list[str] = field(default_factory=list)
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -224,14 +227,18 @@ def _run_gamp(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     for t in range(len(result.overlap_seq)):
         gen_mc = math.nan
-        if n_test > 0 and t == len(result.overlap_seq) - 1:
+        if n_test > 0 and result.converged and t == len(result.overlap_seq) - 1:
             q_t = min(max(result.norm_sq_seq[t], 0.0), rho)
             gen_mc = empirical_generalization_error(
                 inst, result.x_hat_final, q_t, n_test, seed=cfg.seed + 1)
         rows.append((t + 1, result.overlap_seq[t], result.norm_sq_seq[t],
                      result.mse_seq[t], gen_mc))
+    failures = [] if result.converged else [
+        f"gamp: stopped at the iteration cap gamp_max_iter = {opts.max_iter} "
+        f"without converging to gamp_tol = {opts.tol!r}; gen_error_mc is NaN"]
     return ResultTable(
-        columns=("t", "overlap", "norm_sq", "mse", "gen_error_mc"), rows=rows)
+        columns=("t", "overlap", "norm_sq", "mse", "gen_error_mc"), rows=rows,
+        failures=failures)
 
 
 def _scalar_fields(spec: dict) -> set:
@@ -429,7 +436,10 @@ def _run_validate(cfg: ExperimentConfig) -> ResultTable:
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         rows.append((name, "pass" if detail is None else "fail", detail or ""))
-    return ResultTable(columns=("check", "status", "detail"), rows=rows)
+    return ResultTable(columns=("check", "status", "detail"), rows=rows,
+                       failures=[f"validate: {name} FAILED ({detail})"
+                                 for name, status, detail in rows
+                                 if status != "pass"])
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +522,9 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(payload.decode())
 
-    if cfg.task == "validate":
-        failed = [r for r in table.rows if r[1] != "pass"]
-        if failed:
-            for name, _, detail in failed:
-                print(f"validate: {name} FAILED ({detail})", file=sys.stderr)
-            return 1
-    return 0
+    for line in table.failures:
+        print(line, file=sys.stderr)
+    return 1 if table.failures else 0
 
 
 if __name__ == "__main__":

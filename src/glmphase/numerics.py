@@ -1,4 +1,4 @@
-"""Quadrature, root finding, and fixed-point iteration options.
+"""Quadrature, integration, and fixed-point iteration options.
 
 Every Gaussian expectation in this package goes through the probabilists'
 Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
@@ -184,34 +184,6 @@ def integrate_1d(f: Callable[[float], float], lo: float, hi: float,
             stack.append((a, m, fa, flm, fab, sl, half))
             stack.append((m, b, fab, frm, fb, sr, half))
     return total
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float,
-           tol: float = 1e-12) -> float:
-    """Bisection root of f on [lo, hi]; requires f(lo) * f(hi) <= 0."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo, fhi = float(f(lo)), float(f(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at float resolution
-        fmid = float(f(mid))
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ The potential is
 with optimizers characterized equivalently as the best state-evolution fixed
 point or as the direct sup over q of the inner inf over r (the inner inf is
 attained where 2 psi_p0'(r) = q, by convexity of psi_p0).  ``solve`` runs
-both routes and insists they agree.  Route B solves the roots of its whole q
-grid in one batched bracketing solve, takes psi_p0 and psi_pout of the grid
-in one call each, and stays independent of the state-evolution spline
+both routes and insists they agree.  Route B walks the curve of inner-inf
+points, which r parametrizes explicitly: at t = ln(1 + r) the point is
+(q, r) = (2 psi_p0'(r), r), so its grid costs one psi_p0', one psi_p0 and
+one psi_pout array call and no root solve, and its golden-section
+refinement runs in t.  It stays independent of the state-evolution spline
 tables, so it remains a cross-check of Route A.
 
 The exact-recovery branch (q = rho, r = +inf) is represented by a sentinel;
@@ -105,14 +107,12 @@ def i_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
         - f_rs(prior, channel, alpha, q, r)
 
 
-def inner_inf_r(prior: Prior, q, r_max: float = R_CAP, r_bracket=None):
+def inner_inf_r(prior: Prior, q, r_max: float = R_CAP):
     """argmin over r of f_rs(q, .): solves 2 psi_p0'(r) = q (psi' monotone).
 
     q may be an array: all roots come from one batched bracketing solve
     (Chandrupatla's method), with psi_p0' evaluated on the array of active
-    iterates at each step.  ``r_bracket = (r_lo, r_hi)`` narrows the search
-    to where the roots are known to lie; roots it does not bracket are
-    solved again over [0, r_max].
+    iterates at each step.
     """
     from scipy.optimize.elementwise import find_root
     q_arr = np.asarray(q, dtype=float)
@@ -120,18 +120,15 @@ def inner_inf_r(prior: Prior, q, r_max: float = R_CAP, r_bracket=None):
     at_zero, at_max = 2.0 * prior.psi_p0_prime(np.array([0.0, r_max]))
     r = np.where(qf <= at_zero, 0.0, r_max)
     todo = np.flatnonzero((qf > at_zero) & (qf < at_max))
-    brackets = [(0.0, r_max)] if r_bracket is None else [r_bracket, (0.0, r_max)]
-    for r_lo, r_hi in brackets:
-        if todo.size == 0:
-            break
+    if todo.size:
         # root in u = ln(1 + r): relative precision across 8 decades of r
         res = find_root(lambda t, qt: 2.0 * prior.psi_p0_prime(np.expm1(t)) - qt,
-                        (math.log1p(r_lo), math.log1p(r_hi)), args=(qf[todo],),
+                        (0.0, math.log1p(r_max)), args=(qf[todo],),
                         tolerances=dict(xatol=1e-13, xrtol=1e-14))
-        r[todo[res.success]] = np.expm1(res.x[res.success])
-        todo = todo[~res.success]
-    if todo.size:
-        raise ValueError(f"no root of 2 psi_p0'(r) = q for q = {qf[todo]}")
+        if not np.all(res.success):
+            raise ValueError(f"no root of 2 psi_p0'(r) = q for q = "
+                             f"{qf[todo][~res.success]}")
+        r[todo] = np.expm1(res.x)
     return float(r[0]) if q_arr.ndim == 0 else r.reshape(q_arr.shape)
 
 
@@ -192,20 +189,7 @@ def solve(prior: Prior, channel: Channel, alpha: float,
                                    f_value=f, i_value=alpha * psi_rho - f))
     f_gamma = max(p.f_value for p in points)
 
-    # Route B: direct sup over q of the inner inf, golden-section refined.
-    # q -> r is monotone, so the roots at the neighbouring grid points
-    # bracket every root the refinement needs.
-    qs = np.linspace(0.0, q_hi, grid_size)
-    rs = inner_inf_r(prior, qs)
-    fs = prior.psi_p0(rs) + alpha * channel.psi_pout(qs, rho) - 0.5 * rs * qs
-    k = int(np.argmax(fs))
-    lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
-
-    def f_of(q):
-        r = inner_inf_r(prior, q, r_bracket=(rs[lo], rs[hi]))
-        return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, r)
-
-    f_direct = max(fs[k], _golden_max(f_of, qs[lo], qs[hi], tol=1e-9 * max(rho, 1.0)))
+    f_direct = _direct_sup_inf(prior, channel, alpha, grid_size)
 
     if not math.isfinite(f_gamma) or abs(f_gamma - f_direct) > route_tol:
         raise RouteDisagreementError(f_gamma, f_direct, route_tol)
@@ -227,6 +211,41 @@ def solve(prior: Prior, channel: Channel, alpha: float,
         matrix_mmse=rho ** 2 - q_star ** 2,
         gen_error=generalization_error(channel, rho, q_star),
     )
+
+
+def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
+                    grid_size: int) -> float:
+    """Route B: sup of f_rs along the curve of inner-inf points.
+
+    r = expm1(t) and q = min(2 psi_p0'(r), q_hi) is an exact inner-inf point
+    for every t >= 0, so the sup over q needs no root solve.  The t = 0 end
+    is q = mean^2; below it the inner inf is r = 0, where f increases in q.
+    The grid is placed near uniform in q by inverting a coarse q(t), then
+    refined by golden section in t until the bracket is 1e-9 max(rho, 1)
+    wide in q.
+    """
+    rho = prior.second_moment
+    q_hi = rho * (1.0 - EVAL_DEPTH)
+
+    def q_of(t):
+        return np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t)), q_hi)
+
+    def f_of(t, q):
+        return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, np.expm1(t))
+
+    t_coarse = np.linspace(0.0, math.log1p(inner_inf_r(prior, q_hi)), 65)
+    q_coarse = q_of(t_coarse)
+    ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),
+                   q_coarse, t_coarse)
+    qs = q_of(ts)
+    fs = f_of(ts, qs)
+    k = int(np.argmax(fs))
+    lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
+    # dq/dt inside the bracket stays below twice its steepest grid slope
+    slope = np.max(np.diff(qs[lo:hi + 1]) / np.diff(ts[lo:hi + 1]))
+    tol = 0.5 * 1e-9 * max(rho, 1.0) / max(slope, 1e-300)
+    return max(fs[k], _golden_max(lambda t: f_of(t, q_of(t)), ts[lo], ts[hi],
+                                  tol=tol))
 
 
 def _golden_max(f, lo, hi, tol):

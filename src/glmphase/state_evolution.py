@@ -34,7 +34,9 @@ affordable.  Their node sets are module constants:
 
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
-as the limit.  ``gamma_branches`` evaluates its residual grid in one call.
+as the limit.  ``gamma_branches`` evaluates its residual grid in one call
+and bisects every residual sign change of the grid together, one array
+call per step, with the midpoints a one-bracket bisection would take.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from scipy.interpolate import CubicSpline
 
 from . import replica
 from .channels import Channel, LinearAWGN, quad_profile
-from .numerics import BracketError, FixedPointOptions, bisect
+from .numerics import BracketError, FixedPointOptions
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -223,40 +225,35 @@ def se_run(prior: Prior, channel: Channel, alpha: float, q0: float,
 
 
 def gamma_branches(prior: Prior, channel: Channel, alpha: float,
-                   opts: FixedPointOptions | None = None,
-                   fast: bool = False) -> list[float]:
+                   opts: FixedPointOptions | None = None) -> list[float]:
     """Candidate fixed points: SE limits from both canonical initializations
     plus grid-detected crossings of the one-step map."""
     rho = prior.second_moment
     if opts is None:
         opts = DEFAULT_SE_OPTS
-    psi0p, psioutp = _se_functions(prior, channel, rho, fast)
+    psi0p, psioutp = _se_functions(prior, channel, rho, fast=False)
     q_cap = rho * (1.0 - _Q_GUARD)
 
-    def step(q):
+    def residual(q):
         r = np.minimum(2.0 * alpha * psioutp(np.minimum(q, q_cap)), R_CAP)
-        return psi0p(r)
+        return psi0p(r) - q
 
-    qs = [se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts, fast).q_limit,
-          se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC), opts, fast).q_limit]
+    qs = [se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts).q_limit,
+          se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC), opts).q_limit]
     if channel.is_even and abs(prior.mean) == 0.0:
         qs.append(0.0)  # exact symmetric fixed point
 
-    # residual sign changes on a mixed log/linear grid
+    # residual sign changes on a mixed log/linear grid, all solved at once
     grid = np.unique(np.concatenate([
         np.geomspace(1e-8, 0.5, 17) * rho,
         np.linspace(0.02, 1.0 - 1e-6, 25) * rho,
         (1.0 - np.geomspace(1e-6, 0.3, 9)) * rho,
     ]))
-    # the exact functions take the whole grid at once; the tables one q
-    steps = np.array([step(q) for q in grid]) if fast else step(grid)
-    res = steps - grid
-    for i in range(len(grid) - 1):
-        if res[i] == 0.0:
-            qs.append(float(grid[i]))
-        elif res[i] * res[i + 1] < 0.0:
-            qs.append(bisect(lambda q: step(q) - q, float(grid[i]),
-                             float(grid[i + 1]), tol=1e-12 * rho))
+    res = residual(grid)
+    qs.extend(grid[:-1][res[:-1] == 0.0].tolist())
+    cross = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+    qs.extend(_bisect_roots(residual, grid[cross], grid[cross + 1], res[cross],
+                            tol=1e-12 * rho).tolist())
 
     if channel.is_even and abs(prior.mean) == 0.0:
         # snap numerically-vanishing limits onto the exact symmetric point
@@ -270,6 +267,27 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         elif q > out[-1]:
             out[-1] = q
     return out
+
+
+def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Bisection roots of the elementwise f on the brackets [lo, hi], whose
+    ends have opposite signs (f_lo is f at lo); one call of f per step on
+    the brackets still wider than tol."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        todo = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))
+        if todo.size == 0:
+            return mid
+        m = mid[todo]
+        f_mid = f(m)
+        # an exact zero moves both ends onto the root
+        zero = f_mid == 0.0
+        left = (f_lo[todo] * f_mid < 0.0) | zero
+        right = ~left | zero
+        hi[todo[left]] = m[left]
+        lo[todo[right]], f_lo[todo[right]] = m[right], f_mid[right]
 
 
 # ---------------------------------------------------------------------------

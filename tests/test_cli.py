@@ -340,6 +340,25 @@ class TestCliEntry:
         assert main(["gamp", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_gamp_run_cut_at_its_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "gamp.ini"
+        path.write_text("[experiment]\ntask = gamp\nseed = 1\n"
+                        "[prior]\nkind = rademacher\n[channel]\nkind = sign\n"
+                        "[grid]\nn = 200\nalpha = 1.5\nn_test = 500\n"
+                        "[numerics]\ngamp_max_iter = 2\n")
+        out = tmp_path / "gamp.csv"
+        assert main(["gamp", "--config", str(path), "--out", str(out)]) == 1
+        assert "gamp_max_iter = 2" in capsys.readouterr().err
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "t,overlap,norm_sq,mse,gen_error_mc"
+        assert len(lines) == 3
+        assert all(l.endswith(",nan") for l in lines[1:])
+        # the same run with room to converge exits 0 with an MC error
+        assert main(["gamp", "--config", str(path), "--out", str(out),
+                     "--override", "numerics.gamp_max_iter=500"]) == 0
+        assert capsys.readouterr().err == ""
+        assert not out.read_text().splitlines()[-1].endswith(",nan")
+
     def test_workers_option_is_gone(self, errors_cfg):
         with pytest.raises(SystemExit) as exc:
             main(["phase-diagram", "--config", str(errors_cfg), "--workers", "2"])

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from scipy.special import logsumexp as scipy_logsumexp
 
-from glmphase.numerics import (_LOG_SQRT_2PI, BracketError,
-                               FixedPointOptions, NonFiniteIntegrandError,
-                               _gl_on_edges, bisect, gauss_hermite,
-                               gauss_panels, integrate_1d, logsumexp)
+from glmphase.numerics import (_LOG_SQRT_2PI, FixedPointOptions,
+                               NonFiniteIntegrandError, _gl_on_edges,
+                               gauss_hermite, gauss_panels, integrate_1d,
+                               logsumexp)
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0,
                     6: 15.0, 7: 0.0, 8: 105.0, 9: 0.0, 10: 945.0}
@@ -190,29 +189,6 @@ class TestIntegrate1d:
                 assert count <= 2.05 * prev_count + 8
                 assert err <= prev_err + 1e-15
             prev_err, prev_count = err, count
-
-
-class TestBisect:
-    def test_linear_root(self):
-        assert bisect(lambda x: x - 2.0, 0.0, 5.0, tol=1e-12) == pytest.approx(2.0)
-
-    def test_sqrt_two(self):
-        root = bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-10)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
-    def test_atanh_half(self):
-        # closed-form inverse as the oracle
-        root = bisect(lambda x: math.tanh(x) - 0.5, 0.0, 3.0, tol=1e-12)
-        assert root == pytest.approx(math.atanh(0.5), abs=1e-10)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect(lambda x: x + 1.0, 0.0, 1.0)
-
-    @given(st.floats(min_value=-3.0, max_value=3.0))
-    def test_finds_planted_root(self, root):
-        got = bisect(lambda x: x - root, -4.0, 4.0, tol=1e-12)
-        assert got == pytest.approx(root, abs=1e-10)
 
 
 class TestFixedPointOptions:

@@ -307,22 +307,6 @@ class TestBatchedInnerInf:
         assert np.all(inner_inf_r(prior, np.array([0.0, 0.1, 0.16])) == 0.0)
         assert inner_inf_r(prior, 0.2) > 0.0
 
-    def test_bracket_narrows_without_moving_roots(self):
-        prior = RademacherPrior()
-        qs = np.linspace(0.0, 1.0 - 1e-6, 21)
-        rs = inner_inf_r(prior, qs)
-        for k in (3, 10, 18):
-            q = 0.5 * (qs[k] + qs[k + 1])
-            full = inner_inf_r(prior, q)
-            narrow = inner_inf_r(prior, q, r_bracket=(rs[k], rs[k + 1]))
-            assert narrow == pytest.approx(full, rel=1e-11)
-
-    def test_bracket_missing_the_root_falls_back(self):
-        prior = RademacherPrior()
-        full = inner_inf_r(prior, 0.5)
-        assert inner_inf_r(prior, 0.5, r_bracket=(10.0, 20.0)) == pytest.approx(
-            full, rel=1e-11)
-
 
 def test_route_b_needs_no_spline_tables(monkeypatch, q_sizes):
     """solve's direct route evaluates psi_p0' itself: it must not touch the
@@ -339,3 +323,49 @@ def test_route_b_needs_no_spline_tables(monkeypatch, q_sizes):
     sol = solve(RademacherPrior(), Sign(), 0.93)
     assert sol.q_star < 1.0
     assert sizes.count(201) == 1 and set(sizes) == {1, 201}
+
+
+ROUTE_B_CASES = (
+    [(RademacherPrior(), Sign(), a) for a in (0.5, 0.93, 1.35, 1.98)]
+    # nonzero mean: the t = 0 end of the curve sits at q = mean^2 = 0.16
+    + [(RademacherPrior(0.3), SymmetricDoor(), a) for a in (0.8, 1.7)]
+    + [(TwoPointPrior(values=(0.5, -1.5), probabilities=(0.6, 0.4)), Sign(), 1.0),
+       (GaussianPrior(1.0), LinearAWGN(0.5), 1.0)])
+
+
+@pytest.mark.parametrize("prior,ch,alpha", ROUTE_B_CASES)
+def test_route_b_value_matches_route_a(prior, ch, alpha):
+    """Route B's sup along the inner-inf curve equals the free entropy of
+    the winning state-evolution branch."""
+    f_direct = replica._direct_sup_inf(prior, ch, alpha, 201)
+    assert abs(f_direct - solve(prior, ch, alpha).free_entropy) <= 1e-10
+
+
+def test_route_b_solves_one_root(monkeypatch):
+    """The curve is parametrized by r, so Route B needs one scalar root
+    (the top of its t range) and no other."""
+    calls = []
+    original = replica.inner_inf_r
+
+    def counted(prior, q, *args):
+        calls.append(np.size(q))
+        return original(prior, q, *args)
+
+    monkeypatch.setattr(replica, "inner_inf_r", counted)
+    replica._direct_sup_inf(RademacherPrior(), Sign(), 0.93, 201)
+    assert calls == [1]
+
+
+def test_cross_check_catches_a_missed_branch(monkeypatch):
+    """Between alpha_IT and alpha_AMP the recovery branch wins; if Route A
+    loses it, Route B still finds it and solve refuses to answer."""
+    from glmphase import state_evolution as se
+    original = se.gamma_branches
+
+    def partial_only(prior, channel, alpha, *args):
+        return [q for q in original(prior, channel, alpha, *args) if q < 0.9]
+
+    monkeypatch.setattr(se, "gamma_branches", partial_only)
+    with pytest.raises(RouteDisagreementError) as exc:
+        solve(RademacherPrior(), Sign(), 1.35)
+    assert exc.value.f_direct > exc.value.f_gamma + 1e-5
