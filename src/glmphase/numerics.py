@@ -1,4 +1,5 @@
-"""Quadrature, integration, and fixed-point iteration options.
+"""Quadrature, integration, interpolation, root finding, and fixed-point
+iteration options.
 
 Every Gaussian expectation in this package goes through the probabilists'
 Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
@@ -6,6 +7,7 @@ E[f(Z)] with Z ~ N(0,1), weights forming a probability vector.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -184,6 +186,124 @@ def integrate_1d(f: Callable[[float], float], lo: float, hi: float,
             stack.append((a, m, fa, flm, fab, sl, half))
             stack.append((m, b, fab, frm, fb, sr, half))
     return total
+
+
+def cubic_spline(x, y) -> Callable[[float], float]:
+    """Not-a-knot cubic spline through the points (x, y), x increasing, as a
+    scalar function; outside [x[0], x[-1]] the end cubics extrapolate.
+
+    The node slopes come from one dense solve of the tridiagonal system
+    (with the not-a-knot end rows, the boundary condition scipy's
+    ``CubicSpline`` uses by default).  Each interval keeps its cubic in
+    powers of x - x_i as Python floats, so an evaluation is one bisect and
+    a few float operations.  The cubic is summed by ascending powers, in the
+    order of scipy's ``PPoly``: the value then equals ``CubicSpline``'s to
+    the last bit at most points, where Horner's order misses it by an ulp
+    at about a third of them.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 4 or y.shape != x.shape:
+        raise ValueError(f"need matching 1-D x and y of at least 4 points, "
+                         f"got shapes {x.shape} and {y.shape}")
+    h = np.diff(x)
+    if not np.all(h > 0.0):
+        raise ValueError("x must be strictly increasing")
+    slope = np.diff(y) / h
+    # row i: continuity of the second derivative at x[i]
+    a = np.zeros((n, n))
+    b = np.empty(n)
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = h[1:]
+    a[i, i] = 2.0 * (h[:-1] + h[1:])
+    a[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    d = x[2] - x[0]
+    a[0, :2] = h[1], d
+    b[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    a[-1, -2:] = d, h[-2]
+    b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
+    s = np.linalg.solve(a, b)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    c0, c1 = y[:-1].tolist(), s[:-1].tolist()
+    c2, c3 = ((slope - s[:-1]) / h - t).tolist(), (t / h).tolist()
+    xs, last = x.tolist(), n - 2
+
+    def spline(v: float) -> float:
+        k = min(max(bisect_right(xs, v) - 1, 0), last)
+        dv = v - xs[k]
+        return c0[k] + c1[k] * dv + c2[k] * (dv * dv) + c3[k] * (dv * dv * dv)
+
+    return spline
+
+
+# the most bisections between the smallest normal and the largest double
+_ROOT_MAXITER = 2046
+_TINY = np.finfo(float).tiny
+
+
+def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              targets, xatol: float, xrtol: float,
+              maxiter: int = _ROOT_MAXITER) -> np.ndarray:
+    """Roots x in [a, b] of f(x) = targets, elementwise, by Chandrupatla's
+    bracketing method (Chandrupatla 1997, Adv. Eng. Softw. 28, 145).
+
+    f maps an array of x to f elementwise.  It is called once on [a, b],
+    then once per step on the elements still open.  An element closes when
+    its bracket is narrower than xatol + xrtol |x|, or when f - target
+    vanishes (to the smallest normal double); its root is the bracket end
+    with the smaller |f - target|.  Each element's iterates depend on its
+    own target only, so a batch returns the roots of the separate calls.
+    Elements still open after maxiter steps, or where f is not finite,
+    come back NaN.  Raises BracketError when f - target takes the same
+    sign at a and b for some element.
+    """
+    y = np.asarray(targets, dtype=float).reshape(-1)
+    fa, fb = f(np.array([a, b], dtype=float))
+    x1, f1 = np.full(y.size, float(a)), fa - y
+    x2, f2 = np.full(y.size, float(b)), fb - y
+    idx = np.arange(y.size)
+    out = np.full(y.size, np.nan)
+    for step in range(maxiter + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xmin = np.where(near, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * xrtol + xatol
+        zero = np.abs(np.where(near, f1, f2)) <= _TINY
+        if step == 0 and np.any(~zero & (np.sign(f1) == np.sign(f2))):
+            raise BracketError(f"f - target has no sign change on [{a}, {b}]")
+        bad = ~(np.isfinite(f1) & np.isfinite(f2))
+        done = (zero | (dx < tol)) & ~bad
+        out[idx[done]] = xmin[done]
+        keep = ~(done | bad)
+        if step == maxiter or not keep.any():
+            break
+        x1, f1, x2, f2, idx, y = (v[keep] for v in (x1, f1, x2, f2, idx, y))
+        if step == 0:
+            t = 0.5
+        else:
+            x3, f3 = x3[keep], f3[keep]
+            # inverse quadratic interpolation where the three points allow
+            # it (Chandrupatla's test), bisection elsewhere
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                al = (x3 - x1) / (x2 - x1)
+                iqi = ((1.0 - np.sqrt(1.0 - xi)) < phi) & (phi < np.sqrt(xi))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - al * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol[keep] / dx[keep]
+            t = np.clip(t, tl, 1.0 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = f(x) - y
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channels import Channel
 from .gamp import Instance, draw_labels
+from .numerics import logsumexp
 from .priors import Prior
 
 _MAX_CONFIGS = 2 ** 20

@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, quad_profile
+from .numerics import find_root
 from .priors import Prior, R_CAP
 
 # q above rho * (1 - RECOVERY_FRAC) counts as the exact-recovery branch
@@ -111,10 +112,9 @@ def inner_inf_r(prior: Prior, q, r_max: float = R_CAP):
     """argmin over r of f_rs(q, .): solves 2 psi_p0'(r) = q (psi' monotone).
 
     q may be an array: all roots come from one batched bracketing solve
-    (Chandrupatla's method), with psi_p0' evaluated on the array of active
-    iterates at each step.
+    (Chandrupatla's method, ``numerics.find_root``), with psi_p0' evaluated
+    on the array of active iterates at each step.
     """
-    from scipy.optimize.elementwise import find_root
     q_arr = np.asarray(q, dtype=float)
     qf = q_arr.reshape(-1)
     at_zero, at_max = 2.0 * prior.psi_p0_prime(np.array([0.0, r_max]))
@@ -122,13 +122,13 @@ def inner_inf_r(prior: Prior, q, r_max: float = R_CAP):
     todo = np.flatnonzero((qf > at_zero) & (qf < at_max))
     if todo.size:
         # root in u = ln(1 + r): relative precision across 8 decades of r
-        res = find_root(lambda t, qt: 2.0 * prior.psi_p0_prime(np.expm1(t)) - qt,
-                        (0.0, math.log1p(r_max)), args=(qf[todo],),
-                        tolerances=dict(xatol=1e-13, xrtol=1e-14))
-        if not np.all(res.success):
+        u = find_root(lambda t: 2.0 * prior.psi_p0_prime(np.expm1(t)),
+                      0.0, math.log1p(r_max), qf[todo], xatol=1e-13, xrtol=1e-14)
+        failed = np.isnan(u)
+        if failed.any():
             raise ValueError(f"no root of 2 psi_p0'(r) = q for q = "
-                             f"{qf[todo][~res.success]}")
-        r[todo] = np.expm1(res.x)
+                             f"{qf[todo][failed]}")
+        r[todo] = np.expm1(u)
     return float(r[0]) if q_arr.ndim == 0 else r.reshape(q_arr.shape)
 
 

@@ -18,9 +18,10 @@ potential; the transition finders bisect on branch indicators:
 * alpha_c = 1 / stability_integral for even channels.
 
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
-(built once per (prior) and (channel, rho), each from one array call of
-psi'), which is what makes near-spinodal runs with ~1e5 iterations
-affordable.  Their node sets are module constants:
+(``numerics.cubic_spline``, not-a-knot, evaluated on Python floats; built
+once per (prior) and (channel, rho), each from one array call of psi'),
+which is what makes near-spinodal runs with ~1e5 iterations affordable.
+Their node sets are module constants:
 
 * PRIOR_TABLE_NODES, in t = ln(1 + r): steps of h = ln(1 + R_CAP) / 240,
   except near r = 0, where 2 psi_p0' bends fastest relative to its value:
@@ -46,11 +47,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import replica
 from .channels import Channel, LinearAWGN, quad_profile
-from .numerics import BracketError, FixedPointOptions
+from .numerics import BracketError, FixedPointOptions, cubic_spline
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -135,12 +135,11 @@ CHANNEL_TABLE_LOGITS = _channel_logits()
 def _prior_table(prior: Prior) -> Callable[[float], float]:
     """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r) on PRIOR_TABLE_NODES."""
     ts = PRIOR_TABLE_NODES
-    vals = 2.0 * prior.psi_p0_prime(np.expm1(ts))
-    spline = CubicSpline(ts, vals)
-    t_max = ts[-1]
+    spline = cubic_spline(ts, 2.0 * prior.psi_p0_prime(np.expm1(ts)))
+    t_max = float(ts[-1])
 
     def f(r: float) -> float:
-        return float(spline(min(math.log1p(max(r, 0.0)), t_max)))
+        return spline(min(math.log1p(max(r, 0.0)), t_max))
 
     return f
 
@@ -157,9 +156,9 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     with quad_profile("fast"):
         vals = channel.psi_pout_prime(qt * rho, rho)
     vals = np.maximum(vals, 1e-300)
-    spline = CubicSpline(us, np.log(vals))
-    u_min, u_max = us[0], us[-1]
-    v_min = vals[0]
+    spline = cubic_spline(us, np.log(vals))
+    u_min, u_max = float(us[0]), float(us[-1])
+    v_min = float(vals[0])
 
     def f(q: float) -> float:
         qt = min(max(q / rho, 0.0), 1.0 - 1e-14)
@@ -169,7 +168,7 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
         if u < u_min:
             # even channels have psi' ~ kappa q near zero; extend linearly
             return v_min * (qt / (1e-9 / (1.0 + 1e-9)))
-        return float(math.exp(spline(min(u, u_max))))
+        return math.exp(spline(min(u, u_max)))
 
     return f
 

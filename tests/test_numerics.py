@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.interpolate import CubicSpline
 from scipy.special import logsumexp as scipy_logsumexp
 
-from glmphase.numerics import (_LOG_SQRT_2PI, FixedPointOptions,
+from glmphase.numerics import (_LOG_SQRT_2PI, BracketError, FixedPointOptions,
                                NonFiniteIntegrandError, _gl_on_edges,
-                               gauss_hermite, gauss_panels, integrate_1d,
-                               logsumexp)
+                               cubic_spline, find_root, gauss_hermite,
+                               gauss_panels, integrate_1d, logsumexp)
+from glmphase.state_evolution import CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0,
                     6: 15.0, 7: 0.0, 8: 105.0, 9: 0.0, 10: 945.0}
@@ -148,6 +150,82 @@ class TestLogSumExp:
         assert logsumexp(np.full(3, -np.inf)) == -np.inf
         assert np.array_equal(logsumexp(np.full((2, 3), -np.inf), axis=-1),
                               [-np.inf, -np.inf])
+
+
+class TestCubicSpline:
+    """cubic_spline against scipy's not-a-knot CubicSpline on the node sets
+    of the state-evolution tables."""
+
+    @pytest.mark.parametrize("nodes", [PRIOR_TABLE_NODES, CHANNEL_TABLE_LOGITS],
+                             ids=["prior", "channel"])
+    @pytest.mark.parametrize("shape", [
+        lambda x: np.tanh(x / 3.0) + 0.1 * np.sin(x),
+        lambda x: np.exp(-0.1 * x) * np.cos(x) + 2.0,
+        lambda x: 1e3 * np.log1p(np.exp(x / 4.0)),
+    ])
+    def test_matches_scipy(self, nodes, shape):
+        y = shape(nodes)
+        ref = CubicSpline(nodes, y)
+        got = cubic_spline(nodes, y)
+        rng = np.random.default_rng(9)
+        x = np.concatenate([nodes, nodes[[0, -1]],
+                            rng.uniform(nodes[0], nodes[-1], 10_000)])
+        vals = np.array([got(float(v)) for v in x])
+        assert type(got(float(x[-1]))) is float
+        bound = 1e-13 * np.max(np.abs(y))
+        assert np.max(np.abs(vals - ref(x))) <= bound
+        # the spline passes through its nodes
+        assert np.max(np.abs(vals[:nodes.size] - y)) <= bound
+
+    def test_reproduces_cubics(self):
+        # a not-a-knot spline is exact on a cubic
+        x = np.sort(np.random.default_rng(3).uniform(-2.0, 3.0, 12))
+        cubic = lambda v: 0.5 * v ** 3 - v ** 2 + 2.0 * v - 1.0
+        spline = cubic_spline(x, cubic(x))
+        for v in np.linspace(-2.5, 3.5, 41):
+            assert spline(float(v)) == pytest.approx(cubic(v), abs=1e-11)
+
+    @pytest.mark.parametrize("x,y", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]),          # too few nodes
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 4.0]),  # repeated node
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0]),     # length mismatch
+    ])
+    def test_rejects_bad_nodes(self, x, y):
+        with pytest.raises(ValueError):
+            cubic_spline(x, y)
+
+
+class TestFindRoot:
+    def test_roots_and_batch_invariance(self):
+        targets = np.array([-0.9, -0.3, 0.0, 0.2, 0.7, 0.99])
+        roots = find_root(np.tanh, -3.0, 3.0, targets, xatol=1e-14, xrtol=1e-15)
+        np.testing.assert_allclose(roots, np.arctanh(targets), rtol=0.0,
+                                   atol=1e-13)
+        alone = [find_root(np.tanh, -3.0, 3.0, [t], 1e-14, 1e-15)[0]
+                 for t in targets]
+        assert np.array_equal(roots, alone)
+
+    def test_one_call_per_step_on_open_elements(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x ** 3
+
+        find_root(f, 0.0, 2.0, [1e-3, 0.5, 7.9], xatol=1e-12, xrtol=1e-12)
+        assert sizes[0] == 2          # f at the bracket ends
+        assert sizes[1] == 3
+        assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(BracketError):
+            find_root(np.tanh, 0.1, 3.0, [0.5, -0.5], xatol=1e-12, xrtol=0.0)
+
+    def test_unconverged_elements_are_nan(self):
+        roots = find_root(np.tanh, -3.0, 3.0, [0.25, 0.0], xatol=0.0, xrtol=0.0,
+                          maxiter=3)
+        assert np.isnan(roots[0])
+        assert roots[1] == 0.0        # f - target vanishes at the first step
 
 
 class TestIntegrate1d:

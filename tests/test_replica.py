@@ -308,6 +308,28 @@ class TestBatchedInnerInf:
         assert inner_inf_r(prior, 0.2) > 0.0
 
 
+@pytest.mark.parametrize("prior", [
+    GaussianPrior(1.0), RademacherPrior(), GaussBernoulliPrior(0.4),
+    TwoPointPrior(values=(1.0, -0.5), probabilities=(0.3, 0.7))], ids=repr)
+def test_inner_inf_matches_scipy_find_root(prior):
+    """numerics.find_root inside inner_inf_r against scipy's elementwise
+    Chandrupatla solve of the same equation with the same tolerances."""
+    from scipy.optimize.elementwise import find_root as scipy_find_root
+    rho = prior.second_moment
+    q = rho * np.concatenate([np.random.default_rng(4).uniform(0.0, 1.0, 40),
+                              1.0 - np.geomspace(1e-12, 1e-2, 11)])
+    got = inner_inf_r(prior, q)
+    at_zero, at_cap = 2.0 * prior.psi_p0_prime(np.array([0.0, R_CAP]))
+    inside = (q > at_zero) & (q < at_cap)
+    assert inside.sum() >= 40
+    ref = scipy_find_root(
+        lambda t, qt: 2.0 * prior.psi_p0_prime(np.expm1(t)) - qt,
+        (0.0, math.log1p(R_CAP)), args=(q[inside],),
+        tolerances=dict(xatol=1e-13, xrtol=1e-14))
+    assert np.all(ref.success)
+    np.testing.assert_allclose(got[inside], np.expm1(ref.x), rtol=1e-11, atol=0.0)
+
+
 def test_route_b_needs_no_spline_tables(monkeypatch, q_sizes):
     """solve's direct route evaluates psi_p0' itself: it must not touch the
     state-evolution spline tables, so it stays a cross-check of Route A.
