@@ -246,8 +246,7 @@ _TINY = np.finfo(float).tiny
 
 
 def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              targets, xatol: float, xrtol: float,
-              maxiter: int = _ROOT_MAXITER) -> np.ndarray:
+              targets, xatol: float, xrtol: float) -> np.ndarray:
     """Roots x in [a, b] of f(x) = targets, elementwise, by Chandrupatla's
     bracketing method (Chandrupatla 1997, Adv. Eng. Softw. 28, 145).
 
@@ -257,8 +256,8 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     vanishes (to the smallest normal double); its root is the bracket end
     with the smaller |f - target|.  Each element's iterates depend on its
     own target only, so a batch returns the roots of the separate calls.
-    Elements still open after maxiter steps, or where f is not finite,
-    come back NaN.  Raises BracketError when f - target takes the same
+    Elements still open after _ROOT_MAXITER steps, or where f is not
+    finite, come back NaN.  Raises BracketError when f - target takes the same
     sign at a and b for some element.
     """
     y = np.asarray(targets, dtype=float).reshape(-1)
@@ -267,7 +266,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     x2, f2 = np.full(y.size, float(b)), fb - y
     idx = np.arange(y.size)
     out = np.full(y.size, np.nan)
-    for step in range(maxiter + 1):
+    for step in range(_ROOT_MAXITER + 1):
         near = np.abs(f1) < np.abs(f2)
         xmin = np.where(near, x1, x2)
         dx = np.abs(x2 - x1)
@@ -279,7 +278,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         done = (zero | (dx < tol)) & ~bad
         out[idx[done]] = xmin[done]
         keep = ~(done | bad)
-        if step == maxiter or not keep.any():
+        if step == _ROOT_MAXITER or not keep.any():
             break
         x1, f1, x2, f2, idx, y = (v[keep] for v in (x1, f1, x2, f2, idx, y))
         if step == 0:

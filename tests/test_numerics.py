@@ -6,6 +6,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import logsumexp as scipy_logsumexp
 
+from glmphase import numerics
 from glmphase.numerics import (_LOG_SQRT_2PI, BracketError, FixedPointOptions,
                                NonFiniteIntegrandError, _gl_on_edges,
                                cubic_spline, find_root, gauss_hermite,
@@ -221,9 +222,9 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(np.tanh, 0.1, 3.0, [0.5, -0.5], xatol=1e-12, xrtol=0.0)
 
-    def test_unconverged_elements_are_nan(self):
-        roots = find_root(np.tanh, -3.0, 3.0, [0.25, 0.0], xatol=0.0, xrtol=0.0,
-                          maxiter=3)
+    def test_unconverged_elements_are_nan(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAXITER", 3)
+        roots = find_root(np.tanh, -3.0, 3.0, [0.25, 0.0], xatol=0.0, xrtol=0.0)
         assert np.isnan(roots[0])
         assert roots[1] == 0.0        # f - target vanishes at the first step
 
