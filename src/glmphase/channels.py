@@ -16,6 +16,13 @@ return a float) or an array of q.  A discrete channel builds the E_V rules
 of a block of q values in one ``gauss_panels`` pass and evaluates all their
 nodes at once; a continuous one goes through the q values one at a time.
 
+A channel whose law is unchanged under z -> -z, with the label kept (abs,
+the symmetric door) or flipped (sign, linear, sigmoid), has ``_mirror`` +1
+or -1; every integrand over V is then even, and its E_V rules are folded
+onto V >= 0 with doubled weights, which halves the V nodes.  A nonzero
+epsilon breaks the symmetry, and ReLU never has it.  ``is_even`` is
+``_mirror == 1``.
+
 Conventions:
 * ``gout`` is the posterior mean of the standardized hidden Gaussian w.
 * the asymmetry hook ``epsilon`` shifts one decision threshold and is used
@@ -235,8 +242,16 @@ def _check_q(q, rho, closed: bool) -> np.ndarray:
 class Channel:
     """Base class; see module docstring for the shared surface."""
 
-    is_even: bool = False
     labels: tuple[float, ...] = ()
+    # the law under z -> -z: +1 when P(y | -z) = P(y | z), -1 when
+    # P(-y | -z) = P(y | z), None otherwise
+    _mirror: int | None = None
+
+    @property
+    def is_even(self) -> bool:
+        """P(y | -z) = P(y | z): the q = 0 fixed point exists and its
+        stability integral applies."""
+        return self._mirror == 1
 
     # -- construction helpers ------------------------------------------------
 
@@ -304,9 +319,16 @@ class Channel:
         """Quadratures for E_V of each q of a 1-D array, flat as (nodes,
         weights, row): panels refined near the decision-threshold images
         k / sqrt(q), built in one pass, or Gauss-Hermite where there are no
-        thresholds or their images are wider than the profile's v_sigma."""
+        thresholds or their images are wider than the profile's v_sigma.
+
+        A mirror-symmetric channel (``_mirror`` not None) makes every
+        integrand over V even, so its rows are folded onto V >= 0: panel
+        rows get a plain break point at V = 0, and each row keeps its nodes
+        >= 0 with the weights of the nodes > 0 doubled (the Gauss-Hermite
+        rule is exactly symmetric and has a node at 0)."""
         gh = gauss_hermite(DEFAULT_GH_ORDER)
         kinks = np.array(self._x_kinks())
+        fold = self._mirror is not None
         panel = np.zeros(q.shape, dtype=bool)
         parts = []
         if kinks.size:
@@ -319,6 +341,11 @@ class Channel:
                 feats = np.where(pos[panel, None],
                                  kinks / np.sqrt(qs[panel, None]), np.nan)
                 widths = np.broadcast_to(sigma[panel, None], feats.shape)
+                if fold:
+                    # a feature of zero width is a plain break point
+                    zero = np.zeros((feats.shape[0], 1))
+                    feats = np.hstack([feats, zero])
+                    widths = np.hstack([widths, zero])
                 rule = gauss_panels(feats, widths, half_range=_GAUSS_RANGE,
                                     chunk=_CHUNK_WIDTH, order=_GL_ORDER)
                 parts.append((rule.nodes, rule.weights,
@@ -328,7 +355,12 @@ class Channel:
             parts.append((np.tile(gh.nodes, gh_rows.size),
                           np.tile(gh.weights, gh_rows.size),
                           np.repeat(gh_rows, gh.nodes.size)))
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        nodes, weights, row = (np.concatenate(p) for p in zip(*parts))
+        if fold:
+            half = nodes >= 0.0
+            nodes, weights, row = nodes[half], weights[half], row[half]
+            weights[nodes > 0.0] *= 2.0
+        return nodes, weights, row
 
     def _v_grid(self, q, rho):
         """E_V quadrature (nodes, weights) at one q."""
@@ -422,6 +454,17 @@ class _PiecewiseChannel(Channel):
         return self.is_deterministic and all(p[3] == 0.0 for p in self.pieces())
 
     @property
+    def _mirror(self):
+        # phi(-x) is c - d x on (-b, -a); the noise is symmetric
+        pieces = set(self.pieces())
+        mirrored = {(-b, -a, c, -d) for a, b, c, d in pieces}
+        if mirrored == pieces:
+            return 1
+        if {(a, b, -c, -d) for a, b, c, d in mirrored} == pieces:
+            return -1
+        return None
+
+    @property
     def is_deterministic(self) -> bool:
         return self.delta == 0.0
 
@@ -501,7 +544,7 @@ class _PiecewiseChannel(Channel):
     # -- evidence core ---------------------------------------------------------
 
     def _piece_stats(self, y, omega, v):
-        """Per piece, stacked on a leading piece axis: log weight, and the
+        """Per piece, on a leading piece axis: log weight, and the
         conditional mean and variance of the standardized hidden Gaussian
         w = (x - omega) / sqrt(V).  y, omega and V broadcast together; an
         array V must be positive."""
@@ -509,30 +552,31 @@ class _PiecewiseChannel(Channel):
                                           np.asarray(omega, float), np.asarray(v, float))
         sqv = np.sqrt(v)
         delta = self.delta
-        logws, means, variances = [], [], []
+        pieces = self.pieces()
+        # each piece writes its row of these
+        logw, mean, var = (np.empty((len(pieces),) + y.shape) for _ in range(3))
         # log densities of far-off labels overflow to -inf, which is exact
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for a, b, c, d in self.pieces():
+            for k, (a, b, c, d) in enumerate(pieces):
                 if d == 0.0 and delta == 0.0:
                     # noiseless: only the observations y = c come from here
                     emits = y == c
                     if np.all(emits):
-                        logw, mean, var = _trunc_moments((a - omega) / sqv,
-                                                         (b - omega) / sqv)
+                        logw[k], mean[k], var[k] = _trunc_moments(
+                            (a - omega) / sqv, (b - omega) / sqv)
                     else:
-                        logw = np.full(y.shape, -np.inf)
-                        mean, var = np.zeros(y.shape), np.zeros(y.shape)
+                        logw[k], mean[k], var[k] = -np.inf, 0.0, 0.0
                         if np.any(emits):
                             om = omega[emits]
                             s = np.broadcast_to(sqv, y.shape)[emits]
-                            logw[emits], mean[emits], var[emits] = \
+                            logw[k, emits], mean[k, emits], var[k, emits] = \
                                 _trunc_moments((a - om) / s, (b - om) / s)
                 elif d == 0.0:
                     sd = math.sqrt(delta)
                     logpref = _norm_logpdf((y - c) / sd) - math.log(sd)
-                    logp, mean, var = _trunc_moments((a - omega) / sqv,
-                                                     (b - omega) / sqv)
-                    logw = logpref + logp
+                    logp, mean[k], var[k] = _trunc_moments((a - omega) / sqv,
+                                                           (b - omega) / sqv)
+                    logw[k] = logpref + logp
                 else:
                     # the piece's Gaussian factor in x has mean m and
                     # variance V delta / sig2; in w it is centred at shift
@@ -542,18 +586,15 @@ class _PiecewiseChannel(Channel):
                     m = omega + d * (v / sig2) * resid
                     shift = d * (sqv / sig2) * resid
                     if delta == 0.0:
-                        logw = np.where((a < m) & (m < b), logpref, -np.inf)
-                        mean, var = shift, np.broadcast_to(0.0, shift.shape)
+                        logw[k] = np.where((a < m) & (m < b), logpref, -np.inf)
+                        mean[k], var[k] = shift, 0.0
                     else:
                         s = np.sqrt(v * delta / sig2)
                         logp, m1, var1 = _trunc_moments((a - m) / s, (b - m) / s)
-                        logw = logpref + logp
-                        mean = shift + np.sqrt(delta / sig2) * m1
-                        var = delta / sig2 * var1
-                logws.append(logw)
-                means.append(mean)
-                variances.append(var)
-        return np.stack(logws), np.stack(means), np.stack(variances)
+                        logw[k] = logpref + logp
+                        mean[k] = shift + np.sqrt(delta / sig2) * m1
+                        var[k] = delta / sig2 * var1
+        return logw, mean, var
 
     def log_zout(self, y, omega, v):
         if np.any(np.asarray(v) < 0):
@@ -741,7 +782,6 @@ class LinearAWGN(_PiecewiseChannel):
 
     delta: float = 0.0
     epsilon: float = 0.0
-    is_even = False
 
     def __post_init__(self):
         if self.delta < 0:
@@ -770,7 +810,6 @@ class Sign(_PiecewiseChannel):
     delta: float = 0.0
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
-    is_even = False
 
     def __post_init__(self):
         if self.delta < 0 or self.epsilon < 0:
@@ -787,7 +826,6 @@ class Abs(_PiecewiseChannel):
 
     delta: float = 0.0
     epsilon: float = 0.0
-    is_even = True
 
     def __post_init__(self):
         if self.delta < 0 or self.epsilon < 0:
@@ -804,7 +842,6 @@ class ReLU(_PiecewiseChannel):
 
     delta: float = 1e-8
     epsilon: float = 0.0
-    is_even = False
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -825,7 +862,6 @@ class SymmetricDoor(_PiecewiseChannel):
     delta: float = 0.0
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
-    is_even = True
 
     def __post_init__(self):
         if self.K <= 0:
@@ -853,9 +889,9 @@ class Sigmoid(Channel):
     slope: float = 1.0
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
-    is_even = False
     is_deterministic = False
     delta = 0.0
+    _mirror = -1    # P(-y | -z) = expit(slope y z) = P(y | z)
 
     def __post_init__(self):
         if self.slope <= 0:

@@ -65,6 +65,8 @@ class ResultTable:
     provenance: dict = field(default_factory=dict)
     # one stderr line per failure; any failure makes the exit code 1
     failures: list[str] = field(default_factory=list)
+    # one stderr line per note; notes leave the exit code alone
+    notes: list[str] = field(default_factory=list)
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -236,9 +238,13 @@ def _run_gamp(cfg: ExperimentConfig) -> ResultTable:
     failures = [] if result.converged else [
         f"gamp: stopped at the iteration cap gamp_max_iter = {opts.max_iter} "
         f"without converging to gamp_tol = {opts.tol!r}; gen_error_mc is NaN"]
+    notes = [] if result.attempts == 1 else [
+        f"gamp: n = {n}, alpha = {alpha!r}, seed = {cfg.seed}: the run at "
+        f"damping {opts.damping!r} diverged; the rows are from attempt "
+        f"{result.attempts}, at damping {result.damping!r}"]
     return ResultTable(
         columns=("t", "overlap", "norm_sq", "mse", "gen_error_mc"), rows=rows,
-        failures=failures)
+        failures=failures, notes=notes)
 
 
 def _scalar_fields(spec: dict) -> set:
@@ -522,7 +528,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(payload.decode())
 
-    for line in table.failures:
+    for line in table.notes + table.failures:
         print(line, file=sys.stderr)
     return 1 if table.failures else 0
 

@@ -114,8 +114,9 @@ def gauss_panels(features=(), widths=(), half_range: float = 9.0,
 
     ``features`` and ``widths`` of shape (F,) give one rule.  Shape
     (rows, F) gives one rule per row in a single pass, flat, with the row
-    of each node in ``row``; NaN marks a missing feature.  Each row's nodes
-    and weights are bit-identical to the rule built for that row alone.
+    of each node in ``row``; NaN marks a missing feature, and a feature of
+    zero width is a plain break point.  Each row's nodes and weights are
+    bit-identical to the rule built for that row alone.
     """
     f = np.asarray(features, dtype=float)
     many = f.ndim == 2

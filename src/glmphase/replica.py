@@ -76,6 +76,8 @@ class ReplicaSolution:
     mmse: float
     matrix_mmse: float
     gen_error: float
+    f_gamma: float      # Route A: the best state-evolution fixed point
+    f_direct: float     # Route B: the sup along the inner-inf curve
 
 
 def f_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> float:
@@ -210,6 +212,8 @@ def solve(prior: Prior, channel: Channel, alpha: float,
         mmse=rho - q_star,
         matrix_mmse=rho ** 2 - q_star ** 2,
         gen_error=generalization_error(channel, rho, q_star),
+        f_gamma=f_gamma,
+        f_direct=f_direct,
     )
 
 

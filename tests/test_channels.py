@@ -7,13 +7,16 @@ from scipy.integrate import quad
 from scipy.special import erf, log_expit, logsumexp, ndtr
 from scipy.stats import norm
 
-from glmphase.channels import (Abs, GoutUnderflowError, LinearAWGN, ReLU,
-                               Sigmoid, Sign, SymmetricDoor,
+from glmphase import channels
+from glmphase.channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
+                               ReLU, Sigmoid, Sign, SymmetricDoor,
                                _PiecewiseChannel, _log_gauss_prob,
                                _trunc_moments, density, gout, psi_pout,
                                psi_pout_prime, quad_profile, sample_label,
                                stability_integral, zout)
-from glmphase.numerics import integrate_1d
+from glmphase.numerics import (DEFAULT_GH_ORDER, gauss_hermite, gauss_panels,
+                               integrate_1d)
+from glmphase.replica import denoising_error, generalization_error
 
 RHO1_CHANNELS = [
     LinearAWGN(0.5),
@@ -43,6 +46,23 @@ class TestConstruction:
         assert SymmetricDoor().is_deterministic and LinearAWGN(0.0).is_deterministic
         assert not Sign(0.1).is_deterministic and not ReLU(1e-8).is_deterministic
         assert not Sigmoid().is_deterministic  # draws its labels
+
+    def test_mirror(self):
+        assert Abs(0.0)._mirror == SymmetricDoor(K=1.2)._mirror == 1
+        assert Abs(0.1)._mirror == 1
+        for ch in (Sign(), Sign(0.2), LinearAWGN(0.5), Sigmoid(2.0)):
+            assert ch._mirror == -1
+        for ch in (ReLU(0.3), Sign(epsilon=0.05), Abs(epsilon=0.05),
+                   SymmetricDoor(epsilon=0.05)):
+            assert ch._mirror is None
+
+    def test_epsilon_breaks_evenness(self):
+        # a shifted threshold breaks z -> -z: no q = 0 fixed point, no
+        # stability integral
+        for ch in (Abs(epsilon=0.05), SymmetricDoor(epsilon=0.05)):
+            assert not ch.is_even
+            with pytest.raises(ValueError, match="even channel"):
+                stability_integral(ch, 1.0)
 
     def test_epsilon_shifts_door_threshold(self):
         ch = SymmetricDoor(K=0.67449).with_epsilon(1e-4)
@@ -680,12 +700,14 @@ class TestArrayOfQ:
 
 # psi_pout' of the masked kernel, which evaluated every V row of every w
 # segment and zeroed the clipped-away ones: skipping those rows leaves each
-# value bit for bit the same
+# value bit for bit the same.  Folding the E_V rule of Abs onto V >= 0 moved
+# three Abs values by 1-3 ulp (a different summation order); ReLU is not
+# folded and keeps its values.
 PIN_FRACS = np.array([0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
 PINNED = [
     (Abs(0.0), 1.0, "exact", [0.24483545409679605, 4.006710240907237,
-                              499694.1623110277, 500010755262.22925]),
-    (Abs(0.0), 1.0, "fast", [0.24483537200818822, 4.006710241245934,
+                              499694.1623110277, 500010755262.2291]),
+    (Abs(0.0), 1.0, "fast", [0.24483537200818814, 4.0067102412459334,
                              499694.162311226, 500010755260.0915]),
     (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945034,
                                 1190908.0423033114, 24999487.388463676]),
@@ -703,3 +725,103 @@ def test_continuous_psi_prime_pinned(ch, rho, profile, values):
     with quad_profile(profile):
         got = ch.psi_pout_prime(PIN_FRACS * rho, rho)
     assert got.tolist() == values
+
+
+# -- the E_V rule of a mirror-symmetric channel, folded onto V >= 0 ----------
+
+def _unfolded_v_rules(self, q, rho):
+    """Channel._v_rules before the fold: every row on the whole line."""
+    gh = gauss_hermite(DEFAULT_GH_ORDER)
+    kinks = np.array(self._x_kinks())
+    panel = np.zeros(q.shape, dtype=bool)
+    parts = []
+    if kinks.size:
+        pos = q > 0.0
+        qs = np.where(pos, q, 1.0)
+        sigma = np.sqrt((rho - q + self.delta) / qs)
+        panel = ~pos | (sigma < channels._prof()["v_sigma"])
+        if np.any(panel):
+            feats = np.where(pos[panel, None],
+                             kinks / np.sqrt(qs[panel, None]), np.nan)
+            widths = np.broadcast_to(sigma[panel, None], feats.shape)
+            rule = gauss_panels(feats, widths, half_range=9.0, chunk=0.6,
+                                order=16)
+            parts.append((rule.nodes, rule.weights,
+                          np.flatnonzero(panel)[rule.row]))
+    gh_rows = np.flatnonzero(~panel)
+    if gh_rows.size:
+        parts.append((np.tile(gh.nodes, gh_rows.size),
+                      np.tile(gh.weights, gh_rows.size),
+                      np.repeat(gh_rows, gh.nodes.size)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+FOLDED = [Sign(), Sign(0.2), Abs(0.0), Abs(0.1), SymmetricDoor(),
+          SymmetricDoor(K=1.2), Sigmoid(2.0)]
+NOT_FOLDED = [ReLU(0.3), Sign(epsilon=0.05), SymmetricDoor(epsilon=0.05)]
+FOLD_QS = np.array([0.3, 0.8])
+
+
+def _v_quantities(ch):
+    """psi_pout, psi_pout' and the generalization error at FOLD_QS, and the
+    denoising error (delta 0.5) at q = 0.5 where it is defined; rho = 1."""
+    vals = [ch.psi_pout(FOLD_QS, 1.0), ch.psi_pout_prime(FOLD_QS, 1.0),
+            [generalization_error(ch, 1.0, q) for q in FOLD_QS]]
+    if not isinstance(ch, Sigmoid):
+        vals.append([denoising_error(ch, 1.0, 0.5, 0.5)])
+    return np.concatenate([np.ravel(v) for v in vals])
+
+
+def _folded_and_unfolded(ch, profile, monkeypatch):
+    with quad_profile(profile):
+        folded = _v_quantities(ch)
+        monkeypatch.setattr(Channel, "_v_rules", _unfolded_v_rules)
+        return folded, _v_quantities(ch)
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch", FOLDED, ids=repr)
+def test_folded_rule_matches_unfolded(ch, profile, monkeypatch):
+    folded, full = _folded_and_unfolded(ch, profile, monkeypatch)
+    np.testing.assert_allclose(folded, full, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch", NOT_FOLDED, ids=repr)
+def test_unfolded_channels_keep_their_rule(ch, profile, monkeypatch):
+    folded, full = _folded_and_unfolded(ch, profile, monkeypatch)
+    assert folded.tolist() == full.tolist()
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch", FOLDED, ids=repr)
+def test_folded_rows_are_half_line_rules(ch, profile):
+    qs = np.array([0.0, 1e-9, 0.3, 0.5, 0.8, 0.9, 1.0 - 1e-6, 1.0])
+    with quad_profile(profile):
+        nodes, weights, row = ch._v_rules(qs, 1.0)
+        ref_nodes, ref_weights, ref_row = _unfolded_v_rules(ch, qs, 1.0)
+    assert np.all(nodes >= 0.0) and np.all(weights > 0.0)
+    for f in (np.ones_like, np.square):
+        got = np.bincount(row, weights=weights * f(nodes), minlength=qs.size)
+        ref = np.bincount(ref_row, weights=ref_weights * f(ref_nodes),
+                          minlength=qs.size)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+    if profile == "exact" and ch._x_kinks():
+        # every row is panels: with a break at V = 0 they integrate |V|,
+        # kinked there, as well as a smooth function (the symmetric
+        # Gauss-Hermite rule of the other rows is exact for even integrands
+        # only)
+        got = np.bincount(row, weights=weights * nodes, minlength=qs.size)
+        np.testing.assert_allclose(got, math.sqrt(2.0 / math.pi), rtol=1e-14)
+
+
+def test_folded_door_at_high_q_matches_a_refined_rule(monkeypatch):
+    """Near q = 0.95-0.99 the unfolded door rule had one wide panel across
+    V = 0 and missed psi' by up to 2.3e-9; the fold's break at 0 removes
+    it, so the folded rule is checked against a refined one there."""
+    ch, qs = SymmetricDoor(), np.array([0.94603, 0.984176])
+    folded = ch.psi_pout_prime(qs, 1.0)
+    monkeypatch.setattr(channels, "_CHUNK_WIDTH", 0.05)
+    monkeypatch.setattr(channels, "_GL_ORDER", 40)
+    refined = ch.psi_pout_prime(qs, 1.0)
+    np.testing.assert_allclose(folded, refined, rtol=1e-13, atol=0.0)

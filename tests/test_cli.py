@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from glmphase import gamp
 from glmphase.channels import ReLU, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
+from glmphase.gamp import GampDivergenceError, GampState
 from glmphase.priors import GaussianPrior, TwoPointPrior
 
 ERRORS_CFG = """
@@ -358,6 +360,39 @@ class TestCliEntry:
                      "--override", "numerics.gamp_max_iter=500"]) == 0
         assert capsys.readouterr().err == ""
         assert not out.read_text().splitlines()[-1].endswith(",nan")
+
+    def test_gamp_retry_is_reported(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gamp.ini"
+        path.write_text("[experiment]\ntask = gamp\nseed = 3\n"
+                        "[prior]\nkind = gaussian\n"
+                        "[channel]\nkind = linear\ndelta = 0.2\n"
+                        "[grid]\nn = 300\nalpha = 1.5\n")
+
+        def data(p):
+            return [l for l in p.read_text().splitlines() if not l.startswith("#")]
+
+        damped = tmp_path / "damped.csv"
+        assert main(["gamp", "--config", str(path), "--out", str(damped),
+                     "--override", "numerics.damping=0.5"]) == 0
+        assert capsys.readouterr().err == ""
+        # the undamped attempt diverges; gamp_run retries at damping 0.5
+        iterate = gamp._gamp_iterate
+
+        def diverge_undamped(instance, opts, damping):
+            if damping < 0.5:
+                raise GampDivergenceError(GampState(
+                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
+                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
+                    V_scalar=1.0, lam=1.0, t=1))
+            return iterate(instance, opts, damping)
+
+        monkeypatch.setattr(gamp, "_gamp_iterate", diverge_undamped)
+        out = tmp_path / "retried.csv"
+        assert main(["gamp", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "gamp: n = 300, alpha = 1.5, seed = 3: the run at damping 0.0 "
+            "diverged; the rows are from attempt 2, at damping 0.5"]
+        assert data(out) == data(damped)
 
     def test_workers_option_is_gone(self, errors_cfg):
         with pytest.raises(SystemExit) as exc:

@@ -363,6 +363,14 @@ def test_route_b_value_matches_route_a(prior, ch, alpha):
     assert abs(f_direct - solve(prior, ch, alpha).free_entropy) <= 1e-10
 
 
+def test_solution_carries_both_routes():
+    prior, ch, alpha = RademacherPrior(), Sign(), 1.35
+    sol = solve(prior, ch, alpha)
+    assert sol.f_gamma == sol.free_entropy
+    assert sol.f_direct == replica._direct_sup_inf(prior, ch, alpha, 201)
+    assert abs(sol.f_gamma - sol.f_direct) <= 1e-10
+
+
 def test_route_b_solves_one_root(monkeypatch):
     """The curve is parametrized by r, so Route B needs one scalar root
     (the top of its t range) and no other."""
