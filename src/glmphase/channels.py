@@ -35,10 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, expit, log_expit, ndtr
 
 from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _gl_on_edges, _like,
-                       gauss_hermite, gauss_panels, integrate_1d, logsumexp)
+                       _erfcx_flat, expit, gauss_hermite, gauss_panels,
+                       integrate_1d, log_expit, logsumexp)
 
 _INF = math.inf
 
@@ -103,7 +103,8 @@ def _trunc_moments(alpha, beta):
     right tail, Q(x) = erfcx(x / sqrt 2) exp(-x^2 / 2) / 2 gives the log mass
     and the ratios phi / P without cancellation however far out the interval
     lies, so the mean stays accurate; beyond about 1e154 standard deviations
-    the mass is 0 and its log -inf.  Both moments are 0 where the mass is 0.
+    the mass is 0 and its log -inf.  An interval (l, h) across zero has mass
+    1 - Q(h) - Q(-l); one erfcx pass per block serves both cases.  Both moments are 0 where the mass is 0.
     Where 1 + l ra - h rb - m^2 would cancel (a tail interval starting 20 or
     more deviations out whose far end carries no mass), the variance is the
     tail series 1/x^2 - 6/x^4 + ... instead.
@@ -129,42 +130,59 @@ def _trunc_block(lo, hi, logp, mean, var):
     """Fill logp, mean and var (preset to -inf, 0, 0) for 1-D bounds that
     are already mirrored right of zero where the interval lies in the left
     tail; empty intervals keep the preset values."""
-    for tail, i in ((True, np.flatnonzero((lo >= 0.0) & (hi > lo))),
-                    (False, np.flatnonzero((lo < 0.0) & (hi > 0.0)))):
-        if not i.size:
-            continue
-        l, h = lo[i], hi[i]
-        if tail:
-            el, eh = erfcx(l / _SQRT2), erfcx(h / _SQRT2)
-            # log phi(h) / phi(l), and r = Q(h) / Q(l), the share of the
-            # tail beyond the far end; P = Q(l) (1 - r), scaled by el
-            log_g = -0.5 * (h - l) * (h + l)
-            den = el * -np.expm1(np.log(eh / el) + log_g)
-            lp = np.log(0.5 * den) - 0.5 * l * l
-            ra = _SQRT_2_OVER_PI / den            # phi(l) / P
-            rb = ra * np.exp(log_g)                # phi(h) / P
-        else:
-            # straddles zero, so P is not small
-            p = ndtr(h) - ndtr(l)
-            lp = np.log(p)
-            ra = np.exp(-0.5 * l * l) / (_SQRT_2PI * p)
-            rb = np.exp(-0.5 * h * h) / (_SQRT_2PI * p)
-        m = np.clip(ra - rb, l, h)
-        # E[W^2] = 1 + l ra - h rb; an infinite end has ratio 0
-        far = np.where(rb > 0.0, h * rb, 0.0)
-        v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) - far - m * m
-        if tail and np.any(l >= _TAIL_SERIES_X):
-            # E[W^2] - m^2 loses about eps l^4 relative: far out, where the
-            # far end carries no mass, take the tail series of the variance
-            series = (l >= _TAIL_SERIES_X) & (far * l * l < 1e-17)
-            y = 1.0 / np.square(l[series])
-            v[series] = y * np.polyval(_TAIL_VAR_SERIES, y)
-        ok = lp > -np.inf
-        logp[i] = lp
-        mean[i] = np.where(ok, m, 0.0)
-        # a truncated standard normal has variance in [0, 1]; far out,
-        # where the terms cancel or overflow, that bound is all that is kept
-        var[i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
+    tail = ((lo >= 0.0) & (hi > lo)).nonzero()[0]
+    mid = ((lo < 0.0) & (hi > 0.0)).nonzero()[0]
+    t, n = tail.size, tail.size + mid.size
+    if not n:
+        return
+    i = tail if t == n else mid if not t else np.concatenate((tail, mid))
+    l, h = lo[i], hi[i]
+    # one erfcx pass: Q at both ends of a tail interval, and at h and -l of
+    # one that straddles zero (|l| is l in the tail, -l across zero)
+    e = _erfcx_flat(np.abs(np.concatenate((l, h))) / _SQRT2)
+    parts = []
+    if t:
+        parts.append(_tail_ratios(l[:t], h[:t], e[:t], e[n:n + t]))
+    if t < n:
+        parts.append(_straddle_ratios(l[t:], h[t:], e[t:n], e[n + t:]))
+    lp, ra, rb = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    m = np.minimum(np.maximum(ra - rb, l), h)
+    # E[W^2] = 1 + l ra - h rb; an infinite end has ratio 0
+    far = np.where(rb > 0.0, h * rb, 0.0)
+    v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) - far - m * m
+    if t and np.any(l[:t] >= _TAIL_SERIES_X):
+        # E[W^2] - m^2 loses about eps l^4 relative: far out, where the
+        # far end carries no mass, take the tail series of the variance
+        series = (l >= _TAIL_SERIES_X) & (far * l * l < 1e-17)
+        y = 1.0 / np.square(l[series])
+        v[series] = y * np.polyval(_TAIL_VAR_SERIES, y)
+    ok = lp > -np.inf
+    logp[i] = lp
+    mean[i] = np.where(ok, m, 0.0)
+    # a truncated standard normal has variance in [0, 1]; far out,
+    # where the terms cancel or overflow, that bound is all that is kept
+    var[i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
+
+
+def _tail_ratios(l, h, el, eh):
+    """(log P, phi(l) / P, phi(h) / P) for 0 <= l < h, from el and eh, the
+    erfcx of l / sqrt 2 and h / sqrt 2."""
+    # log phi(h) / phi(l), and r = Q(h) / Q(l), the share of the tail
+    # beyond the far end; P = Q(l) (1 - r), scaled by el
+    log_g = -0.5 * (h - l) * (h + l)
+    den = el * -np.expm1(np.log(eh / el) + log_g)
+    ra = _SQRT_2_OVER_PI / den
+    return np.log(0.5 * den) - 0.5 * l * l, ra, ra * np.exp(log_g)
+
+
+def _straddle_ratios(l, h, el, eh):
+    """(log P, phi(l) / P, phi(h) / P) for l < 0 < h, from el and eh, the
+    erfcx of -l / sqrt 2 and h / sqrt 2."""
+    # P = 1 - Q(h) - Q(-l) is not small; Q(x) = erfcx(x / sqrt 2) g(x) / 2
+    # with g(x) = exp(-x^2 / 2) = sqrt(2 pi) phi(x)
+    gl, gh = np.exp(-0.5 * l * l), np.exp(-0.5 * h * h)
+    p = 1.0 - 0.5 * (el * gl + eh * gh)
+    return np.log(p), gl / (_SQRT_2PI * p), gh / (_SQRT_2PI * p)
 
 
 def _log_gauss_prob(alpha, beta):
@@ -401,12 +419,11 @@ class Channel:
                              for i in range(q.size)])
         omega = np.sqrt(q)[row] * nodes
         vp = (rho - q)[row] if q[0] < rho else 0.0
-        vals = np.zeros_like(omega)
-        for lab in self.labels:
-            logz, val = func(lab, omega, vp)
-            w = np.exp(logz)
-            with np.errstate(invalid="ignore"):
-                vals += np.where(w > 0.0, w * val, 0.0)
+        # every label in one pass, on a leading label axis
+        logz, val = func(np.array(self.labels)[:, None], omega, vp)
+        w = np.exp(logz)
+        with np.errstate(invalid="ignore"):
+            vals = np.sum(np.where(w > 0.0, w * val, 0.0), axis=0)
         return np.bincount(row, weights=weights * vals, minlength=q.size)
 
     def _expect_row(self, q, rho, vnodes, vweights, func):
@@ -555,6 +572,10 @@ class _PiecewiseChannel(Channel):
         pieces = self.pieces()
         # each piece writes its row of these
         logw, mean, var = (np.empty((len(pieces),) + y.shape) for _ in range(3))
+        # the pieces that truncate the Gaussian in w, for one _trunc_moments
+        # pass: (row, its elements, lower and upper bound, log prefactor,
+        # mean shift and variance factor)
+        trunc = []
         # log densities of far-off labels overflow to -inf, which is exact
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k, (a, b, c, d) in enumerate(pieces):
@@ -562,21 +583,19 @@ class _PiecewiseChannel(Channel):
                     # noiseless: only the observations y = c come from here
                     emits = y == c
                     if np.all(emits):
-                        logw[k], mean[k], var[k] = _trunc_moments(
-                            (a - omega) / sqv, (b - omega) / sqv)
+                        emits = ...
                     else:
                         logw[k], mean[k], var[k] = -np.inf, 0.0, 0.0
-                        if np.any(emits):
-                            om = omega[emits]
-                            s = np.broadcast_to(sqv, y.shape)[emits]
-                            logw[k, emits], mean[k, emits], var[k, emits] = \
-                                _trunc_moments((a - om) / s, (b - om) / s)
+                        if not np.any(emits):
+                            continue
+                    om = omega[emits]
+                    s = np.broadcast_to(sqv, y.shape)[emits]
+                    trunc.append((k, emits, (a - om) / s, (b - om) / s, None, None))
                 elif d == 0.0:
                     sd = math.sqrt(delta)
                     logpref = _norm_logpdf((y - c) / sd) - math.log(sd)
-                    logp, mean[k], var[k] = _trunc_moments((a - omega) / sqv,
-                                                           (b - omega) / sqv)
-                    logw[k] = logpref + logp
+                    trunc.append((k, ..., (a - omega) / sqv, (b - omega) / sqv,
+                                  logpref, None))
                 else:
                     # the piece's Gaussian factor in x has mean m and
                     # variance V delta / sig2; in w it is centred at shift
@@ -590,10 +609,25 @@ class _PiecewiseChannel(Channel):
                         mean[k], var[k] = shift, 0.0
                     else:
                         s = np.sqrt(v * delta / sig2)
-                        logp, m1, var1 = _trunc_moments((a - m) / s, (b - m) / s)
-                        logw[k] = logpref + logp
-                        mean[k] = shift + np.sqrt(delta / sig2) * m1
-                        var[k] = delta / sig2 * var1
+                        trunc.append((k, ..., (a - m) / s, (b - m) / s, logpref,
+                                      (shift, delta / sig2)))
+            if not trunc:
+                return logw, mean, var
+            logp, m1, var1 = _trunc_moments(
+                np.concatenate([t[2].ravel() for t in trunc]),
+                np.concatenate([t[3].ravel() for t in trunc]))
+            start = 0
+            for k, sel, lo, _, logpref, affine in trunc:
+                lp, mk, vk = (x[start:start + lo.size].reshape(lo.shape)
+                              for x in (logp, m1, var1))
+                start += lo.size
+                logw[k, sel] = lp if logpref is None else logpref + lp
+                if affine is None:
+                    mean[k, sel], var[k, sel] = mk, vk
+                else:
+                    shift, f = affine
+                    mean[k, sel] = shift + np.sqrt(f) * mk
+                    var[k, sel] = f * vk
         return logw, mean, var
 
     def log_zout(self, y, omega, v):

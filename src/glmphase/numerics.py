@@ -1,5 +1,5 @@
-"""Quadrature, integration, interpolation, root finding, and fixed-point
-iteration options.
+"""Quadrature, integration, interpolation, root finding, fixed-point
+iteration options, and the special functions erfcx, expit and log_expit.
 
 Every Gaussian expectation in this package goes through the probabilists'
 Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+
+from ._erfcx_table import COEFFS as _ERFCX_COEFFS
+from ._erfcx_table import SCALE as _ERFCX_SCALE
 
 DEFAULT_GH_ORDER = 99
 
@@ -73,6 +76,52 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 def _like(x, out):
     """float for a scalar input x, else the array out."""
     return float(out) if np.ndim(x) == 0 else out
+
+
+# row j holds the u**j coefficient of every bin, contiguous
+_ERFCX_ROWS = tuple(np.ascontiguousarray(np.array(
+    [line.split() for line in _ERFCX_COEFFS.strip().splitlines()],
+    dtype=float).T))
+
+
+def erfcx(x):
+    """Scaled complementary error function erfc(x) exp(x^2), for x >= 0.
+
+    A degree-5 polynomial in each unit bin of s = SCALE / (4 + x), which
+    is proportional to y = 4 / (4 + x), the variable of S. G. Johnson's
+    Faddeeva package; ``tools/erfcx_table.py`` writes the coefficients.
+    Within 2e-15 relative of the exact value; erfcx(inf) = 0 and NaN stays
+    NaN.
+    """
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0.0):
+        raise ValueError("erfcx is tabulated for x >= 0 only")
+    return _like(x, _erfcx_flat(xa.reshape(-1)).reshape(xa.shape))
+
+
+def _erfcx_flat(x):
+    """erfcx of a 1-D float array with no negative element."""
+    s = _ERFCX_SCALE / (x + 4.0)
+    # fmax sends NaN to bin 0, so the cast never sees a NaN (it would warn)
+    k = np.fmax(s, 0.0).astype(np.intp)
+    s -= k
+    out = _ERFCX_ROWS[-1][k]
+    for row in _ERFCX_ROWS[-2::-1]:
+        out *= s
+        out += row[k]
+    return out
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), without overflow."""
+    e = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + e)
+    return np.where(x >= 0.0, r, e * r)
+
+
+def log_expit(x):
+    """log(1 / (1 + exp(-x))), stable at both ends."""
+    return -np.logaddexp(0.0, -x)
 
 
 def logsumexp(x, axis: int = 0):

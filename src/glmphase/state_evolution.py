@@ -242,12 +242,13 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     if channel.is_even and abs(prior.mean) == 0.0:
         qs.append(0.0)  # exact symmetric fixed point
 
-    # residual sign changes on a mixed log/linear grid, all solved at once
-    grid = np.unique(np.concatenate([
+    # residual sign changes on a mixed log/linear grid, all solved at once;
+    # sorted(set()) rather than np.unique, which imports numpy.ma (20 ms)
+    grid = np.array(sorted(set(np.concatenate([
         np.geomspace(1e-8, 0.5, 17) * rho,
         np.linspace(0.02, 1.0 - 1e-6, 25) * rho,
         (1.0 - np.geomspace(1e-6, 0.3, 9)) * rho,
-    ]))
+    ]).tolist())))
     res = residual(grid)
     qs.extend(grid[:-1][res[:-1] == 0.0].tolist())
     cross = np.flatnonzero(res[:-1] * res[1:] < 0.0)

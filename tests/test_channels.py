@@ -702,22 +702,33 @@ class TestArrayOfQ:
 # segment and zeroed the clipped-away ones: skipping those rows leaves each
 # value bit for bit the same.  Folding the E_V rule of Abs onto V >= 0 moved
 # three Abs values by 1-3 ulp (a different summation order); ReLU is not
-# folded and keeps its values.
+# folded and keeps its values.  numerics.erfcx in place of scipy.special's
+# erfcx and ndtr moved three ReLU values; SCIPY_PINS keeps what they were.
 PIN_FRACS = np.array([0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
 PINNED = [
     (Abs(0.0), 1.0, "exact", [0.24483545409679605, 4.006710240907237,
                               499694.1623110277, 500010755262.2291]),
     (Abs(0.0), 1.0, "fast", [0.24483537200818814, 4.0067102412459334,
                              499694.162311226, 500010755260.0915]),
-    (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945034,
+    (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945036,
                                 1190908.0423033114, 24999487.388463676]),
     (ReLU(1e-8), 0.2, "fast", [2.7747002269558054, 15.308570020844794,
                                1190908.0418088178, 24999487.38846475]),
     (ReLU(0.3), 0.2, "exact", [0.42300117614283494, 0.6761723038890767,
                                0.8332220905159329, 0.8333333333327777]),
     (ReLU(0.3), 0.2, "fast", [0.4230011720568626, 0.6761719858095153,
-                              0.7809807097033796, 0.7809811962406681]),
+                              0.7809807097033727, 0.7809811962434994]),
 ]
+# (PINNED row, position): the scipy.special value and the relative distance
+# the pin may keep from it.  Fast ReLU(0.3) at q/rho = 1 - 1e-12 is
+# ill-conditioned: perturbing each erfcx value by at most one ulp spreads
+# it over 4.9e-12 relative (7.5e-15 at 1 - 1e-6), so no kernel holds it
+# to 1e-13.
+SCIPY_PINS = {
+    (2, 1): (15.308569960945034, 1e-13),
+    (5, 2): (0.7809807097033796, 1e-13),
+    (5, 3): (0.7809811962406681, 1e-11),
+}
 
 
 @pytest.mark.parametrize("ch,rho,profile,values", PINNED)
@@ -725,6 +736,13 @@ def test_continuous_psi_prime_pinned(ch, rho, profile, values):
     with quad_profile(profile):
         got = ch.psi_pout_prime(PIN_FRACS * rho, rho)
     assert got.tolist() == values
+
+
+@pytest.mark.parametrize("where", sorted(SCIPY_PINS))
+def test_repins_stay_near_scipy_values(where):
+    old, rel = SCIPY_PINS[where]
+    row, pos = where
+    assert PINNED[row][3][pos] == pytest.approx(old, rel=rel, abs=0.0)
 
 
 # -- the E_V rule of a mirror-symmetric channel, folded onto V >= 0 ----------

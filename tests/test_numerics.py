@@ -1,15 +1,22 @@
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from scipy.interpolate import CubicSpline
+from scipy.special import expit as scipy_expit
+from scipy.special import log_expit as scipy_log_expit
 from scipy.special import logsumexp as scipy_logsumexp
 
 from glmphase import numerics
 from glmphase.numerics import (_LOG_SQRT_2PI, BracketError, FixedPointOptions,
                                NonFiniteIntegrandError, _gl_on_edges,
-                               cubic_spline, find_root, gauss_hermite,
+                               cubic_spline, erfcx, expit, find_root,
+                               gauss_hermite, log_expit,
                                gauss_panels, integrate_1d, logsumexp)
 from glmphase.state_evolution import CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES
 
@@ -278,3 +285,87 @@ class TestFixedPointOptions:
             FixedPointOptions(tol=0.0)
         with pytest.raises(ValueError):
             FixedPointOptions(max_iter=0)
+
+
+# -- erfcx, expit and log_expit ----------------------------------------------
+
+TABLE_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "erfcx_table.py"
+
+
+def _table_script():
+    spec = importlib.util.spec_from_file_location("erfcx_table", TABLE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mp_erfcx(x):
+    """erfc(x) exp(x^2) in mpmath.  mpmath's erfc gives up near x = 1e160;
+    from x = 1e8 on, the first two terms of the asymptotic series leave a
+    remainder below 1e-32 relative."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        if x < 1e8:
+            return float(mpmath.erfc(x) * mpmath.exp(x * x))
+        return float((1 - 1 / (2 * x * x)) / (x * mpmath.sqrt(mpmath.pi)))
+
+
+class TestErfcx:
+    def _check(self, x):
+        ref = np.array([_mp_erfcx(v) for v in x])
+        np.testing.assert_allclose(erfcx(x), ref, rtol=2e-15, atol=0.0)
+
+    def test_random_points_against_mpmath(self):
+        rng = np.random.default_rng(11)
+        self._check(np.concatenate([rng.uniform(0.0, 60.0, 400),
+                                    10.0 ** rng.uniform(-12.0, 300.0, 400)]))
+
+    def test_bin_edges_and_x_50_against_mpmath(self):
+        # bin k starts at s = k, that is x = SCALE / k - 4; x = 50 is where
+        # Johnson's Faddeeva code switches to its continued fraction
+        edges = numerics._ERFCX_SCALE / np.arange(1.0, len(numerics._ERFCX_ROWS[0])) - 4.0
+        x = np.concatenate([edges, [50.0]])
+        self._check(np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]))
+
+    def test_special_values_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erfcx(0.0) == 1.0
+            assert erfcx(math.inf) == 0.0
+            assert math.isnan(erfcx(math.nan))
+            out = erfcx(np.array([[math.nan, 0.0], [math.inf, 1e300]]))
+        assert out.shape == (2, 2)
+        assert math.isnan(out[0, 0]) and out[0, 1] == 1.0 and out[1, 0] == 0.0
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            erfcx(np.array([1.0, -1e-3]))
+
+    def test_committed_table_regenerates(self):
+        """tools/erfcx_table.py rebuilds the committed coefficients bit for
+        bit (five bins: both ends, the special bin 0 and two inside)."""
+        script = _table_script()
+        rows = numerics._ERFCX_ROWS
+        assert script.NBINS + 1 == len(rows[0])
+        assert float(4 * script.NBINS) == numerics._ERFCX_SCALE
+        for k in (0, 1, 97, 250, script.NBINS):
+            assert script.bin_coefficients(k) == tuple(float(r[k]) for r in rows)
+
+
+class TestSigmoidFunctions:
+    X = np.linspace(-800.0, 800.0, 1_400_001)
+
+    def test_log_expit_is_scipys(self):
+        assert np.array_equal(log_expit(self.X), scipy_log_expit(self.X))
+
+    def test_expit_within_4_ulp_of_scipy(self):
+        got, ref = expit(self.X), scipy_expit(self.X)
+        normal = ref >= np.finfo(float).tiny
+        assert np.all(np.abs(got - ref)[normal] <= 4.0 * np.spacing(ref[normal]))
+        # scipy's 1 / (1 + exp(-x)) rounds to the subnormal grid below
+        # x = -708; exp(x) / (1 + exp(x)) stays within 4 ulp of the exact
+        # value there
+        for x in self.X[~normal][::20000]:
+            with mpmath.workdps(40):
+                exact = float(1 / (1 + mpmath.exp(-mpmath.mpf(float(x)))))
+            assert abs(expit(x) - exact) <= 4.0 * np.spacing(exact)
