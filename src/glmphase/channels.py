@@ -930,6 +930,11 @@ class Sigmoid(Channel):
     def __post_init__(self):
         if self.slope <= 0:
             raise ValueError("slope must be positive")
+        # the field stays so that instance files written with
+        # "epsilon": 0.0 load
+        if self.epsilon != 0.0:
+            raise ValueError("sigmoid channel has no decision threshold; "
+                             f"epsilon must be 0, got {self.epsilon}")
 
     @property
     def is_discrete(self):

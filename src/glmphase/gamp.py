@@ -41,9 +41,6 @@ from .priors import GaussBernoulliPrior, GaussianPrior, Prior, \
 
 _V_FLOOR = 1e-12
 _JITTER_SCALE = 1e-4  # variance of the init jitter, relative to rho
-# test rows drawn per block by empirical_generalization_error; blocks of one
-# Generator give the bits of a single (n_test, n) draw
-_TEST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,10 @@ class GampOptions:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        eps = self.channel_epsilon
+        if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
+            raise ValueError(
+                f"channel_epsilon must be finite and >= 0, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -272,28 +273,47 @@ def gamp_predict(x_hat: np.ndarray, q_t: float, phi_new_row: np.ndarray,
     return float(out[0]) if out.size == 1 else out
 
 
+def _test_projections(x_star: np.ndarray, x_hat: np.ndarray, n_test: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, omega) = (a . x*, a . x_hat) / sqrt(n) for n_test fresh rows
+    a ~ N(0, I_n), drawn from their exact law without the rows.
+
+    The pair is bivariate Gaussian with covariance
+    [[x*.x*, x*.x_hat], [x*.x_hat, x_hat.x_hat]] / n; two standard normals
+    per row go through its lower Cholesky factor.  x* = 0 gives z = 0, and
+    x_hat = 0 gives omega = 0.
+    """
+    n = x_star.size
+    s_zz = float(x_star @ x_star) / n
+    s_zo = float(x_star @ x_hat) / n
+    s_oo = float(x_hat @ x_hat) / n
+    l_zz = math.sqrt(s_zz)
+    l_oz = s_zo / l_zz if l_zz > 0.0 else 0.0
+    # x_hat parallel to x* leaves a residual variance of rounding size,
+    # possibly negative
+    l_oo = math.sqrt(max(s_oo - l_oz * l_oz, 0.0))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
+    g = rng.standard_normal((2, n_test))
+    return l_zz * g[0], l_oz * g[0] + l_oo * g[1]
+
+
 def empirical_generalization_error(instance_train: Instance, x_hat: np.ndarray,
                                    q_t: float, n_test: int, seed: int) -> float:
     """Monte-Carlo MSE of the GAMP label predictor (``gamp_predict``) on
-    n_test fresh teacher rows, drawn _TEST_BLOCK rows at a time."""
+    n_test fresh teacher rows.
+
+    Only the two projections of each row enter, so they are drawn from their
+    exact joint law (``_test_projections``) and the rows never are.  The
+    labels come from one ``sample_label`` call.
+    """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
     prior, channel = instance_train.prior, instance_train.channel
-    n = instance_train.n
     rho = prior.second_moment
     _check_q_t(q_t, rho)
-    sqn = math.sqrt(n)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
-    z_new = np.empty(n_test)
-    omega = np.empty(n_test)
-    # a lone last row joins the block before it: numpy takes a one-row
-    # product through dot, which sums in another order than the matrix kernel
-    stops = [*range(_TEST_BLOCK, n_test - 1, _TEST_BLOCK), n_test]
-    for start, stop in zip([0, *stops], stops):
-        blk = rng.standard_normal((stop - start, n))
-        z_new[start:stop] = blk @ instance_train.x_star / sqn
-        omega[start:stop] = blk @ x_hat / sqn
-    y_new = draw_labels(channel, z_new, functools.partial(_label_seeds, seed ^ 0x5EED))
+    z_new, omega = _test_projections(instance_train.x_star, x_hat, n_test, seed)
+    label_seed = int(np.random.SeedSequence((seed, 5)).generate_state(1)[0])
+    y_new = channel.sample_label(z_new, label_seed)
     y_pred = channel.mean_label_gauss(omega, rho - q_t)
     return float(np.mean((y_new - y_pred) ** 2))
 

@@ -223,10 +223,16 @@ class TestGout:
     def test_vout_is_posterior_variance(self):
         ch, y, om, v = SymmetricDoor(), 1.0, 0.5, 0.4
         sq = math.sqrt(v)
-        den = quad(lambda w: norm.pdf(w) * density(ch, y, om + sq * w), -10, 10)[0]
-        m1 = quad(lambda w: w * norm.pdf(w) * density(ch, y, om + sq * w), -10, 10)[0] / den
-        m2 = quad(lambda w: w * w * norm.pdf(w) * density(ch, y, om + sq * w), -10, 10)[0] / den
-        assert gout(ch, y, om, v).vout == pytest.approx(m2 - m1 * m1, rel=1e-6)
+        # the density jumps where om + sq * w = +-K
+        jumps = [(-ch.K - om) / sq, (ch.K - om) / sq]
+
+        def moment(k):
+            return quad(lambda w: w ** k * norm.pdf(w) * density(ch, y, om + sq * w),
+                        -10, 10, points=jumps)[0]
+
+        den = moment(0)
+        m1, m2 = moment(1) / den, moment(2) / den
+        assert gout(ch, y, om, v).vout == pytest.approx(m2 - m1 * m1, rel=1e-12)
 
     def test_underflow_error_mentions_remedies(self):
         with pytest.raises(GoutUnderflowError, match="damping"):

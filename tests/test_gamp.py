@@ -23,7 +23,7 @@ SPEC_PRIORS = [GaussianPrior(2.0), RademacherPrior(0.3), GaussBernoulliPrior(0.2
 SPEC_CHANNELS = [LinearAWGN(0.3, epsilon=0.1), Sign(0.2, epsilon=0.1),
                  Abs(0.1, epsilon=0.2), ReLU(0.3, epsilon=0.1),
                  SymmetricDoor(K=1.2, delta=0.1, epsilon=0.05),
-                 Sigmoid(3.0, epsilon=0.1)]
+                 Sigmoid(3.0)]
 # the spec dicts instance files have always held, one per class above
 PARENT_SPECS = [
     ({"kind": "gaussian", "variance": 2.0}, Prior),
@@ -36,7 +36,7 @@ PARENT_SPECS = [
     ({"kind": "abs", "epsilon": 0.2, "delta": 0.1}, Channel),
     ({"kind": "relu", "epsilon": 0.1, "delta": 0.3}, Channel),
     ({"kind": "door", "epsilon": 0.05, "delta": 0.1, "K": 1.2}, Channel),
-    ({"kind": "sigmoid", "epsilon": 0.1, "slope": 3.0}, Channel),
+    ({"kind": "sigmoid", "epsilon": 0.0, "slope": 3.0}, Channel),
 ]
 from glmphase.state_evolution import se_run
 
@@ -53,8 +53,9 @@ def _per_row_labels(channel, z, seed):
 
 
 def _full_matrix_error(inst, x_hat, q_t, n_test, seed):
-    """empirical_generalization_error as it was: the whole (n_test, n) test
-    design in one draw."""
+    """The per-row squared errors of empirical_generalization_error as it
+    first was: the whole (n_test, n) test design in one draw, and every label
+    from its own generator."""
     n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
     phi_new = rng.standard_normal((n_test, n))
@@ -62,7 +63,7 @@ def _full_matrix_error(inst, x_hat, q_t, n_test, seed):
     y_new = _per_row_labels(inst.channel, z_new, seed ^ 0x5EED)
     y_pred = gamp_predict(x_hat, q_t, phi_new, inst.channel,
                           inst.prior.second_moment)
-    return float(np.mean((y_new - y_pred) ** 2))
+    return (y_new - y_pred) ** 2
 
 
 class TestGenerateInstance:
@@ -216,7 +217,9 @@ class TestGampRun:
 
     @pytest.mark.parametrize("bad", [
         {"damping": 1.0}, {"damping": -0.1}, {"damping": 1.5},
-        {"tol": 0.0}, {"tol": -1e-7}, {"max_iter": 0}, {"max_iter": -3}],
+        {"tol": 0.0}, {"tol": -1e-7}, {"max_iter": 0}, {"max_iter": -3},
+        {"channel_epsilon": -0.3}, {"channel_epsilon": math.nan},
+        {"channel_epsilon": math.inf}],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_bad_options_rejected(self, bad):
         # damping 1 would leave x_hat at its start and report convergence
@@ -287,23 +290,47 @@ class TestEmpiricalGenError:
         assert err == pytest.approx(delta, abs=3 * delta * math.sqrt(2.0 / 20000)
                                     + 0.01)
 
-    @pytest.mark.parametrize("n_test", [1, gamp._TEST_BLOCK - 1,
-                                        gamp._TEST_BLOCK + 1, 1000])
     @pytest.mark.parametrize("channel", [Sign(), ReLU(0.3), Sigmoid(2.0)],
                              ids=repr)
-    def test_streamed_design_matches_full_matrix(self, n_test, channel):
-        # n = 8 keeps the reference product below the size at which BLAS
-        # splits it over threads; a split row lands in a different kernel
-        # path and may differ in the last bit from any other split
-        inst = generate_instance(GaussBernoulliPrior(0.3), channel, 8, 1.5,
+    def test_exact_law_matches_full_matrix(self, channel):
+        # two independent estimates of one mean: within 4 sigma of each other
+        n_test = 4000
+        inst = generate_instance(GaussBernoulliPrior(0.3), channel, 40, 1.5,
                                  seed=4)
-        x_hat = inst.x_star + 0.3 * np.random.default_rng(4).standard_normal(8)
-        got = empirical_generalization_error(inst, x_hat, 0.2, n_test, seed=9)
-        assert got == _full_matrix_error(inst, x_hat, 0.2, n_test, seed=9)
+        x_hat = inst.x_star + 0.3 * np.random.default_rng(4).standard_normal(40)
+        ref = _full_matrix_error(inst, x_hat, 0.2, n_test, seed=9)
+        got = empirical_generalization_error(inst, x_hat, 0.2, n_test, seed=10)
+        assert abs(got - ref.mean()) <= 4 * math.sqrt(2 * ref.var() / n_test)
+
+    @pytest.mark.parametrize("case", ["generic", "x_hat=x*", "x_hat=0", "x*=0"])
+    def test_projections_have_exact_covariance(self, case):
+        n, n_test = 50, 200_000
+        rng = np.random.default_rng(3)
+        x_star = rng.standard_normal(n)
+        x_hat = {"generic": 0.6 * x_star + 0.5 * rng.standard_normal(n),
+                 "x_hat=x*": x_star, "x_hat=0": np.zeros(n),
+                 "x*=0": rng.standard_normal(n)}[case]
+        if case == "x*=0":
+            x_star = np.zeros(n)
+        z, omega = gamp._test_projections(x_star, x_hat, n_test, seed=7)
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(omega))
+        target = np.array([[x_star @ x_star, x_star @ x_hat],
+                           [x_star @ x_hat, x_hat @ x_hat]]) / n
+        cov = np.cov(np.stack([z, omega]))
+        # sd of a sample covariance: sqrt((S_ii S_jj + S_ij^2) / n_test)
+        d = np.diag(target)
+        sd = np.sqrt((np.outer(d, d) + target ** 2) / n_test)
+        assert np.all(np.abs(cov - target) <= 4 * sd)
+        if case == "x_hat=x*":
+            assert np.allclose(omega, z, rtol=0, atol=1e-6)
+        if case == "x_hat=0":
+            assert not omega.any()
+        if case == "x*=0":
+            assert not z.any()
 
     def test_q_t_checked_before_drawing(self, monkeypatch):
         inst = generate_instance(RademacherPrior(), Sign(), 20, 1.0, seed=1)
-        monkeypatch.setattr(gamp, "draw_labels", None)  # never reached
+        monkeypatch.setattr(gamp, "_test_projections", None)  # never reached
         with pytest.raises(ValueError, match="q_t"):
             empirical_generalization_error(inst, inst.x_star, 1.5, 10, seed=2)
 
@@ -394,6 +421,17 @@ class TestSerialization:
         assert (back.prior, back.channel) == (inst.prior, inst.channel)
         assert np.array_equal(back.y, inst.y)
 
+    def test_parent_format_sigmoid_file_loads(self, tmp_path):
+        path = tmp_path / "parent.json"
+        path.write_text(json.dumps({
+            "format": "glmphase-instance", "version": 1, "n": 10, "m": 15,
+            "seed": 3, "prior": {"kind": "rademacher", "p_plus": 0.5},
+            "channel": {"kind": "sigmoid", "epsilon": 0.0, "slope": 2.0}}))
+        back = load_instance(path)
+        assert back.channel == Sigmoid(2.0)
+        assert np.array_equal(back.y, generate_instance(
+            RademacherPrior(), Sigmoid(2.0), 10, 1.5, seed=3).y)
+
     def test_defaults_and_list_strings(self):
         assert from_spec({"kind": "relu"}, Channel) == ReLU(1e-8)
         assert from_spec({"kind": "door", "K": 1}, Channel) == SymmetricDoor(K=1.0)
@@ -412,6 +450,7 @@ class TestSerialization:
         ({"kind": "linear", "delta": "lots"}, Channel, "linear.delta"),
         ({"kind": "two_point", "values": "1.0,x",
           "probabilities": [0.5, 0.5]}, Prior, "two_point.values"),
+        ({"kind": "sigmoid", "slope": 2.0, "epsilon": 0.3}, Channel, "epsilon"),
     ])
     def test_bad_specs_rejected(self, spec, base, match):
         with pytest.raises(ValueError, match=match):
