@@ -192,12 +192,15 @@ def _log_gauss_prob(alpha, beta):
 
 # Quadrature profiles: "exact" drives analysis-grade evaluations; "fast" is
 # used when tabulating psi' for state-evolution sweeps (interpolation error
-# dominates there anyway).
+# dominates there anyway).  v_chunk and v_gl are the chunk width and order of
+# the E_V panels of a channel with thresholds; the fast pair keeps psi' of
+# sign, abs and the door within 5e-9 relative of the exact profile at every
+# table node.
 _PROFILES = {
     "exact": dict(w_chunks=14, w_gl=16, near_gl=12, z_near=11, z_wide=15,
-                  v_sigma=math.inf),
+                  v_chunk=_CHUNK_WIDTH, v_gl=_GL_ORDER),
     "fast": dict(w_chunks=8, w_gl=10, near_gl=8, z_near=7, z_wide=9,
-                 v_sigma=0.75),
+                 v_chunk=4.0, v_gl=10),
 }
 _profile = "exact"
 
@@ -336,44 +339,45 @@ class Channel:
     def _v_rules(self, q, rho):
         """Quadratures for E_V of each q of a 1-D array, flat as (nodes,
         weights, row): panels refined near the decision-threshold images
-        k / sqrt(q), built in one pass, or Gauss-Hermite where there are no
-        thresholds or their images are wider than the profile's v_sigma.
+        k / sqrt(q), built in one pass with the profile's chunk width and
+        order, or Gauss-Hermite for a channel without thresholds.  Each
+        image is a feature of width sqrt((rho - q + delta) / q).  Where noise
+        blurs a jump of phi, a second one of width sqrt((rho - q) / q)
+        resolves the band in which omega leaves the side of z uncertain:
+        near q = rho it is far narrower than the first, and psi' grows like
+        1 / sqrt(rho - q) from it.
 
         A mirror-symmetric channel (``_mirror`` not None) makes every
         integrand over V even, so its rows are folded onto V >= 0: panel
         rows get a plain break point at V = 0, and each row keeps its nodes
         >= 0 with the weights of the nodes > 0 doubled (the Gauss-Hermite
         rule is exactly symmetric and has a node at 0)."""
-        gh = gauss_hermite(DEFAULT_GH_ORDER)
         kinks = np.array(self._x_kinks())
         fold = self._mirror is not None
-        panel = np.zeros(q.shape, dtype=bool)
-        parts = []
         if kinks.size:
             pos = q > 0.0
-            qs = np.where(pos, q, 1.0)
-            sigma = np.sqrt((rho - q + self.delta) / qs)
-            panel = ~pos | (sigma < _prof()["v_sigma"])
-            if np.any(panel):
-                # q = 0 rows get no features (NaN)
-                feats = np.where(pos[panel, None],
-                                 kinks / np.sqrt(qs[panel, None]), np.nan)
-                widths = np.broadcast_to(sigma[panel, None], feats.shape)
-                if fold:
-                    # a feature of zero width is a plain break point
-                    zero = np.zeros((feats.shape[0], 1))
-                    feats = np.hstack([feats, zero])
-                    widths = np.hstack([widths, zero])
-                rule = gauss_panels(feats, widths, half_range=_GAUSS_RANGE,
-                                    chunk=_CHUNK_WIDTH, order=_GL_ORDER)
-                parts.append((rule.nodes, rule.weights,
-                              np.flatnonzero(panel)[rule.row]))
-        gh_rows = np.flatnonzero(~panel)
-        if gh_rows.size:
-            parts.append((np.tile(gh.nodes, gh_rows.size),
-                          np.tile(gh.weights, gh_rows.size),
-                          np.repeat(gh_rows, gh.nodes.size)))
-        nodes, weights, row = (np.concatenate(p) for p in zip(*parts))
+            qs = np.where(pos, q, 1.0)[:, None]
+            # q = 0 rows get no features (NaN)
+            feats = np.where(pos[:, None], kinks / np.sqrt(qs), np.nan)
+            spread = (rho - q)[:, None]
+            widths = np.broadcast_to(np.sqrt((spread + self.delta) / qs), feats.shape)
+            if self._noisy_jumps:
+                widths = np.hstack([widths, np.broadcast_to(np.sqrt(spread / qs),
+                                                            feats.shape)])
+                feats = np.hstack([feats, feats])
+            if fold:
+                # a feature of zero width is a plain break point
+                zero = np.zeros((q.size, 1))
+                feats = np.hstack([feats, zero])
+                widths = np.hstack([widths, zero])
+            p = _prof()
+            rule = gauss_panels(feats, widths, half_range=_GAUSS_RANGE,
+                                chunk=p["v_chunk"], order=p["v_gl"])
+            nodes, weights, row = rule.nodes, rule.weights, rule.row
+        else:
+            gh = gauss_hermite(DEFAULT_GH_ORDER)
+            nodes, weights = np.tile(gh.nodes, q.size), np.tile(gh.weights, q.size)
+            row = np.repeat(np.arange(q.size), gh.nodes.size)
         if fold:
             half = nodes >= 0.0
             nodes, weights, row = nodes[half], weights[half], row[half]
@@ -387,6 +391,9 @@ class Channel:
 
     def _x_kinks(self):
         return ()
+
+    # Gaussian noise on an activation that jumps at its kinks
+    _noisy_jumps = False
 
     def _expect_given_v(self, q, rho, func):
         """E over (V, Y~) of an integrand on the generative law, for a scalar
@@ -484,6 +491,10 @@ class _PiecewiseChannel(Channel):
     @property
     def is_deterministic(self) -> bool:
         return self.delta == 0.0
+
+    @property
+    def _noisy_jumps(self):
+        return self.delta > 0.0 and all(p[3] == 0.0 for p in self.pieces())
 
     def _x_kinks(self):
         ks = []

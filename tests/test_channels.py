@@ -364,15 +364,12 @@ class TestMeanLabel:
         s = math.sqrt(var)
         for om in (0.4, -1.3, 0.0):
             for y in (1.0, -1.0):
-                c = -om / s
-                pts = [-12.0, c - 1.0, c, c + 1.0, 12.0]
-
+                # the step at w = -om / s is a break point of quad's rule
                 def moment(k):
-                    return sum(quad(lambda w: w ** k * norm.pdf(w)
-                                    * float(ch.density(y, om + s * w)),
-                                    a, b, epsabs=0.0, epsrel=1e-13,
-                                    limit=400)[0]
-                               for a, b in zip(pts[:-1], pts[1:]))
+                    return quad(lambda w: w ** k * norm.pdf(w)
+                                * float(ch.density(y, om + s * w)),
+                                -12.0, 12.0, points=[-om / s], epsabs=0.0,
+                                epsrel=1e-13, limit=400)[0]
 
                 z0, z1, z2 = moment(0), moment(1), moment(2)
                 assert ch.log_zout(y, om, var) == pytest.approx(
@@ -709,31 +706,31 @@ class TestArrayOfQ:
 # value bit for bit the same.  Folding the E_V rule of Abs onto V >= 0 moved
 # three Abs values by 1-3 ulp (a different summation order); ReLU is not
 # folded and keeps its values.  numerics.erfcx in place of scipy.special's
-# erfcx and ndtr moved three ReLU values; SCIPY_PINS keeps what they were.
+# erfcx and ndtr moved three ReLU values; SCIPY_PINS keeps the scipy value
+# of the one in an exact row.  The fast rows moved again when the fast
+# profile took panel E_V rows everywhere for kinked channels (Gauss-Hermite
+# had served rows whose threshold images are wider than 0.75): fast
+# ReLU(0.3) near q = rho went from 0.78098 (6.3% low) to within 1.3e-4 of
+# the exact profile.
 PIN_FRACS = np.array([0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
 PINNED = [
     (Abs(0.0), 1.0, "exact", [0.24483545409679605, 4.006710240907237,
                               499694.1623110277, 500010755262.2291]),
-    (Abs(0.0), 1.0, "fast", [0.24483537200818814, 4.0067102412459334,
-                             499694.162311226, 500010755260.0915]),
+    (Abs(0.0), 1.0, "fast", [0.2448354540692513, 4.006710241206821,
+                             499694.1623107023, 500010755259.8389]),
     (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945036,
                                 1190908.0423033114, 24999487.388463676]),
-    (ReLU(1e-8), 0.2, "fast", [2.7747002269558054, 15.308570020844794,
-                               1190908.0418088178, 24999487.38846475]),
+    (ReLU(1e-8), 0.2, "fast", [2.774700226955872, 15.308570020791459,
+                               1190908.0418112543, 24999499.469273034]),
     (ReLU(0.3), 0.2, "exact", [0.42300117614283494, 0.6761723038890767,
                                0.8332220905159329, 0.8333333333327777]),
-    (ReLU(0.3), 0.2, "fast", [0.4230011720568626, 0.6761719858095153,
-                              0.7809807097033727, 0.7809811962434994]),
+    (ReLU(0.3), 0.2, "fast", [0.423001172060257, 0.6761723043605709,
+                              0.8333327777781483, 0.833333333332778]),
 ]
 # (PINNED row, position): the scipy.special value and the relative distance
-# the pin may keep from it.  Fast ReLU(0.3) at q/rho = 1 - 1e-12 is
-# ill-conditioned: perturbing each erfcx value by at most one ulp spreads
-# it over 4.9e-12 relative (7.5e-15 at 1 - 1e-6), so no kernel holds it
-# to 1e-13.
+# the pin may keep from it
 SCIPY_PINS = {
     (2, 1): (15.308569960945034, 1e-13),
-    (5, 2): (0.7809807097033796, 1e-13),
-    (5, 3): (0.7809811962406681, 1e-11),
 }
 
 
@@ -742,6 +739,16 @@ def test_continuous_psi_prime_pinned(ch, rho, profile, values):
     with quad_profile(profile):
         got = ch.psi_pout_prime(PIN_FRACS * rho, rho)
     assert got.tolist() == values
+
+
+def test_fast_noisy_relu_near_full_overlap():
+    """Fast Gauss-Hermite rows were 6.3% low here; panel rows keep the fast
+    profile within 1.3e-4 of the exact one."""
+    ch, rho = ReLU(0.3), 0.2
+    q = rho * (1.0 - 1e-6)
+    with quad_profile("fast"):
+        fast = ch.psi_pout_prime(q, rho)
+    assert fast == pytest.approx(ch.psi_pout_prime(q, rho), rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("where", sorted(SCIPY_PINS))
@@ -754,30 +761,30 @@ def test_repins_stay_near_scipy_values(where):
 # -- the E_V rule of a mirror-symmetric channel, folded onto V >= 0 ----------
 
 def _unfolded_v_rules(self, q, rho):
-    """Channel._v_rules before the fold: every row on the whole line."""
-    gh = gauss_hermite(DEFAULT_GH_ORDER)
+    """Channel._v_rules without the fold: every row on the whole line, with
+    the same break points (V = 0 among them for a mirror-symmetric channel),
+    so that folded and unfolded rules differ only by the fold."""
     kinks = np.array(self._x_kinks())
-    panel = np.zeros(q.shape, dtype=bool)
-    parts = []
-    if kinks.size:
-        pos = q > 0.0
-        qs = np.where(pos, q, 1.0)
-        sigma = np.sqrt((rho - q + self.delta) / qs)
-        panel = ~pos | (sigma < channels._prof()["v_sigma"])
-        if np.any(panel):
-            feats = np.where(pos[panel, None],
-                             kinks / np.sqrt(qs[panel, None]), np.nan)
-            widths = np.broadcast_to(sigma[panel, None], feats.shape)
-            rule = gauss_panels(feats, widths, half_range=9.0, chunk=0.6,
-                                order=16)
-            parts.append((rule.nodes, rule.weights,
-                          np.flatnonzero(panel)[rule.row]))
-    gh_rows = np.flatnonzero(~panel)
-    if gh_rows.size:
-        parts.append((np.tile(gh.nodes, gh_rows.size),
-                      np.tile(gh.weights, gh_rows.size),
-                      np.repeat(gh_rows, gh.nodes.size)))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    if not kinks.size:
+        gh = gauss_hermite(DEFAULT_GH_ORDER)
+        return (np.tile(gh.nodes, q.size), np.tile(gh.weights, q.size),
+                np.repeat(np.arange(q.size), gh.nodes.size))
+    pos = q > 0.0
+    qs = np.where(pos, q, 1.0)[:, None]
+    feats = np.where(pos[:, None], kinks / np.sqrt(qs), np.nan)
+    spreads = [rho - q[:, None] + self.delta]
+    if self.delta > 0.0 and all(p[3] == 0.0 for p in self.pieces()):
+        spreads.append(rho - q[:, None])
+    widths = np.hstack([np.broadcast_to(np.sqrt(s / qs), feats.shape)
+                        for s in spreads])
+    feats = np.hstack([feats] * len(spreads))
+    if self._mirror is not None:
+        feats = np.hstack([feats, np.zeros((q.size, 1))])
+        widths = np.hstack([widths, np.zeros((q.size, 1))])
+    prof = channels._prof()
+    rule = gauss_panels(feats, widths, half_range=9.0, chunk=prof["v_chunk"],
+                        order=prof["v_gl"])
+    return rule.nodes, rule.weights, rule.row
 
 
 FOLDED = [Sign(), Sign(0.2), Abs(0.0), Abs(0.1), SymmetricDoor(),
@@ -833,8 +840,8 @@ def test_folded_rows_are_half_line_rules(ch, profile):
     if profile == "exact" and ch._x_kinks():
         # every row is panels: with a break at V = 0 they integrate |V|,
         # kinked there, as well as a smooth function (the symmetric
-        # Gauss-Hermite rule of the other rows is exact for even integrands
-        # only)
+        # Gauss-Hermite rule of a channel without thresholds is exact for
+        # even integrands only; the coarser fast panels err by 2e-10)
         got = np.bincount(row, weights=weights * nodes, minlength=qs.size)
         np.testing.assert_allclose(got, math.sqrt(2.0 / math.pi), rtol=1e-14)
 
@@ -845,7 +852,66 @@ def test_folded_door_at_high_q_matches_a_refined_rule(monkeypatch):
     it, so the folded rule is checked against a refined one there."""
     ch, qs = SymmetricDoor(), np.array([0.94603, 0.984176])
     folded = ch.psi_pout_prime(qs, 1.0)
-    monkeypatch.setattr(channels, "_CHUNK_WIDTH", 0.05)
-    monkeypatch.setattr(channels, "_GL_ORDER", 40)
+    monkeypatch.setitem(channels._PROFILES["exact"], "v_chunk", 0.05)
+    monkeypatch.setitem(channels._PROFILES["exact"], "v_gl", 40)
     refined = ch.psi_pout_prime(qs, 1.0)
+    assert refined.tolist() != folded.tolist()
     np.testing.assert_allclose(folded, refined, rtol=1e-13, atol=0.0)
+
+
+# -- noisy step channels near q = rho ------------------------------------------
+
+def _label_average(ch, q, rho, v):
+    """E over the label of gout^2 at omega = sqrt(q) v, for a step activation
+    plus noise: piece k emits c_k + noise with the mass of its w interval."""
+    d = rho - q
+    omega = math.sqrt(q) * v
+    gh = gauss_hermite(95)
+    total = 0.0
+    for a, b, c, _ in ch.pieces():
+        lo, hi = (a - omega) / math.sqrt(d), (b - omega) / math.sqrt(d)
+        mass = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
+        if mass > 0.0:
+            g = ch.gout(c + math.sqrt(ch.delta) * gh.nodes, omega, d).gout
+            total += mass * np.dot(gh.weights, g * g)
+    return total
+
+
+def _adaptive_psi_prime(ch, q, rho):
+    """psi_pout' from adaptive Simpson over V, in units of the width
+    w = sqrt((rho - q) / q) of the band in which omega leaves the side of z
+    uncertain, split 12 widths either side of each threshold image."""
+    w = math.sqrt((rho - q) / q)
+
+    def f(t):
+        return norm.pdf(w * t) * _label_average(ch, q, rho, w * t)
+
+    images = [k / math.sqrt(q) / w for k in ch._x_kinks()]
+    cuts = sorted([-9.0 / w, 9.0 / w] + [t + o for t in images for o in (-12.0, 12.0)])
+    total = sum(integrate_1d(f, lo, hi, tol=1e-11)
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return w * total / (2.0 * (rho - q))
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch,d", [(Sign(0.2), 1e-6), (Sign(0.2), 1e-12),
+                                  (SymmetricDoor(delta=0.2), 1e-9)], ids=repr)
+def test_noisy_step_psi_prime_matches_adaptive_integral(ch, d, profile):
+    """Near q = rho the V integrand of a noisy step channel lives within
+    sqrt((rho - q) / q) of each threshold image; the E_V panels once had
+    nothing that narrow and gave 0.4x the value at d = 1e-6, and 0 below."""
+    ref = _adaptive_psi_prime(ch, 1.0 - d, 1.0)
+    with quad_profile(profile):
+        got = ch.psi_pout_prime(1.0 - d, 1.0)
+    assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch", [Sign(0.2), SymmetricDoor(delta=0.2)], ids=repr)
+def test_noisy_step_psi_prime_diverges_like_inverse_sqrt(ch, profile):
+    """psi_pout'(rho - d) sqrt(d) settles to a constant as d -> 0."""
+    d = np.array([1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    with quad_profile(profile):
+        scaled = ch.psi_pout_prime(1.0 - d, 1.0) * np.sqrt(d)
+    np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-3)
+    assert scaled[-1] > 0.3

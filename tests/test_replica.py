@@ -399,3 +399,13 @@ def test_cross_check_catches_a_missed_branch(monkeypatch):
     with pytest.raises(RouteDisagreementError) as exc:
         solve(RademacherPrior(), Sign(), 1.35)
     assert exc.value.f_direct > exc.value.f_gamma + 1e-5
+
+
+def test_noisy_sign_recovery_routes_agree():
+    """Rademacher x Sign(0.2) at alpha 1.5: psi_pout' collapsed to 0 near
+    q = rho, so SE from the informative start fell to q = 0 and Route B's
+    recovery end beat every branch of Route A (RouteDisagreementError)."""
+    sol = solve(RademacherPrior(), Sign(0.2), 1.5)
+    assert sol.q_star == 1.0
+    assert sol.free_entropy == pytest.approx(-1.61548, abs=1e-5)
+    assert abs(sol.f_gamma - sol.f_direct) <= 1e-12

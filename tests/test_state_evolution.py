@@ -274,7 +274,8 @@ class TestBisectRoots:
 
 LOGITS = CHANNEL_TABLE_LOGITS
 MID = 0.5 * (LOGITS[:-1] + LOGITS[1:])
-# about 4x the largest error measured, 1.26e-6 (SymmetricDoor, fast profile)
+# about 5x the largest error measured, 9.4e-7 (Abs(0), fast profile, above
+# u = 10); the door reaches 7.5e-7
 TABLE_REL_BOUND = 5e-6
 
 
@@ -313,11 +314,25 @@ class TestChannelTable:
         np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("ch,stride", [(Sign(), 1), (SymmetricDoor(), 1),
-                                           (Abs(0.0), 20)])
+                                           (Abs(0.0), 1), (SymmetricDoor(K=0.9), 1),
+                                           (SymmetricDoor(K=1.0), 1),
+                                           (SymmetricDoor(K=1.2), 1)])
     def test_error_bound_at_midpoints(self, ch, stride):
         """Fast-profile spline against exact-profile psi_pout' halfway
         between the logit nodes, where interpolation error peaks."""
         assert _table_rel_error(ch, MID[::stride]) <= TABLE_REL_BOUND
+
+    @pytest.mark.parametrize("ch", [Sign(), Abs(0.0), SymmetricDoor(),
+                                    SymmetricDoor(K=0.9), SymmetricDoor(K=1.0),
+                                    SymmetricDoor(K=1.2)], ids=repr)
+    def test_fast_profile_matches_exact_at_nodes(self, ch):
+        """The table's own values: fast-profile Gauss-Hermite rows once
+        missed by 9.4e-5 (Abs) where the threshold images were wide."""
+        q = 1.0 / (1.0 + np.exp(-LOGITS))
+        with quad_profile("fast"):
+            fast = ch.psi_pout_prime(q, 1.0)
+        exact = ch.psi_pout_prime(q, 1.0)
+        assert np.max(np.abs(fast / exact - 1.0)) <= 1e-7
 
     @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor(), Abs(0.0)])
     def test_error_bound_above_u10(self, ch):
