@@ -172,10 +172,9 @@ def _run_errors(cfg: ExperimentConfig) -> ResultTable:
     def row(alpha):
         try:
             sol = replica.solve(prior, channel, float(alpha), grid_size=grid_size)
-            traj = se_mod.se_run(prior, channel, float(alpha),
-                                 1e-6 * rho, fast=True)
-            gen_se = replica.generalization_error(
-                channel, rho, min(traj.q_limit, rho))
+            # the exact uninformative-start SE run of solve's Route A
+            q_se = sol.se_uninformative.limit(float(alpha))
+            gen_se = replica.generalization_error(channel, rho, q_se)
             return (float(alpha), sol.q_star, sol.r_star, sol.free_entropy,
                     sol.mmse, sol.matrix_mmse, sol.gen_error, gen_se,
                     sol.unique, "")

@@ -28,14 +28,18 @@ is exact, not an approximation: ``recovery_f`` returns the same float as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import Channel, quad_profile
 from .numerics import find_root
 from .priors import Prior, R_CAP
+
+if TYPE_CHECKING:
+    from .state_evolution import SETrajectory
 
 # q above rho * (1 - RECOVERY_FRAC) counts as the exact-recovery branch
 RECOVERY_FRAC = 1e-4
@@ -78,6 +82,9 @@ class ReplicaSolution:
     gen_error: float
     f_gamma: float      # Route A: the best state-evolution fixed point
     f_direct: float     # Route B: the sup along the inner-inf curve
+    # Route A's exact SE run from the uninformative start: its q_limit, and
+    # whether it converged, give the SE generalization error
+    se_uninformative: SETrajectory = field(repr=False, compare=False)
 
 
 def f_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> float:
@@ -174,7 +181,10 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     psi_rho = _psi_pout_at_rho(channel, rho)
 
     # Route A: state-evolution fixed points plus grid-detected crossings.
-    branch_qs = se.gamma_branches(prior, channel, alpha)
+    opts = se.DEFAULT_SE_OPTS
+    uninformative = se.se_run(prior, channel, alpha, se.UNINFORMATIVE_FRAC * rho,
+                              opts)
+    branch_qs = se.gamma_branches(prior, channel, alpha, opts, uninformative)
     points = []
     for q in branch_qs:
         is_recovery = q > rho * (1.0 - RECOVERY_FRAC)
@@ -214,6 +224,7 @@ def solve(prior: Prior, channel: Channel, alpha: float,
         gen_error=generalization_error(channel, rho, q_star),
         f_gamma=f_gamma,
         f_direct=f_direct,
+        se_uninformative=uninformative,
     )
 
 

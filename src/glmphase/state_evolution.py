@@ -21,13 +21,16 @@ potential; the transition finders bisect on branch indicators:
 (``numerics.cubic_spline``, not-a-knot, evaluated on Python floats; built
 once per (prior) and (channel, rho), each from one array call of psi'),
 which is what makes near-spinodal runs with ~1e5 iterations affordable.
-Their node sets are module constants:
+The tables serve the phase finders (``find_alpha_amp``, ``find_alpha_it``)
+only: ``gamma_branches`` and ``replica.solve`` run the exact recursion, and
+the CLI ``errors`` task reads its SE limit from ``solve``, so it builds no
+table.  Their node sets are module constants:
 
 * PRIOR_TABLE_NODES, in t = ln(1 + r): steps of h = ln(1 + R_CAP) / 240,
   except near r = 0, where 2 psi_p0' bends fastest relative to its value:
   there the first step is h / 32 and each next one 1.25 times longer,
   until they reach h at t = 0.33 (253 nodes);
-* CHANNEL_TABLE_LOGITS, in u = logit(q / rho): the 321-node uniform grid on
+* CHANNEL_TABLE_LOGITS, in u = ln(q / (rho - q)): the 321-node uniform grid on
   [ln 1e-9, ln 1e13] (spacing 0.158) up to u = 10, and above that only
   every 8th of its nodes, counted down from the top one (211 nodes).  Rows
   that close to q = rho cost the most kernel points, and ln psi_pout' is
@@ -93,6 +96,13 @@ class SETrajectory:
     q_limit: float
     init_kind: str
 
+    def limit(self, alpha: float) -> float:
+        """q_limit of a converged run; a run stopped by its iteration cap
+        raises SENonConvergenceError instead of being read as a limit."""
+        if not self.converged:
+            raise SENonConvergenceError(alpha, len(self.r_seq), self.init_kind)
+        return self.q_limit
+
 
 @dataclass(frozen=True)
 class TransitionReport:
@@ -152,28 +162,35 @@ def _prior_table(prior: Prior) -> Callable[[float], float]:
 
 @lru_cache(maxsize=32)
 def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
-    """Cubic spline of ln psi_pout'(q) in u = logit(q / rho), on the nodes
-    CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8 times
-    sparser above, from one array call of fast-profile psi_pout'."""
-    qt = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS))
-    # abscissae are the logits of the q actually evaluated: near q = rho the
-    # rounding of qt moves them by up to 1e-3 from the nominal nodes
-    us = np.log(qt / (1.0 - qt))
+    """Cubic spline of ln psi_pout'(q) in u = ln(q / (rho - q)), on the
+    nodes CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8
+    times sparser above, from one array call of fast-profile psi_pout'."""
+    qs = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS)) * rho
     with quad_profile("fast"):
-        vals = channel.psi_pout_prime(qt * rho, rho)
-    vals = np.maximum(vals, 1e-300)
+        vals = channel.psi_pout_prime(qs, rho)
+    bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0.0))
+    if bad.size:
+        raise ValueError(
+            f"{channel!r} at rho={rho!r}: psi_pout'(q={float(qs[bad[0]])!r}) = "
+            f"{float(vals[bad[0]])!r}; the channel table needs a positive finite "
+            "value at every node")
+    # abscissae and lookup both take the logit of q itself: rho - q is exact
+    # for q >= rho / 2, where 1 - q / rho rounds away up to 1e-3 of it near
+    # q = rho unless rho is a power of two
+    us = np.log(qs / (rho - qs))
     spline = cubic_spline(us, np.log(vals))
     u_min, u_max = float(us[0]), float(us[-1])
-    v_min = float(vals[0])
+    q_min, v_min = float(qs[0]), float(vals[0])
+    q_cap = rho * (1.0 - _Q_GUARD)
 
     def f(q: float) -> float:
-        qt = min(max(q / rho, 0.0), 1.0 - 1e-14)
-        if qt <= 0.0:
+        q = min(q, q_cap)
+        if q <= 0.0:
             return 0.0
-        u = math.log(qt / (1.0 - qt))
+        u = math.log(q / (rho - q))
         if u < u_min:
             # even channels have psi' ~ kappa q near zero; extend linearly
-            return v_min * (qt / (1e-9 / (1.0 + 1e-9)))
+            return v_min * (q / q_min)
         return math.exp(spline(min(u, u_max)))
 
     return f
@@ -230,12 +247,19 @@ def se_run(prior: Prior, channel: Channel, alpha: float, q0: float,
 
 
 def gamma_branches(prior: Prior, channel: Channel, alpha: float,
-                   opts: FixedPointOptions | None = None) -> list[float]:
+                   opts: FixedPointOptions | None = None,
+                   uninformative: SETrajectory | None = None) -> list[float]:
     """Candidate fixed points: SE limits from both canonical initializations
-    plus grid-detected crossings of the one-step map."""
+    plus grid-detected crossings of the one-step map.
+
+    ``uninformative`` is the exact run from UNINFORMATIVE_FRAC * rho under
+    ``opts`` when the caller has made it (``replica.solve`` does, and keeps
+    it); otherwise it is run here."""
     rho = prior.second_moment
     if opts is None:
         opts = DEFAULT_SE_OPTS
+    if uninformative is None:
+        uninformative = se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
     psi0p, psioutp = _se_functions(prior, channel, rho, fast=False)
     q_cap = rho * (1.0 - _Q_GUARD)
 
@@ -243,7 +267,7 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         r = np.minimum(2.0 * alpha * psioutp(np.minimum(q, q_cap)), R_CAP)
         return psi0p(r) - q
 
-    qs = [se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts).q_limit,
+    qs = [uninformative.q_limit,
           se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC), opts).q_limit]
     if channel.is_even and abs(prior.mean) == 0.0:
         qs.append(0.0)  # exact symmetric fixed point
@@ -304,10 +328,7 @@ def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
               opts: FixedPointOptions) -> float:
     """Limit of a fast SE run from q0; a run stopped by the iteration cap
     raises instead of being read as a limit."""
-    traj = se_run(prior, channel, alpha, q0, opts, fast=True)
-    if not traj.converged:
-        raise SENonConvergenceError(alpha, len(traj.r_seq), traj.init_kind)
-    return traj.q_limit
+    return se_run(prior, channel, alpha, q0, opts, fast=True).limit(alpha)
 
 
 def _bisect_bool(pred, lo: float, hi: float, tol: float) -> float:

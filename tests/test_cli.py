@@ -11,6 +11,7 @@ from glmphase.channels import ReLU, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
 from glmphase.gamp import GampDivergenceError, GampState
+from glmphase.numerics import FixedPointOptions
 from glmphase.priors import GaussianPrior, TwoPointPrior
 
 ERRORS_CFG = """
@@ -156,6 +157,39 @@ class TestRunTasks:
         assert rows[1.0][1] < 0.9
         assert rows[1.4][1] == pytest.approx(1.0)
         assert all(r[-1] == "" for r in table.rows)
+
+    def test_errors_task_builds_no_spline_tables(self, errors_cfg, tmp_path):
+        """gen_error_se comes from the exact SE run of solve's Route A."""
+        from glmphase import state_evolution as se
+        se._prior_table.cache_clear()
+        se._channel_table.cache_clear()
+        out = tmp_path / "out.csv"
+        assert main(["errors", "--config", str(errors_cfg), "--out", str(out)]) == 0
+        assert se._prior_table.cache_info().misses == 0
+        assert se._channel_table.cache_info().misses == 0
+
+    def test_errors_se_matches_replica_below_alpha_it(self, errors_cfg):
+        """Below alpha_IT the uninformative SE limit is the replica optimum;
+        the spline-table SE run it replaced was 4.3e-8 off."""
+        cfg = parse_config(str(errors_cfg), ["grid.alpha_start=0.9",
+                                             "grid.alpha_stop=1.1",
+                                             "numerics.grid_size=201"])
+        table = run(cfg)
+        assert len(table.rows) == 2
+        for row in table.rows:
+            rec = dict(zip(table.columns, row))
+            assert rec["error"] == "" and rec["q_star"] < 1.0
+            assert abs(rec["gen_error_se"] - rec["gen_error_replica"]) <= 1e-9
+
+    def test_errors_row_records_se_non_convergence(self, errors_cfg, monkeypatch):
+        """An SE run stopped at its iteration cap is not read as a limit."""
+        from glmphase import state_evolution as se
+        monkeypatch.setattr(se, "DEFAULT_SE_OPTS",
+                            FixedPointOptions(damping=0.0, tol=1e-10, max_iter=2))
+        cfg = parse_config(str(errors_cfg), ["grid.alpha_stop=1.0"])
+        (row,) = run(cfg).rows
+        assert row[-1].startswith("SENonConvergenceError")
+        assert math.isnan(row[7])
 
     def test_se_task(self, tmp_path):
         path = tmp_path / "se.ini"

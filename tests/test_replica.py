@@ -371,6 +371,19 @@ def test_solution_carries_both_routes():
     assert abs(sol.f_gamma - sol.f_direct) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [0.93, 1.35])
+def test_solution_carries_routes_uninformative_se_run(alpha):
+    """The exact SE run of Route A from the uninformative start, as a
+    separate se_run from UNINFORMATIVE_FRAC * rho gives it."""
+    from glmphase import state_evolution as se
+    prior, ch = RademacherPrior(), Sign()
+    sol = solve(prior, ch, alpha)
+    ref = se.se_run(prior, ch, alpha, se.UNINFORMATIVE_FRAC * prior.second_moment)
+    assert sol.se_uninformative.q_limit == ref.q_limit
+    assert sol.se_uninformative.converged and ref.converged
+    np.testing.assert_array_equal(sol.se_uninformative.q_seq, ref.q_seq)
+
+
 def test_route_b_solves_one_root(monkeypatch):
     """The curve is parametrized by r, so Route B needs one scalar root
     (the top of its t range) and no other."""

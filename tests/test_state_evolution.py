@@ -279,12 +279,12 @@ MID = 0.5 * (LOGITS[:-1] + LOGITS[1:])
 TABLE_REL_BOUND = 5e-6
 
 
-def _table_rel_error(ch, u):
+def _table_rel_error(ch, u, rho=1.0):
     """Relative error of the fast-profile spline against exact-profile
-    psi_pout' at the logits u (rho = 1)."""
-    q = 1.0 / (1.0 + np.exp(-u))
-    table = _channel_table(ch, 1.0)
-    exact = ch.psi_pout_prime(q, 1.0)
+    psi_pout' at q = rho / (1 + exp(-u))."""
+    q = rho / (1.0 + np.exp(-u))
+    table = _channel_table(ch, rho)
+    exact = ch.psi_pout_prime(q, rho)
     got = np.array([table(x) for x in q])
     return np.max(np.abs(got - exact) / exact)
 
@@ -338,6 +338,31 @@ class TestChannelTable:
     def test_error_bound_above_u10(self, ch):
         """Every midpoint of the thinned nodes above u = 10."""
         assert _table_rel_error(ch, MID[MID > 10.0]) <= TABLE_REL_BOUND
+
+    @pytest.mark.parametrize("rho", [0.6, 0.45, 0.2])
+    @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor(), Abs(0.0)], ids=repr)
+    def test_error_bound_at_midpoints_rho(self, ch, rho):
+        """At rho not a power of two, logit(q / rho) lost about 1e-3 of
+        rho - q near q = rho, at the nodes and at the lookup: the spline
+        then missed by 3.5e-5 (Sign, rho 0.2) to 4.0e-4 (Abs, rho 0.6)."""
+        assert _table_rel_error(ch, MID, rho) <= TABLE_REL_BOUND
+
+    def test_rejects_a_node_value_it_cannot_take_the_log_of(self):
+        """A psi_pout' of 0 at a node once became 1e-300 in the table."""
+        q_bad = float((1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS)) * 0.3)[100])
+
+        class ZeroAtOneNode:
+            def psi_pout_prime(self, q, rho):
+                return np.where(q == q_bad, 0.0, 1.0 + q)
+
+            def __repr__(self):
+                return "ZeroAtOneNode()"
+
+        with pytest.raises(ValueError) as exc:
+            _channel_table(ZeroAtOneNode(), 0.3)
+        msg = str(exc.value)
+        assert "ZeroAtOneNode()" in msg and "rho=0.3" in msg
+        assert f"q={q_bad!r}" in msg
 
 
 # about 3x the largest error measured, 6.7e-6 (GaussBernoulli(0.2) at
