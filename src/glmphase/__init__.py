@@ -5,9 +5,7 @@ information-theoretic / algorithmic / stability thresholds."""
 __version__ = "0.1.0"
 
 from .channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
-                       OutputDenoiser, ReLU, Sigmoid, Sign, SymmetricDoor,
-                       density, gout, psi_pout, psi_pout_prime, sample_label,
-                       stability_integral, zout)
+                       OutputDenoiser, ReLU, Sigmoid, Sign, SymmetricDoor)
 from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
                    Instance, empirical_generalization_error, from_spec,
                    gamp_predict, gamp_run, generate_instance, load_instance,
@@ -18,8 +16,7 @@ from .numerics import (BracketError, FixedPointOptions,
 from .oracle import (ExactPosterior, NishimoriReport, exact_posterior,
                      mc_psi_p0, mc_psi_pout, nishimori_check)
 from .priors import (DenoiserOutput, GaussBernoulliPrior, GaussianPrior,
-                     Prior, RademacherPrior, TwoPointPrior, denoise, psi_p0,
-                     psi_p0_prime, sample)
+                     Prior, RademacherPrior, TwoPointPrior)
 from .replica import (ReplicaPoint, ReplicaSolution, RouteDisagreementError,
                       denoising_error, f_rs, generalization_error, i_rs,
                       solve)

@@ -12,9 +12,10 @@ moments are those of the standardized w = (x - omega) / sqrt(V), so deep
 tails (door/sign at large |omega|/sqrt(V)) stay finite and do not cancel.
 
 ``psi_pout(q, rho)`` and ``psi_pout_prime(q, rho)`` take a scalar q (and
-return a float) or an array of q.  A discrete channel builds the E_V rules
-of a block of q values in one ``gauss_panels`` pass and evaluates all their
-nodes at once; a continuous one goes through the q values one at a time.
+return a float) or an array of q.  Every channel builds the E_V rules of a
+block of q values in one ``gauss_panels`` pass; at each V node the law of y
+is a weighted node set: the labels of a discrete channel weighted by
+Z_out, or per-piece y rows of a continuous one (``_y_rows``).
 
 A channel whose law is unchanged under z -> -z, with the label kept (abs,
 the symmetric door) or flipped (sign, linear, sigmoid), has ``_mirror`` +1
@@ -36,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _gl_on_edges, _like,
+from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _like,
+                       _leggauss_unit as _gl_unit,
                        _erfcx_flat, expit, gauss_hermite, gauss_panels,
-                       integrate_1d, log_expit, logsumexp)
+                       log_expit, logsumexp)
 
 _INF = math.inf
 
@@ -51,6 +53,13 @@ _LOG_TINY = math.log(1e-300)
 # q values per vectorized pass of a discrete channel; bounds the node arrays,
 # so peak memory stays flat
 _Q_BLOCK = 4
+# E_V nodes per y-row build of a continuous channel, and y nodes per pass
+# of its evidence kernel, for the same reason
+_V_PASS = 256
+_Y_PASS = 8192
+# y-row features beyond this many deviations, where the Gaussian weight is
+# below 1e-14, get no panels
+_FEATURE_RANGE = 8.0
 # mu values per panel rule of Sigmoid.mean_label_gauss, for the same reason
 _MU_BLOCK = 256
 # elements per pass of the truncated-normal kernel: temporaries stay small
@@ -61,6 +70,9 @@ _ELEM_BLOCK = 8192
 _TAIL_SERIES_X = 20.0
 _TAIL_VAR_SERIES = (-10944711398.0, 505785122.0, -25625910.0, 1435330.0,
                     -89782.0, 6354.0, -518.0, 50.0, -6.0, 1.0)
+# panel edges, in l u, of the moments of a tail interval whose far end
+# carries mass
+_FAR_PANEL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -106,8 +118,9 @@ def _trunc_moments(alpha, beta):
     the mass is 0 and its log -inf.  An interval (l, h) across zero has mass
     1 - Q(h) - Q(-l); one erfcx pass per block serves both cases.  Both moments are 0 where the mass is 0.
     Where 1 + l ra - h rb - m^2 would cancel (a tail interval starting 20 or
-    more deviations out whose far end carries no mass), the variance is the
-    tail series 1/x^2 - 6/x^4 + ... instead.
+    more deviations out), the variance is the tail series 1/x^2 - 6/x^4 +
+    ... if the far end carries no mass, and otherwise both moments come
+    from those of W - l (``_far_interval_moments``).
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     left = beta <= 0.0
@@ -152,16 +165,38 @@ def _trunc_block(lo, hi, logp, mean, var):
     v = 1.0 + np.where(ra > 0.0, l * ra, 0.0) - far - m * m
     if t and np.any(l[:t] >= _TAIL_SERIES_X):
         # E[W^2] - m^2 loses about eps l^4 relative: far out, where the
-        # far end carries no mass, take the tail series of the variance
-        series = (l >= _TAIL_SERIES_X) & (far * l * l < 1e-17)
+        # far end carries no mass, take the tail series of the variance,
+        # and where it does, the moments of u = W - l
+        far_out = l >= _TAIL_SERIES_X
+        series = far_out & (far * l * l < 1e-17)
         y = 1.0 / np.square(l[series])
         v[series] = y * np.polyval(_TAIL_VAR_SERIES, y)
+        narrow = far_out & ~series
+        if narrow.any():
+            m[narrow], v[narrow] = _far_interval_moments(l[narrow], h[narrow])
     ok = lp > -np.inf
     logp[i] = lp
     mean[i] = np.where(ok, m, 0.0)
     # a truncated standard normal has variance in [0, 1]; far out,
     # where the terms cancel or overflow, that bound is all that is kept
     var[i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
+
+
+def _far_interval_moments(l, h):
+    """(E[W], Var[W]) for W ~ N(0, 1) truncated to (l, h), l >= 20, from
+    the moments of u = W - l, whose density exp(-l u - u^2 / 2) is a
+    truncated exponential bent by the curvature term: Gauss-Legendre
+    panels of order _GL_ORDER in l u, at 0, 1, 2, 4, ..., 64 (the mass
+    beyond is below e^-64), clipped to u < h - l."""
+    x, w = _gl_unit(_GL_ORDER)
+    edges = np.minimum(_FAR_PANEL_EDGES / l[:, None], (h - l)[:, None])
+    width = np.diff(edges)[:, :, None]
+    u = (edges[:, :-1, None] + width * x).reshape(l.size, -1)
+    p = (width * w).reshape(l.size, -1) * np.exp(-l[:, None] * u - 0.5 * u * u)
+    p /= p.sum(axis=1, keepdims=True)
+    mu = np.sum(p * u, axis=1)
+    dev = u - mu[:, None]
+    return l + mu, np.sum(p * dev * dev, axis=1)
 
 
 def _tail_ratios(l, h, el, eh):
@@ -195,12 +230,13 @@ def _log_gauss_prob(alpha, beta):
 # dominates there anyway).  v_chunk and v_gl are the chunk width and order of
 # the E_V panels of a channel with thresholds; the fast pair keeps psi' of
 # sign, abs and the door within 5e-9 relative of the exact profile at every
-# table node.
+# table node.  y_chunk and y_gl are those of the y rows of a continuous
+# channel (``_PiecewiseChannel._y_rows``): against adaptive integrals over
+# y, the exact rows are within about 1e-13 at each E_V node, and the fast
+# pair keeps psi' of abs within 5e-14 of them.
 _PROFILES = {
-    "exact": dict(w_chunks=14, w_gl=16, near_gl=12, z_near=11, z_wide=15,
-                  v_chunk=_CHUNK_WIDTH, v_gl=_GL_ORDER),
-    "fast": dict(w_chunks=8, w_gl=10, near_gl=8, z_near=7, z_wide=9,
-                 v_chunk=4.0, v_gl=10),
+    "exact": dict(v_chunk=_CHUNK_WIDTH, v_gl=_GL_ORDER, y_chunk=2.0, y_gl=16),
+    "fast": dict(v_chunk=4.0, v_gl=10, y_chunk=3.5, y_gl=13),
 }
 _profile = "exact"
 
@@ -226,29 +262,6 @@ class quad_profile:
 
 def _prof():
     return _PROFILES[_profile]
-
-
-def _master_grid():
-    """Uniformly chunked Gauss-Legendre master nodes/weights on [0, 1]."""
-    p = _prof()
-    return _gl_on_edges(np.linspace(0.0, 1.0, p["w_chunks"] + 1), p["w_gl"])
-
-
-def _graded_master(smallest, grade_lo, grade_hi, order):
-    """Master on [0, 1], chunks geometrically refined toward the graded ends."""
-    smallest = max(smallest, 1e-9)
-    edges = {0.0, 1.0}
-    if grade_lo:
-        e = smallest
-        while e < 0.75:
-            edges.add(e)
-            e *= 2.0
-    if grade_hi:
-        e = smallest
-        while e < 0.75:
-            edges.add(1.0 - e)
-            e *= 2.0
-    return _gl_on_edges(sorted(edges), order)
 
 
 def _check_q(q, rho, closed: bool) -> np.ndarray:
@@ -399,9 +412,9 @@ class Channel:
         """E over (V, Y~) of an integrand on the generative law, for a scalar
         q (a float) or each q of an array (same shape).
 
-        func(y, omega, rho - q) returns (log Z_out, integrand): a discrete
-        channel weights each label by Z_out, a continuous one draws y from
-        the law itself and uses the integrand alone.
+        func(y, omega, rho - q) returns (log Z_out, integrand) at the y nodes
+        of ``_y_rows``: a discrete channel weights each label by Z_out, a
+        continuous one carries the weight of each node in its rows.
         """
         qa = np.asarray(q, dtype=float)
         qf = qa.reshape(-1)
@@ -417,25 +430,32 @@ class Channel:
 
     def _expect_rows(self, q, rho, func):
         """_expect_given_v for a 1-D block of q, all below rho or the single
-        q = rho.  A discrete channel evaluates every row's nodes in one pass
-        and sums per row; a continuous one goes row by row."""
+        q = rho: the nodes of every E_V row, then at each node the law of y
+        given (omega, rho - q) as weighted nodes (``_y_rows``), summed per
+        node and then per row."""
         nodes, weights, row = self._v_rules(q, rho)
-        if not self.is_discrete:
-            return np.array([self._expect_row(q[i], rho, nodes[row == i],
-                                              weights[row == i], func)
-                             for i in range(q.size)])
         omega = np.sqrt(q)[row] * nodes
-        vp = (rho - q)[row] if q[0] < rho else 0.0
-        # every label in one pass, on a leading label axis
-        logz, val = func(np.array(self.labels)[:, None], omega, vp)
-        w = np.exp(logz)
-        with np.errstate(invalid="ignore"):
-            vals = np.sum(np.where(w > 0.0, w * val, 0.0), axis=0)
+        vp = (rho - q)[row]
+        vals = np.zeros(omega.size)
+        for y, at, wy in self._y_rows(omega, vp):
+            logz, val = func(y, omega[at], vp[at])
+            with np.errstate(invalid="ignore"):
+                if wy is None:
+                    w = np.exp(logz)
+                    part = np.where(w > 0.0, w * val, 0.0)
+                else:
+                    # a row's node where the evidence vanishes (an end of a
+                    # noiseless piece's support) has no mass
+                    part = np.where(logz > -np.inf, wy * val, 0.0)
+            vals += np.bincount(np.broadcast_to(at, part.shape).ravel(),
+                                weights=part.ravel(), minlength=omega.size)
         return np.bincount(row, weights=weights * vals, minlength=q.size)
 
-    def _expect_row(self, q, rho, vnodes, vweights, func):
-        """_expect_given_v at one q of a continuous channel, on its V rule."""
-        raise NotImplementedError
+    def _y_rows(self, omega, vp):
+        """The law of y at each E_V node, in passes of (y, node, weight):
+        here the labels on a leading axis, over all nodes at once, with
+        weight None for the evidence Z_out that func returns."""
+        yield np.array(self.labels)[:, None], np.arange(omega.size), None
 
     def psi_pout(self, q, rho: float):
         """E ln Z_out over the scalar channel at overlap q; literal constants
@@ -695,94 +715,120 @@ class _PiecewiseChannel(Channel):
 
     # -- generative expectations ------------------------------------------------
 
-    def _expect_row(self, q, rho, vnodes, vweights, integrand):
-        vp = float(rho - q)
-        omega = math.sqrt(q) * vnodes
+    def _y_rows(self, omega, vp):
+        """The law of y given (omega, V') at each E_V node.  A discrete
+        channel has its labels.  A continuous one has a row per piece k of
+        y = c + d omega + s_k x, x ~ N(0, 1), s_k^2 = delta + d^2 V', whose
+        nodes weigh P_k(y), the chance that z lies in the piece given y:
+        the piece's mass for a constant piece, 1 for a noiseless linear one
+        (its row stops at the ends of its support), and for a noisy linear
+        one an erf step at x = (e - omega) s_k / (d V') for each finite end
+        e, sqrt(delta / V') / |d| wide.  Rows come _V_PASS nodes at a time
+        from one gauss_panels call (the profile's y_chunk and y_gl); the
+        evidence kernel takes their nodes _Y_PASS at a time.
 
-        def func(y, om, v):
-            return integrand(y, om, v)[1]
+        A row is refined around the steps and around the points where two
+        pieces' terms of Z_out balance (each taken as P_k N(y; c + d omega,
+        s_k^2), P_k = 1 on a linear piece), across which ln Z_out turns
+        like a logistic in y, wherever they are narrower than a quarter
+        chunk.  A noisy channel's balance point wider than half a node
+        spacing gets only break points two widths either side of it.  At
+        q = rho, y = phi(omega) + noise: a row per node, or the node
+        y = phi(omega) of a noiseless channel, whose evidence then raises."""
+        if self.is_discrete:
+            yield from super()._y_rows(omega, vp)
+            return
+        for start in range(0, omega.size, _V_PASS):
+            at = np.arange(start, min(start + _V_PASS, omega.size))
+            y, node, wy = self._piece_rows(omega[at], vp[at], at)
+            for part in range(0, y.size, _Y_PASS):
+                cut = slice(part, part + _Y_PASS)
+                yield y[cut], node[cut], wy[cut]
 
-        if vp == 0.0:
-            # y = phi(omega) + noise; no hidden w left.
-            y0 = self.phi(omega)
-            if self.delta > 0:
-                gh = gauss_hermite(31)
-                y = y0[:, None] + math.sqrt(self.delta) * gh.nodes[None, :]
-                vals = func(y, omega[:, None], vp) @ gh.weights
-            else:
-                vals = func(y0, omega, vp)
-            return float(np.dot(vweights, vals))
-
-        sqvp = math.sqrt(vp)
+    def _piece_rows(self, omega, vp, at):
+        """(y, node, weight) of the rows of the nodes ``at``; see _y_rows."""
+        p = _prof()
+        chunk, order = p["y_chunk"], p["y_gl"]
         delta = self.delta
-        sqd = math.sqrt(delta)
-        prof = _prof()
-        inner = np.zeros_like(omega)
-        om2 = omega[:, None]
-
-        def add_segment(seg_lo, seg_hi, master, with_z, c, d, z_order):
-            # only the V rows whose clipped segment has positive width are
-            # evaluated; the others contribute 0
-            out = np.zeros_like(omega)
-            live = np.flatnonzero(seg_hi > seg_lo)
-            if not live.size:
-                return out
-            width = (seg_hi - seg_lo)[live, None]
-            om = omega[live, None]
-            t, mw = master
-            wn = seg_lo[live, None] + width * t[None, :]
-            ww = width * mw[None, :] * np.exp(_norm_logpdf(wn))
-            y0 = c + d * (om + sqvp * wn)
-            if with_z:
-                gz = gauss_hermite(z_order)
-                y = y0[:, :, None] + sqd * gz.nodes[None, None, :]
-                vals = func(y, om[:, :, None], vp) @ gz.weights
-            else:
-                vals = func(y0, om, vp)
-            out[live] = np.sum(ww * vals, axis=1)
-            return out
-
-        # Piece by piece over w: constant pieces integrate exactly in w;
-        # linear pieces split near/far around their kinks, where the evidence
-        # varies on the sqrt(delta) scale and the noise average is essential.
-        for a, b, c, d in self.pieces():
-            wlo = np.clip((a - omega) / sqvp, -_GAUSS_RANGE, _GAUSS_RANGE)
-            whi = np.clip((b - omega) / sqvp, -_GAUSS_RANGE, _GAUSS_RANGE)
-            if d == 0.0:
-                # w integrates out exactly; the z rule carries the whole
-                # y-integral for this piece, so use a dense rule
-                gz = gauss_hermite(95)
-                prob = np.exp(_log_gauss_prob(wlo, whi))
-                y = c + sqd * gz.nodes
-                inner += prob * (func(y, om2, vp) @ gz.weights)
-                continue
+        n = omega.size
+        if not vp[0]:
             if delta == 0.0:
-                inner += add_segment(wlo, whi, _master_grid(), False, c, d, 0)
-                continue
-            sfeat = sqd / (abs(d) * sqvp)
-            if sfeat > 0.05:
-                # noise scale comparable to the hidden scale: one z-aware pass
-                inner += add_segment(wlo, whi, _master_grid(), True, c, d,
-                                     prof["z_wide"])
-                continue
-            # near zones hug finite kinks at +-40 noise widths
-            near = 40.0 * sfeat
-            far_lo, far_hi = wlo, whi
-            graded = _graded_master(1.0 / 40.0, True, False, prof["near_gl"])
-            if np.isfinite(a):
-                cut = np.minimum(wlo + near, whi)
-                inner += add_segment(wlo, cut, graded, True, c, d, prof["z_near"])
-                far_lo = cut
-            graded_hi = _graded_master(1.0 / 40.0, False, True, prof["near_gl"])
-            if np.isfinite(b):
-                cut = np.maximum(whi - near, far_lo)
-                inner += add_segment(cut, whi, graded_hi, True, c, d, prof["z_near"])
-                far_hi = cut
-            # away from the kink the noise average shifts ln Z by O(delta/vp)
-            far_z = delta > 2e-7 * d * d * vp
-            inner += add_segment(far_lo, far_hi, _master_grid(), far_z, c, d,
-                                 prof["z_wide"])
-        return float(np.dot(vweights, inner))
+                return self.phi(omega), at, np.ones(n)
+            rule = gauss_panels(np.full((n, 1), np.nan), np.zeros((n, 1)),
+                                half_range=_GAUSS_RANGE, chunk=chunk, order=order)
+            y = self.phi(omega)[rule.row] + math.sqrt(delta) * rule.nodes
+            return y, at[rule.row], rule.weights
+        a, b, c, d = (np.array(col)[:, None] for col in zip(*self.pieces()))
+        linear = d[:, 0] != 0.0
+        sqv = np.sqrt(vp)
+        mu = c + d * omega
+        s = np.sqrt(delta + d * d * vp)
+        # the mass of each constant piece (a linear one's enters by its row)
+        logp = np.zeros(mu.shape)
+        const = ~linear
+        if const.any():
+            logp[const] = _log_gauss_prob((a[const] - omega) / sqv,
+                                          (b[const] - omega) / sqv)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # features in y, one (pieces, n) block each: the steps ...
+            locs, widths = [], []
+            for e in (a, b) if delta > 0.0 else ():
+                end = np.isfinite(e[:, 0]) & linear
+                locs.append((mu + (e - omega) * (s * s) / (d * vp))[end])
+                widths.append((s * np.sqrt(delta / vp) / np.abs(d))[end])
+            steps = sum(len(x) for x in locs)
+            # ... and the balance points of pieces j < k, the roots of
+            # qa y^2 + qb y + qc
+            j, k = np.triu_indices(len(d), 1)
+            g = logp - np.log(s) - 0.5 * np.square(mu / s)
+            qa = 0.5 / s[k] ** 2 - 0.5 / s[j] ** 2
+            qb = mu[j] / s[j] ** 2 - mu[k] / s[k] ** 2
+            qc = g[j] - g[k]
+            root = np.sqrt(qb * qb - 4.0 * qa * qc)
+            flat = qa == 0.0
+            for sign in (1.0, -1.0):
+                y0 = np.where(flat, -qc / qb, (-qb + sign * root) / (2.0 * qa))
+                locs.append(np.where(flat & (sign < 0.0), np.nan, y0))
+                widths.append(1.0 / np.abs(2.0 * qa * y0 + qb))
+            # in the x units of every row: (pieces, n, features)
+            fx = (np.concatenate(locs).T - mu[:, :, None]) / s[:, :, None]
+            fw = np.concatenate(widths).T / s[:, :, None]
+            keep = (np.abs(fx) < _FEATURE_RANGE) & (fw < 0.25 * chunk)
+            # a balance point of a noisy channel wider than half a node
+            # spacing needs only break points two widths either side of it
+            wide = (keep & (np.arange(fx.shape[2]) >= steps) & (delta > 0.0)
+                    & (fw >= 0.5 * chunk / order))
+            full = keep & ~wide
+            fx = np.concatenate([np.where(full, fx, np.nan),
+                                 np.where(wide, fx - 2.0 * fw, np.nan),
+                                 np.where(wide, fx + 2.0 * fw, np.nan)], axis=2)
+            fw = np.concatenate([np.where(full, fw, 0.0), np.zeros_like(fw),
+                                 np.zeros_like(fw)], axis=2)
+            lo = np.full(mu.shape, -_GAUSS_RANGE)
+            hi = np.full(mu.shape, _GAUSS_RANGE)
+            if delta == 0.0:
+                ends = np.sign(d) * np.stack([a - omega, b - omega]) / sqv
+                lo = np.where(linear[:, None], np.clip(ends.min(axis=0), lo, hi), lo)
+                hi = np.where(linear[:, None], np.clip(ends.max(axis=0), lo, hi), hi)
+            # a constant piece without mass has no row
+            hi = np.where(logp > -np.inf, hi, lo)
+        shape = (mu.size, fx.shape[2])
+        rule = gauss_panels(fx.reshape(shape), fw.reshape(shape), chunk=chunk,
+                            order=order, bounds=(lo.ravel(), hi.ravel()))
+        # the values of each node's row, gathered by its row
+        r, x = rule.row, rule.nodes
+        y = mu.ravel()[r] + s.ravel()[r] * x
+        wy = rule.weights if linear.all() else rule.weights * np.exp(logp).ravel()[r]
+        if delta > 0.0 and linear.any():
+            # the step of P_k: on the piece's line, z given y has mean m
+            # and deviation t
+            i = np.flatnonzero(linear.repeat(n)[r])
+            ri = r[i]
+            m = np.tile(omega, len(d))[ri] + (d * vp / s).ravel()[ri] * x[i]
+            t = (np.sqrt(vp * delta) / s).ravel()[ri]
+            a_i, b_i = (np.broadcast_to(e, mu.shape).ravel()[ri] for e in (a, b))
+            wy[i] *= np.exp(_log_gauss_prob((a_i - m) / t, (b_i - m) / t))
+        return y, np.tile(at, len(d))[r], wy
 
     # -- stability of the q = 0 fixed point ---------------------------------------
 
@@ -796,29 +842,21 @@ class _PiecewiseChannel(Channel):
         return num, den
 
     def stability_integral(self, rho: float) -> float:
+        """E over y of (A(y) / B(y))^2 under the law B of y at omega = 0,
+        V' = rho: the labels of a discrete channel, weighted by B, or the
+        y rows of a continuous one (``_y_rows``)."""
         if not self.is_even:
             raise ValueError("stability integral requires an even channel")
-        if self.is_discrete:
-            total = 0.0
-            for lab in self.labels:
-                num, den = self._stability_num_den(np.asarray(lab), rho)
-                total += float(num) ** 2 / float(den)
-            return total
-
-        lo_phi, hi_phi = self._phi_range(rho)
-        pad = 10.0 * math.sqrt(self.delta) + 1e-6
-        def integrand(y):
-            num, den = self._stability_num_den(np.asarray(y), rho)
-            if den < 1e-300:
-                return 0.0
-            return float(num) ** 2 / float(den)
-        return integrate_1d(integrand, lo_phi - pad, hi_phi + pad, tol=1e-9)
-
-    def _phi_range(self, rho):
-        xs = [-_GAUSS_RANGE * math.sqrt(rho), _GAUSS_RANGE * math.sqrt(rho)]
-        xs += [k for k in self._x_kinks()]
-        vals = self.phi(np.asarray(xs))
-        return float(np.min(vals)), float(np.max(vals))
+        total = 0.0
+        for y, _, wy in self._y_rows(np.zeros(1), np.full(1, float(rho))):
+            num, den = self._stability_num_den(y, rho)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if wy is None:
+                    terms = num * num / den
+                else:
+                    terms = np.where(den > 1e-300, wy * np.square(num / den), 0.0)
+            total += float(np.sum(terms))
+        return total
 
 
 @dataclass(frozen=True)
@@ -1061,32 +1099,3 @@ class Sigmoid(Channel):
     def stability_integral(self, rho):
         raise ValueError("stability integral requires an even channel")
 
-
-# -- functional wrappers matching the operation names ---------------------------
-
-def sample_label(channel: Channel, z, seed: int):
-    return channel.sample_label(z, seed)
-
-
-def density(channel: Channel, y, z):
-    return channel.density(y, z)
-
-
-def zout(channel: Channel, y, omega, v):
-    return channel.zout(y, omega, v)
-
-
-def gout(channel: Channel, y, omega, v) -> OutputDenoiser:
-    return channel.gout(y, omega, v)
-
-
-def psi_pout(channel: Channel, q: float, rho: float) -> float:
-    return channel.psi_pout(q, rho)
-
-
-def psi_pout_prime(channel: Channel, q: float, rho: float) -> float:
-    return channel.psi_pout_prime(q, rho)
-
-
-def stability_integral(channel: Channel, rho: float) -> float:
-    return channel.stability_integral(rho)

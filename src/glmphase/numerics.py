@@ -139,22 +139,13 @@ def _leggauss_unit(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _gl_on_edges(edges, order: int):
-    """Composite Gauss-Legendre nodes/weights, one panel between each pair of
-    consecutive edges."""
-    x, w = _leggauss_unit(order)
-    e = np.asarray(edges)
-    lo = e[:-1][:, None]
-    width = np.diff(e)[:, None]
-    return (lo + width * x[None, :]).ravel(), (width * w[None, :]).ravel()
-
-
 # panel break points sit at feature + k * width for these k
 _FEATURE_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
 
 def gauss_panels(features=(), widths=(), half_range: float = 9.0,
-                 chunk: float = 0.6, order: int = 16) -> QuadratureRule:
+                 chunk: float = 0.6, order: int = 16,
+                 bounds=None) -> QuadratureRule:
     """Composite Gauss-Legendre rule for E[f(Z)], Z ~ N(0,1), with panels
     refined around each feature +- a few widths.
 
@@ -166,6 +157,11 @@ def gauss_panels(features=(), widths=(), half_range: float = 9.0,
     of each node in ``row``; NaN marks a missing feature, and a feature of
     zero width is a plain break point.  Each row's nodes and weights are
     bit-identical to the rule built for that row alone.
+
+    The rule covers (-half_range, half_range), or, with ``bounds`` = (lo,
+    hi) of one value per row, (lo, hi) for each row: it then integrates
+    f(Z) times the indicator of that interval, and a row with lo = hi gets
+    no nodes.
     """
     f = np.asarray(features, dtype=float)
     many = f.ndim == 2
@@ -173,11 +169,15 @@ def gauss_panels(features=(), widths=(), half_range: float = 9.0,
         f = f.reshape(1, f.size)
     s = np.asarray(widths, dtype=float).reshape(f.shape)
     rows = len(f)
-    # break points: +-half_range and every feature + k * width inside
+    if bounds is None:
+        hi = np.full((rows, 1), half_range)
+        lo = -hi
+    else:
+        lo, hi = (np.asarray(e, dtype=float).reshape(rows, 1) for e in bounds)
+    # break points: the ends and every feature + k * width inside
     p = (f[:, :, None] + _FEATURE_OFFSETS * s[:, :, None]).reshape(rows, -1)
-    p[~((p > -half_range) & (p < half_range))] = np.nan
-    ends = np.full((rows, 1), half_range)
-    pts = np.sort(np.concatenate([-ends, p, ends], axis=1), axis=1)  # NaN last
+    p[~((p > lo) & (p < hi))] = np.nan
+    pts = np.sort(np.concatenate([lo, p, hi], axis=1), axis=1)  # NaN last
     keep = ~np.isnan(pts)
     keep[:, 1:] &= pts[:, 1:] != pts[:, :-1]
     pt_row = np.nonzero(keep)[0]

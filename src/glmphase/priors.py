@@ -353,18 +353,3 @@ class GaussBernoulliPrior(Prior):
                         minlength=sd.size).reshape(sd.shape)
         return (1.0 - rho) * e[:, 0] + rho * e[:, 1]
 
-
-def sample(prior: Prior, count: int, seed: int) -> np.ndarray:
-    return prior.sample(count, seed)
-
-
-def denoise(prior: Prior, R, lam) -> DenoiserOutput:
-    return prior.denoise(R, lam)
-
-
-def psi_p0(prior: Prior, r: float) -> float:
-    return prior.psi_p0(r)
-
-
-def psi_p0_prime(prior: Prior, r: float) -> float:
-    return prior.psi_p0_prime(r)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import Channel, quad_profile
-from .numerics import find_root
+from .numerics import find_root, gauss_panels
 from .priors import Prior, R_CAP
 
 if TYPE_CHECKING:
@@ -48,6 +48,9 @@ EVAL_DEPTH = 1e-6
 # two optimizers are "the same" when |dq| < UNIQUE_FRAC * rho
 UNIQUE_FRAC = 1e-4
 _TIE_TOL = 1e-6
+# mu values per panel rule of _mean_label_rows (about 500 nodes each): the
+# node arrays stay within the peak memory of the other steps of solve
+_MU_ROWS = 64
 
 
 class RouteDisagreementError(RuntimeError):
@@ -287,23 +290,22 @@ def _golden_max(f, lo, hi, tol):
 
 def _mean_label_rows(channel: Channel, mu: np.ndarray, var: float) -> np.ndarray:
     """E_{W,A}[phi(mu_i + sqrt(var) W, A)] by pointwise-activation quadrature,
-    independent of the closed truncated-moment route."""
-    from .channels import _GAUSS_RANGE, _master_grid, _norm_logpdf
+    independent of the closed truncated-moment route: a panel row per mu,
+    with a break point at each kink image (k - mu_i) / sqrt(var), _MU_ROWS
+    rows per rule."""
+    from .channels import _CHUNK_WIDTH, _GAUSS_RANGE, _GL_ORDER
     if var == 0.0:
         return channel.mean_label(mu)
     sq = math.sqrt(var)
-    ks = sorted(getattr(channel, "_x_kinks", lambda: ())())
-    bounds = [np.full(mu.shape, -_GAUSS_RANGE)]
-    for k in ks:
-        bounds.append(np.clip((k - mu) / sq, -_GAUSS_RANGE, _GAUSS_RANGE))
-    bounds.append(np.full(mu.shape, _GAUSS_RANGE))
-    mt, mw = _master_grid()
-    out = np.zeros_like(mu)
-    for seg_lo, seg_hi in zip(bounds[:-1], bounds[1:]):
-        width = np.maximum(seg_hi - seg_lo, 0.0)[:, None]
-        wn = seg_lo[:, None] + width * mt[None, :]
-        ww = width * mw[None, :] * np.exp(_norm_logpdf(wn))
-        out += np.sum(ww * channel.mean_label(mu[:, None] + sq * wn), axis=1)
+    out = np.empty(mu.size)
+    for start in range(0, mu.size, _MU_ROWS):
+        m = mu[start:start + _MU_ROWS]
+        images = (np.array(channel._x_kinks()) - m[:, None]) / sq
+        rule = gauss_panels(images, np.zeros_like(images), half_range=_GAUSS_RANGE,
+                            chunk=_CHUNK_WIDTH, order=_GL_ORDER)
+        vals = channel.mean_label(m[rule.row] + sq * rule.nodes)
+        out[start:start + m.size] = np.bincount(rule.row, weights=rule.weights * vals,
+                                                minlength=m.size)
     return out
 
 

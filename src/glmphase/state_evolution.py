@@ -38,7 +38,7 @@ table.  Their node sets are module constants:
 
 The channel table takes its values from the ``fast`` quadrature profile of
 ``channels``: E_V panels of chunk width 4.0 and order 10 wherever the
-channel has thresholds, and coarser w and noise rules.  For sign, abs and
+channel has thresholds, and coarser y rows for a continuous channel.  For sign, abs and
 the symmetric door its nodes are within 1e-7 relative of the exact profile,
 and the spline within 5e-6 halfway between them.
 
@@ -250,7 +250,8 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
                    opts: FixedPointOptions | None = None,
                    uninformative: SETrajectory | None = None) -> list[float]:
     """Candidate fixed points: SE limits from both canonical initializations
-    plus grid-detected crossings of the one-step map.
+    (of the runs that converged) plus grid-detected crossings of the
+    one-step map.
 
     ``uninformative`` is the exact run from UNINFORMATIVE_FRAC * rho under
     ``opts`` when the caller has made it (``replica.solve`` does, and keeps
@@ -267,8 +268,10 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         r = np.minimum(2.0 * alpha * psioutp(np.minimum(q, q_cap)), R_CAP)
         return psi0p(r) - q
 
-    qs = [uninformative.q_limit,
-          se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC), opts).q_limit]
+    informative = se_run(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC), opts)
+    # a run stopped at its iteration cap offers no fixed point; the grid
+    # crossings below still bracket the ones it was heading for
+    qs = [run.q_limit for run in (uninformative, informative) if run.converged]
     if channel.is_even and abs(prior.mean) == 0.0:
         qs.append(0.0)  # exact symmetric fixed point
 

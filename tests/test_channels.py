@@ -11,9 +11,7 @@ from glmphase import channels
 from glmphase.channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
                                ReLU, Sigmoid, Sign, SymmetricDoor,
                                _PiecewiseChannel, _log_gauss_prob,
-                               _trunc_moments, density, gout, psi_pout,
-                               psi_pout_prime, quad_profile, sample_label,
-                               stability_integral, zout)
+                               _trunc_moments, quad_profile)
 from glmphase.numerics import (DEFAULT_GH_ORDER, gauss_hermite, gauss_panels,
                                integrate_1d)
 from glmphase.replica import denoising_error, generalization_error
@@ -62,7 +60,7 @@ class TestConstruction:
         for ch in (Abs(epsilon=0.05), SymmetricDoor(epsilon=0.05)):
             assert not ch.is_even
             with pytest.raises(ValueError, match="even channel"):
-                stability_integral(ch, 1.0)
+                ch.stability_integral(1.0)
 
     def test_epsilon_shifts_door_threshold(self):
         ch = SymmetricDoor(K=0.67449).with_epsilon(1e-4)
@@ -72,61 +70,61 @@ class TestConstruction:
 
 class TestSampleLabel:
     def test_identity_channel(self):
-        assert sample_label(LinearAWGN(0.0), 1.3, seed=0) == 1.3
+        assert LinearAWGN(0.0).sample_label(1.3, seed=0) == 1.3
 
     def test_sign(self):
-        assert sample_label(Sign(), -0.7, seed=0) == -1.0
-        assert sample_label(Sign(), 0.0, seed=0) == 1.0  # tie convention
+        assert Sign().sample_label(-0.7, seed=0) == -1.0
+        assert Sign().sample_label(0.0, seed=0) == 1.0  # tie convention
 
     def test_door_inside_is_minus_one(self):
-        assert sample_label(SymmetricDoor(K=0.67449), 0.2, seed=0) == -1.0
-        assert sample_label(SymmetricDoor(K=0.67449), 0.9, seed=0) == 1.0
+        assert SymmetricDoor(K=0.67449).sample_label(0.2, seed=0) == -1.0
+        assert SymmetricDoor(K=0.67449).sample_label(0.9, seed=0) == 1.0
 
     def test_sigmoid_statistics(self):
         ch = Sigmoid(2.0)
         z = 0.5
-        ys = np.array([sample_label(ch, z, seed=s) for s in range(4000)])
+        ys = np.array([ch.sample_label(z, seed=s) for s in range(4000)])
         p = float(np.mean(ys == 1.0))
         target = 1.0 / (1.0 + math.exp(-2.0 * z))
         assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / 4000)
 
     def test_noise_added_after_activation(self):
-        y = sample_label(Abs(0.25), -2.0, seed=5)
+        y = Abs(0.25).sample_label(-2.0, seed=5)
         rng = np.random.default_rng(5)
         assert y == pytest.approx(2.0 + 0.5 * rng.standard_normal())
 
 
 class TestDensity:
     def test_linear_gaussian_peak(self):
-        assert density(LinearAWGN(1.0), 0.0, 0.0) == pytest.approx(
+        assert LinearAWGN(1.0).density(0.0, 0.0) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi))
 
     def test_sign_pmf(self):
-        assert density(Sign(), 1.0, 0.5) == 1.0
-        assert density(Sign(), 1.0, -0.5) == 0.0
-        assert density(Sign(), 3.0, 0.5) == 0.0  # off-support label
+        assert Sign().density(1.0, 0.5) == 1.0
+        assert Sign().density(1.0, -0.5) == 0.0
+        assert Sign().density(3.0, 0.5) == 0.0  # off-support label
 
     def test_abs_hand_value(self):
         # N(0 - |2|; 0, 1) = exp(-2)/sqrt(2 pi)
-        assert density(Abs(1.0), 0.0, 2.0) == pytest.approx(
+        assert Abs(1.0).density(0.0, 2.0) == pytest.approx(
             0.05399096651318806, abs=1e-12)
 
     def test_noiseless_continuous_rejected(self):
         with pytest.raises(ValueError):
-            density(LinearAWGN(0.0), 1.0, 1.0)
+            LinearAWGN(0.0).density(1.0, 1.0)
         with pytest.raises(ValueError):
-            density(Abs(0.0), 1.0, 1.0)
+            Abs(0.0).density(1.0, 1.0)
 
     @pytest.mark.parametrize("ch", [c for c in RHO1_CHANNELS
                                     if c.is_discrete or c.delta > 0])
     def test_normalization_in_y(self, ch):
         for z in (-1.3, 0.0, 0.8):
             if ch.is_discrete:
-                total = sum(density(ch, y, z) for y in ch.labels)
+                total = sum(ch.density(y, z) for y in ch.labels)
             else:
                 center = float(ch.mean_label(z))  # phi(z) for deterministic
                 half = 12 * math.sqrt(ch.delta)
-                total = integrate_1d(lambda y: density(ch, y, z),
+                total = integrate_1d(lambda y: ch.density(y, z),
                                      center - half, center + half, tol=1e-12)
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -135,23 +133,23 @@ class TestZout:
     def test_v_zero_reduces_to_density(self):
         for ch in (LinearAWGN(0.5), Sign(), SymmetricDoor(), Sigmoid(1.5)):
             y = 1.0
-            assert zout(ch, y, 0.3, 0.0) == pytest.approx(
-                density(ch, y, 0.3), abs=1e-14)
+            assert ch.zout(y, 0.3, 0.0) == pytest.approx(
+                ch.density(y, 0.3), abs=1e-14)
 
     def test_v_continuity_near_zero(self):
         for ch in (LinearAWGN(0.5), Sign(), Sigmoid(1.5)):
-            val = zout(ch, 1.0, 0.3, 1e-8)
-            assert val == pytest.approx(density(ch, 1.0, 0.3), abs=1e-6)
+            val = ch.zout(1.0, 0.3, 1e-8)
+            assert val == pytest.approx(ch.density(1.0, 0.3), abs=1e-6)
 
     def test_linear_gaussian_convolution(self):
         ch = LinearAWGN(0.7)
         y, om, v = 0.4, -0.2, 0.5
-        assert zout(ch, y, om, v) == pytest.approx(
+        assert ch.zout(y, om, v) == pytest.approx(
             norm.pdf(y, loc=om, scale=math.sqrt(0.7 + v)), rel=1e-12)
 
     def test_sign_gaussian_tail(self):
-        assert zout(Sign(), 1.0, 0.3, 0.25) == pytest.approx(ndtr(0.6), rel=1e-12)
-        assert zout(Sign(), -1.0, 0.3, 0.25) == pytest.approx(ndtr(-0.6), rel=1e-12)
+        assert Sign().zout(1.0, 0.3, 0.25) == pytest.approx(ndtr(0.6), rel=1e-12)
+        assert Sign().zout(-1.0, 0.3, 0.25) == pytest.approx(ndtr(-0.6), rel=1e-12)
 
     @pytest.mark.parametrize("ch", [Abs(0.3), ReLU(1e-4), SymmetricDoor()])
     def test_against_w_quadrature(self, ch):
@@ -160,16 +158,16 @@ class TestZout:
         for y in ys:
             pts = sorted({min(max((y - om) / math.sqrt(v), -10), 10),
                           min(max(-om / math.sqrt(v), -10), 10)})
-            ref = quad(lambda w: norm.pdf(w) * density(ch, y, om + math.sqrt(v) * w),
+            ref = quad(lambda w: norm.pdf(w) * ch.density(y, om + math.sqrt(v) * w),
                        -10, 10, limit=400, points=pts)[0]
-            assert zout(ch, y, om, v) == pytest.approx(ref, rel=1e-6)
+            assert ch.zout(y, om, v) == pytest.approx(ref, rel=1e-6)
 
     def test_noiseless_abs_two_root_formula(self):
         # zout = [N(y; om, v) + N(y; -om, v)] for y > 0 (unit slopes)
         ch = Abs(0.0)
         y, om, v = 0.8, 0.4, 0.6
         expected = norm.pdf(y, om, math.sqrt(v)) + norm.pdf(y, -om, math.sqrt(v))
-        assert zout(ch, y, om, v) == pytest.approx(expected, rel=1e-12)
+        assert ch.zout(y, om, v) == pytest.approx(expected, rel=1e-12)
 
     def test_log_domain_deep_tail(self):
         # evidence of the wrong label at huge |omega|/sqrt(V): underflows in
@@ -194,29 +192,29 @@ class TestGout:
     def test_even_channel_symmetric_point(self):
         for ch in (Abs(0.0), Abs(0.1), SymmetricDoor()):
             for y in (0.3, 1.0) if not ch.is_discrete else ch.labels:
-                assert gout(ch, y, 0.0, 0.7).gout == pytest.approx(0.0, abs=1e-13)
+                assert ch.gout(y, 0.0, 0.7).gout == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_closed_form(self):
         ch = LinearAWGN(1.0)
         y, om, v = 1.0, 0.2, 0.5
         expected = math.sqrt(v) * (y - om) / (1.0 + v)
-        assert gout(ch, y, om, v).gout == pytest.approx(expected, rel=1e-12)
+        assert ch.gout(y, om, v).gout == pytest.approx(expected, rel=1e-12)
 
     def test_sign_inverse_mills(self):
         om, v = 0.3, 0.25
         t = om / math.sqrt(v)
         expected = norm.pdf(t) / ndtr(t)
-        assert gout(Sign(), 1.0, om, v).gout == pytest.approx(expected, rel=1e-10)
+        assert Sign().gout(1.0, om, v).gout == pytest.approx(expected, rel=1e-10)
 
     def test_matches_tilted_quadrature(self):
         for ch, y in ((SymmetricDoor(), -1.0), (Sigmoid(2.0), 1.0), (Abs(0.2), 0.7)):
             om, v = 0.5, 0.4
             sq = math.sqrt(v)
-            num = quad(lambda w: w * norm.pdf(w) * density(ch, y, om + sq * w),
+            num = quad(lambda w: w * norm.pdf(w) * ch.density(y, om + sq * w),
                        -10, 10, limit=400)[0]
-            den = quad(lambda w: norm.pdf(w) * density(ch, y, om + sq * w),
+            den = quad(lambda w: norm.pdf(w) * ch.density(y, om + sq * w),
                        -10, 10, limit=400)[0]
-            res = gout(ch, y, om, v)
+            res = ch.gout(y, om, v)
             assert res.gout == pytest.approx(num / den, rel=1e-6)
             assert res.zout == pytest.approx(den, rel=1e-6)
 
@@ -227,45 +225,45 @@ class TestGout:
         jumps = [(-ch.K - om) / sq, (ch.K - om) / sq]
 
         def moment(k):
-            return quad(lambda w: w ** k * norm.pdf(w) * density(ch, y, om + sq * w),
+            return quad(lambda w: w ** k * norm.pdf(w) * ch.density(y, om + sq * w),
                         -10, 10, points=jumps)[0]
 
         den = moment(0)
         m1, m2 = moment(1) / den, moment(2) / den
-        assert gout(ch, y, om, v).vout == pytest.approx(m2 - m1 * m1, rel=1e-12)
+        assert ch.gout(y, om, v).vout == pytest.approx(m2 - m1 * m1, rel=1e-12)
 
     def test_underflow_error_mentions_remedies(self):
         with pytest.raises(GoutUnderflowError, match="damping"):
-            gout(Sign(), 3.0, 0.0, 1.0)  # off-support label: zero evidence
+            Sign().gout(3.0, 0.0, 1.0)  # off-support label: zero evidence
 
     def test_requires_positive_v(self):
         with pytest.raises(ValueError):
-            gout(Sign(), 1.0, 0.0, 0.0)
+            Sign().gout(1.0, 0.0, 0.0)
 
 
 class TestPsiPout:
     def test_sign_symmetric_point(self):
-        assert psi_pout(Sign(), 0.0, 1.0) == pytest.approx(-math.log(2.0),
+        assert Sign().psi_pout(0.0, 1.0) == pytest.approx(-math.log(2.0),
                                                            abs=1e-12)
 
     def test_sign_recovery_limit(self):
-        assert abs(psi_pout(Sign(), 1.0 - 1e-9, 1.0)) < 1e-3
+        assert abs(Sign().psi_pout(1.0 - 1e-9, 1.0)) < 1e-3
 
     def test_linear_differential_entropy(self):
-        val = psi_pout(LinearAWGN(1.0), 0.0, 1.0)
+        val = LinearAWGN(1.0).psi_pout(0.0, 1.0)
         assert val == pytest.approx(-0.5 * math.log(4 * math.pi * math.e),
                                     abs=1e-12)
 
     def test_bounds_check(self):
         with pytest.raises(ValueError):
-            psi_pout(Sign(), -0.1, 1.0)
+            Sign().psi_pout(-0.1, 1.0)
         with pytest.raises(ValueError):
-            psi_pout(Sign(), 1.1, 1.0)
+            Sign().psi_pout(1.1, 1.0)
 
     @pytest.mark.parametrize("ch", RHO1_CHANNELS)
     def test_convex_and_nondecreasing(self, ch):
         qs = np.linspace(0.0, 0.999, 20)
-        vals = np.array([psi_pout(ch, q, 1.0) for q in qs])
+        vals = np.array([ch.psi_pout(q, 1.0) for q in qs])
         assert np.all(np.diff(vals) >= -1e-10)
         assert np.all(vals[:-2] + vals[2:] - 2 * vals[1:-1] >= -1e-9)
 
@@ -279,58 +277,58 @@ class TestPsiPout:
 class TestPsiPoutPrime:
     def test_even_channel_zero(self):
         for ch in (Abs(0.0), SymmetricDoor()):
-            assert psi_pout_prime(ch, 0.0, 1.0) == pytest.approx(0.0, abs=1e-13)
+            assert ch.psi_pout_prime(0.0, 1.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_closed_form(self):
-        assert psi_pout_prime(LinearAWGN(1.0), 0.0, 1.0) == pytest.approx(0.25)
+        assert LinearAWGN(1.0).psi_pout_prime(0.0, 1.0) == pytest.approx(0.25)
         generic = _PiecewiseChannel.psi_pout_prime(LinearAWGN(1.0), 0.0, 1.0)
         assert generic == pytest.approx(0.25, abs=1e-12)
 
     def test_rejects_q_equal_rho(self):
         with pytest.raises(ValueError):
-            psi_pout_prime(Sign(), 1.0, 1.0)
+            Sign().psi_pout_prime(1.0, 1.0)
 
     @pytest.mark.parametrize("ch", RHO1_CHANNELS + [ReLU(1e-8)])
     def test_matches_finite_differences(self, ch):
         rho = 0.2 if isinstance(ch, ReLU) else 1.0
         for qf in (0.1, 0.5, 0.9):
             q, h = qf * rho, 1e-4 * rho
-            fd = (psi_pout(ch, q + h, rho) - psi_pout(ch, q - h, rho)) / (2 * h)
-            an = psi_pout_prime(ch, q, rho)
+            fd = (ch.psi_pout(q + h, rho) - ch.psi_pout(q - h, rho)) / (2 * h)
+            an = ch.psi_pout_prime(q, rho)
             assert abs(fd - an) <= 1e-4 * max(abs(an), 1e-12)
 
     def test_noiseless_blowup_near_recovery(self):
         # exact-recovery criterion: psi' grows without bound as q -> rho
         for ch in (Sign(), SymmetricDoor(), Abs(0.0)):
-            assert psi_pout_prime(ch, 1.0 - 1e-8, 1.0) > 1e3
-        shallow = [psi_pout_prime(ch, 1.0 - 1e-4, 1.0)
+            assert ch.psi_pout_prime(1.0 - 1e-8, 1.0) > 1e3
+        shallow = [ch.psi_pout_prime(1.0 - 1e-4, 1.0)
                    for ch in (Sign(), SymmetricDoor(), Abs(0.0))]
-        deep = [psi_pout_prime(ch, 1.0 - 1e-8, 1.0)
+        deep = [ch.psi_pout_prime(1.0 - 1e-8, 1.0)
                 for ch in (Sign(), SymmetricDoor(), Abs(0.0))]
         assert all(d > 10 * s for s, d in zip(shallow, deep))
 
 
 class TestStability:
     def test_abs_is_two(self):
-        assert stability_integral(Abs(0.0), 1.0) == pytest.approx(2.0, abs=2e-3)
-        assert stability_integral(Abs(1e-8), 1.0) == pytest.approx(2.0, abs=2e-3)
+        assert Abs(0.0).stability_integral(1.0) == pytest.approx(2.0, abs=2e-3)
+        assert Abs(1e-8).stability_integral(1.0) == pytest.approx(2.0, abs=2e-3)
 
     def test_door_closed_form(self):
         # A(+-1) = +-2 K pdf(K), B(+-1) = 1/2 at the balanced K
         k = 0.67449
         a = 2 * k * norm.pdf(k)
         expected = 2 * a * a / 0.5
-        assert stability_integral(SymmetricDoor(), 1.0) == pytest.approx(
+        assert SymmetricDoor().stability_integral(1.0) == pytest.approx(
             expected, rel=1e-10)
 
     def test_non_even_rejected(self):
         for ch in (Sign(), LinearAWGN(0.5), Sigmoid()):
             with pytest.raises(ValueError):
-                stability_integral(ch, 1.0)
+                ch.stability_integral(1.0)
 
     def test_door_k_to_zero_trend(self):
         # labels become uninformative: integral -> 0, alpha_c -> infinity
-        vals = [stability_integral(SymmetricDoor(K=k), 1.0)
+        vals = [SymmetricDoor(K=k).stability_integral(1.0)
                 for k in (0.67449, 0.2, 0.05)]
         assert vals[0] > vals[1] > vals[2]
         assert 1.0 / vals[2] > 20.0  # alpha_c heading to infinity
@@ -560,10 +558,12 @@ class TestPieceAxisKernel:
         if ch.is_discrete:
             ref = sum(ratio(lab) for lab in ch.labels)
         else:
-            lo, hi = ch._phi_range(rho)
+            # the range of phi over +-9 deviations (on a grid: the door's
+            # -1 level lies between its kinks), padded by 10 noise ones
+            phis = ch.phi(np.linspace(-9.0, 9.0, 1801) * math.sqrt(rho))
             pad = 10.0 * math.sqrt(ch.delta) + 1e-6
-            ref = integrate_1d(ratio, lo - pad, hi + pad, tol=1e-9)
-        assert stability_integral(ch, rho) == pytest.approx(ref, rel=1e-12)
+            ref = integrate_1d(ratio, phis.min() - pad, phis.max() + pad, tol=1e-12)
+        assert ch.stability_integral(rho) == pytest.approx(ref, rel=1e-12)
 
 
 class TestFarTails:
@@ -573,18 +573,18 @@ class TestFarTails:
     @pytest.mark.parametrize("omega", [1e8, 1e100])
     def test_right_label_far_out_is_unit_gaussian(self, omega):
         # x = omega + w is positive for every w that matters: w ~ N(0, 1)
-        res = gout(Sign(), 1.0, omega, 1.0)
+        res = Sign().gout(1.0, omega, 1.0)
         assert (res.gout, res.vout, res.log_zout) == (0.0, 1.0, 0.0)
 
     def test_abs_far_out(self):
         # y = |x| = omega leaves w = 0 (the other root, w = -2 omega, has no
         # Gaussian weight)
-        res = gout(Abs(), 1e155, 1e155, 1.0)
+        res = Abs().gout(1e155, 1e155, 1.0)
         assert (res.gout, res.vout) == (0.0, 0.0)
         assert res.zout == pytest.approx(norm.pdf(0.0), rel=1e-15)
 
     def test_wrong_label_far_out_sits_at_the_threshold(self):
-        res = gout(Sign(), -1.0, 1e100, 1.0)
+        res = Sign().gout(-1.0, 1e100, 1.0)
         assert res.gout == pytest.approx(-1e100, rel=1e-15)
         assert 0.0 <= res.vout <= 1.0
         assert -1e201 < res.log_zout < -1e199
@@ -615,6 +615,25 @@ class TestFarTails:
                 _, _, got = _trunc_moments(lo, hi)
                 assert got == pytest.approx(var, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("lo,hi", [(1e3, 1e3 + 0.04), (1e4, 1e4 + 0.004),
+                                       (20.0, 20.5), (30.0, 30.01),
+                                       (1e6, 1e6 + 1e-5)])
+    def test_narrow_far_interval_matches_mpmath(self, lo, hi):
+        """Both ends far out and the far one carrying mass: E[W^2] - m^2
+        gave 1.0000076e-6 for (1e3, 1e3 + 0.04) and 0 for (1e4, 1e4 +
+        0.004)."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            a, b = mp.mpf(lo), mp.mpf(hi)
+            mass = mp.ncdf(-a) - mp.ncdf(-b)
+            mean = (mp.npdf(a) - mp.npdf(b)) / mass
+            var = 1 + (a * mp.npdf(a) - b * mp.npdf(b)) / mass - mean ** 2
+            mean, var = float(mean), float(var)
+        for a, b, sign in ((lo, hi, 1.0), (-hi, -lo, -1.0)):
+            _, m, v = _trunc_moments(a, b)
+            assert m == pytest.approx(sign * mean, rel=1e-10, abs=0.0)
+            assert v == pytest.approx(var, rel=1e-10, abs=0.0)
+
     def test_no_nan_on_extreme_inputs(self):
         channels = [LinearAWGN(0.0), LinearAWGN(0.5), Sign(), Sign(0.2),
                     Sign(epsilon=0.1), Abs(0.0), Abs(0.2), ReLU(1e-8),
@@ -628,7 +647,7 @@ class TestFarTails:
                 for v in (1e-300, 1e-8, 1.0, 1e8, 1e300):
                     for omega in omegas:
                         try:
-                            res = gout(ch, y, omega, v)
+                            res = ch.gout(y, omega, v)
                         except GoutUnderflowError:
                             continue
                         vals = (res.gout, res.vout, res.log_zout)
@@ -706,31 +725,49 @@ class TestArrayOfQ:
 # value bit for bit the same.  Folding the E_V rule of Abs onto V >= 0 moved
 # three Abs values by 1-3 ulp (a different summation order); ReLU is not
 # folded and keeps its values.  numerics.erfcx in place of scipy.special's
-# erfcx and ndtr moved three ReLU values; SCIPY_PINS keeps the scipy value
-# of the one in an exact row.  The fast rows moved again when the fast
-# profile took panel E_V rows everywhere for kinked channels (Gauss-Hermite
-# had served rows whose threshold images are wider than 0.75): fast
-# ReLU(0.3) near q = rho went from 0.78098 (6.3% low) to within 1.3e-4 of
-# the exact profile.
+# erfcx and ndtr moved three ReLU values.  The fast rows moved again when
+# the fast profile took panel E_V rows everywhere for kinked channels
+# (Gauss-Hermite had served rows whose threshold images are wider than
+# 0.75): fast ReLU(0.3) near q = rho went from 0.78098 (6.3% low) to within
+# 1.3e-4 of the exact profile.  Every value moved once more when the y rows
+# replaced the nested w x noise rules; ADAPTIVE_REFS has the adaptive
+# reference of each that moved by more than rounding.
 PIN_FRACS = np.array([0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
 PINNED = [
-    (Abs(0.0), 1.0, "exact", [0.24483545409679605, 4.006710240907237,
-                              499694.1623110277, 500010755262.2291]),
-    (Abs(0.0), 1.0, "fast", [0.2448354540692513, 4.006710241206821,
-                             499694.1623107023, 500010755259.8389]),
-    (ReLU(1e-8), 0.2, "exact", [2.7747000420671943, 15.308569960945036,
-                                1190908.0423033114, 24999487.388463676]),
-    (ReLU(1e-8), 0.2, "fast", [2.774700226955872, 15.308570020791459,
-                               1190908.0418112543, 24999499.469273034]),
-    (ReLU(0.3), 0.2, "exact", [0.42300117614283494, 0.6761723038890767,
-                               0.8332220905159329, 0.8333333333327777]),
-    (ReLU(0.3), 0.2, "fast", [0.423001172060257, 0.6761723043605709,
-                              0.8333327777781483, 0.833333333332778]),
+    (Abs(0.0), 1.0, "exact", [0.24483545409679608, 4.006710240907229,
+                              499694.16231102694, 500010755269.4909]),
+    (Abs(0.0), 1.0, "fast", [0.24483545406946414, 4.00671024086812,
+                             499694.16231050773, 500010755255.7728]),
+    (ReLU(1e-8), 0.2, "exact", [2.774700162512952, 15.30856997146917,
+                                1190908.042302486, 24999487.388465904]),
+    (ReLU(1e-8), 0.2, "fast", [2.7747001625130308, 15.308569971467685,
+                               1190908.0423012874, 24999499.46927331]),
+    (ReLU(0.3), 0.2, "exact", [0.4230011761427611, 0.6761723038890761,
+                               0.8332220905159323, 0.8333333333327775]),
+    (ReLU(0.3), 0.2, "fast", [0.42300117614415034, 0.6761723043601477,
+                              0.8333327777781493, 0.8333333333327787]),
 ]
-# (PINNED row, position): the scipy.special value and the relative distance
-# the pin may keep from it
-SCIPY_PINS = {
-    (2, 1): (15.308569960945034, 1e-13),
+# (PINNED row, position): the same E_V rule with the integral over y at each
+# node by adaptive quadrature (scipy quad, break points at every feature),
+# the relative distance the pin keeps from it, and the distance the pin of
+# the nested rules kept.  Near q = rho, y = omega + sqrt(rho - q) x rounds
+# away about eps / sqrt(rho - q) of the x part, so at 1 - 1e-12 abs is only
+# resolved to about 1e-11 by any of them and is left out.
+ADAPTIVE_REFS = {
+    (0, 0): (0.24483545409679608, 1e-16, 1.2e-16),
+    (1, 0): (0.24483545406946775, 1e-13, 8.8e-13),
+    (1, 1): (4.006710240868125, 1e-14, 8.5e-11),
+    (1, 2): (499694.16231050633, 1e-14, 3.9e-13),
+    (2, 0): (2.7747001625129477, 1e-14, 4.3e-8),
+    (2, 1): (15.308569971469085, 1e-14, 6.9e-10),
+    (2, 3): (24999487.388465982, 1e-14, 9.2e-14),
+    (3, 0): (2.7747001625130143, 1e-14, 2.3e-8),
+    (3, 1): (15.308569971467476, 2e-14, 3.2e-9),
+    (3, 2): (1190908.042251841, 1e-10, 3.7e-10),
+    (3, 3): (24999499.46927542, 9e-14, 9.5e-14),
+    (4, 0): (0.4230011761427613, 1e-15, 1.7e-13),
+    (5, 0): (0.42300117614415067, 1e-15, 9.7e-9),
+    (5, 1): (0.6761723043601476, 1e-15, 6.3e-13),
 }
 
 
@@ -751,11 +788,12 @@ def test_fast_noisy_relu_near_full_overlap():
     assert fast == pytest.approx(ch.psi_pout_prime(q, rho), rel=1e-3, abs=0.0)
 
 
-@pytest.mark.parametrize("where", sorted(SCIPY_PINS))
-def test_repins_stay_near_scipy_values(where):
-    old, rel = SCIPY_PINS[where]
+@pytest.mark.parametrize("where", sorted(ADAPTIVE_REFS))
+def test_pins_are_closer_to_adaptive_references(where):
+    ref, rel, before = ADAPTIVE_REFS[where]
     row, pos = where
-    assert PINNED[row][3][pos] == pytest.approx(old, rel=rel, abs=0.0)
+    assert rel < before
+    assert PINNED[row][3][pos] == pytest.approx(ref, rel=rel, abs=0.0)
 
 
 # -- the E_V rule of a mirror-symmetric channel, folded onto V >= 0 ----------
@@ -861,9 +899,21 @@ def test_folded_door_at_high_q_matches_a_refined_rule(monkeypatch):
 
 # -- noisy step channels near q = rho ------------------------------------------
 
-def _label_average(ch, q, rho, v):
-    """E over the label of gout^2 at omega = sqrt(q) v, for a step activation
-    plus noise: piece k emits c_k + noise with the mass of its w interval."""
+def _log_z_pair(ch, y, omega, vp):
+    logz = ch.log_zout(y, omega, vp)
+    return logz, logz
+
+
+def _gout_sq_pair(ch, y, omega, vp):
+    logz, g = ch._log_zout_gout(y, omega, vp)
+    return logz, g * g
+
+
+def _label_average(ch, q, rho, v, f=_gout_sq_pair):
+    """E over the label of the integrand of f, which returns (log Z_out,
+    integrand), at omega = sqrt(q) v (gout^2 by default), for a step
+    activation plus noise: piece k emits c_k + noise with the mass of its
+    w interval."""
     d = rho - q
     omega = math.sqrt(q) * v
     gh = gauss_hermite(95)
@@ -872,25 +922,28 @@ def _label_average(ch, q, rho, v):
         lo, hi = (a - omega) / math.sqrt(d), (b - omega) / math.sqrt(d)
         mass = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
         if mass > 0.0:
-            g = ch.gout(c + math.sqrt(ch.delta) * gh.nodes, omega, d).gout
-            total += mass * np.dot(gh.weights, g * g)
+            vals = f(ch, c + math.sqrt(ch.delta) * gh.nodes, omega, d)[1]
+            total += mass * np.dot(gh.weights, vals)
     return total
 
 
-def _adaptive_psi_prime(ch, q, rho):
-    """psi_pout' from adaptive Simpson over V, in units of the width
+def _adaptive_v_average(ch, q, rho, f=_gout_sq_pair, tol=1e-11):
+    """E over V of _label_average by adaptive Simpson, in units of the width
     w = sqrt((rho - q) / q) of the band in which omega leaves the side of z
     uncertain, split 12 widths either side of each threshold image."""
     w = math.sqrt((rho - q) / q)
 
-    def f(t):
-        return norm.pdf(w * t) * _label_average(ch, q, rho, w * t)
+    def g(t):
+        return norm.pdf(w * t) * _label_average(ch, q, rho, w * t, f)
 
     images = [k / math.sqrt(q) / w for k in ch._x_kinks()]
     cuts = sorted([-9.0 / w, 9.0 / w] + [t + o for t in images for o in (-12.0, 12.0)])
-    total = sum(integrate_1d(f, lo, hi, tol=1e-11)
-                for lo, hi in zip(cuts[:-1], cuts[1:]))
-    return w * total / (2.0 * (rho - q))
+    return w * sum(integrate_1d(g, lo, hi, tol=tol)
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _adaptive_psi_prime(ch, q, rho):
+    return _adaptive_v_average(ch, q, rho) / (2.0 * (rho - q))
 
 
 @pytest.mark.parametrize("profile", ["exact", "fast"])
@@ -906,6 +959,16 @@ def test_noisy_step_psi_prime_matches_adaptive_integral(ch, d, profile):
     assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("ch", [Sign(0.2), SymmetricDoor(delta=0.2)], ids=repr)
+def test_noisy_step_psi_at_the_recovery_clamp(ch):
+    """recovery_f reads the exact psi_pout at q_hi = rho (1 - EVAL_DEPTH),
+    where psi_pout' grows like 1 / sqrt(rho - q)."""
+    from glmphase.replica import EVAL_DEPTH
+    q = 1.0 - EVAL_DEPTH
+    ref = _adaptive_v_average(ch, q, 1.0, _log_z_pair, tol=1e-10)
+    assert ch.psi_pout(q, 1.0) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("profile", ["exact", "fast"])
 @pytest.mark.parametrize("ch", [Sign(0.2), SymmetricDoor(delta=0.2)], ids=repr)
 def test_noisy_step_psi_prime_diverges_like_inverse_sqrt(ch, profile):
@@ -915,3 +978,119 @@ def test_noisy_step_psi_prime_diverges_like_inverse_sqrt(ch, profile):
         scaled = ch.psi_pout_prime(1.0 - d, 1.0) * np.sqrt(d)
     np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-3)
     assert scaled[-1] > 0.3
+
+
+# -- the y rows of continuous channels ------------------------------------------
+
+def _y_rows_average(ch, omega, vp, f):
+    """E over y of the integrand of f at one E_V node, on the y rows; f
+    returns (log Z_out, integrand)."""
+    om, v = np.array([omega]), np.array([vp])
+    total = 0.0
+    for y, at, wy in ch._y_rows(om, v):
+        logz, vals = f(ch, y, om[at], v[at])
+        total += np.sum(np.where(logz > -np.inf, wy * vals, 0.0))
+    return total
+
+
+def _y_integral(ch, omega, vp, f, tol):
+    """The integral over y of Z_out(y) times the integrand of f by adaptive
+    Simpson, split at each piece's centre c + d omega (+- 2, 4, 10 of its
+    spread) and at each kink image phi(e) (+- 1 ... 16 noise deviations)."""
+    sd = math.sqrt(ch.delta)
+    pts = set()
+    for a, b, c, d in ch.pieces():
+        s = math.sqrt(ch.delta + d * d * vp)
+        pts.update(c + d * omega + k * s for k in (-10, -4, -2, 0, 2, 4, 10))
+        for e in (a, b):
+            if math.isfinite(e):
+                pts.update(c + d * e + k * sd
+                           for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16))
+    cuts = sorted(pts)
+
+    def g(y):
+        logz, val = f(ch, np.array(y), omega, vp)
+        return 0.0 if logz == -math.inf else math.exp(logz) * float(val)
+
+    return sum(integrate_1d(g, lo, hi, tol=tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+Y_ROW_CASES = [(ReLU(0.3), 0.2), (ReLU(0.3), 1.0), (Abs(0.1), 1.0),
+               (ReLU(1e-8), 0.2), (Abs(0.0), 1.0)]
+
+
+@pytest.mark.parametrize("frac,f", [(0.3, _log_z_pair), (0.9, _gout_sq_pair),
+                                    (1.0 - 1e-6, _log_z_pair)],
+                         ids=["0.3-logz", "0.9-gout2", "1-1e-6-logz"])
+@pytest.mark.parametrize("ch,rho", Y_ROW_CASES, ids=repr)
+def test_y_rows_match_adaptive_integral_over_y(ch, rho, frac, f):
+    """One E_V node (V = 0.9) of the exact profile: its y rows against an
+    adaptive integral over y of Z_out times the integrand.  The nested
+    w x noise rules they replace missed psi_pout' by up to 4.3e-8
+    (ReLU(1e-8) at q/rho 0.3)."""
+    q = frac * rho
+    omega = math.sqrt(q) * 0.9
+    with np.errstate(divide="ignore"):
+        got = _y_rows_average(ch, omega, rho - q, f)
+        ref = _y_integral(ch, omega, rho - q, f, tol=1e-13 * abs(got))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# _piece_stats elements of one psi_pout' call under the nested w x noise
+# rules that the y rows replaced (q = frac * rho)
+NESTED_RULE_POINTS = [
+    (ReLU(0.3), 0.2, "exact", 0.3, 1768960), (ReLU(0.3), 0.2, "exact", 0.9, 1375200),
+    (ReLU(0.3), 1.0, "exact", 0.3, 1990080), (ReLU(0.3), 1.0, "exact", 0.9, 1485760),
+    (Abs(0.1), 1.0, "exact", 0.3, 1827840), (Abs(0.1), 1.0, "exact", 0.9, 1260000),
+    (ReLU(1e-8), 0.2, "exact", 0.9, 1752888),
+    (Abs(0.0), 1.0, "exact", 0.3, 121856), (Abs(0.0), 1.0, "exact", 0.9, 91616),
+    (Abs(0.0), 1.0, "exact", 1.0 - 1e-6, 82432),
+    (Abs(0.0), 1.0, "fast", 0.3, 6400), (Abs(0.0), 1.0, "fast", 0.9, 8160),
+    (Abs(0.0), 1.0, "fast", 1.0 - 1e-6, 8800),
+]
+
+
+@pytest.mark.parametrize("ch,rho,profile,frac,before", NESTED_RULE_POINTS)
+def test_y_rows_take_fewer_kernel_points(ch, rho, profile, frac, before, monkeypatch):
+    """Noisy channels take at least 3 times fewer evidence-kernel points
+    than the nested rules did, and noiseless abs no more."""
+    count = [0]
+    kernel = _PiecewiseChannel._piece_stats
+
+    def counted(self, y, omega, v):
+        out = kernel(self, y, omega, v)
+        count[0] += out[0][0].size
+        return out
+
+    monkeypatch.setattr(_PiecewiseChannel, "_piece_stats", counted)
+    with quad_profile(profile):
+        ch.psi_pout_prime(frac * rho, rho)
+    assert count[0] * (1 if ch.delta == 0.0 else 3) <= before
+
+
+# psi_pout at q/rho 0.3, 0.9, 1 and psi_pout' at 0.3, 0.9, 1 - 1e-6 (rho
+# 1) of the discrete channels, as float.hex, from before the y rows: their
+# label axis keeps every bit
+DISCRETE_PINS = [
+    (Sign(), "exact", ['-0x1.2c87e5acd7204p-1', '-0x1.d0fc3e597e7b5p-3', '0x0.0p+0'],
+     ['0x1.957739cd8fabdp-2', '0x1.2071fd07fbdcbp+0', '0x1.6852d3d50eab8p+8']),
+    (Sign(), "fast", ['-0x1.2c87e5acd73d2p-1', '-0x1.d0fc3e597e10fp-3', '0x0.0p+0'],
+     ['0x1.957739cd8fd6ep-2', '0x1.2071fd07fb779p+0', '0x1.6852d3d50ece8p+8']),
+    (SymmetricDoor(), "exact", ['-0x1.59a57cf8b8921p-1', '-0x1.6e8a9510d597fp-2', '0x0.0p+0'],
+     ['0x1.09f1a511ded3ep-3', '0x1.a6fdacee32d55p+0', '0x1.1f03cea96818ap+9']),
+    (SymmetricDoor(), "fast", ['-0x1.59a57cf8b8920p-1', '-0x1.6e8a9510d5804p-2', '0x0.0p+0'],
+     ['0x1.09f1a511ded3fp-3', '0x1.a6fdacee301b9p+0', '0x1.1f03cea968349p+9']),
+    (Sigmoid(2.0), "exact", ['-0x1.4507700b62ee6p-1', '-0x1.f700a80dacd15p-2', '-0x1.d918dafd9d6a1p-2'],
+     ['0x1.a6a9dd86a3a5fp-3', '0x1.20b9c057553cap-2', '0x1.361ef8c0601e3p-2']),
+    (Sigmoid(2.0), "fast", ['-0x1.4507700b62ee6p-1', '-0x1.f700a80dacd15p-2', '-0x1.d918dafd9d6a1p-2'],
+     ['0x1.a6a9dd86a3a5fp-3', '0x1.20b9c057553cap-2', '0x1.361ef8c0601e3p-2']),
+]
+
+
+@pytest.mark.parametrize("ch,profile,psi,prime", DISCRETE_PINS)
+def test_discrete_channels_keep_their_bits(ch, profile, psi, prime):
+    with quad_profile(profile):
+        got_psi = ch.psi_pout(np.array([0.3, 0.9, 1.0]), 1.0)
+        got_prime = ch.psi_pout_prime(np.array([0.3, 0.9, 1.0 - 1e-6]), 1.0)
+    assert [v.hex() for v in got_psi.tolist()] == psi
+    assert [v.hex() for v in got_prime.tolist()] == prime

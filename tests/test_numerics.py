@@ -14,7 +14,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from glmphase import numerics
 from glmphase.numerics import (_LOG_SQRT_2PI, BracketError, FixedPointOptions,
-                               NonFiniteIntegrandError, _gl_on_edges,
+                               NonFiniteIntegrandError, _leggauss_unit,
                                cubic_spline, erfcx, expit, find_root,
                                gauss_hermite, log_expit,
                                gauss_panels, integrate_1d, logsumexp)
@@ -90,7 +90,11 @@ def _one_row_reference(features, widths, half_range=9.0, chunk=0.6, order=16):
         n_chunks = max(1, int(np.ceil((hi - lo) / chunk)))
         edges.extend(np.linspace(lo, hi, n_chunks + 1)[:-1])
     edges.append(spts[-1])
-    nodes, weights = _gl_on_edges(edges, order)
+    x, w = _leggauss_unit(order)
+    e = np.asarray(edges)
+    width = np.diff(e)[:, None]
+    nodes = (e[:-1][:, None] + width * x[None, :]).ravel()
+    weights = (width * w[None, :]).ravel()
     return nodes, weights * np.exp(-0.5 * nodes * nodes - _LOG_SQRT_2PI)
 
 
@@ -130,6 +134,25 @@ class TestGaussPanelsRows:
                 feats[i][ok], widths[i][ok], 6.0, 0.25, 7)
             assert np.array_equal(many.nodes[many.row == i], ref_nodes)
             assert np.array_equal(many.weights[many.row == i], ref_weights)
+
+    def test_bounds_per_row(self):
+        """Row i integrates over (lo_i, hi_i) only, refined at the features
+        inside; a row with lo = hi has no node."""
+        from scipy.special import ndtr
+        lo = np.array([-9.0, -1.5, 0.3, 2.0, -20.0])
+        hi = np.array([9.0, 0.7, 0.3, 8.5, 20.0])
+        feats = np.array([[0.1], [0.2], [0.3], [np.nan], [1.0]])
+        widths = np.array([[0.01], [1e-4], [0.0], [np.nan], [0.5]])
+        rule = gauss_panels(feats, widths, bounds=(lo, hi))
+        assert np.all((rule.nodes > lo[rule.row]) & (rule.nodes < hi[rule.row]))
+        assert 2 not in rule.row
+        # the mass of (lo, hi) and its second moment, x phi(x) at the ends
+        mass = ndtr(hi) - ndtr(lo)
+        edge = np.exp(-0.5 * hi * hi) * hi - np.exp(-0.5 * lo * lo) * lo
+        second = mass - edge / math.sqrt(2.0 * math.pi)
+        for f, ref in ((np.ones_like, mass), (np.square, second)):
+            got = np.bincount(rule.row, weights=rule.weights * f(rule.nodes), minlength=5)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-16)
 
     def test_single_row_has_no_row_index(self):
         assert gauss_panels((0.3,), (0.1,)).row is None

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
-                             RademacherPrior, TwoPointPrior, denoise, psi_p0,
-                             psi_p0_prime, sample)
+                             RademacherPrior, TwoPointPrior)
 
 ALL_PRIORS = [
     GaussianPrior(1.0),
@@ -41,7 +40,7 @@ class TestConstruction:
 
 class TestSampling:
     def test_rademacher_support(self):
-        x = sample(RademacherPrior(0.5), 4, seed=0)
+        x = RademacherPrior(0.5).sample(4, seed=0)
         assert set(np.unique(x)) <= {-1.0, 1.0}
 
     def test_gauss_bernoulli_sparsity(self):
@@ -72,24 +71,24 @@ class TestSampling:
 class TestDenoise:
     def test_gaussian_conjugacy(self):
         prior = GaussianPrior(1.0)
-        out = denoise(prior, 2.0, 3.0)
+        out = prior.denoise(2.0, 3.0)
         assert out.mean == pytest.approx(3.0 * 2.0 / 4.0)
         assert out.variance == pytest.approx(1.0 / 4.0)
 
     def test_rademacher_tanh(self):
-        out = denoise(RademacherPrior(0.5), 0.7, 2.0)
+        out = RademacherPrior(0.5).denoise(0.7, 2.0)
         assert out.mean == pytest.approx(math.tanh(1.4))
         assert out.variance == pytest.approx(1.0 - math.tanh(1.4) ** 2)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_lambda_zero_returns_prior_moments(self, prior):
-        out = denoise(prior, 12.3, 0.0)
+        out = prior.denoise(12.3, 0.0)
         assert out.mean == pytest.approx(prior.mean, abs=1e-12)
         assert out.variance == pytest.approx(prior.variance, abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            denoise(GaussianPrior(), 0.0, -1.0)
+            GaussianPrior().denoise(0.0, -1.0)
 
     def test_gauss_bernoulli_against_quadrature(self):
         prior = GaussBernoulliPrior(0.3)
@@ -103,22 +102,22 @@ class TestDenoise:
         m2 = 0.3 * quad(lambda x: x * x * gauss(x) * w(x), -12, 12)[0]
         mean = m1 / (z0 + z1)
         var = m2 / (z0 + z1) - mean ** 2
-        out = denoise(prior, R, lam)
+        out = prior.denoise(R, lam)
         assert out.mean == pytest.approx(mean, rel=1e-10)
         assert out.variance == pytest.approx(var, rel=1e-10)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     @given(R=st.floats(-6.0, 6.0), lam=st.floats(0.0, 50.0))
     def test_posterior_variance_nonnegative(self, prior, R, lam):
-        out = denoise(prior, R, lam)
+        out = prior.denoise(R, lam)
         assert out.variance >= 0.0
 
     def test_vectorized_matches_scalar(self):
         prior = GaussBernoulliPrior(0.4)
         Rs = np.linspace(-2, 2, 7)
-        out = denoise(prior, Rs, 1.7)
+        out = prior.denoise(Rs, 1.7)
         for i, R in enumerate(Rs):
-            single = denoise(prior, float(R), 1.7)
+            single = prior.denoise(float(R), 1.7)
             assert out.mean[i] == pytest.approx(single.mean)
             assert out.variance[i] == pytest.approx(single.variance)
 
@@ -126,11 +125,11 @@ class TestDenoise:
 class TestPsiP0:
     def test_zero_snr_is_zero(self):
         for prior in ALL_PRIORS:
-            assert psi_p0(prior, 0.0) == 0.0
+            assert prior.psi_p0(0.0) == 0.0
 
     def test_gaussian_closed_form(self):
         prior = GaussianPrior(1.0)
-        assert psi_p0(prior, 1.0) == pytest.approx(0.5 - math.log(2.0) / 2.0,
+        assert prior.psi_p0(1.0) == pytest.approx(0.5 - math.log(2.0) / 2.0,
                                                    abs=1e-12)
 
     def test_rademacher_lncosh_form(self):
@@ -140,23 +139,23 @@ class TestPsiP0:
         f = lambda z: (math.log(math.cosh(math.sqrt(r) * z + r))
                        * math.exp(-z * z / 2) / math.sqrt(2 * math.pi))
         expected = quad(f, -12, 12)[0] - r / 2
-        assert psi_p0(prior, r) == pytest.approx(expected, abs=1e-9)
+        assert prior.psi_p0(r) == pytest.approx(expected, abs=1e-9)
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
-            psi_p0(GaussianPrior(), -0.1)
+            GaussianPrior().psi_p0(-0.1)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_convexity_on_grid(self, prior):
         rs = np.linspace(0.0, 8.0, 20)
-        vals = np.array([psi_p0(prior, r) for r in rs])
+        vals = np.array([prior.psi_p0(r) for r in rs])
         mids = 0.5 * (vals[:-2] + vals[2:])
         assert np.all(mids >= vals[1:-1] - 1e-10)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_nondecreasing(self, prior):
         rs = np.linspace(0.0, 8.0, 20)
-        vals = np.array([psi_p0(prior, r) for r in rs])
+        vals = np.array([prior.psi_p0(r) for r in rs])
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -164,28 +163,28 @@ class TestPsiP0Prime:
     def test_zero_mean_prior_at_zero(self):
         for prior in (GaussianPrior(1.0), RademacherPrior(0.5),
                       GaussBernoulliPrior(0.3)):
-            assert psi_p0_prime(prior, 0.0) == pytest.approx(0.0, abs=1e-15)
+            assert prior.psi_p0_prime(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_gaussian_mmse(self):
-        assert 2 * psi_p0_prime(GaussianPrior(1.0), 3.0) == pytest.approx(0.75)
+        assert 2 * GaussianPrior(1.0).psi_p0_prime(3.0) == pytest.approx(0.75)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_saturates_at_second_moment(self, prior):
-        assert 2 * psi_p0_prime(prior, 1e6) == pytest.approx(
+        assert 2 * prior.psi_p0_prime(1e6) == pytest.approx(
             prior.second_moment, abs=1e-4)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_matches_finite_differences(self, prior):
         for r in (0.1, 1.0, 10.0):
             h = 1e-4
-            fd = (psi_p0(prior, r + h) - psi_p0(prior, r - h)) / (2 * h)
-            an = psi_p0_prime(prior, r)
+            fd = (prior.psi_p0(r + h) - prior.psi_p0(r - h)) / (2 * h)
+            an = prior.psi_p0_prime(r)
             assert abs(fd - an) <= 1e-5 * max(abs(an), 1e-12)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_bounds_and_monotonicity(self, prior):
         rs = [0.0, 0.5, 2.0, 20.0, 1e4]
-        vals = [2 * psi_p0_prime(prior, r) for r in rs]
+        vals = [2 * prior.psi_p0_prime(r) for r in rs]
         lo = prior.mean ** 2
         for v in vals:
             assert lo - 1e-10 <= v <= prior.second_moment + 1e-10
@@ -203,7 +202,7 @@ class TestPsiP0Prime:
                 m, _ = prior.posterior_mean_var(math.sqrt(r) * y, r)
                 return (f_spike + f_slab) * float(m) ** 2
             e_g2 = quad(integrand, -40, 40, epsabs=1e-13, limit=400)[0]
-            assert 2 * psi_p0_prime(prior, r) == pytest.approx(e_g2, rel=1e-7)
+            assert 2 * prior.psi_p0_prime(r) == pytest.approx(e_g2, rel=1e-7)
 
 
 BATCH_PRIORS = [

@@ -422,3 +422,23 @@ def test_noisy_sign_recovery_routes_agree():
     assert sol.q_star == 1.0
     assert sol.free_entropy == pytest.approx(-1.61548, abs=1e-5)
     assert abs(sol.f_gamma - sol.f_direct) <= 1e-12
+
+
+def test_capped_se_runs_offer_no_branch(monkeypatch):
+    """Rademacher x Sign at alpha 1.0 with SE capped at 2 iterations: the
+    cut runs' last iterates (q = 0.5099 and 0.9910) once entered gamma_set;
+    now every listed q below the recovery branch is a fixed point of the
+    one-step map, found by the grid crossings."""
+    from glmphase import state_evolution as se
+    from glmphase.numerics import FixedPointOptions
+    monkeypatch.setattr(se, "DEFAULT_SE_OPTS",
+                        FixedPointOptions(damping=0.0, tol=1e-10, max_iter=2))
+    prior, ch, alpha = RademacherPrior(), Sign(), 1.0
+    rho = prior.second_moment
+    sol = solve(prior, ch, alpha)
+    assert not sol.se_uninformative.converged
+    qs = [p.q for p in sol.gamma_set if p.q < rho * (1.0 - replica.RECOVERY_FRAC)]
+    assert qs
+    for q in qs:
+        r = 2.0 * alpha * ch.psi_pout_prime(q, rho)
+        assert abs(2.0 * prior.psi_p0_prime(r) - q) <= 1e-9 * rho
