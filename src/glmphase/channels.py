@@ -231,9 +231,7 @@ def _log_gauss_prob(alpha, beta):
 # the E_V panels of a channel with thresholds; the fast pair keeps psi' of
 # sign, abs and the door within 5e-9 relative of the exact profile at every
 # table node.  y_chunk and y_gl are those of the y rows of a continuous
-# channel (``_PiecewiseChannel._y_rows``): against adaptive integrals over
-# y, the exact rows are within about 1e-13 at each E_V node, and the fast
-# pair keeps psi' of abs within 5e-14 of them.
+# channel; the exact pair is within about 1e-13 of adaptive integrals.
 _PROFILES = {
     "exact": dict(v_chunk=_CHUNK_WIDTH, v_gl=_GL_ORDER, y_chunk=2.0, y_gl=16),
     "fast": dict(v_chunk=4.0, v_gl=10, y_chunk=3.5, y_gl=13),
@@ -716,25 +714,19 @@ class _PiecewiseChannel(Channel):
     # -- generative expectations ------------------------------------------------
 
     def _y_rows(self, omega, vp):
-        """The law of y given (omega, V') at each E_V node.  A discrete
-        channel has its labels.  A continuous one has a row per piece k of
-        y = c + d omega + s_k x, x ~ N(0, 1), s_k^2 = delta + d^2 V', whose
-        nodes weigh P_k(y), the chance that z lies in the piece given y:
-        the piece's mass for a constant piece, 1 for a noiseless linear one
-        (its row stops at the ends of its support), and for a noisy linear
-        one an erf step at x = (e - omega) s_k / (d V') for each finite end
-        e, sqrt(delta / V') / |d| wide.  Rows come _V_PASS nodes at a time
-        from one gauss_panels call (the profile's y_chunk and y_gl); the
-        evidence kernel takes their nodes _Y_PASS at a time.
-
-        A row is refined around the steps and around the points where two
-        pieces' terms of Z_out balance (each taken as P_k N(y; c + d omega,
-        s_k^2), P_k = 1 on a linear piece), across which ln Z_out turns
-        like a logistic in y, wherever they are narrower than a quarter
-        chunk.  A noisy channel's balance point wider than half a node
-        spacing gets only break points two widths either side of it.  At
-        q = rho, y = phi(omega) + noise: a row per node, or the node
-        y = phi(omega) of a noiseless channel, whose evidence then raises."""
+        """The law of y given (omega, V') at each E_V node: a discrete
+        channel's labels, or a row per piece k of y = c + d omega + s_k x,
+        x ~ N(0, 1), s_k^2 = delta + d^2 V', weighted by P_k(y), the chance
+        that z lies in the piece: its mass for a constant piece, 1 on the
+        support of a noiseless linear one (where its row stops), an erf
+        step at each end of a noisy linear one.  Rows of _V_PASS nodes come
+        from one gauss_panels call (the profile's y_chunk and y_gl), their
+        nodes _Y_PASS at a time.  A row is refined at the steps (without
+        noise: the images phi(e) of the support ends) and where two pieces'
+        terms of Z_out, each taken as P_k N(y; c + d omega, s_k^2), balance
+        (a noisy channel's balance point wider than half a node spacing
+        gets only break points two widths either side).  At q = rho, y =
+        phi(omega) + noise; a noiseless channel's evidence then raises."""
         if self.is_discrete:
             yield from super()._y_rows(omega, vp)
             return
@@ -770,12 +762,18 @@ class _PiecewiseChannel(Channel):
             logp[const] = _log_gauss_prob((a[const] - omega) / sqv,
                                           (b[const] - omega) / sqv)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # features in y, one (pieces, n) block each: the steps ...
+            # features in y, one (pieces, n) block each: the steps, or
+            # without noise the images phi(e) of the ends of the supports,
+            # where the other pieces' terms of Z_out start ...
             locs, widths = [], []
-            for e in (a, b) if delta > 0.0 else ():
+            for e in (a, b):
                 end = np.isfinite(e[:, 0]) & linear
-                locs.append((mu + (e - omega) * (s * s) / (d * vp))[end])
-                widths.append((s * np.sqrt(delta / vp) / np.abs(d))[end])
+                if delta > 0.0:
+                    locs.append((mu + (e - omega) * (s * s) / (d * vp))[end])
+                    widths.append((s * np.sqrt(delta / vp) / np.abs(d))[end])
+                else:
+                    locs.append(np.broadcast_to(c + d * e, mu.shape)[end])
+                    widths.append(np.zeros(locs[-1].shape))
             steps = sum(len(x) for x in locs)
             # ... and the balance points of pieces j < k, the roots of
             # qa y^2 + qb y + qc

@@ -1015,6 +1015,26 @@ def _y_integral(ch, omega, vp, f, tol):
     return sum(integrate_1d(g, lo, hi, tol=tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
+def test_noiseless_jump_matches_quadrature():
+    """Abs with epsilon jumps from y = 0.05 to -0.05 at z = -0.05: the rows
+    of the other piece break at that image, or psi_pout was 2.2e-5 off at
+    q = 0 and the profiles disagreed by 1e-2 in psi_pout'."""
+    ch = Abs(0.0, epsilon=0.05)
+
+    def f(y):
+        logz = ch.log_zout(np.array(y), 0.0, 1.0)
+        return 0.0 if logz == -math.inf else math.exp(logz) * logz
+
+    cuts = [-12.0, -0.05, 0.0, 0.05, 1.0, 12.0]
+    ref = sum(quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+              for lo, hi in zip(cuts[:-1], cuts[1:]))
+    assert ch.psi_pout(0.0, 1.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    qs = np.array([0.3, 0.7])
+    with quad_profile("fast"):
+        fast = ch.psi_pout_prime(qs, 1.0)
+    np.testing.assert_allclose(fast, ch.psi_pout_prime(qs, 1.0), rtol=1e-9)
+
+
 Y_ROW_CASES = [(ReLU(0.3), 0.2), (ReLU(0.3), 1.0), (Abs(0.1), 1.0),
                (ReLU(1e-8), 0.2), (Abs(0.0), 1.0)]
 
