@@ -20,10 +20,10 @@ its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
 q = rho (1 - 1e-6).  For setups where that limit diverges (continuous prior
 or continuous noiseless channel) the transition finders in
 ``state_evolution`` compare branches through the divergence slope instead.
-The alpha-independent terms of that branch (the inner-inf r and the
-exact-profile psi_pout) are cached per (prior, channel, depth); the cache
-is exact, not an approximation: ``recovery_f`` returns the same float as
-``f_hat`` at the clamp.
+The alpha-independent terms of that branch are cached: the inner-inf r
+per (prior, depth), the exact-profile psi_pout per (prior, channel,
+depth).  The cache is exact, not an approximation: ``recovery_f`` returns
+the same float as ``f_hat`` at the clamp.
 """
 from __future__ import annotations
 
@@ -125,22 +125,26 @@ def inner_inf_r(prior: Prior, q, r_max: float = R_CAP):
 
     q may be an array: all roots come from one batched bracketing solve
     (Chandrupatla's method, ``numerics.find_root``), with psi_p0' evaluated
-    on the array of active iterates at each step.
+    on the array of active iterates at each step.  Where no q exceeds
+    2 psi_p0'(0) = mean^2, every r is 0 and psi_p0' is taken at no r > 0.
     """
     q_arr = np.asarray(q, dtype=float)
     qf = q_arr.reshape(-1)
-    at_zero, at_max = 2.0 * prior.psi_p0_prime(np.array([0.0, r_max]))
-    r = np.where(qf <= at_zero, 0.0, r_max)
-    todo = np.flatnonzero((qf > at_zero) & (qf < at_max))
-    if todo.size:
-        # root in u = ln(1 + r): relative precision across 8 decades of r
-        u = find_root(lambda t: 2.0 * prior.psi_p0_prime(np.expm1(t)),
-                      0.0, math.log1p(r_max), qf[todo], xatol=1e-13, xrtol=1e-14)
-        failed = np.isnan(u)
-        if failed.any():
-            raise ValueError(f"no root of 2 psi_p0'(r) = q for q = "
-                             f"{qf[todo][failed]}")
-        r[todo] = np.expm1(u)
+    r = np.zeros(qf.size)
+    above = qf > 2.0 * prior.psi_p0_prime(0.0)
+    if above.any():
+        r[above] = r_max
+        todo = np.flatnonzero(above & (qf < 2.0 * prior.psi_p0_prime(r_max)))
+        if todo.size:
+            # root in u = ln(1 + r): relative precision across 8 decades of r
+            u = find_root(lambda t: 2.0 * prior.psi_p0_prime(np.expm1(t)),
+                          0.0, math.log1p(r_max), qf[todo], xatol=1e-13,
+                          xrtol=1e-14)
+            failed = np.isnan(u)
+            if failed.any():
+                raise ValueError(f"no root of 2 psi_p0'(r) = q for q = "
+                                 f"{qf[todo][failed]}")
+            r[todo] = np.expm1(u)
     return float(r[0]) if q_arr.ndim == 0 else r.reshape(q_arr.shape)
 
 
@@ -157,19 +161,25 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     f_rs(rho, r) decreases in r, so lim_{r->inf} f_rs(rho, r) = inf_r, which
     this approximates from inside the domain.
     """
-    q, r, psi_out = _recovery_terms(prior, channel, depth)
-    return _f_rs_terms(prior, psi_out, alpha, q, r)
+    q, psi_out = _recovery_terms(prior, channel, depth)
+    return _f_rs_terms(prior, psi_out, alpha, q, _clamp_r(prior, depth))
 
 
 @lru_cache(maxsize=256)
 def _recovery_terms(prior: Prior, channel: Channel, depth: float):
-    """(q, inner-inf r, psi_pout(q)) at the clamp q = rho (1 - depth); none
-    depends on alpha.  psi_pout is always taken under the exact profile."""
+    """(q, psi_pout(q)) at the clamp q = rho (1 - depth); neither depends on
+    alpha.  psi_pout is always taken under the exact profile."""
     rho = prior.second_moment
     q = rho * (1.0 - depth)
     with quad_profile("exact"):
-        psi_out = channel.psi_pout(q, rho)
-    return q, inner_inf_r(prior, q), psi_out
+        return q, channel.psi_pout(q, rho)
+
+
+@lru_cache(maxsize=64)
+def _clamp_r(prior: Prior, depth: float) -> float:
+    """Inner-inf r at the clamp q = rho (1 - depth): one root solve per
+    (prior, depth), shared by every channel."""
+    return inner_inf_r(prior, prior.second_moment * (1.0 - depth))
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,

@@ -34,7 +34,8 @@ table.  Their node sets are module constants:
   [ln 1e-9, ln 1e13] (spacing 0.158) up to u = 10, and above that only
   every 8th of its nodes, counted down from the top one (211 nodes).  Rows
   that close to q = rho cost the most kernel points, and ln psi_pout' is
-  nearly linear in u there.
+  nearly linear in u there.  Below the lowest node the table is linear in
+  q from psi_pout'(0), taken in the same array call.
 
 The channel table takes its values from the ``fast`` quadrature profile of
 ``channels``: E_V panels of chunk width 4.0 and order 10 wherever the
@@ -47,6 +48,15 @@ when the run stops at its iteration cap instead of reading the last iterate
 as the limit.  ``gamma_branches`` evaluates its residual grid in one call
 and bisects every residual sign change of the grid together, one array
 call per step, with the midpoints a one-bracket bisection would take.
+
+For an even channel under a centred prior, q = 0 is an exact fixed point,
+which a run from near 0 only approaches: it stops at about 1e-10 to 5e-9
+rho.  One rule, ``_symmetric_snap``, reads a q below SNAP_FRAC * rho =
+1e-8 rho there as 0.  It applies to every SE limit the finders read
+(``_se_limit``) and to every branch of ``gamma_branches``, and nowhere
+else: ``se_run``, and the SE generalization error that ``replica.solve``
+takes from its run, keep the limit as the run left it.  At a snapped q_un
+the alpha_IT comparison takes r = 0 without a root solve.
 """
 from __future__ import annotations
 
@@ -58,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from . import replica
-from .channels import Channel, LinearAWGN, quad_profile
+from .channels import Channel, quad_profile
 from .numerics import BracketError, FixedPointOptions, cubic_spline
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
@@ -69,6 +79,9 @@ UNINFORMATIVE_FRAC = 1e-6
 INFORMATIVE_FRAC = 1e-6
 # hard ceiling keeping psi_pout' evaluations inside their domain
 _Q_GUARD = 1e-14
+# a fixed point below SNAP_FRAC * rho is the exact symmetric one, q = 0,
+# where that exists (_symmetric_snap)
+SNAP_FRAC = 1e-8
 
 DEFAULT_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=5000)
 SPINODAL_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=200_000)
@@ -166,8 +179,11 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     nodes CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8
     times sparser above, from one array call of fast-profile psi_pout'."""
     qs = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS)) * rho
+    # psi'(0) comes last in the call: the node values keep the q blocks of
+    # the call without it, on which a continuous channel's last bit depends
     with quad_profile("fast"):
-        vals = channel.psi_pout_prime(qs, rho)
+        vals = channel.psi_pout_prime(np.append(qs, 0.0), rho)
+    vals, v_zero = vals[:-1], float(vals[-1])
     bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0.0))
     if bad.size:
         raise ValueError(
@@ -186,18 +202,19 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     def f(q: float) -> float:
         q = min(q, q_cap)
         if q <= 0.0:
-            return 0.0
+            return v_zero
         u = math.log(q / (rho - q))
         if u < u_min:
-            # even channels have psi' ~ kappa q near zero; extend linearly
-            return v_min * (q / q_min)
+            # linear in q between psi'(0) and the lowest node; psi'(0) is 0
+            # for an even channel, whose psi' grows like kappa q there
+            return v_zero + (v_min - v_zero) * (q / q_min)
         return math.exp(spline(min(u, u_max)))
 
     return f
 
 
 def _se_functions(prior: Prior, channel: Channel, rho: float, fast: bool):
-    if not fast or isinstance(channel, LinearAWGN):
+    if not fast or channel.closed_form_prime:
         return (lambda r: 2.0 * prior.psi_p0_prime(r),
                 lambda q: channel.psi_pout_prime(q, rho))
     return _prior_table(prior), _channel_table(channel, rho)
@@ -272,8 +289,8 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     # a run stopped at its iteration cap offers no fixed point; the grid
     # crossings below still bracket the ones it was heading for
     qs = [run.q_limit for run in (uninformative, informative) if run.converged]
-    if channel.is_even and abs(prior.mean) == 0.0:
-        qs.append(0.0)  # exact symmetric fixed point
+    if _symmetric_point(prior, channel):
+        qs.append(0.0)
 
     # residual sign changes on a mixed log/linear grid, all solved at once;
     # sorted(set()) rather than np.unique, which imports numpy.ma (20 ms)
@@ -287,10 +304,7 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     cross = np.flatnonzero(res[:-1] * res[1:] < 0.0)
     qs.extend(_bisect_roots(residual, grid[cross], grid[cross + 1], res[cross],
                             tol=1e-12 * rho).tolist())
-
-    if channel.is_even and abs(prior.mean) == 0.0:
-        # snap numerically-vanishing limits onto the exact symmetric point
-        qs = [0.0 if q < 1e-8 * rho else q for q in qs]
+    qs = [_symmetric_snap(prior, channel, q) for q in qs]
 
     # dedupe
     out: list[float] = []
@@ -300,6 +314,19 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         elif q > out[-1]:
             out[-1] = q
     return out
+
+
+def _symmetric_point(prior: Prior, channel: Channel) -> bool:
+    """q = 0 is an exact fixed point: an even channel under a centred prior."""
+    return channel.is_even and prior.mean == 0.0
+
+
+def _symmetric_snap(prior: Prior, channel: Channel, q: float) -> float:
+    """q read as a fixed point: 0 below SNAP_FRAC * rho where q = 0 is an
+    exact fixed point (``_symmetric_point``), q itself otherwise."""
+    if q < SNAP_FRAC * prior.second_moment and _symmetric_point(prior, channel):
+        return 0.0
+    return q
 
 
 def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
@@ -329,9 +356,11 @@ def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
 
 def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
               opts: FixedPointOptions) -> float:
-    """Limit of a fast SE run from q0; a run stopped by the iteration cap
-    raises instead of being read as a limit."""
-    return se_run(prior, channel, alpha, q0, opts, fast=True).limit(alpha)
+    """Limit of a fast SE run from q0, snapped onto the symmetric fixed
+    point (``_symmetric_snap``); a run stopped by the iteration cap raises
+    instead of being read as a limit."""
+    q = se_run(prior, channel, alpha, q0, opts, fast=True).limit(alpha)
+    return _symmetric_snap(prior, channel, q)
 
 
 def _bisect_bool(pred, lo: float, hi: float, tol: float) -> float:

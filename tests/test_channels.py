@@ -1114,3 +1114,37 @@ def test_discrete_channels_keep_their_bits(ch, profile, psi, prime):
         got_prime = ch.psi_pout_prime(np.array([0.3, 0.9, 1.0 - 1e-6]), 1.0)
     assert [v.hex() for v in got_psi.tolist()] == psi
     assert [v.hex() for v in got_prime.tolist()] == prime
+
+
+@pytest.mark.parametrize("profile", ["exact", "fast"])
+@pytest.mark.parametrize("ch", [Sign(), SymmetricDoor(), Sigmoid(2.0)], ids=repr)
+def test_label_q_block_keeps_the_bits(ch, profile, monkeypatch):
+    """A discrete channel takes _LABEL_Q_BLOCK q per pass; each q's value
+    is the same float at 4 q per pass."""
+    q = np.concatenate([[0.0, 1e-12, 1e-9], np.linspace(0.01, 0.99, 30),
+                        1.0 - np.geomspace(1e-3, 1e-12, 7)])
+    with quad_profile(profile):
+        wide = ch.psi_pout(q, 1.0), ch.psi_pout_prime(q, 1.0)
+        monkeypatch.setattr(channels, "_LABEL_Q_BLOCK", 4)
+        narrow = ch.psi_pout(q, 1.0), ch.psi_pout_prime(q, 1.0)
+    np.testing.assert_array_equal(wide[0], narrow[0])
+    np.testing.assert_array_equal(wide[1], narrow[1])
+
+
+@pytest.mark.parametrize("ch,sizes", [(Sign(), [16, 16, 8]), (Sigmoid(2.0), [16, 16, 8]),
+                                      (Abs(0.0), [4] * 10), (Sign(0.2), [4] * 10)],
+                         ids=repr)
+def test_q_per_pass(ch, sizes, monkeypatch):
+    """The label axis takes 16 q per pass; continuous y rows keep 4, since
+    16 raised the peak memory of a fast Abs(0) table build."""
+    seen = []
+    original = Channel._expect_rows
+
+    def counted(self, q, rho, func):
+        seen.append(q.size)
+        return original(self, q, rho, func)
+
+    monkeypatch.setattr(Channel, "_expect_rows", counted)
+    with quad_profile("fast"):
+        ch.psi_pout_prime(np.linspace(0.0, 0.9, 40), 1.0)
+    assert seen == sizes

@@ -172,6 +172,25 @@ class TestRecoveryTermCache:
         assert replica.recovery_f(prior, ch, 0.9, depth) == first
 
 
+    def test_clamp_root_solved_once_per_prior(self, monkeypatch):
+        """The inner-inf r at the clamp depends on (prior, depth) only: two
+        door widths over one prior share one root solve."""
+        calls = []
+        real = replica.find_root
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(replica, "find_root", spy)
+        replica._clamp_r.cache_clear()
+        replica._recovery_terms.cache_clear()
+        prior, doors = RademacherPrior(), (SymmetricDoor(), SymmetricDoor(K=0.9))
+        got = [replica.recovery_f(prior, ch, 1.2, 1e-10) for ch in doors]
+        assert len(calls) == 1
+        assert got == [f_hat(prior, ch, 1.2, 1.0 - 1e-10)[0] for ch in doors]
+
+
 class TestGeneralizationError:
     CHANNELS = [
         (LinearAWGN(0.3), 1.0),
@@ -300,6 +319,22 @@ class TestBatchedInnerInf:
         assert inside.sum() >= 5
         np.testing.assert_allclose(2.0 * prior.psi_p0_prime(rs[inside]),
                                    qs[inside], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("prior", INNER_PRIORS)
+    def test_zero_takes_psi_prime_at_no_positive_r(self, prior, monkeypatch):
+        """No q above 2 psi_p0'(0) = mean^2 needs no root; psi_p0' was
+        once taken at R_CAP all the same."""
+        seen = []
+        original = type(prior).psi_p0_prime
+
+        def spy(self, r):
+            seen.append(float(np.max(r)))
+            return original(self, r)
+
+        monkeypatch.setattr(type(prior), "psi_p0_prime", spy)
+        assert inner_inf_r(prior, 0.0) == 0.0
+        assert np.all(inner_inf_r(prior, np.zeros(4)) == 0.0)
+        assert seen and max(seen) == 0.0
 
     def test_nonzero_mean_clamps_to_zero(self):
         # 2 psi_p0'(0) = mean^2 = 0.16 for p_plus = 0.3

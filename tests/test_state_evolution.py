@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glmphase import state_evolution as se
+from glmphase import replica, state_evolution as se
 from glmphase.channels import (Abs, LinearAWGN, Sign, SymmetricDoor,
                                quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions
@@ -88,6 +88,44 @@ class TestGammaBranches:
     def test_symmetric_zero_included(self):
         qs = gamma_branches(RademacherPrior(), SymmetricDoor(), 1.2)
         assert min(qs) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSymmetricSnap:
+    """One rule reads a vanishing limit as the exact fixed point q = 0,
+    where that point exists: an even channel under a centred prior."""
+
+    @pytest.mark.parametrize("prior,ch,q,snapped", [
+        (RademacherPrior(), SymmetricDoor(), 9e-9, 0.0),
+        (RademacherPrior(), SymmetricDoor(), 2e-8, 2e-8),
+        (GaussBernoulliPrior(0.5), Abs(0.0), 4e-9, 0.0),
+        (GaussBernoulliPrior(0.5), Abs(0.0), 6e-9, 6e-9),
+        (RademacherPrior(), Sign(), 1e-9, 1e-9),
+        (TwoPointPrior((1.0, -0.5), (0.3, 0.7)), SymmetricDoor(), 1e-9, 1e-9)],
+        ids=repr)
+    def test_rule(self, prior, ch, q, snapped):
+        assert se._symmetric_snap(prior, ch, q) == snapped
+
+    def test_finder_limit_is_snapped(self):
+        prior, ch = RademacherPrior(), SymmetricDoor()
+        run = se_run(prior, ch, 1.2, 1e-6, SPINODAL_SE_OPTS, fast=True)
+        assert 0.0 < run.q_limit < se.SNAP_FRAC
+        assert se._se_limit(prior, ch, 1.2, 1e-6, SPINODAL_SE_OPTS) == 0.0
+
+    def test_door_alpha_it_solves_no_root_at_zero(self, monkeypatch):
+        """Each bisection step once solved 2 psi_p0'(r) = q_un for a q_un
+        of 1e-10 to 5e-9."""
+        targets = []
+        real = replica.find_root
+
+        def spy(f, a, b, t, **kw):
+            targets.extend(np.ravel(t).tolist())
+            return real(f, a, b, t, **kw)
+
+        monkeypatch.setattr(replica, "find_root", spy)
+        replica._clamp_r.cache_clear()
+        alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
+        assert alpha_it == pytest.approx(1.0, abs=0.005)
+        assert targets and min(targets) >= se.SNAP_FRAC
 
 
 class TestStabilityThreshold:
@@ -300,9 +338,49 @@ class TestChannelTable:
         assert LOGITS[-1] == pytest.approx(math.log(1e13), rel=1e-15)
 
     def test_built_in_one_call(self, q_sizes):
+        # the 211 nodes and q = 0
         sizes = q_sizes("psi_pout_prime")
         _channel_table(SymmetricDoor(K=0.5), 1.0)
-        assert sizes == [211]
+        assert sizes == [212]
+
+    @pytest.mark.parametrize("rho", [1.0, 0.6])
+    @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor(), Abs(0.0)], ids=repr)
+    def test_below_the_lowest_node(self, ch, rho):
+        """Below u = ln 1e-9 the table once extended psi' ~ q down to 0,
+        which holds for even channels only: for Sign it gave 3.2e-4 at
+        q = 1e-12 against 0.318."""
+        q = np.array([0.0, 1e-12, 1e-10]) * rho
+        table = _channel_table(ch, rho)
+        got = np.array([table(x) for x in q])
+        exact = ch.psi_pout_prime(q, rho)
+        assert got == pytest.approx(exact, rel=TABLE_REL_BOUND, abs=0.0)
+
+    @pytest.mark.parametrize("prior,ch,alpha", [
+        (RademacherPrior(), Sign(), 1.0),
+        (GaussBernoulliPrior(0.3), Sign(), 1.2),
+        (RademacherPrior(), SymmetricDoor(), 1.5)], ids=repr)
+    def test_fast_run_from_zero_matches_exact(self, prior, ch, alpha):
+        """The fast Sign run from q0 = 0 once stopped at q = 0 after one
+        step; the exact run goes to 0.5607."""
+        exact = se_run(prior, ch, alpha, 0.0, SPINODAL_SE_OPTS)
+        fast = se_run(prior, ch, alpha, 0.0, SPINODAL_SE_OPTS, fast=True)
+        assert fast.converged and exact.converged
+        assert fast.q_limit == pytest.approx(exact.q_limit, abs=1e-4)
+
+    def test_linear_channel_keeps_its_closed_form(self, monkeypatch):
+        """The spline misses TABLE_REL_BOUND on LinearAWGN(0.01), so a
+        channel whose psi' is a closed form gets no table: its fast run is
+        the exact one."""
+        ch = LinearAWGN(0.01)
+        assert _table_rel_error(ch, MID) > TABLE_REL_BOUND
+        assert ch.closed_form_prime
+        assert not any(c.closed_form_prime for c in (Sign(), Abs(0.0), SymmetricDoor()))
+        built = []
+        monkeypatch.setattr(se, "_channel_table", lambda *a: built.append(a))
+        fast = se_run(GaussianPrior(1.0), ch, 2.0, 1e-6, fast=True)
+        exact = se_run(GaussianPrior(1.0), ch, 2.0, 1e-6)
+        assert built == []
+        np.testing.assert_array_equal(fast.q_seq, exact.q_seq)
 
     @pytest.mark.parametrize("ch", [Sign(), SymmetricDoor()])
     def test_nodes_match_scalar_loop(self, ch):
