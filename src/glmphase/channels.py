@@ -282,6 +282,10 @@ class Channel:
     # psi_pout' is a closed form: state evolution calls it directly and
     # builds no fast table for it
     closed_form_prime: bool = False
+    # the law of y | c z, for every c > 0, is that of y | z up to a
+    # relabelling of y that does not depend on z, so that
+    # psi_pout'(q; rho) = psi_pout'(q / rho; 1) / rho
+    scale_free: bool = False
     # the law under z -> -z: +1 when P(y | -z) = P(y | z), -1 when
     # P(-y | -z) = P(y | z), None otherwise
     _mirror: int | None = None
@@ -517,6 +521,17 @@ class _PiecewiseChannel(Channel):
     @property
     def is_deterministic(self) -> bool:
         return self.delta == 0.0
+
+    @property
+    def scale_free(self) -> bool:
+        # every threshold at 0; then flat pieces give y(c z) = y(z) whatever
+        # the noise, and, without noise, pieces through the origin give
+        # y(c z) = c y(z)
+        pieces = self.pieces()
+        if any(math.isfinite(e) and e != 0.0 for p in pieces for e in p[:2]):
+            return False
+        return (all(p[3] == 0.0 for p in pieces)
+                or (self.delta == 0.0 and all(p[2] == 0.0 for p in pieces)))
 
     @property
     def _noisy_jumps(self):

@@ -238,18 +238,41 @@ def integrate_1d(f: Callable[[float], float], lo: float, hi: float,
     return total
 
 
-def cubic_spline(x, y) -> Callable[[float], float]:
+class Spline:
+    """A piecewise cubic on Python floats: on piece k, from ``knots[k]``,
+    the value at v is c0[k] + c1[k] dv + c2[k] dv^2 + c3[k] dv^3 with
+    dv = v - knots[k]; the end pieces extend beyond the end knots.
+
+    Calling it is one bisect and a few float operations.  The cubic is
+    summed by ascending powers, in the order of scipy's ``PPoly``: the value
+    then equals ``CubicSpline``'s to the last bit at most points, where
+    Horner's order misses it by an ulp at about a third of them.
+    ``state_evolution`` evaluates the coefficient lists inline in its fast
+    step, with the same operations.
+    """
+
+    __slots__ = ("knots", "c0", "c1", "c2", "c3")
+
+    def __init__(self, knots: list, c0: list, c1: list, c2: list, c3: list):
+        self.knots, self.c0, self.c1, self.c2, self.c3 = knots, c0, c1, c2, c3
+
+    def __call__(self, v: float) -> float:
+        xs = self.knots
+        # bisect_right clamped to [1, n - 1]: the end pieces extrapolate
+        k = bisect_right(xs, v, 1, len(xs) - 1) - 1
+        dv = v - xs[k]
+        return (self.c0[k] + self.c1[k] * dv + self.c2[k] * (dv * dv)
+                + self.c3[k] * (dv * dv * dv))
+
+
+def cubic_spline(x, y) -> Spline:
     """Not-a-knot cubic spline through the points (x, y), x increasing, as a
     scalar function; outside [x[0], x[-1]] the end cubics extrapolate.
 
     The node slopes come from one dense solve of the tridiagonal system
     (with the not-a-knot end rows, the boundary condition scipy's
     ``CubicSpline`` uses by default).  Each interval keeps its cubic in
-    powers of x - x_i as Python floats, so an evaluation is one bisect and
-    a few float operations.  The cubic is summed by ascending powers, in the
-    order of scipy's ``PPoly``: the value then equals ``CubicSpline``'s to
-    the last bit at most points, where Horner's order misses it by an ulp
-    at about a third of them.
+    powers of x - x_i as Python floats (``Spline``).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -278,16 +301,8 @@ def cubic_spline(x, y) -> Callable[[float], float]:
     b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
     s = np.linalg.solve(a, b)
     t = (s[:-1] + s[1:] - 2.0 * slope) / h
-    c0, c1 = y[:-1].tolist(), s[:-1].tolist()
-    c2, c3 = ((slope - s[:-1]) / h - t).tolist(), (t / h).tolist()
-    xs, last = x.tolist(), n - 2
-
-    def spline(v: float) -> float:
-        k = min(max(bisect_right(xs, v) - 1, 0), last)
-        dv = v - xs[k]
-        return c0[k] + c1[k] * dv + c2[k] * (dv * dv) + c3[k] * (dv * dv * dv)
-
-    return spline
+    return Spline(knots=x.tolist(), c0=y[:-1].tolist(), c1=s[:-1].tolist(),
+                  c2=((slope - s[:-1]) / h - t).tolist(), c3=(t / h).tolist())
 
 
 # the most bisections between the smallest normal and the largest double

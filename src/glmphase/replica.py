@@ -162,7 +162,9 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     this approximates from inside the domain.
     """
     q, psi_out = _recovery_terms(prior, channel, depth)
-    return _f_rs_terms(prior, psi_out, alpha, q, _clamp_r(prior, depth))
+    r, psi_in = _clamp_terms(prior, depth)
+    # the sum of _f_rs_terms, in its order
+    return psi_in + alpha * psi_out - 0.5 * r * q
 
 
 @lru_cache(maxsize=256)
@@ -176,10 +178,11 @@ def _recovery_terms(prior: Prior, channel: Channel, depth: float):
 
 
 @lru_cache(maxsize=64)
-def _clamp_r(prior: Prior, depth: float) -> float:
-    """Inner-inf r at the clamp q = rho (1 - depth): one root solve per
-    (prior, depth), shared by every channel."""
-    return inner_inf_r(prior, prior.second_moment * (1.0 - depth))
+def _clamp_terms(prior: Prior, depth: float) -> tuple[float, float]:
+    """(r, psi_p0(r)) for the inner-inf r at the clamp q = rho (1 - depth):
+    one root solve per (prior, depth), shared by every channel and alpha."""
+    r = inner_inf_r(prior, prior.second_moment * (1.0 - depth))
+    return r, prior.psi_p0(r)
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,

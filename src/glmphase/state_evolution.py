@@ -18,13 +18,17 @@ potential; the transition finders bisect on branch indicators:
 * alpha_c = 1 / stability_integral for even channels.
 
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
-(``numerics.cubic_spline``, not-a-knot, evaluated on Python floats; built
-once per (prior) and (channel, rho), each from one array call of psi'),
-which is what makes near-spinodal runs with ~1e5 iterations affordable.
-The tables serve the phase finders (``find_alpha_amp``, ``find_alpha_it``)
-only: ``gamma_branches`` and ``replica.solve`` run the exact recursion, and
-the CLI ``errors`` task reads its SE limit from ``solve``, so it builds no
-table.  Their node sets are module constants:
+(``numerics.cubic_spline``, not-a-knot, on Python floats; built once per
+(prior) and (channel, rho), each from one array call of psi'), which is
+what makes near-spinodal runs with ~1e5 iterations affordable.  One loop
+serves both modes, stepping q -> (r, q_new); the fast step
+(``_table_step``) reads the two splines' knot and coefficient lists in one
+function, with the float operations of calling the tables, so its runs are
+theirs to the bit.  The tables serve the phase finders
+(``find_alpha_amp``, ``find_alpha_it``) only: ``gamma_branches`` and
+``replica.solve`` run the exact recursion, and the CLI ``errors`` task
+reads its SE limit from ``solve``, so it builds no table.  Their node sets
+are module constants:
 
 * PRIOR_TABLE_NODES, in t = ln(1 + r): steps of h = ln(1 + R_CAP) / 240,
   except near r = 0, where 2 psi_p0' bends fastest relative to its value:
@@ -42,6 +46,17 @@ The channel table takes its values from the ``fast`` quadrature profile of
 channel has thresholds, and coarser y rows for a continuous channel.  For sign, abs and
 the symmetric door its nodes are within 1e-7 relative of the exact profile,
 and the spline within 5e-6 halfway between them.
+
+A scale-free channel (``Channel.scale_free``: sign with any noise, and
+noiseless abs, both with epsilon = 0) has
+psi_pout'(q; rho) = psi_pout'(q / rho; 1) / rho, and u is the same at q
+and q / rho, so its table at rho is its rho = 1 table with the values and
+psi'(0) divided by rho and the lowest node q multiplied by rho.  The
+rho = 1 values of ``Sign()`` and ``Abs()`` ship in ``_channel_tables``
+(written by ``tools/channel_tables.py`` from ``_table_values``, the one
+array call of a table build) and are parsed on first use; any other
+scale-free channel builds its rho = 1 values once.  Every other channel,
+and any object that is not a ``Channel``, builds its table at each rho.
 
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
@@ -61,6 +76,7 @@ the alpha_IT comparison takes r = 0 without a root solve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -69,7 +85,7 @@ import numpy as np
 
 from . import replica
 from .channels import Channel, quad_profile
-from .numerics import BracketError, FixedPointOptions, cubic_spline
+from .numerics import BracketError, FixedPointOptions, Spline, cubic_spline
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -160,64 +176,108 @@ def _channel_logits() -> np.ndarray:
 CHANNEL_TABLE_LOGITS = _channel_logits()
 
 
+# the table nodes in q at rho = 1; at rho they are rho times these, to the bit
+_UNIT_NODES = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS))
+
+
+class _PriorTable:
+    """2 psi_p0'(r) from a spline in t = ln(1 + r) (``_prior_table``)."""
+
+    __slots__ = ("spline",)
+
+    def __init__(self, spline: Spline):
+        self.spline = spline
+
+    def __call__(self, r: float) -> float:
+        return self.spline(min(math.log1p(max(r, 0.0)), self.spline.knots[-1]))
+
+
+class _ChannelTable:
+    """psi_pout'(q; rho) from a spline of its log in u = ln(q / (rho - q)),
+    linear in q between psi'(0) = v_zero and the lowest node (q_min, v_min)
+    (``_channel_table``)."""
+
+    __slots__ = ("rho", "spline", "q_min", "v_min", "v_zero")
+
+    def __init__(self, rho: float, spline: Spline, q_min: float, v_min: float,
+                 v_zero: float):
+        self.rho, self.spline, self.q_min = rho, spline, q_min
+        self.v_min, self.v_zero = v_min, v_zero
+
+    def __call__(self, q: float) -> float:
+        rho = self.rho
+        q = min(q, rho * (1.0 - _Q_GUARD))
+        if q <= 0.0:
+            return self.v_zero
+        u = math.log(q / (rho - q))
+        if u < self.spline.knots[0]:
+            # psi'(0) is 0 for an even channel, whose psi' grows like
+            # kappa q there
+            return self.v_zero + (self.v_min - self.v_zero) * (q / self.q_min)
+        return math.exp(self.spline(min(u, self.spline.knots[-1])))
+
+
 @lru_cache(maxsize=32)
-def _prior_table(prior: Prior) -> Callable[[float], float]:
+def _prior_table(prior: Prior) -> _PriorTable:
     """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r) on PRIOR_TABLE_NODES."""
     ts = PRIOR_TABLE_NODES
-    spline = cubic_spline(ts, 2.0 * prior.psi_p0_prime(np.expm1(ts)))
-    t_max = float(ts[-1])
+    return _PriorTable(cubic_spline(ts, 2.0 * prior.psi_p0_prime(np.expm1(ts))))
 
-    def f(r: float) -> float:
-        return spline(min(math.log1p(max(r, 0.0)), t_max))
 
-    return f
+def _table_values(channel: Channel, rho: float) -> np.ndarray:
+    """Fast-profile psi_pout' at the channel-table nodes, then at q = 0, from
+    one array call.  psi'(0) comes last: the node values keep the q blocks
+    of the call without it, on which a continuous channel's last bit
+    depends.  ``tools/channel_tables.py`` takes the shipped rho = 1 values
+    from this call too."""
+    with quad_profile("fast"):
+        return channel.psi_pout_prime(np.append(_UNIT_NODES * rho, 0.0), rho)
+
+
+@lru_cache(maxsize=8)
+def _unit_values(channel: Channel) -> np.ndarray:
+    """``_table_values`` at rho = 1 of a scale-free channel: the shipped ones
+    of ``_channel_tables`` when it holds the channel, else built."""
+    from ._channel_tables import VALUES
+    text = VALUES.get(repr(channel))
+    if text is None:
+        return _table_values(channel, 1.0)
+    return np.array(text.split(), dtype=float)
 
 
 @lru_cache(maxsize=32)
-def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
+def _channel_table(channel: Channel, rho: float) -> _ChannelTable:
     """Cubic spline of ln psi_pout'(q) in u = ln(q / (rho - q)), on the
     nodes CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8
-    times sparser above, from one array call of fast-profile psi_pout'."""
-    qs = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS)) * rho
-    # psi'(0) comes last in the call: the node values keep the q blocks of
-    # the call without it, on which a continuous channel's last bit depends
-    with quad_profile("fast"):
-        vals = channel.psi_pout_prime(np.append(qs, 0.0), rho)
+    times sparser above, from one array call of fast-profile psi_pout'.
+
+    A scale-free channel's table is its rho = 1 table, with the values
+    divided by rho: psi'(q; rho) = psi'(q / rho; 1) / rho, and u is the
+    same at q and q / rho."""
+    if isinstance(channel, Channel) and channel.scale_free:
+        vals, node_rho = _unit_values(channel) / rho, 1.0
+    else:
+        vals, node_rho = _table_values(channel, rho), rho
     vals, v_zero = vals[:-1], float(vals[-1])
     bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0.0))
     if bad.size:
         raise ValueError(
-            f"{channel!r} at rho={rho!r}: psi_pout'(q={float(qs[bad[0]])!r}) = "
-            f"{float(vals[bad[0]])!r}; the channel table needs a positive finite "
-            "value at every node")
+            f"{channel!r} at rho={rho!r}: psi_pout'(q="
+            f"{float(_UNIT_NODES[bad[0]] * rho)!r}) = {float(vals[bad[0]])!r}; "
+            "the channel table needs a positive finite value at every node")
     # abscissae and lookup both take the logit of q itself: rho - q is exact
     # for q >= rho / 2, where 1 - q / rho rounds away up to 1e-3 of it near
     # q = rho unless rho is a power of two
-    us = np.log(qs / (rho - qs))
-    spline = cubic_spline(us, np.log(vals))
-    u_min, u_max = float(us[0]), float(us[-1])
-    q_min, v_min = float(qs[0]), float(vals[0])
-    q_cap = rho * (1.0 - _Q_GUARD)
-
-    def f(q: float) -> float:
-        q = min(q, q_cap)
-        if q <= 0.0:
-            return v_zero
-        u = math.log(q / (rho - q))
-        if u < u_min:
-            # linear in q between psi'(0) and the lowest node; psi'(0) is 0
-            # for an even channel, whose psi' grows like kappa q there
-            return v_zero + (v_min - v_zero) * (q / q_min)
-        return math.exp(spline(min(u, u_max)))
-
-    return f
+    qs = _UNIT_NODES * node_rho
+    spline = cubic_spline(np.log(qs / (node_rho - qs)), np.log(vals))
+    return _ChannelTable(rho=rho, spline=spline, q_min=float(_UNIT_NODES[0] * rho),
+                         v_min=float(vals[0]), v_zero=v_zero)
 
 
-def _se_functions(prior: Prior, channel: Channel, rho: float, fast: bool):
-    if not fast or channel.closed_form_prime:
-        return (lambda r: 2.0 * prior.psi_p0_prime(r),
-                lambda q: channel.psi_pout_prime(q, rho))
-    return _prior_table(prior), _channel_table(channel, rho)
+def _se_functions(prior: Prior, channel: Channel, rho: float):
+    """2 psi_p0' and psi_pout', exact, on floats or arrays."""
+    return (lambda r: 2.0 * prior.psi_p0_prime(r),
+            lambda q: channel.psi_pout_prime(q, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +292,81 @@ def _classify_init(q0: float, rho: float) -> str:
     return f"custom({q0:g})"
 
 
+def _se_step(prior: Prior, channel: Channel, alpha: float, damping: float,
+             fast: bool) -> Callable[[float], tuple[float, float]]:
+    """One step of the recursion, q -> (r, q_new), with q_new damped and
+    both clamped."""
+    rho = prior.second_moment
+    q_cap = rho * (1.0 - _Q_GUARD)
+    if fast and not channel.closed_form_prime:
+        return _table_step(_prior_table(prior), _channel_table(channel, rho),
+                           alpha, damping, q_cap)
+    psi0p, psioutp = _se_functions(prior, channel, rho)
+
+    def step(q: float) -> tuple[float, float]:
+        r = min(2.0 * alpha * psioutp(min(q, q_cap)), R_CAP)
+        return r, min((1.0 - damping) * psi0p(r) + damping * q, q_cap)
+
+    return step
+
+
+def _table_step(prior_table: _PriorTable, channel_table: _ChannelTable,
+                alpha: float, damping: float,
+                q_cap: float) -> Callable[[float], tuple[float, float]]:
+    """The step of ``_se_step`` through the two tables, evaluated on their
+    coefficient lists in one function: the float operations and
+    comparisons of calling the tables (``_ChannelTable``, ``_PriorTable``,
+    ``numerics.Spline``), in the same order, without their calls."""
+    sp = channel_table.spline
+    us, a0, a1, a2, a3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
+    sp = prior_table.spline
+    ts, b0, b1, b2, b3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
+    rho, q_min = channel_table.rho, channel_table.q_min
+    v_min, v_zero = channel_table.v_min, channel_table.v_zero
+    u_min, u_max, u_hi = us[0], us[-1], len(us) - 1
+    t_max, t_hi = ts[-1], len(ts) - 1
+    two_alpha, keep = 2.0 * alpha, 1.0 - damping
+    log, exp, log1p = math.log, math.exp, math.log1p
+
+    # "if b < a: a = b" is min(a, b), and "if b > a: a = b" max(a, b), NaN
+    # included
+    def step(q: float) -> tuple[float, float]:
+        x = q
+        if q_cap < x:
+            x = q_cap
+        if x <= 0.0:
+            v = v_zero
+        else:
+            u = log(x / (rho - x))
+            if u < u_min:
+                v = v_zero + (v_min - v_zero) * (x / q_min)
+            else:
+                if u_max < u:
+                    u = u_max
+                k = bisect_right(us, u, 1, u_hi) - 1
+                du = u - us[k]
+                v = exp(a0[k] + a1[k] * du + a2[k] * (du * du)
+                        + a3[k] * (du * du * du))
+        r = two_alpha * v
+        if R_CAP < r:
+            r = R_CAP
+        x = r
+        if 0.0 > x:
+            x = 0.0
+        t = log1p(x)
+        if t_max < t:
+            t = t_max
+        k = bisect_right(ts, t, 1, t_hi) - 1
+        dt = t - ts[k]
+        p = b0[k] + b1[k] * dt + b2[k] * (dt * dt) + b3[k] * (dt * dt * dt)
+        q_new = keep * p + damping * q
+        if q_cap < q_new:
+            q_new = q_cap
+        return r, q_new
+
+    return step
+
+
 def se_run(prior: Prior, channel: Channel, alpha: float, q0: float,
            opts: FixedPointOptions | None = None, fast: bool = False) -> SETrajectory:
     """Iterate the two-line recursion from q0, recording the trajectory."""
@@ -240,19 +375,17 @@ def se_run(prior: Prior, channel: Channel, alpha: float, q0: float,
         raise ValueError(f"q0 must lie in [0, rho], got {q0}")
     if opts is None:
         opts = DEFAULT_SE_OPTS
-    psi0p, psioutp = _se_functions(prior, channel, rho, fast)
-    q_cap = rho * (1.0 - _Q_GUARD)
+    step = _se_step(prior, channel, alpha, opts.damping, fast)
+    tol = opts.tol
 
-    q = min(float(q0), q_cap)
+    q = min(float(q0), rho * (1.0 - _Q_GUARD))
     q_seq, r_seq = [q], []
     converged = False
     for _ in range(opts.max_iter):
-        r = min(2.0 * alpha * psioutp(min(q, q_cap)), R_CAP)
-        q_new = (1.0 - opts.damping) * psi0p(r) + opts.damping * q
-        q_new = min(q_new, q_cap)
+        r, q_new = step(q)
         r_seq.append(r)
         q_seq.append(q_new)
-        if abs(q_new - q) < opts.tol:
+        if abs(q_new - q) < tol:
             q = q_new
             converged = True
             break
@@ -278,7 +411,7 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
         opts = DEFAULT_SE_OPTS
     if uninformative is None:
         uninformative = se_run(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
-    psi0p, psioutp = _se_functions(prior, channel, rho, fast=False)
+    psi0p, psioutp = _se_functions(prior, channel, rho)
     q_cap = rho * (1.0 - _Q_GUARD)
 
     def residual(q):

@@ -307,6 +307,31 @@ class TestPsiPoutPrime:
                 for ch in (Sign(), SymmetricDoor(), Abs(0.0))]
         assert all(d > 10 * s for s, d in zip(shallow, deep))
 
+    SCALE_X = np.array([1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6])
+
+    def _scale_miss(self, ch, rho):
+        """Relative miss of psi'(x rho; rho) rho against psi'(x; 1)."""
+        unit = ch.psi_pout_prime(self.SCALE_X, 1.0)
+        scaled = ch.psi_pout_prime(self.SCALE_X * rho, rho) * rho
+        return np.max(np.abs(scaled - unit) / np.abs(unit))
+
+    @pytest.mark.parametrize("rho", [0.25, 0.6])
+    @pytest.mark.parametrize("ch", [Sign(), Sign(0.2), Abs()], ids=repr)
+    def test_scale_free_identity(self, ch, rho):
+        """y | c z has the law of y | z up to a relabelling of y, so
+        psi'(q; rho) = psi'(q / rho; 1) / rho (measured to 4.6e-14)."""
+        assert ch.scale_free
+        assert self._scale_miss(ch, rho) <= 1e-12
+
+    @pytest.mark.parametrize("ch", [Abs(0.1), Sign(epsilon=1e-3),
+                                    SymmetricDoor(), ReLU(1e-8), Sigmoid(2.0)],
+                             ids=repr)
+    def test_not_scale_free(self, ch):
+        """Noise on a linear piece, a threshold away from 0, or a slope."""
+        assert not ch.scale_free
+        if not isinstance(ch, (ReLU, Sigmoid)):
+            assert max(self._scale_miss(ch, rho) for rho in (0.25, 0.6)) > 1e-7
+
 
 class TestStability:
     def test_abs_is_two(self):

@@ -171,6 +171,28 @@ class TestRecoveryTermCache:
         assert first == f_hat(prior, ch, 0.9, rho * (1.0 - depth))[0]
         assert replica.recovery_f(prior, ch, 0.9, depth) == first
 
+    @pytest.mark.parametrize("prior,ch,depth", CASES)
+    def test_one_psi_p0_per_prior_and_depth(self, prior, ch, depth, monkeypatch):
+        """psi_p0 at the clamp root does not depend on alpha: one call per
+        (prior, depth), and the same floats as f_hat."""
+        cls = type(prior)
+        real, calls = cls.psi_p0, []
+
+        def spy(self, r):
+            calls.append(r)
+            return real(self, r)
+
+        replica._clamp_terms.cache_clear()
+        replica._recovery_terms.cache_clear()
+        alphas = (0.3, 0.75, 1.1, 1.6)
+        monkeypatch.setattr(cls, "psi_p0", spy)
+        got = [replica.recovery_f(prior, ch, a, depth) for a in alphas]
+        got += [replica.recovery_f(prior, ch, a, 10.0 * depth) for a in alphas]
+        assert len(calls) == 2
+        monkeypatch.setattr(cls, "psi_p0", real)
+        rho = prior.second_moment
+        assert got == [f_hat(prior, ch, a, rho * (1.0 - d))[0]
+                       for d in (depth, 10.0 * depth) for a in alphas]
 
     def test_clamp_root_solved_once_per_prior(self, monkeypatch):
         """The inner-inf r at the clamp depends on (prior, depth) only: two
@@ -183,7 +205,7 @@ class TestRecoveryTermCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._clamp_r.cache_clear()
+        replica._clamp_terms.cache_clear()
         replica._recovery_terms.cache_clear()
         prior, doors = RademacherPrior(), (SymmetricDoor(), SymmetricDoor(K=0.9))
         got = [replica.recovery_f(prior, ch, 1.2, 1e-10) for ch in doors]

@@ -8,7 +8,7 @@ from glmphase import replica, state_evolution as se
 from glmphase.channels import (Abs, LinearAWGN, Sign, SymmetricDoor,
                                quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions
-from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
+from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior, TwoPointPrior)
 from glmphase.state_evolution import (CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES,
                                       SPINODAL_SE_OPTS, SENonConvergenceError,
@@ -122,7 +122,7 @@ class TestSymmetricSnap:
             return real(f, a, b, t, **kw)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._clamp_r.cache_clear()
+        replica._clamp_terms.cache_clear()
         alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
         assert alpha_it == pytest.approx(1.0, abs=0.005)
         assert targets and min(targets) >= se.SNAP_FRAC
@@ -441,6 +441,96 @@ class TestChannelTable:
         msg = str(exc.value)
         assert "ZeroAtOneNode()" in msg and "rho=0.3" in msg
         assert f"q={q_bad!r}" in msg
+
+
+class TestScaleFreeTable:
+    """Sign and noiseless abs serve every rho from their rho = 1 table,
+    whose values ship in glmphase._channel_tables."""
+
+    @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
+    def test_shipped_values_are_fresh(self, ch):
+        """numpy's SIMD exp and log move the last bits between CPUs, hence
+        rtol 1e-12 and not equality."""
+        from glmphase._channel_tables import VALUES
+        assert set(VALUES) == {repr(Sign()), repr(Abs())}
+        shipped = np.array(VALUES[repr(ch)].split(), dtype=float)
+        assert shipped.size == LOGITS.size + 1
+        np.testing.assert_allclose(
+            shipped, se._table_values(ch, 1.0), rtol=1e-12, atol=0.0,
+            err_msg="stale shipped channel-table values: rerun "
+                    "tools/channel_tables.py")
+
+    @pytest.mark.parametrize("rho", [1.0, 0.6])
+    @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
+    def test_shipped_channels_build_nothing(self, ch, rho, q_sizes):
+        se._channel_table.cache_clear()
+        se._unit_values.cache_clear()
+        sizes = q_sizes("psi_pout_prime")
+        _channel_table(ch, rho)
+        assert sizes == []
+
+    def test_other_scale_free_channels_build_once(self, q_sizes):
+        """Sign(0.2) ships no values: one rho = 1 build serves every rho."""
+        se._channel_table.cache_clear()
+        se._unit_values.cache_clear()
+        sizes = q_sizes("psi_pout_prime")
+        for rho in (0.6, 0.3, 1.0):
+            _channel_table(Sign(0.2), rho)
+        assert sizes == [LOGITS.size + 1]
+
+    @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
+    def test_rescaled_error_bound(self, ch):
+        """At a rho the other table tests do not take."""
+        assert _table_rel_error(ch, MID, 0.73) <= TABLE_REL_BOUND
+
+
+def _stepped_through_tables(prior, ch, alpha, q0, opts):
+    """(q_seq, r_seq) of the fast recursion stepped through the table
+    callables, as se_run once ran it."""
+    rho = prior.second_moment
+    prior_table, channel_table = _prior_table(prior), _channel_table(ch, rho)
+    q_cap = rho * (1.0 - se._Q_GUARD)
+    q = min(q0, q_cap)
+    qs, rs = [q], []
+    for _ in range(opts.max_iter):
+        r = min(2.0 * alpha * channel_table(min(q, q_cap)), R_CAP)
+        q_new = (1.0 - opts.damping) * prior_table(r) + opts.damping * q
+        q_new = min(q_new, q_cap)
+        rs.append(r)
+        qs.append(q_new)
+        if abs(q_new - q) < opts.tol:
+            break
+        q = q_new
+    return np.array(qs), np.array(rs)
+
+
+UNINFORMATIVE, INFORMATIVE = se.UNINFORMATIVE_FRAC, 1.0 - se.INFORMATIVE_FRAC
+DAMPED = FixedPointOptions(damping=0.3, tol=1e-10, max_iter=200_000)
+CUT = FixedPointOptions(tol=1e-14, max_iter=40)
+
+
+@pytest.mark.parametrize("prior,ch,alpha,start,opts", [
+    (GaussBernoulliPrior(1.0), Abs(), 1.1, UNINFORMATIVE, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(1.0), Abs(), 1.3, 0.0, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(0.6), Abs(), 0.5, INFORMATIVE, SPINODAL_SE_OPTS),
+    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, SPINODAL_SE_OPTS),
+    (RademacherPrior(), SymmetricDoor(), 0.9, INFORMATIVE, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(0.3), Sign(), 1.2, 0.0, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(0.3), Sign(), 1.2, INFORMATIVE, SPINODAL_SE_OPTS),
+    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, DAMPED),
+    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, CUT),
+], ids=repr)
+def test_fast_step_matches_the_table_callables(prior, ch, alpha, start, opts):
+    """The fast step evaluates the tables' coefficient lists inline; its
+    runs must be those of the table callables, to the bit."""
+    q0 = start * prior.second_moment
+    run = se_run(prior, ch, alpha, q0, opts, fast=True)
+    qs, rs = _stepped_through_tables(prior, ch, alpha, q0, opts)
+    assert run.q_seq.tobytes() == qs.tobytes()
+    assert run.r_seq.tobytes() == rs.tobytes()
+    assert run.converged == (len(rs) < opts.max_iter)
+    assert opts is not CUT or not run.converged
 
 
 # about 3x the largest error measured, 6.7e-6 (GaussBernoulli(0.2) at
