@@ -310,25 +310,29 @@ _ROOT_MAXITER = 2046
 _TINY = np.finfo(float).tiny
 
 
-def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              targets, xatol: float, xrtol: float) -> np.ndarray:
+def find_root(f: Callable[[np.ndarray], np.ndarray], a, b, targets,
+              xatol: float, xrtol: float) -> np.ndarray:
     """Roots x in [a, b] of f(x) = targets, elementwise, by Chandrupatla's
     bracketing method (Chandrupatla 1997, Adv. Eng. Softw. 28, 145).
 
-    f maps an array of x to f elementwise.  It is called once on [a, b],
-    then once per step on the elements still open.  An element closes when
-    its bracket is narrower than xatol + xrtol |x|, or when f - target
-    vanishes (to the smallest normal double); its root is the bracket end
-    with the smaller |f - target|.  Each element's iterates depend on its
-    own target only, so a batch returns the roots of the separate calls.
-    Elements still open after _ROOT_MAXITER steps, or where f is not
-    finite, come back NaN.  Raises BracketError when f - target takes the same
-    sign at a and b for some element.
+    a and b are one bracket for every target, or one bracket per element
+    (arrays broadcast against targets).  f maps an array of x to f
+    elementwise.  It is called once on the bracket ends, every a then
+    every b, then once per step on the elements still open.  An element
+    closes when its bracket is narrower than xatol + xrtol |x|, or when
+    f - target vanishes (to the smallest normal double); its root is the
+    bracket end with the smaller |f - target|.  Each element's iterates
+    depend on its own bracket and target only, so a batch returns the
+    roots of the separate calls.  Elements still open after _ROOT_MAXITER
+    steps, or where f is not finite, come back NaN.  Raises BracketError
+    when f - target takes the same sign at both ends of some element's
+    bracket.
     """
-    y = np.asarray(targets, dtype=float).reshape(-1)
-    fa, fb = f(np.array([a, b], dtype=float))
-    x1, f1 = np.full(y.size, float(a)), fa - y
-    x2, f2 = np.full(y.size, float(b)), fb - y
+    a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
+    fa, fb = np.split(f(np.concatenate([a, b])), 2)
+    y, x1, f1, x2, f2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(
+        np.ravel(targets), a, fa, b, fb))
+    f1, f2 = f1 - y, f2 - y
     idx = np.arange(y.size)
     out = np.full(y.size, np.nan)
     for step in range(_ROOT_MAXITER + 1):
@@ -337,8 +341,12 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         dx = np.abs(x2 - x1)
         tol = np.abs(xmin) * xrtol + xatol
         zero = np.abs(np.where(near, f1, f2)) <= _TINY
-        if step == 0 and np.any(~zero & (np.sign(f1) == np.sign(f2))):
-            raise BracketError(f"f - target has no sign change on [{a}, {b}]")
+        if step == 0:
+            unbracketed = np.flatnonzero(~zero & (np.sign(f1) == np.sign(f2)))
+            if unbracketed.size:
+                k = unbracketed[0]
+                raise BracketError(f"f - target has no sign change on "
+                                   f"[{x1[k]}, {x2[k]}]")
         bad = ~(np.isfinite(f1) & np.isfinite(f2))
         done = (zero | (dx < tol)) & ~bad
         out[idx[done]] = xmin[done]

@@ -8,12 +8,14 @@ The potential is
 with optimizers characterized equivalently as the best state-evolution fixed
 point or as the direct sup over q of the inner inf over r (the inner inf is
 attained where 2 psi_p0'(r) = q, by convexity of psi_p0).  ``solve`` runs
-both routes and insists they agree.  Route B walks the curve of inner-inf
-points, which r parametrizes explicitly: at t = ln(1 + r) the point is
+both routes and insists they agree; a value that is not finite on
+either route fails that check too.  Route B walks the curve of inner-inf points, which r
+parametrizes explicitly: at t = ln(1 + r) the point is
 (q, r) = (2 psi_p0'(r), r), so its grid costs one psi_p0', one psi_p0 and
-one psi_pout array call and no root solve, and its golden-section
-refinement runs in t.  It stays independent of the state-evolution spline
-tables, so it remains a cross-check of Route A.
+one psi_pout array call and no root solve, and its refinement runs in t,
+by Brent's method seeded with the grid points around the best one.  It
+stays independent of the state-evolution spline tables, so it remains a
+cross-check of Route A.
 
 The exact-recovery branch (q = rho, r = +inf) is represented by a sentinel;
 its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
@@ -23,7 +25,9 @@ or continuous noiseless channel) the transition finders in
 The alpha-independent terms of that branch are cached: the inner-inf r
 per (prior, depth), the exact-profile psi_pout per (prior, channel,
 depth).  The cache is exact, not an approximation: ``recovery_f`` returns
-the same float as ``f_hat`` at the clamp.
+the same float as ``f_hat`` at the clamp.  ``solve`` solves the clamp root
+once for both routes: Route A's recovery point is ``recovery_f`` at
+EVAL_DEPTH, and the top of Route B's t range is the same cached r.
 """
 from __future__ import annotations
 
@@ -159,7 +163,10 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     """Free entropy of the exact-recovery branch at clamp q = rho (1 - depth).
 
     f_rs(rho, r) decreases in r, so lim_{r->inf} f_rs(rho, r) = inf_r, which
-    this approximates from inside the domain.
+    this approximates from inside the domain.  It returns the same float as
+    ``f_hat(prior, channel, alpha, rho * (1 - depth))[0]`` (under the exact
+    profile), from terms cached per (prior, depth) and (prior, channel,
+    depth).
     """
     q, psi_out = _recovery_terms(prior, channel, depth)
     r, psi_in = _clamp_terms(prior, depth)
@@ -190,10 +197,12 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     """Optimize the potential by both routes; see module docstring."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if grid_size < 3:
+        # Route B seeds its refinement with three grid points
+        raise ValueError(f"grid_size must be at least 3, got {grid_size}")
     from . import state_evolution as se
 
     rho = prior.second_moment
-    q_hi = rho * (1.0 - EVAL_DEPTH)
     psi_rho = _psi_pout_at_rho(channel, rho)
 
     # Route A: state-evolution fixed points plus grid-detected crossings.
@@ -203,23 +212,22 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     branch_qs = se.gamma_branches(prior, channel, alpha, opts, uninformative)
     points = []
     for q in branch_qs:
-        is_recovery = q > rho * (1.0 - RECOVERY_FRAC)
-        if is_recovery:
-            q_eval = q_hi
-            f, r = f_hat(prior, channel, alpha, q_eval)
-            r_report = math.inf
+        if q > rho * (1.0 - RECOVERY_FRAC):
+            # the exact-recovery branch, at the clamp Route B ends on
+            q, r = rho, math.inf
+            f = recovery_f(prior, channel, alpha, EVAL_DEPTH)
         else:
-            q_eval = q
-            r = min(2.0 * alpha * channel.psi_pout_prime(q_eval, rho), R_CAP)
-            f = f_rs(prior, channel, alpha, q_eval, r)
-            r_report = r
-        points.append(ReplicaPoint(q=rho if is_recovery else q, r=r_report,
-                                   f_value=f, i_value=alpha * psi_rho - f))
+            r = min(2.0 * alpha * channel.psi_pout_prime(q, rho), R_CAP)
+            f = f_rs(prior, channel, alpha, q, r)
+        points.append(ReplicaPoint(q=q, r=r, f_value=f,
+                                   i_value=alpha * psi_rho - f))
     f_gamma = max(p.f_value for p in points)
 
     f_direct = _direct_sup_inf(prior, channel, alpha, grid_size)
 
-    if not math.isfinite(f_gamma) or abs(f_gamma - f_direct) > route_tol:
+    # a NaN on either route fails the check: abs(x - nan) > tol is False
+    if not (math.isfinite(f_gamma) and math.isfinite(f_direct)) \
+            or abs(f_gamma - f_direct) > route_tol:
         raise RouteDisagreementError(f_gamma, f_direct, route_tol)
 
     # winner: max f, ties toward larger q
@@ -251,9 +259,12 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     r = expm1(t) and q = min(2 psi_p0'(r), q_hi) is an exact inner-inf point
     for every t >= 0, so the sup over q needs no root solve.  The t = 0 end
     is q = mean^2; below it the inner inf is r = 0, where f increases in q.
-    The grid is placed near uniform in q by inverting a coarse q(t), then
-    refined by golden section in t until the bracket is 1e-9 max(rho, 1)
-    wide in q.
+    The top of the t range is the clamp root that Route A's recovery point
+    uses (``_clamp_terms``).  The grid is placed near uniform in q by
+    inverting a coarse q(t), then refined by Brent's method in t, seeded
+    with the grid points around the best one, until the bracket is 1e-9
+    max(rho, 1) wide in q.  A NaN anywhere on the grid, or an infinite
+    best grid value, is returned as the value.
     """
     rho = prior.second_moment
     q_hi = rho * (1.0 - EVAL_DEPTH)
@@ -264,37 +275,99 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     def f_of(t, q):
         return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, np.expm1(t))
 
-    t_coarse = np.linspace(0.0, math.log1p(inner_inf_r(prior, q_hi)), 65)
+    r_hi = _clamp_terms(prior, EVAL_DEPTH)[0]
+    t_coarse = np.linspace(0.0, math.log1p(r_hi), 65)
     q_coarse = q_of(t_coarse)
     ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),
                    q_coarse, t_coarse)
     qs = q_of(ts)
     fs = f_of(ts, qs)
-    k = int(np.argmax(fs))
+    k = int(np.argmax(fs))  # the first NaN, if there is one
+    if not math.isfinite(fs[k]):
+        return float(fs[k])
     lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
     # dq/dt inside the bracket stays below twice its steepest grid slope
     slope = np.max(np.diff(qs[lo:hi + 1]) / np.diff(ts[lo:hi + 1]))
     tol = 0.5 * 1e-9 * max(rho, 1.0) / max(slope, 1e-300)
-    return max(fs[k], _golden_max(lambda t: f_of(t, q_of(t)), ts[lo], ts[hi],
-                                  tol=tol))
+    # the two other points of the three grid points around k (the last
+    # three at an end of the grid), the better one first
+    mid = min(max(k, 1), grid_size - 2)
+    w, v = sorted({mid - 1, mid, mid + 1} - {k}, key=lambda i: -fs[i])
+    return _brent_max(lambda t: float(f_of(t, q_of(t))), ts[lo], ts[hi],
+                      (ts[k], fs[k]), (ts[w], fs[w]), (ts[v], fs[v]), tol)
 
 
-def _golden_max(f, lo, hi, tol):
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _brent_max(f, a, b, x, w, v, tol):
+    """max of f on [a, b] by Brent's method (Brent 1973, Algorithms for
+    Minimization without Derivatives, ch. 5), turned to a maximum.
+
+    x, w and v are (t, f(t)) pairs already known, best first.  Each step
+    fits a parabola through the three best points and goes to its vertex
+    when that lies inside the bracket and the step is shorter than half
+    the step before last; otherwise it takes a golden-section step into
+    the longer side of the bracket.  One rule is added: when the vertex
+    lies on the shorter side of the best point, a probe 3 tol / 8 from
+    the best point closes the longer side instead, unless the last point
+    taken became the best one (so probes cannot walk).  It closes an end
+    maximum in one step, and an interior one once the parabola has found
+    it, where golden-section steps took up to 17 more.  It stops when the
+    bracket is at most tol wide, with no point taken nearer than tol / 4
+    to the best one, and returns the best value.
+    """
+    (x, fx), (w, fw), (v, fv) = x, w, v
+    tol1 = 0.25 * tol
+    # the step before last, which a parabolic step must halve: the seed
+    # points lie about one grid step apart
+    d = e = b - a
+    u = None
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            return float(fx)
+        step = "golden"
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # the vertex is x + p / q
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                step = "parabolic"
+            elif q > 0.0 and p * (m - x) <= 0.0 and u != x:
+                step = "probe"
+            e = d
+        if step == "parabolic":
+            d = p / q
+            if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
+                d = math.copysign(tol1, m - x)
+        elif step == "probe":
+            d = math.copysign(1.5 * tol1, m - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ and any object that is not a ``Channel``, builds its table at each rho.
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
 as the limit.  ``gamma_branches`` evaluates its residual grid in one call
-and bisects every residual sign change of the grid together, one array
-call per step, with the midpoints a one-bracket bisection would take.
+and solves every residual sign change of the grid in one batched
+Chandrupatla call (``numerics.find_root``, one bracket per crossing, to
+1e-12 rho), one array call of the residual per step.
 
 For an even channel under a centred prior, q = 0 is an exact fixed point,
 which a run from near 0 only approaches: it stops at about 1e-10 to 5e-9
@@ -85,7 +86,8 @@ import numpy as np
 
 from . import replica
 from .channels import Channel, quad_profile
-from .numerics import BracketError, FixedPointOptions, Spline, cubic_spline
+from .numerics import (BracketError, FixedPointOptions, Spline, cubic_spline,
+                       find_root)
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -435,8 +437,9 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     res = residual(grid)
     qs.extend(grid[:-1][res[:-1] == 0.0].tolist())
     cross = np.flatnonzero(res[:-1] * res[1:] < 0.0)
-    qs.extend(_bisect_roots(residual, grid[cross], grid[cross + 1], res[cross],
-                            tol=1e-12 * rho).tolist())
+    if cross.size:
+        qs.extend(find_root(residual, grid[cross], grid[cross + 1], 0.0,
+                            xatol=1e-12 * rho, xrtol=0.0).tolist())
     qs = [_symmetric_snap(prior, channel, q) for q in qs]
 
     # dedupe
@@ -460,27 +463,6 @@ def _symmetric_snap(prior: Prior, channel: Channel, q: float) -> float:
     if q < SNAP_FRAC * prior.second_moment and _symmetric_point(prior, channel):
         return 0.0
     return q
-
-
-def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Bisection roots of the elementwise f on the brackets [lo, hi], whose
-    ends have opposite signs (f_lo is f at lo); one call of f per step on
-    the brackets still wider than tol."""
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    while True:
-        mid = 0.5 * (lo + hi)
-        todo = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))
-        if todo.size == 0:
-            return mid
-        m = mid[todo]
-        f_mid = f(m)
-        # an exact zero moves both ends onto the root
-        zero = f_mid == 0.0
-        left = (f_lo[todo] * f_mid < 0.0) | zero
-        right = ~left | zero
-        hi[todo[left]] = m[left]
-        lo[todo[right]], f_lo[todo[right]] = m[right], f_mid[right]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scipy.interpolate import CubicSpline
 from scipy.special import expit as scipy_expit
@@ -257,6 +258,87 @@ class TestFindRoot:
         roots = find_root(np.tanh, -3.0, 3.0, [0.25, 0.0], xatol=0.0, xrtol=0.0)
         assert np.isnan(roots[0])
         assert roots[1] == 0.0        # f - target vanishes at the first step
+
+
+class TestFindRootBrackets:
+    """find_root with one bracket per element, as gamma_branches solves its
+    crossings; the closed-form oracles are the ones the bisection of those
+    crossings was tested against."""
+
+    @staticmethod
+    def _root(f, lo, hi, xatol):
+        return float(find_root(f, np.array([lo]), np.array([hi]), 0.0,
+                               xatol=xatol, xrtol=0.0)[0])
+
+    def test_linear_root(self):
+        assert self._root(lambda x: x - 2.0, 0.0, 5.0, 1e-12) == pytest.approx(2.0)
+
+    def test_sqrt_two(self):
+        root = self._root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-10)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+    def test_atanh_half(self):
+        root = self._root(lambda x: np.tanh(x) - 0.5, 0.0, 3.0, 1e-12)
+        assert root == pytest.approx(math.atanh(0.5), abs=1e-10)
+
+    @given(st.floats(min_value=-3.0, max_value=3.0))
+    def test_finds_planted_root(self, root):
+        got = self._root(lambda x: x - root, -4.0, 4.0, 1e-12)
+        assert got == pytest.approx(root, abs=1e-10)
+
+    # roots 0, pi, -pi and 2 pi in brackets of different widths
+    SIN_LO = np.array([-1.0, 3.0, -3.5, 6.0])
+    SIN_HI = np.array([0.5, 3.5, -2.9, 7.0])
+
+    def test_sin_roots(self):
+        roots = find_root(np.sin, self.SIN_LO, self.SIN_HI, 0.0, xatol=1e-12,
+                          xrtol=0.0)
+        np.testing.assert_allclose(roots, [0.0, math.pi, -math.pi, 2 * math.pi],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_batch_equals_separate_calls(self):
+        roots = find_root(np.sin, self.SIN_LO, self.SIN_HI, 0.0, xatol=1e-12,
+                          xrtol=0.0)
+        alone = [find_root(np.sin, self.SIN_LO[k:k + 1], self.SIN_HI[k:k + 1],
+                           0.0, xatol=1e-12, xrtol=0.0)[0] for k in range(4)]
+        assert roots.tolist() == alone
+        # targets and brackets broadcast together
+        shifted = find_root(lambda x: np.sin(x) + 0.5, self.SIN_LO, self.SIN_HI,
+                            np.full(4, 0.5), xatol=1e-12, xrtol=0.0)
+        np.testing.assert_allclose(shifted, roots, rtol=0.0, atol=1e-12)
+
+    def test_roots_hit_exactly_by_a_step(self):
+        # the first step is the midpoint: 0.25 of [0, 0.5], -0.5 of [-1, 0]
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return (x - 0.25) * (x + 0.5)
+
+        roots = find_root(f, np.array([0.0, -1.0]), np.array([0.5, 0.0]), 0.0,
+                          xatol=1e-12, xrtol=0.0)
+        assert roots.tolist() == [0.25, -0.5]
+        assert sizes == [4, 2]
+
+    def test_one_call_per_step_on_open_elements(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return (x - 0.25) * (x + 0.5)
+
+        # the first bracket closes on its first step, the second does not
+        lo, hi = np.array([0.0, -1.3]), np.array([0.5, 0.0])
+        roots = find_root(f, lo, hi, 0.0, xatol=1e-12, xrtol=0.0)
+        assert roots[0] == 0.25 and roots[1] == pytest.approx(-0.5, abs=1e-12)
+        assert calls[0].tolist() == [0.0, -1.3, 0.5, 0.0]
+        assert calls[1].size == 2 and len(calls) > 3
+        assert all(x.size == 1 and -1.3 < x[0] < 0.0 for x in calls[2:])
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(BracketError, match=r"\[3\.5, 4\.0\]"):
+            find_root(np.sin, np.array([3.0, 3.5]), np.array([3.5, 4.0]), 0.0,
+                      xatol=1e-12, xrtol=0.0)
 
 
 class TestIntegrate1d:

@@ -133,6 +133,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(RademacherPrior(), Sign(), 0.0)
 
+    def test_rejects_a_grid_of_fewer_than_three_points(self):
+        with pytest.raises(ValueError, match="grid_size"):
+            solve(RademacherPrior(), Sign(), 1.0, grid_size=2)
+
     def test_sup_inf_equals_inf_sup(self):
         # lem:sup_inf_dual consequence: optimizing i_rs the other way round
         prior, ch = RademacherPrior(), Sign()
@@ -442,8 +446,9 @@ def test_solution_carries_routes_uninformative_se_run(alpha):
 
 
 def test_route_b_solves_one_root(monkeypatch):
-    """The curve is parametrized by r, so Route B needs one scalar root
-    (the top of its t range) and no other."""
+    """The curve is parametrized by r, so Route B needs one scalar root,
+    the top of its t range, and that is the clamp root of Route A's
+    recovery point: a solve and a second Route B solve it once."""
     calls = []
     original = replica.inner_inf_r
 
@@ -452,8 +457,137 @@ def test_route_b_solves_one_root(monkeypatch):
         return original(prior, q, *args)
 
     monkeypatch.setattr(replica, "inner_inf_r", counted)
-    replica._direct_sup_inf(RademacherPrior(), Sign(), 0.93, 201)
+    replica._clamp_terms.cache_clear()
+    prior, ch = RademacherPrior(), Sign()
+    sol = solve(prior, ch, 1.35)
+    assert sol.q_star == 1.0
+    replica._direct_sup_inf(prior, ch, 0.93, 201)
     assert calls == [1]
+
+
+def _golden_direct_sup_inf(prior, channel, alpha, grid_size):
+    """Route B as it was before Brent's method: the same grid, refined by
+    golden section in t to the same bracket width."""
+    rho = prior.second_moment
+    q_hi = rho * (1.0 - replica.EVAL_DEPTH)
+
+    def q_of(t):
+        return np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t)), q_hi)
+
+    def f_of(t, q):
+        return replica._f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q,
+                                   np.expm1(t))
+
+    t_coarse = np.linspace(0.0, math.log1p(inner_inf_r(prior, q_hi)), 65)
+    q_coarse = q_of(t_coarse)
+    ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),
+                   q_coarse, t_coarse)
+    qs = q_of(ts)
+    fs = f_of(ts, qs)
+    k = int(np.argmax(fs))
+    lo, hi = max(k - 1, 0), min(k + 1, grid_size - 1)
+    slope = np.max(np.diff(qs[lo:hi + 1]) / np.diff(ts[lo:hi + 1]))
+    tol = 0.5 * 1e-9 * max(rho, 1.0) / max(slope, 1e-300)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = ts[lo], ts[hi]
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f_of(c, q_of(c)), f_of(d, q_of(d))
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f_of(c, q_of(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f_of(d, q_of(d))
+    return max(fs[k], fc, fd)
+
+
+# two maxima of f along the curve nearly tie around alpha_IT = 1.245
+BRENT_CASES = ROUTE_B_CASES + [(RademacherPrior(), Sign(), a)
+                               for a in (1.24, 1.249, 1.26)]
+
+
+@pytest.mark.parametrize("prior,ch,alpha", BRENT_CASES)
+def test_brent_refinement_matches_golden_section(prior, ch, alpha, monkeypatch):
+    """Brent's method finds the sup the golden-section refinement found,
+    to 1e-12, with at most 20 psi_pout calls after the grid's one (golden
+    section took 37)."""
+    golden = _golden_direct_sup_inf(prior, ch, alpha, 201)
+    sizes, original = [], type(ch).psi_pout
+
+    def counted(self, q, rho):
+        sizes.append(np.size(q))
+        return original(self, q, rho)
+
+    monkeypatch.setattr(type(ch), "psi_pout", counted)
+    got = replica._direct_sup_inf(prior, ch, alpha, 201)
+    assert abs(got - golden) <= 1e-12
+    assert sizes.count(201) == 1 and len(sizes) <= 21
+
+
+def test_route_b_returns_a_nan_grid_value(monkeypatch):
+    """np.argmax picks a NaN, wherever it sits on the grid: Route B returns
+    it, rather than a refined value beside it."""
+    original = Sign.psi_pout
+
+    def one_nan(self, q, rho):
+        out = original(self, q, rho)
+        if np.size(q) == 201:
+            out = np.array(out)
+            out[17] = np.nan
+        return out
+
+    monkeypatch.setattr(Sign, "psi_pout", one_nan)
+    assert math.isnan(replica._direct_sup_inf(RademacherPrior(), Sign(), 1.6, 201))
+    with pytest.raises(RouteDisagreementError) as exc:
+        solve(RademacherPrior(), Sign(), 1.6)
+    assert math.isnan(exc.value.f_direct)
+
+
+def test_nan_route_b_value_raises(monkeypatch):
+    """abs(f_gamma - nan) > tol is False: the route check once let a NaN
+    Route B value through and returned f_direct = nan."""
+    monkeypatch.setattr(replica, "_direct_sup_inf", lambda *args: math.nan)
+    with pytest.raises(RouteDisagreementError) as exc:
+        solve(RademacherPrior(), Sign(), 1.6)
+    assert math.isfinite(exc.value.f_gamma) and math.isnan(exc.value.f_direct)
+
+
+@pytest.mark.parametrize("prior,ch", [
+    (RademacherPrior(), Sign()), (RademacherPrior(), SymmetricDoor()),
+    (GaussBernoulliPrior(0.5), Sign())], ids=repr)
+def test_recovery_point_is_f_hat_at_the_clamp(prior, ch):
+    """Route A's recovery point reads recovery_f at EVAL_DEPTH: the same
+    float f_hat gives at q_hi = rho (1 - EVAL_DEPTH)."""
+    q_hi = prior.second_moment * (1.0 - replica.EVAL_DEPTH)
+    for alpha in (0.7, 1.35, 2.0):
+        assert replica.recovery_f(prior, ch, alpha, replica.EVAL_DEPTH) \
+            == f_hat(prior, ch, alpha, q_hi)[0]
+
+
+# inner_inf_r at three q per prior, as float.hex, from before find_root
+# took per-element brackets: its scalar-bracket calls keep every bit
+INNER_INF_PINS = [
+    (RademacherPrior(), [(0.3, "0x1.9fa706c8fc217p-2"),
+                         (0.9, "0x1.ae5e1164a1b58p+1"),
+                         (0.999999, "0x1.8c803e95ebca5p+4")]),
+    (RademacherPrior(0.3), [(0.3, "0x1.c9e61ac73b8a2p-3"),
+                            (0.9, "0x1.97df0f7fea03cp+1"),
+                            (0.999999, "0x1.89b541bfb6c64p+4")]),
+    (GaussBernoulliPrior(0.5), [(0.15, "0x1.98e0bc9a50aafp-1"),
+                                (0.45, "0x1.b2e54bd69fed5p+3"),
+                                (0.4999995, "0x1.ef1698c885025p+19")]),
+]
+
+
+@pytest.mark.parametrize("prior,pins", INNER_INF_PINS, ids=repr)
+def test_inner_inf_r_pinned(prior, pins):
+    for q, r in pins:
+        assert inner_inf_r(prior, q).hex() == r
+    qs = np.array([q for q, _ in pins])
+    assert [r.hex() for r in inner_inf_r(prior, qs).tolist()] == [r for _, r in pins]
 
 
 def test_cross_check_catches_a_missed_branch(monkeypatch):
