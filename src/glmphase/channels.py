@@ -37,19 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, _like,
+from .numerics import (_LOG_SQRT_2PI, DEFAULT_GH_ORDER, GAUSS_RANGE,
+                       PANEL_CHUNK, PANEL_ORDER, _like,
                        _leggauss_unit as _gl_unit,
                        _erfcx_flat, expit, gauss_hermite, gauss_panels,
                        log_expit, logsumexp)
 
 _INF = math.inf
 
-# Gaussian mass beyond 9 sigma is ~1e-19; quadrature windows stop there.
-_GAUSS_RANGE = 9.0
-# Per-segment Gauss-Legendre chunking for the panel integrals.
-_CHUNK_WIDTH = 0.6
-_GL_ORDER = 16
-_LOG_TINY = math.log(1e-300)
 # q values per pass of _expect_given_v: the E_V nodes of a pass, times the
 # y nodes at each, bound its arrays, so peak memory stays flat.  A discrete
 # channel's y law is its label axis, a few values per node; a continuous
@@ -102,10 +97,6 @@ class OutputDenoiser:
     zout: float | np.ndarray
     log_zout: float | np.ndarray
     vout: float | np.ndarray = 1.0
-
-    @property
-    def underflowed(self):
-        return np.asarray(self.log_zout) < _LOG_TINY
 
 
 def _norm_logpdf(x):
@@ -190,9 +181,9 @@ def _far_interval_moments(l, h):
     """(E[W], Var[W]) for W ~ N(0, 1) truncated to (l, h), l >= 20, from
     the moments of u = W - l, whose density exp(-l u - u^2 / 2) is a
     truncated exponential bent by the curvature term: Gauss-Legendre
-    panels of order _GL_ORDER in l u, at 0, 1, 2, 4, ..., 64 (the mass
+    panels of order PANEL_ORDER in l u, at 0, 1, 2, 4, ..., 64 (the mass
     beyond is below e^-64), clipped to u < h - l."""
-    x, w = _gl_unit(_GL_ORDER)
+    x, w = _gl_unit(PANEL_ORDER)
     edges = np.minimum(_FAR_PANEL_EDGES / l[:, None], (h - l)[:, None])
     width = np.diff(edges)[:, :, None]
     u = (edges[:, :-1, None] + width * x).reshape(l.size, -1)
@@ -237,7 +228,7 @@ def _log_gauss_prob(alpha, beta):
 # table node.  y_chunk and y_gl are those of the y rows of a continuous
 # channel; the exact pair is within about 1e-13 of adaptive integrals.
 _PROFILES = {
-    "exact": dict(v_chunk=_CHUNK_WIDTH, v_gl=_GL_ORDER, y_chunk=2.0, y_gl=16),
+    "exact": dict(v_chunk=PANEL_CHUNK, v_gl=PANEL_ORDER, y_chunk=2.0, y_gl=16),
     "fast": dict(v_chunk=4.0, v_gl=10, y_chunk=3.5, y_gl=13),
 }
 _profile = "exact"
@@ -393,8 +384,7 @@ class Channel:
                 feats = np.hstack([feats, zero])
                 widths = np.hstack([widths, zero])
             p = _prof()
-            rule = gauss_panels(feats, widths, half_range=_GAUSS_RANGE,
-                                chunk=p["v_chunk"], order=p["v_gl"])
+            rule = gauss_panels(feats, widths, chunk=p["v_chunk"], order=p["v_gl"])
             nodes, weights, row = rule.nodes, rule.weights, rule.row
         else:
             gh = gauss_hermite(DEFAULT_GH_ORDER)
@@ -770,7 +760,7 @@ class _PiecewiseChannel(Channel):
             if delta == 0.0:
                 return self.phi(omega), at, np.ones(n)
             rule = gauss_panels(np.full((n, 1), np.nan), np.zeros((n, 1)),
-                                half_range=_GAUSS_RANGE, chunk=chunk, order=order)
+                                chunk=chunk, order=order)
             y = self.phi(omega)[rule.row] + math.sqrt(delta) * rule.nodes
             return y, at[rule.row], rule.weights
         a, b, c, d = (np.array(col)[:, None] for col in zip(*self.pieces()))
@@ -825,8 +815,8 @@ class _PiecewiseChannel(Channel):
                                  np.where(wide, fx + 2.0 * fw, np.nan)], axis=2)
             fw = np.concatenate([np.where(full, fw, 0.0), np.zeros_like(fw),
                                  np.zeros_like(fw)], axis=2)
-            lo = np.full(mu.shape, -_GAUSS_RANGE)
-            hi = np.full(mu.shape, _GAUSS_RANGE)
+            lo = np.full(mu.shape, -GAUSS_RANGE)
+            hi = np.full(mu.shape, GAUSS_RANGE)
             if delta == 0.0:
                 ends = np.sign(d) * np.stack([a - omega, b - omega]) / sqv
                 lo = np.where(linear[:, None], np.clip(ends.min(axis=0), lo, hi), lo)
@@ -1049,8 +1039,7 @@ class Sigmoid(Channel):
         for start in range(0, flat.size, _MU_BLOCK):
             m = flat[start:start + _MU_BLOCK]
             width = np.full((m.size, 1), 1.0 / (self.slope * s))
-            rule = gauss_panels((-m / s)[:, None], width, half_range=_GAUSS_RANGE,
-                                chunk=_CHUNK_WIDTH, order=_GL_ORDER)
+            rule = gauss_panels((-m / s)[:, None], width)
             vals = self.mean_label(m[rule.row] + s * rule.nodes)
             out[start:start + m.size] = np.bincount(
                 rule.row, weights=rule.weights * vals, minlength=m.size)
@@ -1074,9 +1063,7 @@ class Sigmoid(Channel):
             if not idx.size:
                 continue
             om, sv = omega[idx], s[idx]
-            rule = gauss_panels((-om / sv)[:, None], (1.0 / (self.slope * sv))[:, None],
-                                half_range=_GAUSS_RANGE, chunk=_CHUNK_WIDTH,
-                                order=_GL_ORDER)
+            rule = gauss_panels((-om / sv)[:, None], (1.0 / (self.slope * sv))[:, None])
             r, w = rule.row, rule.nodes
             logw = (log_expit(self.slope * y[idx][r] * (om[r] + sv[r] * w))
                     + np.log(rule.weights))

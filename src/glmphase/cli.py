@@ -260,6 +260,11 @@ def _run_phase_diagram(cfg: ExperimentConfig) -> ResultTable:
     alpha_lo = float(g.get("alpha_lo", 0.1))
     alpha_hi = float(g.get("alpha_hi", 2.0))
     tol = float(cfg.numerics.get("bisect_tol", 1e-3))
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"numerics.bisect_tol must be finite and positive, got {tol!r}")
+    if not alpha_lo < alpha_hi:
+        raise ConfigError(f"need grid.alpha_lo < grid.alpha_hi, got {alpha_lo!r} "
+                          f"and {alpha_hi!r}")
     param_target = str(g.get("param", "sparsity"))
     key = "sparsity" if param_target == "rho" else param_target
     prior_keys = _scalar_fields(to_spec(cfg.prior()))
@@ -296,11 +301,12 @@ def _run_potential(cfg: ExperimentConfig) -> ResultTable:
     alpha = float(cfg.grid.get("alpha", 1.0))
     n_q = int(cfg.grid.get("q_points", 101))
     qs = np.linspace(0.0, rho * (1.0 - 1e-6), n_q)
+    psi_rho = replica._psi_pout_at_rho(channel, rho)
 
     def row(q):
+        # i_rs at the inner-inf r: f is the f_rs that i_rs would take again
         f, r = replica.f_hat(prior, channel, alpha, float(q))
-        i_val = replica.i_rs(prior, channel, alpha, float(q), r)
-        return (float(q), r, f, i_val)
+        return (float(q), r, f, alpha * psi_rho - f)
 
     rows = [row(q) for q in qs]
     return ResultTable(columns=("q", "r_inner", "f_rs", "i_rs"), rows=rows)

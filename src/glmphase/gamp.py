@@ -91,21 +91,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class GampOptions:
-    """``onsager`` picks the lam estimator: "variance" uses
-    alpha * mean((1 - vout) / V) (the derivative form, numerically stable for
-    noiseless channels); "square" uses the literal alpha * mean(g^2).  The two
-    coincide in the large-n limit by the Nishimori identity."""
-
     max_iter: int = 500
     tol: float = 1e-7
     damping: float = 0.0
     channel_epsilon: float | None = None  # None: 1e-4 for even channels else 0
     seed: int = 0
-    onsager: str = "variance"
 
     def __post_init__(self):
-        if self.onsager not in ("variance", "square"):
-            raise ValueError(f"unknown onsager estimator {self.onsager!r}")
         # damping 1 never moves x_hat, which would read as convergence
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
@@ -204,13 +196,13 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
         omega = phi @ x_hat / sqn - V * g
         den = assumed.gout(y, omega, V)
         g = den.gout / math.sqrt(V)
-        if opts.onsager == "variance":
-            lam = alpha * float(np.mean(1.0 - den.vout)) / V
-            if lam <= 0.0:
-                # near the symmetric point the variance estimator fluctuates
-                # around zero; the (nonnegative) square form seeds the escape
-                lam = alpha * float(np.mean(g * g))
-        else:
+        # lam from the derivative form alpha * mean((1 - vout) / V), stable
+        # for noiseless channels; it equals the square form alpha * mean(g^2)
+        # in the large-n limit by the Nishimori identity
+        lam = alpha * float(np.mean(1.0 - den.vout)) / V
+        if lam <= 0.0:
+            # near the symmetric point the variance estimator fluctuates
+            # around zero; the (nonnegative) square form seeds the escape
             lam = alpha * float(np.mean(g * g))
         if lam <= 0.0:
             # the output stage carries no information this round (can only

@@ -52,6 +52,8 @@ EVAL_DEPTH = 1e-6
 # two optimizers are "the same" when |dq| < UNIQUE_FRAC * rho
 UNIQUE_FRAC = 1e-4
 _TIE_TOL = 1e-6
+# the two routes must agree to ROUTE_TOL in free entropy
+ROUTE_TOL = 1e-5
 # mu values per panel rule of _mean_label_rows (about 500 nodes each): the
 # node arrays stay within the peak memory of the other steps of solve
 _MU_ROWS = 64
@@ -74,7 +76,6 @@ class ReplicaPoint:
     q: float
     r: float
     f_value: float
-    i_value: float
 
 
 @dataclass(frozen=True)
@@ -124,25 +125,26 @@ def i_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
         - f_rs(prior, channel, alpha, q, r)
 
 
-def inner_inf_r(prior: Prior, q, r_max: float = R_CAP):
+def inner_inf_r(prior: Prior, q):
     """argmin over r of f_rs(q, .): solves 2 psi_p0'(r) = q (psi' monotone).
 
     q may be an array: all roots come from one batched bracketing solve
     (Chandrupatla's method, ``numerics.find_root``), with psi_p0' evaluated
     on the array of active iterates at each step.  Where no q exceeds
-    2 psi_p0'(0) = mean^2, every r is 0 and psi_p0' is taken at no r > 0.
+    2 psi_p0'(0) = mean^2, every r is 0 and psi_p0' is taken at no r > 0;
+    r is capped at R_CAP.
     """
     q_arr = np.asarray(q, dtype=float)
     qf = q_arr.reshape(-1)
     r = np.zeros(qf.size)
     above = qf > 2.0 * prior.psi_p0_prime(0.0)
     if above.any():
-        r[above] = r_max
-        todo = np.flatnonzero(above & (qf < 2.0 * prior.psi_p0_prime(r_max)))
+        r[above] = R_CAP
+        todo = np.flatnonzero(above & (qf < 2.0 * prior.psi_p0_prime(R_CAP)))
         if todo.size:
             # root in u = ln(1 + r): relative precision across 8 decades of r
             u = find_root(lambda t: 2.0 * prior.psi_p0_prime(np.expm1(t)),
-                          0.0, math.log1p(r_max), qf[todo], xatol=1e-13,
+                          0.0, math.log1p(R_CAP), qf[todo], xatol=1e-13,
                           xrtol=1e-14)
             failed = np.isnan(u)
             if failed.any():
@@ -193,7 +195,7 @@ def _clamp_terms(prior: Prior, depth: float) -> tuple[float, float]:
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,
-          grid_size: int = 201, route_tol: float = 1e-5) -> ReplicaSolution:
+          grid_size: int = 201) -> ReplicaSolution:
     """Optimize the potential by both routes; see module docstring."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -203,7 +205,6 @@ def solve(prior: Prior, channel: Channel, alpha: float,
     from . import state_evolution as se
 
     rho = prior.second_moment
-    psi_rho = _psi_pout_at_rho(channel, rho)
 
     # Route A: state-evolution fixed points plus grid-detected crossings.
     opts = se.DEFAULT_SE_OPTS
@@ -219,16 +220,15 @@ def solve(prior: Prior, channel: Channel, alpha: float,
         else:
             r = min(2.0 * alpha * channel.psi_pout_prime(q, rho), R_CAP)
             f = f_rs(prior, channel, alpha, q, r)
-        points.append(ReplicaPoint(q=q, r=r, f_value=f,
-                                   i_value=alpha * psi_rho - f))
+        points.append(ReplicaPoint(q=q, r=r, f_value=f))
     f_gamma = max(p.f_value for p in points)
 
     f_direct = _direct_sup_inf(prior, channel, alpha, grid_size)
 
     # a NaN on either route fails the check: abs(x - nan) > tol is False
     if not (math.isfinite(f_gamma) and math.isfinite(f_direct)) \
-            or abs(f_gamma - f_direct) > route_tol:
-        raise RouteDisagreementError(f_gamma, f_direct, route_tol)
+            or abs(f_gamma - f_direct) > ROUTE_TOL:
+        raise RouteDisagreementError(f_gamma, f_direct, ROUTE_TOL)
 
     # winner: max f, ties toward larger q
     best = max(points, key=lambda p: (p.f_value, p.q))
@@ -379,7 +379,6 @@ def _mean_label_rows(channel: Channel, mu: np.ndarray, var: float) -> np.ndarray
     independent of the closed truncated-moment route: a panel row per mu,
     with a break point at each kink image (k - mu_i) / sqrt(var), _MU_ROWS
     rows per rule."""
-    from .channels import _CHUNK_WIDTH, _GAUSS_RANGE, _GL_ORDER
     if var == 0.0:
         return channel.mean_label(mu)
     sq = math.sqrt(var)
@@ -387,8 +386,7 @@ def _mean_label_rows(channel: Channel, mu: np.ndarray, var: float) -> np.ndarray
     for start in range(0, mu.size, _MU_ROWS):
         m = mu[start:start + _MU_ROWS]
         images = (np.array(channel._x_kinks()) - m[:, None]) / sq
-        rule = gauss_panels(images, np.zeros_like(images), half_range=_GAUSS_RANGE,
-                            chunk=_CHUNK_WIDTH, order=_GL_ORDER)
+        rule = gauss_panels(images, np.zeros_like(images))
         vals = channel.mean_label(m[rule.row] + sq * rule.nodes)
         out[start:start + m.size] = np.bincount(rule.row, weights=rule.weights * vals,
                                                 minlength=m.size)

@@ -12,9 +12,12 @@ potential; the transition finders bisect on branch indicators:
   the recovery fixed point;
 * alpha_IT: where the recovery/informative branch overtakes the best
   non-informative branch in free entropy.  When the recovery branch's free
-  entropy diverges in the clamp depth (continuous prior or continuous
-  noiseless channel), branches are compared through the divergence slope
-  d f / d ln(1/depth), whose sign settles the deep-clamp limit.
+  entropy diverges in the clamp depth (prior and channel not both discrete)
+  and psi_pout' blows up toward q = rho, the sign of the divergence slope
+  d f / d ln(1/depth) decides, and only alpha_hi runs SE, to tell a merged
+  row (no transition).  Otherwise every alpha compares f_hat at its two SE
+  limits; under a discrete prior and channel a recovered one is taken at
+  the clamp q = rho (1 - SENTINEL_DEPTH).
 * alpha_c = 1 / stability_integral for even channels.
 
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
@@ -100,6 +103,8 @@ _Q_GUARD = 1e-14
 # a fixed point below SNAP_FRAC * rho is the exact symmetric one, q = 0,
 # where that exists (_symmetric_snap)
 SNAP_FRAC = 1e-8
+# clamp depth of both sides of the f_hat comparison of alpha_IT
+SENTINEL_DEPTH = 1e-10
 
 DEFAULT_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=5000)
 SPINODAL_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=200_000)
@@ -478,10 +483,19 @@ def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
     return _symmetric_snap(prior, channel, q)
 
 
+def _check_tol(tol: float) -> None:
+    """A bisection width is finite and positive: a NaN one ends at once."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tol must be finite and positive, got {tol!r}")
+
+
 def _bisect_bool(pred, lo: float, hi: float, tol: float) -> float:
-    """Bisect a monotone boolean predicate: False at lo, True at hi."""
+    """Bisect a monotone boolean predicate: False at lo, True at hi.  It
+    stops at width tol, or where lo and hi are adjacent floats."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if pred(mid):
             hi = mid
         else:
@@ -493,6 +507,7 @@ def find_alpha_amp(prior: Prior, channel: Channel, alpha_lo: float,
                    alpha_hi: float, tol: float = 1e-3,
                    opts: FixedPointOptions | None = None) -> float:
     """Spinodal of the uninformative initialization; bisects the recovery flag."""
+    _check_tol(tol)
     rho = prior.second_moment
     if opts is None:
         opts = SPINODAL_SE_OPTS
@@ -533,41 +548,28 @@ def _recovery_slope(prior: Prior, channel: Channel, alpha: float) -> float:
     return slopes[2]
 
 
-def _informative_state(prior: Prior, channel: Channel, alpha: float,
-                       opts: FixedPointOptions):
-    """(wins, merged): does the informative branch exist and globally win."""
+def _informative_wins(prior: Prior, channel: Channel, alpha: float,
+                      opts: FixedPointOptions, slope: bool) -> bool | None:
+    """Does the informative branch globally win; None when both
+    initializations merge short of recovery.  With ``slope`` the recovery
+    branch need not be SE-reachable: at tiny delta > 0 its endpoint shifts
+    by O(1/ln(1/delta)), and the slope extrapolates the noiseless limit."""
     rho = prior.second_moment
     q_inf = _se_limit(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC),
                       opts)
     q_un = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
-    merged = abs(q_inf - q_un) < 1e-4 * rho
-    if merged and q_inf > rho * (1.0 - RECOVERY_FRAC):
-        return True, False  # both initializations recover: trivially optimal
-    sentinel_finite = prior.is_discrete and channel.is_discrete
-
-    if sentinel_finite:
-        if merged:
-            return False, True
-        f_un = replica.f_hat(prior, channel, alpha,
-                             min(q_un, rho * (1.0 - 1e-10)))[0]
-        if q_inf <= rho * (1.0 - RECOVERY_FRAC):
-            f_inf = replica.f_hat(prior, channel, alpha, q_inf)[0]
-            return f_inf >= f_un, False
-        f_inf = replica.recovery_f(prior, channel, alpha, depth=1e-10)
-        return f_inf >= f_un, False
-
-    # Divergent sentinel.  The recovery branch is compared through its
-    # depth-slope; SE reachability of the branch is not required (at tiny
-    # delta > 0 the branch endpoint is shifted by O(1/ln(1/delta)) and the
-    # slope criterion extrapolates the noiseless limit).
-    if not _recovery_capable(channel, rho):
-        if merged:
-            return False, True
-        f_un = replica.f_hat(prior, channel, alpha,
-                             min(q_un, rho * (1.0 - 1e-10)))[0]
+    recovered = q_inf > rho * (1.0 - RECOVERY_FRAC)
+    if abs(q_inf - q_un) < 1e-4 * rho:
+        return True if recovered else None
+    if slope:
+        return _recovery_slope(prior, channel, alpha) > 0.0
+    f_un = replica.f_hat(prior, channel, alpha,
+                         min(q_un, rho * (1.0 - SENTINEL_DEPTH)))[0]
+    if recovered and prior.is_discrete and channel.is_discrete:
+        f_inf = replica.recovery_f(prior, channel, alpha, depth=SENTINEL_DEPTH)
+    else:
         f_inf = replica.f_hat(prior, channel, alpha, q_inf)[0]
-        return f_inf >= f_un, False
-    return _recovery_slope(prior, channel, alpha) > 0.0, merged
+    return f_inf >= f_un
 
 
 def find_alpha_it(prior: Prior, channel: Channel, alpha_lo: float,
@@ -575,22 +577,26 @@ def find_alpha_it(prior: Prior, channel: Channel, alpha_lo: float,
                   opts: FixedPointOptions | None = None) -> float | None:
     """First-order transition where the informative branch becomes the global
     optimizer; None when the branches merge (no transition)."""
+    _check_tol(tol)
     if opts is None:
         opts = SPINODAL_SE_OPTS
-    wins_hi, merged_hi = _informative_state(prior, channel, alpha_hi, opts)
-    if merged_hi:
+    # the comparison, chosen once; see the module docstring
+    slope = (not (prior.is_discrete and channel.is_discrete)
+             and _recovery_capable(channel, prior.second_moment))
+    wins_hi = _informative_wins(prior, channel, alpha_hi, opts, slope)
+    if wins_hi is None:
         return None
     if not wins_hi:
         raise BracketError(f"informative branch not optimal at alpha_hi={alpha_hi}")
-    wins_lo, _ = _informative_state(prior, channel, alpha_lo, opts)
-    if wins_lo:
+
+    def wins(alpha: float) -> bool:
+        if slope:
+            return _recovery_slope(prior, channel, alpha) > 0.0
+        return bool(_informative_wins(prior, channel, alpha, opts, False))
+
+    if wins(alpha_lo):
         raise BracketError(f"informative branch already optimal at alpha_lo={alpha_lo}")
-
-    def pred(alpha: float) -> bool:
-        wins, _ = _informative_state(prior, channel, alpha, opts)
-        return wins
-
-    return _bisect_bool(pred, alpha_lo, alpha_hi, tol)
+    return _bisect_bool(wins, alpha_lo, alpha_hi, tol)
 
 
 def find_alpha_c(channel: Channel, rho: float) -> float:
@@ -613,6 +619,7 @@ def phase_sweep(make_prior: Callable[[float], Prior],
     params = list(params)
     if not params:
         raise ValueError("empty parameter grid")
+    _check_tol(tol)
 
     def row(param: float) -> TransitionReport:
         try:

@@ -309,11 +309,47 @@ q_points = 11
         assert table.columns == ("q", "r_inner", "f_rs", "i_rs")
         from glmphase.priors import RademacherPrior
         from glmphase.channels import Sign
-        from glmphase.replica import f_hat
+        from glmphase.replica import f_hat, i_rs
         q, r, f, i_val = table.rows[5]
         f_ref, r_ref = f_hat(RademacherPrior(), Sign(), 1.2, q)
         assert f == pytest.approx(f_ref, abs=1e-12)
         assert r == pytest.approx(r_ref, rel=1e-9)
+        # psi_pout(rho) taken once for the table gives i_rs to the bit
+        assert [row[3] for row in table.rows] == [
+            i_rs(RademacherPrior(), Sign(), 1.2, q, r)
+            for q, r, _, _ in table.rows]
+
+    @pytest.mark.parametrize("numerics,grid", [
+        ("bisect_tol = 0", ""), ("bisect_tol = -1", ""),
+        ("bisect_tol = nan", ""), ("bisect_tol = inf", ""),
+        ("", "alpha_lo = 1.8\nalpha_hi = 1.8"),
+        ("", "alpha_lo = 1.8\nalpha_hi = 0.8"),
+    ])
+    def test_phase_diagram_rejects_bad_bracket(self, tmp_path, numerics, grid):
+        """bisect_tol = 0 once bisected forever: the bracket stops at one
+        ulp, never below 0."""
+        path = tmp_path / "pd.ini"
+        path.write_text(f"""
+[experiment]
+task = phase-diagram
+seed = 3
+[prior]
+kind = rademacher
+[channel]
+kind = door
+[grid]
+param = K
+param_values = 0.67449
+{grid}
+[numerics]
+{numerics}
+""")
+        with pytest.raises(ConfigError):
+            run(parse_config(str(path)))
+        out = tmp_path / "pd.csv"
+        assert main(["phase-diagram", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
         import glmphase.cli as cli_mod

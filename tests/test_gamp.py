@@ -204,17 +204,6 @@ class TestGampRun:
         z = inst.phi @ inst.x_star / math.sqrt(200)
         assert np.array_equal(inst.y, SymmetricDoor().phi(z))
 
-    def test_square_onsager_option_runs(self):
-        inst = generate_instance(GaussianPrior(1.0), LinearAWGN(0.2), 400,
-                                 1.5, seed=6)
-        run = gamp_run(inst, GampOptions(seed=6, onsager="square"))
-        assert run.converged
-        assert run.mse_seq[-1] < 0.35  # near the SE value 0.218 at n = 400
-
-    def test_bad_onsager_rejected(self):
-        with pytest.raises(ValueError):
-            GampOptions(onsager="bogus")
-
     @pytest.mark.parametrize("bad", [
         {"damping": 1.0}, {"damping": -0.1}, {"damping": 1.5},
         {"tol": 0.0}, {"tol": -1e-7}, {"max_iter": 0}, {"max_iter": -3},

@@ -175,6 +175,75 @@ class TestTransitionFinders:
         assert a == pytest.approx(1.0, abs=0.01)
 
 
+class TestAlphaITComparison:
+    """The comparison is chosen once per (prior, channel): where the depth
+    slope decides, only alpha_hi runs SE."""
+
+    @pytest.fixture
+    def se_runs(self, monkeypatch):
+        calls = []
+        real = se.se_run
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(se, "se_run", counting)
+        return calls
+
+    def test_slope_case_runs_se_at_alpha_hi_only(self, se_runs):
+        find_alpha_it(GaussBernoulliPrior(0.6), Abs(0.0), 0.3, 1.5)
+        assert se_runs == [1.5, 1.5]
+
+    def test_finite_sentinel_runs_se_at_every_step(self, se_runs):
+        find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
+        assert len(se_runs) == 24
+
+    def test_slope_case_merged_row_is_none(self):
+        assert find_alpha_it(GaussBernoulliPrior(0.5), Abs(0.0), 0.2, 0.4) is None
+
+    @pytest.mark.parametrize("prior,ch,lo,hi,tol,expected", [
+        (GaussBernoulliPrior(1.0), Abs(), 0.3, 1.5, 1e-3, "0x1.fff3333333335p-1"),
+        (GaussBernoulliPrior(0.6), Abs(), 0.3, 1.5, 1e-3, "0x1.32c0000000000p-1"),
+        (GaussBernoulliPrior(0.45), Abs(), 0.3, 1.5, 1e-3, "0x1.cbe6666666666p-2"),
+        (GaussBernoulliPrior(0.2), LinearAWGN(0.0), 0.05, 0.45, 1e-3,
+         "0x1.98ccccccccccdp-3"),
+        (GaussBernoulliPrior(0.5), LinearAWGN(0.0), 0.2, 0.8, 1e-3,
+         "0x1.ff1999999999ap-2"),
+        (GaussianPrior(1.0), Abs(0.0), 0.7, 1.3, 2e-3, "0x1.ffb3333333333p-1"),
+        (RademacherPrior(), SymmetricDoor(), 0.8, 1.8, 1e-3, "0x1.ffd999999999ap-1"),
+        (RademacherPrior(), Sign(), 1.0, 1.45, 1e-3, "0x1.3ea999999999ap+0"),
+    ], ids=["gb1-abs", "gb0.6-abs", "gb0.45-abs", "gb0.2-linear", "gb0.5-linear",
+            "gauss-abs", "rademacher-door", "rademacher-sign"])
+    def test_alpha_it_bits(self, prior, ch, lo, hi, tol, expected):
+        # the values of the finder that ran SE at every step
+        assert find_alpha_it(prior, ch, lo, hi, tol=tol).hex() == expected
+
+    def test_bracket_error_message_kept(self):
+        with pytest.raises(BracketError, match=r"^informative branch already "
+                           r"optimal at alpha_lo=0.3$"):
+            find_alpha_it(RademacherPrior(), Abs(0.0), 0.3, 1.5)
+
+
+class TestBisectionTolerance:
+    """tol <= 0 never ended (the bracket stops at one ulp) and a NaN tol
+    returned the midpoint at once."""
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_finders_reject(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            find_alpha_amp(RademacherPrior(), Sign(), 1.2, 1.8, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            find_alpha_it(RademacherPrior(), Sign(), 1.0, 1.45, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            phase_sweep(lambda p: RademacherPrior(), lambda p: Sign(), [0.0],
+                        1.2, 1.8, tol=tol)
+
+    def test_stops_at_adjacent_floats(self):
+        mid = se._bisect_bool(lambda a: a >= 1.0, 0.5, 2.0, 1e-300)
+        assert mid == pytest.approx(1.0, abs=1e-15)
+
+
 class TestPhaseSweep:
     def test_door_k_sweep_rows(self):
         reports = phase_sweep(
