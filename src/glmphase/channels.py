@@ -103,8 +103,16 @@ def _norm_logpdf(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
 
 
-def _trunc_moments(alpha, beta):
-    """(logP, E[W], Var[W]) for the standard normal truncated to (alpha, beta).
+# levels of the evidence kernels (_trunc_moments, _piece_stats and
+# Sigmoid._w_posterior): the log mass only, or it with the mean and the
+# variance; the level is the number of arrays returned
+_MASS, _VAR = 1, 3
+
+
+def _trunc_moments(alpha, beta, level):
+    """(logP,) at level _MASS, or (logP, E[W], Var[W]) at level _VAR, for
+    the standard normal truncated to (alpha, beta).  The log mass of
+    either level is the same float; _MASS skips the work of the moments.
 
     An interval inside the left tail is mirrored right of zero.  In the
     right tail, Q(x) = erfcx(x / sqrt 2) exp(-x^2 / 2) / 2 gives the log mass
@@ -120,24 +128,25 @@ def _trunc_moments(alpha, beta):
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     left = beta <= 0.0
     lo, hi = np.where(left, -beta, alpha), np.where(left, -alpha, beta)
-    logp = np.full(lo.shape, -np.inf)
-    mean, var = np.zeros(lo.shape), np.zeros(lo.shape)
+    out = (np.full(lo.shape, -np.inf),) + tuple(np.zeros(lo.shape)
+                                               for _ in range(level - 1))
     # flat views, in slices of _ELEM_BLOCK elements; each case gathers its
     # elements by index and scatters back
     lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
-    logp_f, mean_f, var_f = logp.reshape(-1), mean.reshape(-1), var.reshape(-1)
+    out_f = [x.reshape(-1) for x in out]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, lo_f.size, _ELEM_BLOCK):
             blk = slice(start, start + _ELEM_BLOCK)
-            _trunc_block(lo_f[blk], hi_f[blk], logp_f[blk], mean_f[blk], var_f[blk])
-    np.negative(mean, out=mean, where=left)
-    return logp, mean, var
+            _trunc_block(lo_f[blk], hi_f[blk], [x[blk] for x in out_f])
+    if level == _VAR:
+        np.negative(out[1], out=out[1], where=left)
+    return out
 
 
-def _trunc_block(lo, hi, logp, mean, var):
-    """Fill logp, mean and var (preset to -inf, 0, 0) for 1-D bounds that
-    are already mirrored right of zero where the interval lies in the left
-    tail; empty intervals keep the preset values."""
+def _trunc_block(lo, hi, out):
+    """Fill out, (logp,) or (logp, mean, var) (preset to -inf, 0, 0), for
+    1-D bounds that are already mirrored right of zero where the interval
+    lies in the left tail; empty intervals keep the preset values."""
     tail = ((lo >= 0.0) & (hi > lo)).nonzero()[0]
     mid = ((lo < 0.0) & (hi > 0.0)).nonzero()[0]
     t, n = tail.size, tail.size + mid.size
@@ -148,12 +157,18 @@ def _trunc_block(lo, hi, logp, mean, var):
     # one erfcx pass: Q at both ends of a tail interval, and at h and -l of
     # one that straddles zero (|l| is l in the tail, -l across zero)
     e = _erfcx_flat(np.abs(np.concatenate((l, h))) / _SQRT2)
+    # the moments need the ratios phi / P at both ends
+    moments = len(out) == _VAR
     parts = []
     if t:
-        parts.append(_tail_ratios(l[:t], h[:t], e[:t], e[n:n + t]))
+        parts.append(_tail_ratios(l[:t], h[:t], e[:t], e[n:n + t], moments))
     if t < n:
-        parts.append(_straddle_ratios(l[t:], h[t:], e[t:n], e[n + t:]))
-    lp, ra, rb = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        parts.append(_straddle_ratios(l[t:], h[t:], e[t:n], e[n + t:], moments))
+    lp, *ratios = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    out[0][i] = lp
+    if not ratios:
+        return
+    ra, rb = ratios
     m = np.minimum(np.maximum(ra - rb, l), h)
     # E[W^2] = 1 + l ra - h rb; an infinite end has ratio 0
     far = np.where(rb > 0.0, h * rb, 0.0)
@@ -170,11 +185,10 @@ def _trunc_block(lo, hi, logp, mean, var):
         if narrow.any():
             m[narrow], v[narrow] = _far_interval_moments(l[narrow], h[narrow])
     ok = lp > -np.inf
-    logp[i] = lp
-    mean[i] = np.where(ok, m, 0.0)
+    out[1][i] = np.where(ok, m, 0.0)
     # a truncated standard normal has variance in [0, 1]; far out,
     # where the terms cancel or overflow, that bound is all that is kept
-    var[i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
+    out[2][i] = np.where(ok & (v >= 0.0), np.minimum(v, 1.0), 0.0)
 
 
 def _far_interval_moments(l, h):
@@ -194,30 +208,35 @@ def _far_interval_moments(l, h):
     return l + mu, np.sum(p * dev * dev, axis=1)
 
 
-def _tail_ratios(l, h, el, eh):
+def _tail_ratios(l, h, el, eh, ratios):
     """(log P, phi(l) / P, phi(h) / P) for 0 <= l < h, from el and eh, the
-    erfcx of l / sqrt 2 and h / sqrt 2."""
+    erfcx of l / sqrt 2 and h / sqrt 2; (log P,) without ratios."""
     # log phi(h) / phi(l), and r = Q(h) / Q(l), the share of the tail
     # beyond the far end; P = Q(l) (1 - r), scaled by el
     log_g = -0.5 * (h - l) * (h + l)
     den = el * -np.expm1(np.log(eh / el) + log_g)
+    lp = np.log(0.5 * den) - 0.5 * l * l
+    if not ratios:
+        return (lp,)
     ra = _SQRT_2_OVER_PI / den
-    return np.log(0.5 * den) - 0.5 * l * l, ra, ra * np.exp(log_g)
+    return lp, ra, ra * np.exp(log_g)
 
 
-def _straddle_ratios(l, h, el, eh):
+def _straddle_ratios(l, h, el, eh, ratios):
     """(log P, phi(l) / P, phi(h) / P) for l < 0 < h, from el and eh, the
-    erfcx of -l / sqrt 2 and h / sqrt 2."""
+    erfcx of -l / sqrt 2 and h / sqrt 2; (log P,) without ratios."""
     # P = 1 - Q(h) - Q(-l) is not small; Q(x) = erfcx(x / sqrt 2) g(x) / 2
     # with g(x) = exp(-x^2 / 2) = sqrt(2 pi) phi(x)
     gl, gh = np.exp(-0.5 * l * l), np.exp(-0.5 * h * h)
     p = 1.0 - 0.5 * (el * gl + eh * gh)
+    if not ratios:
+        return (np.log(p),)
     return np.log(p), gl / (_SQRT_2PI * p), gh / (_SQRT_2PI * p)
 
 
 def _log_gauss_prob(alpha, beta):
     """log P(alpha < W < beta), W ~ N(0,1), stable in both tails."""
-    return _trunc_moments(alpha, beta)[0]
+    return _trunc_moments(alpha, beta, _MASS)[0]
 
 
 # Quadrature profiles: "exact" drives analysis-grade evaluations; "fast" is
@@ -335,7 +354,7 @@ class Channel:
         raise NotImplementedError
 
     def zout(self, y, omega, v):
-        if v < 0:
+        if np.any(np.asarray(v) < 0):
             raise ValueError(f"V must be nonnegative, got {v}")
         out = np.exp(self.log_zout(y, omega, v))
         return float(out) if np.ndim(out) == 0 else out
@@ -584,7 +603,7 @@ class _PiecewiseChannel(Channel):
         s = math.sqrt(var)
         total = np.zeros_like(mu)
         for a, b, c, d in self.pieces():
-            logp, m1, _ = _trunc_moments((a - mu) / s, (b - mu) / s)
+            logp, m1, _ = _trunc_moments((a - mu) / s, (b - mu) / s, _VAR)
             total = total + np.exp(logp) * (c + d * (mu + s * m1))
         return float(total) if total.ndim == 0 else total
 
@@ -593,7 +612,7 @@ class _PiecewiseChannel(Channel):
         s = math.sqrt(rho)
         total = 0.0
         for a, b, c, d in self.pieces():
-            logp, m1, var = _trunc_moments(a / s, b / s)
+            logp, m1, var = _trunc_moments(a / s, b / s, _VAR)
             p = float(np.exp(logp))
             ex = s * float(m1)
             ex2 = rho * float(var + m1 * m1)
@@ -602,18 +621,18 @@ class _PiecewiseChannel(Channel):
 
     # -- evidence core ---------------------------------------------------------
 
-    def _piece_stats(self, y, omega, v):
-        """Per piece, on a leading piece axis: log weight, and the
-        conditional mean and variance of the standardized hidden Gaussian
-        w = (x - omega) / sqrt(V).  y, omega and V broadcast together; an
-        array V must be positive."""
+    def _piece_stats(self, y, omega, v, level):
+        """Per piece, on a leading piece axis: log weight, and at level
+        _VAR (as in ``_trunc_moments``) the conditional mean and variance of
+        the standardized hidden Gaussian w = (x - omega) / sqrt(V).  y,
+        omega and V broadcast together; an array V must be positive."""
         y, omega, _ = np.broadcast_arrays(np.asarray(y, float),
                                           np.asarray(omega, float), np.asarray(v, float))
         sqv = np.sqrt(v)
         delta = self.delta
         pieces = self.pieces()
         # each piece writes its row of these
-        logw, mean, var = (np.empty((len(pieces),) + y.shape) for _ in range(3))
+        stats = tuple(np.empty((len(pieces),) + y.shape) for _ in range(level))
         # the pieces that truncate the Gaussian in w, for one _trunc_moments
         # pass: (row, its elements, lower and upper bound, log prefactor,
         # mean shift and variance factor)
@@ -627,7 +646,8 @@ class _PiecewiseChannel(Channel):
                     if np.all(emits):
                         emits = ...
                     else:
-                        logw[k], mean[k], var[k] = -np.inf, 0.0, 0.0
+                        for x, fill in zip(stats, (-np.inf, 0.0, 0.0)):
+                            x[k] = fill
                         if not np.any(emits):
                             continue
                     om = omega[emits]
@@ -645,32 +665,31 @@ class _PiecewiseChannel(Channel):
                     resid = y - c - d * omega
                     logpref = _norm_logpdf(resid / np.sqrt(sig2)) - 0.5 * np.log(sig2)
                     m = omega + d * (v / sig2) * resid
-                    shift = d * (sqv / sig2) * resid
+                    shift = d * (sqv / sig2) * resid if level == _VAR else None
                     if delta == 0.0:
-                        logw[k] = np.where((a < m) & (m < b), logpref, -np.inf)
-                        mean[k], var[k] = shift, 0.0
+                        row = (np.where((a < m) & (m < b), logpref, -np.inf), shift, 0.0)
+                        for x, fill in zip(stats, row):
+                            x[k] = fill
                     else:
                         s = np.sqrt(v * delta / sig2)
                         trunc.append((k, ..., (a - m) / s, (b - m) / s, logpref,
                                       (shift, delta / sig2)))
             if not trunc:
-                return logw, mean, var
-            logp, m1, var1 = _trunc_moments(
-                np.concatenate([t[2].ravel() for t in trunc]),
-                np.concatenate([t[3].ravel() for t in trunc]))
+                return stats
+            moments = _trunc_moments(np.concatenate([t[2].ravel() for t in trunc]),
+                                     np.concatenate([t[3].ravel() for t in trunc]),
+                                     level)
             start = 0
             for k, sel, lo, _, logpref, affine in trunc:
-                lp, mk, vk = (x[start:start + lo.size].reshape(lo.shape)
-                              for x in (logp, m1, var1))
+                lp, *mom = (x[start:start + lo.size].reshape(lo.shape) for x in moments)
                 start += lo.size
-                logw[k, sel] = lp if logpref is None else logpref + lp
-                if affine is None:
-                    mean[k, sel], var[k, sel] = mk, vk
-                else:
+                if affine is not None and mom:
+                    # the mean shifts and scales, the variance scales
                     shift, f = affine
-                    mean[k, sel] = shift + np.sqrt(f) * mk
-                    var[k, sel] = f * vk
-        return logw, mean, var
+                    mom = [shift + np.sqrt(f) * mom[0], f * mom[1]]
+                for x, val in zip(stats, [lp if logpref is None else logpref + lp] + mom):
+                    x[k, sel] = val
+        return stats
 
     def log_zout(self, y, omega, v):
         if np.any(np.asarray(v) < 0):
@@ -679,14 +698,14 @@ class _PiecewiseChannel(Channel):
             with np.errstate(divide="ignore"):
                 out = np.log(self.density(y, omega))
             return float(out) if np.ndim(out) == 0 else out
-        logw, _, _ = self._piece_stats(y, omega, v)
+        logw, = self._piece_stats(y, omega, v, _MASS)
         out = logsumexp(logw)
         return float(out) if np.ndim(out) == 0 else out
 
     def _posterior_w_stats(self, y, omega, v):
         """(log Z, per-piece posterior weights, per-piece mean and variance
         of w); rows with zero evidence get zero weights."""
-        logw, mean, var = self._piece_stats(y, omega, v)
+        logw, mean, var = self._piece_stats(y, omega, v, _VAR)
         logz = logsumexp(logw)
         ok = np.isfinite(logz)
         with np.errstate(invalid="ignore"):
@@ -845,7 +864,7 @@ class _PiecewiseChannel(Channel):
 
     def _stability_num_den(self, y, rho):
         """A(y) = E[(x^2/rho - 1) P_out(y|x)], B(y) = E[P_out(y|x)], x ~ N(0, rho)."""
-        logw, mean, var = self._piece_stats(y, 0.0, rho)
+        logw, mean, var = self._piece_stats(y, 0.0, rho, _VAR)
         w = np.exp(logw)
         # x / sqrt(rho) is the standardized w at omega = 0
         num = np.sum(w * (var + mean * mean - 1.0), axis=0)
@@ -1045,8 +1064,9 @@ class Sigmoid(Channel):
                 rule.row, weights=rule.weights * vals, minlength=m.size)
         return _like(mu, out.reshape(mu.shape))
 
-    def _w_posterior(self, y, omega, v):
-        """(log Z_out, E[w | y], Var[w | y]) for the standardized w of
+    def _w_posterior(self, y, omega, v, level):
+        """(log Z_out,) at level _MASS, or (log Z_out, E[w | y], Var[w | y])
+        at level _VAR (as in ``_trunc_moments``), for the standardized w of
         z = omega + sqrt(V) w, shapes broadcast.  Each entry integrates on
         panels around the step at w = -omega / sqrt(V), 1 / (slope sqrt(V))
         wide, as mean_label_gauss does, _MU_BLOCK entries per rule; an entry
@@ -1071,12 +1091,13 @@ class Sigmoid(Channel):
             top = np.maximum.reduceat(logw, np.flatnonzero(np.diff(r, prepend=-1)))
             p = np.exp(logw - top[r])
             tot = np.bincount(r, weights=p, minlength=idx.size)
-            m1 = np.bincount(r, weights=p * w, minlength=idx.size) / tot
-            m2 = np.bincount(r, weights=p * w * w, minlength=idx.size) / tot
             logz[idx] = top + np.log(tot)
-            mean[idx] = m1
-            var[idx] = np.maximum(m2 - m1 * m1, 0.0)
-        return logz.reshape(shape), mean.reshape(shape), var.reshape(shape)
+            if level == _VAR:
+                m1 = np.bincount(r, weights=p * w, minlength=idx.size) / tot
+                m2 = np.bincount(r, weights=p * w * w, minlength=idx.size) / tot
+                mean[idx] = m1
+                var[idx] = np.maximum(m2 - m1 * m1, 0.0)
+        return tuple(x.reshape(shape) for x in (logz, mean, var)[:level])
 
     def log_zout(self, y, omega, v):
         if np.any(np.asarray(v) < 0):
@@ -1085,17 +1106,17 @@ class Sigmoid(Channel):
             with np.errstate(divide="ignore"):
                 out = np.log(self.density(y, omega))
         else:
-            out = self._w_posterior(y, omega, v)[0]
+            out = self._w_posterior(y, omega, v, _MASS)[0]
         return float(out) if np.ndim(out) == 0 else out
 
     def _log_zout_gout(self, y, omega, v):
-        logz, g, _ = self._w_posterior(y, omega, v)
+        logz, g, _ = self._w_posterior(y, omega, v, _VAR)
         return logz, g
 
     def gout(self, y, omega, v) -> OutputDenoiser:
         if np.any(np.asarray(v) <= 0):
             raise ValueError(f"V must be positive, got {v}")
-        logz, g, var_w = self._w_posterior(y, omega, v)
+        logz, g, var_w = self._w_posterior(y, omega, v, _VAR)
         if not np.all(np.isfinite(logz)):
             raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
         z = np.exp(logz)

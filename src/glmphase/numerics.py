@@ -319,25 +319,30 @@ _TINY = np.finfo(float).tiny
 
 
 def find_root(f: Callable[[np.ndarray], np.ndarray], a, b, targets,
-              xatol: float, xrtol: float) -> np.ndarray:
+              xatol: float, xrtol: float, f_ends=None) -> np.ndarray:
     """Roots x in [a, b] of f(x) = targets, elementwise, by Chandrupatla's
     bracketing method (Chandrupatla 1997, Adv. Eng. Softw. 28, 145).
 
     a and b are one bracket for every target, or one bracket per element
     (arrays broadcast against targets).  f maps an array of x to f
     elementwise.  It is called once on the bracket ends, every a then
-    every b, then once per step on the elements still open.  An element
-    closes when its bracket is narrower than xatol + xrtol |x|, or when
-    f - target vanishes (to the smallest normal double); its root is the
-    bracket end with the smaller |f - target|.  Each element's iterates
-    depend on its own bracket and target only, so a batch returns the
-    roots of the separate calls.  Elements still open after _ROOT_MAXITER
-    steps, or where f is not finite, come back NaN.  Raises BracketError
-    when f - target takes the same sign at both ends of some element's
-    bracket.
+    every b, unless the caller passes their f values as the pair f_ends =
+    (fa, fb) (shaped as a and b broadcast), then once per step on the
+    elements still open.  An element closes when its bracket is narrower
+    than xatol + xrtol |x|, or when f - target vanishes (to the smallest
+    normal double); its root is the bracket end with the smaller
+    |f - target|.  Each element's iterates depend on its own bracket and
+    target only, so a batch returns the roots of the separate calls.
+    Elements still open after _ROOT_MAXITER steps, or where f is not
+    finite, come back NaN.
+    Raises BracketError when f - target takes the same sign at both ends
+    of some element's bracket.
     """
     a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
-    fa, fb = np.split(f(np.concatenate([a, b])), 2)
+    if f_ends is None:
+        fa, fb = np.split(f(np.concatenate([a, b])), 2)
+    else:
+        fa, fb = map(np.ravel, f_ends)
     y, x1, f1, x2, f2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(
         np.ravel(targets), a, fa, b, fb))
     f1, f2 = f1 - y, f2 - y

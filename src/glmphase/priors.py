@@ -8,11 +8,15 @@ Every prior exposes the same surface:
                                    P0(x) * exp(-lam * (R - x)^2 / 2)
 * ``psi_p0(r)``                 -- scalar-channel free entropy
 * ``psi_p0_prime(r)``           -- its derivative, E[g(Y0, r)^2] / 2
+* ``psi_p0_and_prime(r)``       -- both, from one pass
 
-``psi_p0`` and ``psi_p0_prime`` take a scalar r (and return a float) or an
-array of r, evaluated in one pass over blocks of r values; a scalar is an
-array of one.  Discrete support is summed exactly; the expectation over Y0
-uses panel quadrature refined where the posterior switches regime.
+``psi_p0``, ``psi_p0_prime`` and ``psi_p0_and_prime`` take a scalar r (and
+return floats) or an array of r, evaluated in one pass over blocks of r
+values; a scalar is an array of one.  Discrete support is summed exactly;
+the expectation over Y0 uses panel quadrature refined where the posterior
+switches regime, one rule per block for every integrand of the pass.  The
+integrand of psi_p0' takes only the posterior mean; ``psi_p0_and_prime``
+returns the floats of the two separate calls.
 """
 from __future__ import annotations
 
@@ -75,6 +79,11 @@ class Prior:
     def posterior_mean_var(self, theta, lam):
         raise NotImplementedError
 
+    def _posterior_mean(self, theta, lam):
+        """The mean of ``posterior_mean_var``, to the bit, without the
+        variance."""
+        raise NotImplementedError
+
     def log_partition(self, y, r):
         """ln integral dP0(x) exp(sqrt(r) y x - r x^2 / 2), elementwise in
         (y, r)."""
@@ -91,32 +100,42 @@ class Prior:
 
     # -- scalar-channel free entropy ----------------------------------------
 
-    def _expect_y0(self, r: np.ndarray, g) -> np.ndarray:
-        """E over Y0 = sqrt(r) X0 + Z0 of g(Y0, r), for each r > 0 of a 1-D
-        array; g is evaluated once on the flat nodes of all rows."""
+    def _expect_y0(self, r: np.ndarray, gs) -> np.ndarray:
+        """E over Y0 = sqrt(r) X0 + Z0 of each g(Y0, r) of gs, for each r > 0
+        of a 1-D array, shape (len(gs), len(r)); one panel rule serves every
+        g, and each g is evaluated once on the flat nodes of all rows."""
         raise NotImplementedError
 
-    def _over_r(self, r, at_zero: float, g):
-        """E[g(Y0, r)] for each r of a scalar or array, at_zero where r = 0."""
+    def _over_r(self, r, at_zero, gs):
+        """(E[g(Y0, r)] for each g of gs) for each r of a scalar or array,
+        at_zero[j] for gs[j] where r = 0."""
         r_in = r
         r = _check_r(r)
-        out = np.full(r.shape, at_zero)
-        flat, out_flat = r.reshape(-1), out.reshape(-1)
+        flat = r.reshape(-1)
+        out = np.empty((len(gs), flat.size))
+        out[:] = np.asarray(at_zero, dtype=float)[:, None]
         todo = np.flatnonzero(flat != 0.0)
         for start in range(0, todo.size, _R_BLOCK):
             idx = todo[start:start + _R_BLOCK]
-            out_flat[idx] = self._expect_y0(flat[idx], g)
-        return _like(r_in, out)
+            out[:, idx] = self._expect_y0(flat[idx], gs)
+        return tuple(_like(r_in, row.reshape(r.shape)) for row in out)
+
+    def _g_sq(self, y, r):
+        """The integrand of psi_p0': the squared posterior mean."""
+        return self._posterior_mean(np.sqrt(r) * y, r) ** 2
 
     def psi_p0(self, r):
-        return self._over_r(r, 0.0, self.log_partition)
+        return self._over_r(r, (0.0,), (self.log_partition,))[0]
 
     def psi_p0_prime(self, r):
-        def g_sq(y, r):
-            m, _ = self.posterior_mean_var(np.sqrt(r) * y, r)
-            return m ** 2
+        return 0.5 * self._over_r(r, (self.mean ** 2,), (self._g_sq,))[0]
 
-        return 0.5 * self._over_r(r, self.mean ** 2, g_sq)
+    def psi_p0_and_prime(self, r):
+        """(psi_p0(r), psi_p0'(r)), the floats of the two separate calls,
+        from one pass over the panel rules."""
+        psi, g_sq = self._over_r(r, (0.0, self.mean ** 2),
+                                 (self.log_partition, self._g_sq))
+        return psi, 0.5 * g_sq
 
 
 @dataclass(frozen=True)
@@ -156,6 +175,9 @@ class GaussianPrior(Prior):
         s2, rc = self.prior_variance, _check_r(r)
         return _like(r, 0.5 * s2 * s2 * rc / (1.0 + s2 * rc))
 
+    def psi_p0_and_prime(self, r):
+        return self.psi_p0(r), self.psi_p0_prime(r)
+
 
 class _AtomicPrior(Prior):
     """Prior supported on finitely many atoms."""
@@ -187,14 +209,22 @@ class _AtomicPrior(Prior):
         shape = (-1,) + (1,) * np.ndim(x)
         return self.atoms.reshape(shape), np.log(self.probs).reshape(shape)
 
-    def posterior_mean_var(self, theta, lam):
+    def _posterior_weights(self, theta, lam):
+        """(atoms, posterior weights) on a leading atom axis."""
         theta = np.asarray(theta, dtype=float)
         a, logp = self._atom_axis(theta)
         logw = logp + a * theta - 0.5 * np.asarray(lam) * a ** 2
-        w = np.exp(logw - logsumexp(logw))
+        return a, np.exp(logw - logsumexp(logw))
+
+    def posterior_mean_var(self, theta, lam):
+        a, w = self._posterior_weights(theta, lam)
         m = np.sum(w * a, axis=0)
         m2 = np.sum(w * a ** 2, axis=0)
         return m, np.maximum(m2 - m ** 2, 0.0)
+
+    def _posterior_mean(self, theta, lam):
+        a, w = self._posterior_weights(theta, lam)
+        return np.sum(w * a, axis=0)
 
     def log_partition(self, y, r):
         y = np.asarray(y, dtype=float)
@@ -213,7 +243,7 @@ class _AtomicPrior(Prior):
         y = 0.5 * sqr * (a[k] + a[j]) - np.log(p[k] / p[j]) / (sqr * da)
         return y, np.broadcast_to(1.0 / (sqr * np.abs(da)), y.shape)
 
-    def _expect_y0(self, r, g):
+    def _expect_y0(self, r, gs):
         # one panel row per (r, atom): Y0 = sqrt(r) a + Z given the atom
         flips, widths = self._flip_points(r)
         shift = np.sqrt(r)[:, None] * self.atoms                 # (n, atoms)
@@ -222,14 +252,15 @@ class _AtomicPrior(Prior):
         widths = np.broadcast_to(widths[:, None, :], feats.shape)
         rows = shift.size
         rule = gauss_panels(feats.reshape(rows, -1), widths.reshape(rows, -1))
-        vals = g(shift.reshape(-1)[rule.row] + rule.nodes,
-                 np.repeat(r, len(self.atoms))[rule.row])
-        e = np.bincount(rule.row, weights=rule.weights * vals,
-                        minlength=rows).reshape(shift.shape)
+        y = shift.reshape(-1)[rule.row] + rule.nodes
+        rr = np.repeat(r, len(self.atoms))[rule.row]
+        e = np.array([np.bincount(rule.row, weights=rule.weights * g(y, rr),
+                                  minlength=rows) for g in gs])
+        e = e.reshape((len(gs),) + shift.shape)
         # elementwise, so an r's value does not depend on the rest of its block
         total = 0.0
         for j, p in enumerate(self.probs):
-            total = total + p * e[:, j]
+            total = total + p * e[:, :, j]
         return total
 
 
@@ -300,7 +331,8 @@ class GaussBernoulliPrior(Prior):
         mask = rng.random(count) < self.sparsity
         return np.where(mask, x, 0.0)
 
-    def posterior_mean_var(self, theta, lam):
+    def _slab_weight(self, theta, lam):
+        """(posterior weight of the slab, slab posterior mean)."""
         theta = np.asarray(theta, dtype=float)
         rho = self.sparsity
         # Slab posterior is N(theta / (1 + lam), 1 / (1 + lam)).
@@ -311,11 +343,18 @@ class GaussBernoulliPrior(Prior):
             p_slab = np.exp(log_w_slab - norm)
         else:
             p_slab = np.ones_like(theta)
-        m_slab = theta / (1.0 + lam)
+        return p_slab, theta / (1.0 + lam)
+
+    def posterior_mean_var(self, theta, lam):
+        p_slab, m_slab = self._slab_weight(theta, lam)
         v_slab = 1.0 / (1.0 + lam)
         m = p_slab * m_slab
         m2 = p_slab * (v_slab + m_slab ** 2)
         return m, np.maximum(m2 - m ** 2, 0.0)
+
+    def _posterior_mean(self, theta, lam):
+        p_slab, m_slab = self._slab_weight(theta, lam)
+        return p_slab * m_slab
 
     def log_partition(self, y, r):
         y = np.asarray(y, dtype=float)
@@ -338,7 +377,7 @@ class GaussBernoulliPrior(Prior):
         width = (1.0 + r) / (r * np.maximum(y, 1.0))
         return y, width
 
-    def _expect_y0(self, r, g):
+    def _expect_y0(self, r, gs):
         # Conditionally on spike/slab, Y0 is exactly Gaussian; the integrands
         # switch regime where spike and slab weights balance.  One panel row
         # per (r, spike) and (r, slab), in Z-coordinates of that component.
@@ -348,8 +387,9 @@ class GaussBernoulliPrior(Prior):
         feats = np.stack([-y_star[:, None] / sd, y_star[:, None] / sd], axis=2)
         widths = np.repeat((width[:, None] / sd)[:, :, None], 2, axis=2)
         rule = gauss_panels(feats.reshape(-1, 2), widths.reshape(-1, 2))
-        vals = g(sd.reshape(-1)[rule.row] * rule.nodes, np.repeat(r, 2)[rule.row])
-        e = np.bincount(rule.row, weights=rule.weights * vals,
-                        minlength=sd.size).reshape(sd.shape)
-        return (1.0 - rho) * e[:, 0] + rho * e[:, 1]
+        y, rr = sd.reshape(-1)[rule.row] * rule.nodes, np.repeat(r, 2)[rule.row]
+        e = np.array([np.bincount(rule.row, weights=rule.weights * g(y, rr),
+                                  minlength=sd.size) for g in gs])
+        e = e.reshape((len(gs),) + sd.shape)
+        return (1.0 - rho) * e[:, :, 0] + rho * e[:, :, 1]
 

@@ -11,10 +11,12 @@ attained where 2 psi_p0'(r) = q, by convexity of psi_p0).  ``solve`` runs
 both routes and insists they agree; a value that is not finite on
 either route fails that check too.  Route B walks the curve of inner-inf points, which r
 parametrizes explicitly: at t = ln(1 + r) the point is
-(q, r) = (2 psi_p0'(r), r), so its grid costs one psi_p0', one psi_p0 and
-one psi_pout array call and no root solve, and its refinement runs in t,
-by Brent's method seeded with the grid points around the best one.  It
-stays independent of the state-evolution spline tables, so it remains a
+(q, r) = (2 psi_p0'(r), r), so its grid costs one prior pass
+(``Prior.psi_p0_and_prime``, which gives psi_p0' and psi_p0 from the same
+panel rules) and one psi_pout array call and no root solve, and its
+refinement runs in t, by Brent's method seeded with the grid points around
+the best one, one prior pass and one psi_pout call per step.  It stays
+independent of the state-evolution spline tables, so it remains a
 cross-check of Route A.
 
 The exact-recovery branch (q = rho, r = +inf) is represented by a sentinel;
@@ -102,12 +104,13 @@ def f_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
         raise ValueError(f"need 0 <= q <= rho, got q={q}")
     if r < 0:
         raise ValueError(f"need r >= 0, got r={r}")
-    return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, r)
+    return _f_rs_terms(prior.psi_p0(r), channel.psi_pout(q, rho), alpha, q, r)
 
 
-def _f_rs_terms(prior: Prior, psi_out: float, alpha: float, q: float,
-                r: float) -> float:
-    return prior.psi_p0(r) + alpha * psi_out - 0.5 * r * q
+def _f_rs_terms(psi_in, psi_out, alpha: float, q, r):
+    """f_rs from psi_in = psi_p0(r) and psi_out = psi_pout(q; rho); every
+    caller sums in this order, elementwise for arrays."""
+    return psi_in + alpha * psi_out - 0.5 * r * q
 
 
 def _psi_pout_at_rho(channel: Channel, rho: float) -> float:
@@ -172,8 +175,7 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     """
     q, psi_out = _recovery_terms(prior, channel, depth)
     r, psi_in = _clamp_terms(prior, depth)
-    # the sum of _f_rs_terms, in its order
-    return psi_in + alpha * psi_out - 0.5 * r * q
+    return _f_rs_terms(psi_in, psi_out, alpha, q, r)
 
 
 @lru_cache(maxsize=256)
@@ -269,19 +271,19 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     rho = prior.second_moment
     q_hi = rho * (1.0 - EVAL_DEPTH)
 
-    def q_of(t):
-        return np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t)), q_hi)
-
-    def f_of(t, q):
-        return _f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q, np.expm1(t))
+    def point(t):
+        """(q, f) at t, from one prior pass."""
+        r = np.expm1(t)
+        psi_in, prime = prior.psi_p0_and_prime(r)
+        q = np.minimum(2.0 * prime, q_hi)
+        return q, _f_rs_terms(psi_in, channel.psi_pout(q, rho), alpha, q, r)
 
     r_hi = _clamp_terms(prior, EVAL_DEPTH)[0]
     t_coarse = np.linspace(0.0, math.log1p(r_hi), 65)
-    q_coarse = q_of(t_coarse)
+    q_coarse = np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t_coarse)), q_hi)
     ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),
                    q_coarse, t_coarse)
-    qs = q_of(ts)
-    fs = f_of(ts, qs)
+    qs, fs = point(ts)
     k = int(np.argmax(fs))  # the first NaN, if there is one
     if not math.isfinite(fs[k]):
         return float(fs[k])
@@ -293,7 +295,7 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     # three at an end of the grid), the better one first
     mid = min(max(k, 1), grid_size - 2)
     w, v = sorted({mid - 1, mid, mid + 1} - {k}, key=lambda i: -fs[i])
-    return _brent_max(lambda t: float(f_of(t, q_of(t))), ts[lo], ts[hi],
+    return _brent_max(lambda t: float(point(t)[1]), ts[lo], ts[hi],
                       (ts[k], fs[k]), (ts[w], fs[w]), (ts[v], fs[v]), tol)
 
 

@@ -66,7 +66,8 @@ when the run stops at its iteration cap instead of reading the last iterate
 as the limit.  ``gamma_branches`` evaluates its residual grid in one call
 and solves every residual sign change of the grid in one batched
 Chandrupatla call (``numerics.find_root``, one bracket per crossing, to
-1e-12 rho), one array call of the residual per step.
+1e-12 rho), one array call of the residual per step; the bracket ends'
+residuals come from the grid call.
 
 For an even channel under a centred prior, q = 0 is an exact fixed point,
 which a run from near 0 only approaches: it stops at about 1e-10 to 5e-9
@@ -444,7 +445,8 @@ def gamma_branches(prior: Prior, channel: Channel, alpha: float,
     cross = np.flatnonzero(res[:-1] * res[1:] < 0.0)
     if cross.size:
         qs.extend(find_root(residual, grid[cross], grid[cross + 1], 0.0,
-                            xatol=1e-12 * rho, xrtol=0.0).tolist())
+                            xatol=1e-12 * rho, xrtol=0.0,
+                            f_ends=(res[cross], res[cross + 1])).tolist())
     qs = [_symmetric_snap(prior, channel, q) for q in qs]
 
     # dedupe

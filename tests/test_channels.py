@@ -10,8 +10,8 @@ from scipy.stats import norm
 from glmphase import channels
 from glmphase.channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
                                ReLU, Sigmoid, Sign, SymmetricDoor,
-                               _PiecewiseChannel, _log_gauss_prob,
-                               _trunc_moments, quad_profile)
+                               _MASS, _VAR, _PiecewiseChannel,
+                               _log_gauss_prob, _trunc_moments, quad_profile)
 from glmphase.numerics import (DEFAULT_GH_ORDER, gauss_hermite, gauss_panels,
                                integrate_1d)
 from glmphase.replica import denoising_error, generalization_error
@@ -186,6 +186,24 @@ class TestZout:
     @pytest.mark.parametrize("y,omega", [(-1.0, 1e155), (1.0, -1e155)])
     def test_log_zout_beyond_log_ndtr_range(self, y, omega):
         assert Sign().log_zout(y, omega, 1.0) == -math.inf
+
+    @pytest.mark.parametrize("ch", [Sign(), LinearAWGN(0.5), Sigmoid(2.0)], ids=repr)
+    def test_array_v(self, ch):
+        """zout takes an array V, as log_zout does; it once tested the
+        truth value of the array."""
+        y, omega = np.array([1.0, -1.0, 1.0]), np.array([0.3, -0.2, 1.5])
+        v = np.array([0.25, 1.0, 2.0])
+        got = ch.zout(y, omega, v)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.array_equal(got, np.exp(ch.log_zout(y, omega, v)))
+        assert got[0] == ch.zout(1.0, 0.3, 0.25)
+
+    @pytest.mark.parametrize("ch", [Sign(), LinearAWGN(0.5), Sigmoid(2.0)], ids=repr)
+    def test_negative_v_element_rejected(self, ch):
+        with pytest.raises(ValueError, match="V must be nonnegative"):
+            ch.zout(1.0, 0.3, np.array([0.5, -1e-3]))
+        with pytest.raises(ValueError, match="V must be nonnegative"):
+            ch.zout(1.0, 0.3, -1.0)
 
 
 class TestGout:
@@ -461,7 +479,7 @@ PIECEWISE_CASES = [
 def _reference_kernel(ch, y, omega, v):
     """Evidence and posterior moments from scipy's logsumexp over the
     stacked per-piece arrays."""
-    logw, mean, var = ch._piece_stats(y, omega, v)
+    logw, mean, var = ch._piece_stats(y, omega, v, _VAR)
     with np.errstate(divide="ignore", invalid="ignore"):
         logz = logsumexp(logw, axis=0)
         ok = np.isfinite(logz)
@@ -503,7 +521,7 @@ class TestPieceAxisKernel:
     @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES)
     def test_pieces_lead(self, ch, labels, _):
         y, omega = self._inputs(ch, labels)
-        for arr in ch._piece_stats(y, omega, self.V):
+        for arr in ch._piece_stats(y, omega, self.V, _VAR):
             assert arr.shape == (len(ch.pieces()),) + omega.shape
 
     @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES)
@@ -572,7 +590,7 @@ class TestPieceAxisKernel:
         rho = 1.0
 
         def ratio(y):
-            logw, mean, var = ch._piece_stats(np.asarray(y), 0.0, rho)
+            logw, mean, var = ch._piece_stats(np.asarray(y), 0.0, rho, _VAR)
             log_den = logsumexp(logw, axis=0)
             log_num, sign = logsumexp(logw, b=var + mean ** 2 - 1.0, axis=0,
                                       return_sign=True)
@@ -621,8 +639,8 @@ class TestFarTails:
         u = 1.0 / x
         mean = x + u * (1 + u * u * (-2 + u * u * (10 + u * u * (-74 + 706 * u * u))))
         var = u * u * (1 + u * u * (-6 + u * u * (50 - 518 * u * u)))
-        _, right, right_var = _trunc_moments(x, math.inf)
-        _, left, left_var = _trunc_moments(-math.inf, -x)
+        _, right, right_var = _trunc_moments(x, math.inf, _VAR)
+        _, left, left_var = _trunc_moments(-math.inf, -x, _VAR)
         assert right == pytest.approx(mean, rel=1e-13)
         assert left == pytest.approx(-mean, rel=1e-13)
         # four terms of the variance series are good to 1e-8 at x = 30
@@ -637,7 +655,7 @@ class TestFarTails:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lo, hi in ((x, math.inf), (-math.inf, -x), (x, 2.0 * x)):
-                _, _, got = _trunc_moments(lo, hi)
+                _, _, got = _trunc_moments(lo, hi, _VAR)
                 assert got == pytest.approx(var, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("lo,hi", [(1e3, 1e3 + 0.04), (1e4, 1e4 + 0.004),
@@ -655,7 +673,7 @@ class TestFarTails:
             var = 1 + (a * mp.npdf(a) - b * mp.npdf(b)) / mass - mean ** 2
             mean, var = float(mean), float(var)
         for a, b, sign in ((lo, hi, 1.0), (-hi, -lo, -1.0)):
-            _, m, v = _trunc_moments(a, b)
+            _, m, v = _trunc_moments(a, b, _VAR)
             assert m == pytest.approx(sign * mean, rel=1e-10, abs=0.0)
             assert v == pytest.approx(var, rel=1e-10, abs=0.0)
 
@@ -677,6 +695,95 @@ class TestFarTails:
                             continue
                         vals = (res.gout, res.vout, res.log_zout)
                         assert np.all(np.isfinite(vals)), (ch, y, omega, v, vals)
+
+
+# intervals of every case of the truncated-normal kernel: tails on either
+# side, across zero, infinite ends, empty ones, and narrow ones 20 or more
+# deviations out whose far end carries mass (their moments are rewritten)
+LEVEL_INTERVALS = [
+    (0.5, 3.0), (2.0, math.inf), (-3.0, -0.5), (-math.inf, -2.0), (0.0, 1.0),
+    (-1.0, 0.0), (-1.0, 2.0), (-0.3, math.inf), (-math.inf, 0.7),
+    (-math.inf, math.inf), (1.0, 1.0), (2.0, 1.0), (math.inf, math.inf),
+    (-math.inf, -math.inf), (20.0, 20.5), (30.0, 30.01), (1e3, 1e3 + 0.04),
+    (-20.5, -20.0), (-1e4 - 0.004, -1e4), (25.0, math.inf), (40.0, 1e3),
+    (1e155, 2e155), (-2e155, -1e155),
+]
+
+
+class TestKernelLevels:
+    """The evidence kernels skip the moments where their caller reads the
+    log mass only; it is the full kernel's, to the bit."""
+
+    def test_trunc_moments_mass_matches_full(self):
+        lo, hi = np.array(LEVEL_INTERVALS).T
+        full = _trunc_moments(lo, hi, _VAR)
+        got = _trunc_moments(lo, hi, _MASS)
+        assert len(full) == 3 and len(got) == 1
+        assert np.array_equal(got[0], full[0])
+
+    def test_mass_matches_across_element_blocks(self):
+        # more elements than one pass of the kernel, mixing every case
+        rng = np.random.default_rng(3)
+        base = np.array(LEVEL_INTERVALS)
+        shape = (5, channels._ELEM_BLOCK // 2 + 7)
+        pick = base[rng.integers(len(base), size=shape)]
+        jitter = rng.uniform(-0.2, 0.2, size=pick.shape)
+        bounds = pick + np.where(np.isfinite(pick) & (np.abs(pick) < 1e3), jitter, 0.0)
+        lo, hi = bounds[..., 0], bounds[..., 1]
+        got, = _trunc_moments(lo, hi, _MASS)
+        assert got.shape == shape
+        assert np.array_equal(got, _trunc_moments(lo, hi, _VAR)[0])
+
+    @pytest.mark.parametrize("ch,labels,_", PIECEWISE_CASES, ids=repr)
+    def test_piece_stats_mass_matches_full(self, ch, labels, _):
+        y, omega = TestPieceAxisKernel()._inputs(ch, labels)
+        full = ch._piece_stats(y, omega, 0.6, _VAR)
+        got = ch._piece_stats(y, omega, 0.6, _MASS)
+        assert len(full) == 3 and len(got) == 1
+        assert np.array_equal(got[0], full[0])
+
+    def test_sigmoid_mass_matches_full(self):
+        rng = np.random.default_rng(5)
+        omega = rng.uniform(-3.0, 3.0, size=(3, 300))
+        y = rng.choice([-1.0, 1.0], size=omega.shape)
+        v = np.where(rng.random(omega.shape) < 0.1, 0.0, 0.6)
+        full = Sigmoid(2.0)._w_posterior(y, omega, v, _VAR)
+        got = Sigmoid(2.0)._w_posterior(y, omega, v, _MASS)
+        assert len(full) == 3 and len(got) == 1
+        assert np.array_equal(got[0], full[0])
+
+
+# psi_pout and psi_pout' at q = 0.2, 0.6, 0.95 (rho 1, exact profile), as
+# float.hex, from before the kernels took levels
+EVIDENCE_PIN_QS = np.array([0.2, 0.6, 0.95])
+EVIDENCE_PINS = [
+    (Sign(),
+     ['-0x1.40007baa3aa4fp-1', '-0x1.cbb93ef28ff82p-2', '-0x1.49683c892513ap-3'],
+     ['0x1.765a0cf343345p-2', '0x1.16789aaa2fb17p-1', '0x1.9a3ab3aae7b9ep+0']),
+    (SymmetricDoor(),
+     ['-0x1.5ef6f97225d23p-1', '-0x1.34604536e9f7cp-1', '-0x1.066a47e0b80d0p-2'],
+     ['0x1.461e1bd84f2f6p-4', '0x1.980bf382bcdeep-2', '0x1.44c31d1cc1997p+1']),
+    (Abs(0.0),
+     ['-0x1.6b32aad69629cp-1', '-0x1.1e21bf1159fefp-1', '0x1.bafa5feeec0f9p-3'],
+     ['0x1.4691feaa5e806p-3', '0x1.68a56ad88a5b5p-1', '0x1.13a7a60388b9cp+3']),
+    (Sign(0.2),
+     ['-0x1.351f67f71077fp+0', '-0x1.0a09f15eac1adp+0', '-0x1.8835087eeec94p-1'],
+     ['0x1.67126d91af5eap-2', '0x1.094aecb7b8d84p-1', '0x1.838cb87d2dc3fp+0']),
+    (ReLU(0.3),
+     ['-0x1.1e634b3f856f2p+0', '-0x1.0248f5f69ddcfp+0', '-0x1.b4d2619033550p-1'],
+     ['0x1.e204b1f69670cp-3', '0x1.513c926005cc7p-2', '0x1.4e3a9597724b8p-1']),
+]
+
+
+@pytest.mark.parametrize("ch,psi,prime", EVIDENCE_PINS, ids=repr)
+def test_evidence_levels_keep_the_bits(ch, psi, prime):
+    """psi_pout reads the log mass only; it and psi_pout' keep every
+    bit."""
+    with quad_profile("exact"):
+        got_psi = ch.psi_pout(EVIDENCE_PIN_QS, 1.0)
+        got_prime = ch.psi_pout_prime(EVIDENCE_PIN_QS, 1.0)
+    assert [v.hex() for v in got_psi.tolist()] == psi
+    assert [v.hex() for v in got_prime.tolist()] == prime
 
 
 # Every channel family, noiseless and noisy; continuous channels run under
@@ -1102,8 +1209,8 @@ def test_y_rows_take_fewer_kernel_points(ch, rho, profile, frac, before, monkeyp
     count = [0]
     kernel = _PiecewiseChannel._piece_stats
 
-    def counted(self, y, omega, v):
-        out = kernel(self, y, omega, v)
+    def counted(self, y, omega, v, level):
+        out = kernel(self, y, omega, v, level)
         count[0] += out[0][0].size
         return out
 

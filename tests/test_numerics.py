@@ -335,6 +335,23 @@ class TestFindRootBrackets:
         assert calls[1].size == 2 and len(calls) > 3
         assert all(x.size == 1 and -1.3 < x[0] < 0.0 for x in calls[2:])
 
+    def test_known_end_values_skip_the_first_call(self):
+        """f values the caller already has at the bracket ends (as
+        gamma_branches has from its grid) replace the first call; the
+        roots keep their bits."""
+        def f(x):
+            calls.append(x.copy())
+            return np.sin(x)
+
+        calls = []
+        ref = find_root(f, self.SIN_LO, self.SIN_HI, 0.0, xatol=1e-12, xrtol=0.0)
+        first = len(calls)
+        calls.clear()
+        got = find_root(f, self.SIN_LO, self.SIN_HI, 0.0, xatol=1e-12, xrtol=0.0,
+                        f_ends=(np.sin(self.SIN_LO), np.sin(self.SIN_HI)))
+        assert got.tolist() == ref.tolist()
+        assert len(calls) == first - 1 and calls[0].size == 4
+
     def test_bracket_without_sign_change_raises(self):
         with pytest.raises(BracketError, match=r"\[3\.5, 4\.0\]"):
             find_root(np.sin, np.array([3.0, 3.5]), np.array([3.5, 4.0]), 0.0,

@@ -279,3 +279,54 @@ class TestBatchedPsi:
             one = gauss_panels(tuple(feats[i][ok]), tuple(widths[i][ok]))
             assert np.array_equal(many.nodes[many.row == i], one.nodes)
             assert np.array_equal(many.weights[many.row == i], one.weights)
+
+
+# psi_p0 and psi_p0' at r = 0.5, 3, 40, as float.hex, from before the
+# integrand of psi_p0' took the posterior mean alone
+PRIOR_PIN_RS = np.array([0.5, 3.0, 40.0])
+PRIOR_PINS = [
+    (RademacherPrior(),
+     ['0x1.8e93f10b0eddfp-5', '0x1.d3ffc1e8f6146p-1', '0x1.34e8de809d8c0p+4'],
+     ['0x1.668420dbe233bp-3', '0x1.c0596765e13b6p-2', '0x1.fffffffc979a1p-2']),
+    (GaussBernoulliPrior(0.2),
+     ['0x1.4bbf95436bf12p-9', '0x1.6c4475fab0769p-4', '0x1.acbace1eab3ecp+1'],
+     ['0x1.53fb7f43e792ap-7', '0x1.b0209843d9510p-5', '0x1.884c7fbd630cbp-4']),
+    (TwoPointPrior(values=(1.0, -0.5), probabilities=(0.4, 0.6)),
+     ['0x1.2c0d2c03c7138p-6', '0x1.84701486d2de9p-2', '0x1.4a76b6b4dc3c0p+3'],
+     ['0x1.07713f08f45e6p-4', '0x1.94b87cb290f16p-3', '0x1.19995d2ec88f6p-2']),
+]
+
+
+class TestOnePriorPass:
+    """psi_p0_and_prime takes psi_p0 and psi_p0' from one panel rule per
+    block of r; the mean-only integrand of psi_p0' keeps every bit."""
+
+    @pytest.mark.parametrize("prior,psi,prime", PRIOR_PINS, ids=repr)
+    def test_pinned_bits(self, prior, psi, prime):
+        for got_psi, got_prime in ((prior.psi_p0(PRIOR_PIN_RS),
+                                    prior.psi_p0_prime(PRIOR_PIN_RS)),
+                                   prior.psi_p0_and_prime(PRIOR_PIN_RS)):
+            assert [v.hex() for v in got_psi.tolist()] == psi
+            assert [v.hex() for v in got_prime.tolist()] == prime
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS + ALL_PRIORS + [
+        TwoPointPrior(values=(1.0, -0.5), probabilities=(0.4, 0.6))], ids=repr)
+    def test_fused_pass_equals_separate_calls(self, prior):
+        psi, prime = prior.psi_p0_and_prime(BATCH_RS)
+        assert np.array_equal(psi, prior.psi_p0(BATCH_RS))
+        assert np.array_equal(prime, prior.psi_p0_prime(BATCH_RS))
+        rs = BATCH_RS[1:9].reshape(2, 4)
+        psi, prime = prior.psi_p0_and_prime(rs)
+        assert psi.shape == prime.shape == (2, 4)
+        assert np.array_equal(psi, prior.psi_p0(rs))
+        for r in (0.0, 1.3, np.float64(2.0), 5e8):
+            psi, prime = prior.psi_p0_and_prime(r)
+            assert type(psi) is float and type(prime) is float
+            assert (psi, prime) == (prior.psi_p0(r), prior.psi_p0_prime(r))
+
+    @pytest.mark.parametrize("prior", BATCH_PRIORS[1:], ids=repr)
+    def test_mean_only_equals_posterior_mean_var(self, prior):
+        theta = np.linspace(-30.0, 30.0, 41)
+        for lam in (0.0, 0.7, 40.0):
+            mean, _ = prior.posterior_mean_var(theta, lam)
+            assert np.array_equal(prior._posterior_mean(theta, lam), mean)

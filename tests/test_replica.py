@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from glmphase import replica
+from glmphase import priors, replica
 from glmphase.channels import (Abs, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor, quad_profile)
 from glmphase.numerics import gauss_hermite
@@ -465,6 +465,49 @@ def test_route_b_solves_one_root(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("prior", [RademacherPrior(), GaussBernoulliPrior(0.6),
+                                   TwoPointPrior(values=(1.0, -0.5),
+                                                 probabilities=(0.4, 0.6))], ids=repr)
+def test_route_b_takes_one_prior_pass_per_block(prior, monkeypatch):
+    """Route B builds each prior block's panel rule once: its 201-point
+    grid and each Brent step take psi_p0 and psi_p0' from one pass, and
+    only the 65-point coarse grid takes psi_p0' alone."""
+    replica._clamp_terms(prior, replica.EVAL_DEPTH)
+    blocks, rules = [], []
+    expect, panels = type(prior)._expect_y0, priors.gauss_panels
+
+    def spy_expect(self, r, gs):
+        blocks.append((tuple(r), len(gs)))
+        return expect(self, r, gs)
+
+    def spy_panels(*args, **kwargs):
+        rules.append(1)
+        return panels(*args, **kwargs)
+
+    monkeypatch.setattr(type(prior), "_expect_y0", spy_expect)
+    monkeypatch.setattr(priors, "gauss_panels", spy_panels)
+    replica._direct_sup_inf(prior, Sign(), 1.0, 201)
+    rs = [r for r, _ in blocks]
+    assert len(rules) == len(blocks) and len(set(rs)) == len(rs)
+    # r = 0, the t = 0 end of both grids, takes no rule: 64 coarse r and
+    # 200 grid r in blocks of four, then one r per Brent step
+    assert [n for r, n in blocks if len(r) == 4] == [1] * 16 + [2] * 50
+    steps = [n for r, n in blocks if len(r) == 1]
+    assert 1 <= len(steps) <= 20 and set(steps) == {2}
+    assert len(blocks) == 66 + len(steps)
+
+
+# q_star of Rademacher x Sign below alpha_IT, as float.hex, from before the
+# crossing solves of gamma_branches took the grid's residuals at their
+# bracket ends
+Q_STAR_PINS = [(0.93, '0x1.0c1a716aeb563p-1'), (1.15, '0x1.4846e834e9d14p-1')]
+
+
+@pytest.mark.parametrize("alpha,pin", Q_STAR_PINS)
+def test_q_star_keeps_its_bits(alpha, pin):
+    assert solve(RademacherPrior(), Sign(), alpha).q_star.hex() == pin
+
+
 def _golden_direct_sup_inf(prior, channel, alpha, grid_size):
     """Route B as it was before Brent's method: the same grid, refined by
     golden section in t to the same bracket width."""
@@ -475,8 +518,9 @@ def _golden_direct_sup_inf(prior, channel, alpha, grid_size):
         return np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t)), q_hi)
 
     def f_of(t, q):
-        return replica._f_rs_terms(prior, channel.psi_pout(q, rho), alpha, q,
-                                   np.expm1(t))
+        r = np.expm1(t)
+        return replica._f_rs_terms(prior.psi_p0(r), channel.psi_pout(q, rho),
+                                   alpha, q, r)
 
     t_coarse = np.linspace(0.0, math.log1p(inner_inf_r(prior, q_hi)), 65)
     q_coarse = q_of(t_coarse)
