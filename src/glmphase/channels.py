@@ -11,6 +11,12 @@ normal integrals per linear piece.  Everything runs in log space, and the
 moments are those of the standardized w = (x - omega) / sqrt(V), so deep
 tails (door/sign at large |omega|/sqrt(V)) stay finite and do not cancel.
 
+A channel family supplies one evidence kernel, ``_w_stats(y, omega, V,
+level)``: log Z_out, alone or with the posterior mean and variance of w;
+``Channel`` builds ``log_zout``, ``gout`` and the psi_pout integrands on it.
+Every field is finite and nonnegative, the ``_positive`` ones above 0, and
+the ones a family ignores (``_unused``) 0.
+
 ``psi_pout(q, rho)`` and ``psi_pout_prime(q, rho)`` take a scalar q (and
 return a float) or an array of q.  Every channel builds the E_V rules of a
 block of q values in one ``gauss_panels`` pass; at each V node the law of y
@@ -59,7 +65,7 @@ _Y_PASS = 8192
 # y-row features beyond this many deviations, where the Gaussian weight is
 # below 1e-14, get no panels
 _FEATURE_RANGE = 8.0
-# mu values per panel rule of Sigmoid.mean_label_gauss, for the same reason
+# entries per panel rule of Sigmoid._step_rules, for the same reason
 _MU_BLOCK = 256
 # elements per pass of the truncated-normal kernel: temporaries stay small
 # enough for the allocator to reuse them instead of mapping fresh pages
@@ -103,9 +109,9 @@ def _norm_logpdf(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
 
 
-# levels of the evidence kernels (_trunc_moments, _piece_stats and
-# Sigmoid._w_posterior): the log mass only, or it with the mean and the
-# variance; the level is the number of arrays returned
+# levels of the evidence kernels (_trunc_moments, _piece_stats and _w_stats):
+# the log mass only, or it with the mean and the variance; the level is the
+# number of arrays returned
 _MASS, _VAR = 1, 3
 
 
@@ -299,6 +305,23 @@ class Channel:
     # the law under z -> -z: +1 when P(y | -z) = P(y | z), -1 when
     # P(-y | -z) = P(y | z), None otherwise
     _mirror: int | None = None
+    # fields that must be above 0, and fields the family ignores, which
+    # must be 0; every other field is finite and nonnegative
+    _positive: tuple[str, ...] = ()
+    _unused: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            x = getattr(self, f.name)
+            if f.name in self._unused:
+                ok, need = x == 0.0, "0 (the channel ignores it)"
+            elif f.name in self._positive:
+                ok, need = 0.0 < x < _INF, "finite and positive"
+            else:
+                ok, need = 0.0 <= x < _INF, "finite and nonnegative"
+            if not ok:
+                raise ValueError(f"{type(self).__name__}: {f.name} must be "
+                                 f"{need}, got {x}")
 
     @property
     def is_even(self) -> bool:
@@ -350,21 +373,40 @@ class Channel:
 
     # -- evidence and output denoiser ------------------------------------------
 
-    def log_zout(self, y, omega, v):
+    def _w_stats(self, y, omega, v, level):
+        """(log Z_out,) at level _MASS, or (log Z_out, E[w | y], Var[w | y])
+        at level _VAR (as in ``_trunc_moments``), for the standardized w of
+        z = omega + sqrt(V) w; y, omega and V broadcast together, and an
+        array V must be positive.  Zero evidence gives log Z_out = -inf."""
         raise NotImplementedError
 
-    def zout(self, y, omega, v):
+    def log_zout(self, y, omega, v):
         if np.any(np.asarray(v) < 0):
             raise ValueError(f"V must be nonnegative, got {v}")
+        if np.all(np.asarray(v) == 0.0):
+            with np.errstate(divide="ignore"):
+                out = np.log(self.density(y, omega))
+        else:
+            out, = self._w_stats(y, omega, v, _MASS)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def zout(self, y, omega, v):
         out = np.exp(self.log_zout(y, omega, v))
         return float(out) if np.ndim(out) == 0 else out
 
     def gout(self, y, omega, v) -> OutputDenoiser:
-        raise NotImplementedError
+        if np.any(np.asarray(v) <= 0):
+            raise ValueError(f"V must be positive, got {v}")
+        logz, g, var_w = self._w_stats(y, omega, v, _VAR)
+        if not np.all(np.isfinite(logz)):
+            raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
+        return OutputDenoiser(*(_like(g, x) for x in (g, np.exp(logz), logz, var_w)))
 
     def posterior_phi_mean(self, y, omega, v):
-        """Posterior mean of phi(omega + sqrt(v) w, a) given the observation y."""
-        raise NotImplementedError
+        """Posterior mean of phi(omega + sqrt(v) w, a) given the observation
+        y; a channel without a noiseless activation phi has none."""
+        raise ValueError(f"{type(self).__name__} has no activation phi; "
+                         "denoising is undefined")
 
     # -- free entropy of the non-linear scalar channel -------------------------
 
@@ -499,10 +541,11 @@ class Channel:
     def _log_zout_gout(self, y, omega, v):
         """(log Z_out, gout) from one kernel pass, without the checks of
         gout; zero evidence gives (-inf, 0)."""
-        raise NotImplementedError
+        logz, g, _ = self._w_stats(y, omega, v, _VAR)
+        return logz, g
 
     def stability_integral(self, rho: float) -> float:
-        raise NotImplementedError
+        raise ValueError("stability integral requires an even channel")
 
 
 class _PiecewiseChannel(Channel):
@@ -691,16 +734,18 @@ class _PiecewiseChannel(Channel):
                     x[k, sel] = val
         return stats
 
-    def log_zout(self, y, omega, v):
-        if np.any(np.asarray(v) < 0):
-            raise ValueError(f"V must be nonnegative, got {v}")
-        if np.all(np.asarray(v) == 0.0):
-            with np.errstate(divide="ignore"):
-                out = np.log(self.density(y, omega))
-            return float(out) if np.ndim(out) == 0 else out
-        logw, = self._piece_stats(y, omega, v, _MASS)
-        out = logsumexp(logw)
-        return float(out) if np.ndim(out) == 0 else out
+    def _w_stats(self, y, omega, v, level):
+        if level == _MASS:
+            logw, = self._piece_stats(y, omega, v, _MASS)
+            return (logsumexp(logw),)
+        logz, post, mean, var = self._posterior_w_stats(y, omega, v)
+        # within-piece plus between-piece spread; (post * dev) * dev stays
+        # finite for the far-off means of pieces without posterior weight,
+        # and may overflow on rows without evidence, which gout rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.sum(post * mean, axis=0)
+            dev = mean - g
+            return logz, g, np.sum(post * var + post * dev * dev, axis=0)
 
     def _posterior_w_stats(self, y, omega, v):
         """(log Z, per-piece posterior weights, per-piece mean and variance
@@ -714,24 +759,9 @@ class _PiecewiseChannel(Channel):
         return logz, post, mean, var
 
     def _log_zout_gout(self, y, omega, v):
+        # the mean alone: psi_pout' does not pay for the spread
         logz, post, mean, _ = self._posterior_w_stats(y, omega, v)
         return logz, np.sum(post * mean, axis=0)
-
-    def gout(self, y, omega, v) -> OutputDenoiser:
-        if np.any(np.asarray(v) <= 0):
-            raise ValueError(f"V must be positive, got {v}")
-        logz, post, mean, var = self._posterior_w_stats(y, omega, v)
-        if not np.all(np.isfinite(logz)):
-            raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
-        g = np.sum(post * mean, axis=0)
-        # within-piece plus between-piece spread; (post * dev) * dev stays
-        # finite for the far-off means of pieces without posterior weight
-        dev = mean - g
-        var_w = np.sum(post * var + post * dev * dev, axis=0)
-        z = np.exp(logz)
-        if np.ndim(g) == 0:
-            return OutputDenoiser(float(g), float(z), float(logz), float(var_w))
-        return OutputDenoiser(g, z, logz, var_w)
 
     def posterior_phi_mean(self, y, omega, v):
         if np.any(np.asarray(v) <= 0):
@@ -897,10 +927,7 @@ class LinearAWGN(_PiecewiseChannel):
     epsilon: float = 0.0
     # the spline misses TABLE_REL_BOUND here: by 7.9e-6 at delta = 0.01
     closed_form_prime = True
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+    _unused = ("epsilon",)
 
     def pieces(self):
         return ((-_INF, _INF, 0.0, 1.0),)
@@ -926,10 +953,6 @@ class Sign(_PiecewiseChannel):
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
 
-    def __post_init__(self):
-        if self.delta < 0 or self.epsilon < 0:
-            raise ValueError("delta and epsilon must be nonnegative")
-
     def pieces(self):
         t = -self.epsilon
         return ((-_INF, t, -1.0, 0.0), (t, _INF, 1.0, 0.0))
@@ -942,10 +965,6 @@ class Abs(_PiecewiseChannel):
     delta: float = 0.0
     epsilon: float = 0.0
 
-    def __post_init__(self):
-        if self.delta < 0 or self.epsilon < 0:
-            raise ValueError("delta and epsilon must be nonnegative")
-
     def pieces(self):
         t = -self.epsilon
         return ((-_INF, t, 0.0, -1.0), (t, _INF, 0.0, 1.0))
@@ -957,12 +976,7 @@ class ReLU(_PiecewiseChannel):
 
     delta: float = 1e-8
     epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("relu channel requires delta > 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+    _positive = ("delta",)
 
     def pieces(self):
         t = -self.epsilon
@@ -977,12 +991,7 @@ class SymmetricDoor(_PiecewiseChannel):
     delta: float = 0.0
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("K must be positive")
-        if self.delta < 0 or self.epsilon < 0:
-            raise ValueError("delta and epsilon must be nonnegative")
+    _positive = ("K",)
 
     def pieces(self):
         return ((-_INF, -self.K, 1.0, 0.0),
@@ -1004,28 +1013,17 @@ class Sigmoid(Channel):
     slope: float = 1.0
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
+    is_discrete = True
     is_deterministic = False
     delta = 0.0
     _mirror = -1    # P(-y | -z) = expit(slope y z) = P(y | z)
-
-    def __post_init__(self):
-        if self.slope <= 0:
-            raise ValueError("slope must be positive")
-        # the field stays so that instance files written with
-        # "epsilon": 0.0 load
-        if self.epsilon != 0.0:
-            raise ValueError("sigmoid channel has no decision threshold; "
-                             f"epsilon must be 0, got {self.epsilon}")
-
-    @property
-    def is_discrete(self):
-        return True
+    _positive = ("slope",)
+    # no decision threshold; the field stays so that instance files written
+    # with "epsilon": 0.0 load
+    _unused = ("epsilon",)
 
     def with_delta(self, delta):
         raise ValueError("sigmoid channel has no noise parameter")
-
-    def with_epsilon(self, epsilon):
-        return self  # no decision threshold to shift
 
     def sample_label(self, z, seed: int):
         rng = np.random.default_rng(seed)
@@ -1050,26 +1048,29 @@ class Sigmoid(Channel):
         mu = np.asarray(mu, dtype=float)
         if var == 0.0:
             return _like(mu, self.mean_label(mu))
-        # panels around the tanh step at w = -mu / s, 1 / (slope s) wide:
-        # at steep slopes it is narrower than the Hermite node spacing
         s = math.sqrt(var)
         flat = mu.reshape(-1)
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, _MU_BLOCK):
-            m = flat[start:start + _MU_BLOCK]
-            width = np.full((m.size, 1), 1.0 / (self.slope * s))
-            rule = gauss_panels((-m / s)[:, None], width)
-            vals = self.mean_label(m[rule.row] + s * rule.nodes)
-            out[start:start + m.size] = np.bincount(
-                rule.row, weights=rule.weights * vals, minlength=m.size)
+        # a NaN var gets no rules, and stays NaN
+        out = np.full(flat.size, np.nan)
+        for idx, rule in self._step_rules(flat, np.full(flat.size, s)):
+            vals = self.mean_label(flat[idx][rule.row] + s * rule.nodes)
+            out[idx] = np.bincount(rule.row, weights=rule.weights * vals,
+                                   minlength=idx.size)
         return _like(mu, out.reshape(mu.shape))
 
-    def _w_posterior(self, y, omega, v, level):
-        """(log Z_out,) at level _MASS, or (log Z_out, E[w | y], Var[w | y])
-        at level _VAR (as in ``_trunc_moments``), for the standardized w of
-        z = omega + sqrt(V) w, shapes broadcast.  Each entry integrates on
-        panels around the step at w = -omega / sqrt(V), 1 / (slope sqrt(V))
-        wide, as mean_label_gauss does, _MU_BLOCK entries per rule; an entry
+    def _step_rules(self, omega, s):
+        """(entries, rule) per block of _MU_BLOCK entries, over the entries
+        with s > 0: one panel row each around the step of z = omega + s w,
+        at w = -omega / s and 1 / (slope s) wide, which at steep slopes is
+        narrower than the Hermite node spacing."""
+        for start in range(0, omega.size, _MU_BLOCK):
+            idx = start + np.flatnonzero(s[start:start + _MU_BLOCK] > 0.0)
+            if idx.size:
+                yield idx, gauss_panels((-omega[idx] / s[idx])[:, None],
+                                        (1.0 / (self.slope * s[idx]))[:, None])
+
+    def _w_stats(self, y, omega, v, level):
+        """Each entry integrates on the rules of ``_step_rules``; an entry
         with V = 0 takes the label probability at omega."""
         y, omega, v = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                             for a in (y, omega, v)))
@@ -1078,12 +1079,8 @@ class Sigmoid(Channel):
         logz = log_expit(self.slope * y * omega)
         mean = np.zeros(y.size)
         var = np.zeros(y.size)
-        for start in range(0, y.size, _MU_BLOCK):
-            idx = start + np.flatnonzero(s[start:start + _MU_BLOCK] > 0.0)
-            if not idx.size:
-                continue
+        for idx, rule in self._step_rules(omega, s):
             om, sv = omega[idx], s[idx]
-            rule = gauss_panels((-om / sv)[:, None], (1.0 / (self.slope * sv))[:, None])
             r, w = rule.row, rule.nodes
             logw = (log_expit(self.slope * y[idx][r] * (om[r] + sv[r] * w))
                     + np.log(rule.weights))
@@ -1098,35 +1095,3 @@ class Sigmoid(Channel):
                 mean[idx] = m1
                 var[idx] = np.maximum(m2 - m1 * m1, 0.0)
         return tuple(x.reshape(shape) for x in (logz, mean, var)[:level])
-
-    def log_zout(self, y, omega, v):
-        if np.any(np.asarray(v) < 0):
-            raise ValueError(f"V must be nonnegative, got {v}")
-        if np.all(np.asarray(v) == 0.0):
-            with np.errstate(divide="ignore"):
-                out = np.log(self.density(y, omega))
-        else:
-            out = self._w_posterior(y, omega, v, _MASS)[0]
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _log_zout_gout(self, y, omega, v):
-        logz, g, _ = self._w_posterior(y, omega, v, _VAR)
-        return logz, g
-
-    def gout(self, y, omega, v) -> OutputDenoiser:
-        if np.any(np.asarray(v) <= 0):
-            raise ValueError(f"V must be positive, got {v}")
-        logz, g, var_w = self._w_posterior(y, omega, v, _VAR)
-        if not np.all(np.isfinite(logz)):
-            raise GoutUnderflowError(f"y={y!r}, omega={omega!r}, V={v!r}")
-        z = np.exp(logz)
-        if np.ndim(g) == 0:
-            return OutputDenoiser(float(g), float(z), float(logz), float(var_w))
-        return OutputDenoiser(g, z, logz, var_w)
-
-    def posterior_phi_mean(self, y, omega, v):
-        raise ValueError("sigmoid channel has delta = 0; denoising is undefined")
-
-    def stability_integral(self, rho):
-        raise ValueError("stability integral requires an even channel")
-

@@ -5,8 +5,9 @@ deterministic seeded sweeps, plot-ready CSV/JSON tables.
                     [--override section.key=value ...]
 
 Tasks: potential, se, gamp, phase-diagram, errors, validate.
-Exit codes: 0 success, 1 a failed validate check or a GAMP run cut at its
-iteration cap (the table is still written), 2 config error.
+Exit codes: 0 success, 1 a failed validate check or an SE or GAMP run cut
+at its iteration cap (the table is still written), 2 config error, such as
+a [grid] or [numerics] key that the task does not read (``SETTINGS``).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .numerics import FixedPointOptions
 from .priors import Prior
 
 TASKS = ("potential", "se", "gamp", "phase-diagram", "errors", "validate")
+FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -129,15 +131,75 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
     return cfg
 
 
-def _alpha_grid(cfg: ExperimentConfig) -> np.ndarray:
-    g = cfg.grid
-    try:
-        start, stop = float(g["alpha_start"]), float(g["alpha_stop"])
-        step = float(g.get("alpha_step", 0.1))
-    except KeyError as exc:
-        raise ConfigError(f"missing grid key {exc}") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError("need alpha_stop >= alpha_start and alpha_step > 0")
+def _number(test, need: str, kind: type = float):
+    """Parser of one setting: a finite number that passes test, read as
+    kind; an int setting takes integral values only."""
+    def parse(raw):
+        if not (isinstance(raw, (int, float)) and math.isfinite(raw) and test(raw)
+                and (kind is float or float(raw).is_integer())):
+            raise ValueError(f"must be {need}, got {raw!r}")
+        return kind(raw)
+    return parse
+
+
+def _numbers(raw) -> list[float]:
+    """Parser of a comma-separated list of finite numbers."""
+    return [_PARAM_VALUE(_to_number(p)) for p in str(raw).split(",")]
+
+
+_REQUIRED = object()
+_PARAM_VALUE = _number(lambda x: True, "comma-separated finite numbers")
+_POSITIVE = _number(lambda x: x > 0.0, "finite and positive")
+_DAMPING = (0.0, _number(lambda x: 0.0 <= x < 1.0, "in [0, 1)"))
+_COUNT = {k: _number(lambda n, k=k: n >= k, f"an integer >= {k}", int) for k in (0, 1, 3)}
+# The [grid] and [numerics] keys each task reads: key -> (default, parser).
+# A task reads no other key.  q0's default, None, is 1e-6 rho.
+SETTINGS = {
+    "errors": {"grid.alpha_start": (_REQUIRED, _POSITIVE),
+               "grid.alpha_stop": (_REQUIRED, _POSITIVE),
+               "grid.alpha_step": (0.1, _POSITIVE),
+               "numerics.grid_size": (201, _COUNT[3])},
+    "se": {"grid.alpha": (1.0, _POSITIVE),
+           "grid.q0": (None, _number(lambda x: x >= 0.0, "finite and nonnegative")),
+           "numerics.damping": _DAMPING, "numerics.se_tol": (1e-10, _POSITIVE),
+           "numerics.se_max_iter": (5000, _COUNT[1])},
+    "gamp": {"grid.n": (1000, _COUNT[1]), "grid.alpha": (1.0, _POSITIVE),
+             "grid.n_test": (0, _COUNT[0]), "numerics.gamp_max_iter": (500, _COUNT[1]),
+             "numerics.gamp_tol": (1e-7, _POSITIVE), "numerics.damping": _DAMPING},
+    "phase-diagram": {"grid.param": ("sparsity", str),
+                      "grid.param_values": (_REQUIRED, _numbers),
+                      "grid.alpha_lo": (0.1, _POSITIVE),
+                      "grid.alpha_hi": (2.0, _POSITIVE),
+                      "numerics.bisect_tol": (1e-3, _POSITIVE)},
+    "potential": {"grid.alpha": (1.0, _POSITIVE), "grid.q_points": (101, _COUNT[1])},
+    "validate": {},
+}
+
+
+def _settings(cfg: ExperimentConfig) -> dict:
+    """The task's [grid] and [numerics] values by key, parsed and checked,
+    with the defaults of the keys not given."""
+    table = SETTINGS[cfg.task]
+    given = {f"{section}.{key}": value for section in ("grid", "numerics")
+             for key, value in getattr(cfg, section).items()}
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"{cfg.task} does not read {unknown}; it reads {sorted(table)}")
+    out = {}
+    for name, (default, parse) in table.items():
+        if name not in given and default is _REQUIRED:
+            raise ConfigError(f"{cfg.task} needs {name}")
+        try:
+            out[name.split(".")[1]] = parse(given[name]) if name in given else default
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name} {exc}") from None
+    return out
+
+
+def _alpha_grid(s: dict) -> np.ndarray:
+    start, stop, step = s["alpha_start"], s["alpha_stop"], s["alpha_step"]
+    if stop < start:
+        raise ConfigError("need alpha_stop >= alpha_start")
     n = int(round((stop - start) / step)) + 1
     return start + step * np.arange(n)
 
@@ -145,6 +207,7 @@ def _alpha_grid(cfg: ExperimentConfig) -> np.ndarray:
 def run(config: ExperimentConfig) -> ResultTable:
     """Dispatch an experiment; returns the result table (caller writes it)."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
+    settings = _settings(config)
     handler = {
         "errors": _run_errors,
         "se": _run_se,
@@ -153,7 +216,7 @@ def run(config: ExperimentConfig) -> ResultTable:
         "potential": _run_potential,
         "validate": _run_validate,
     }[config.task]
-    table = handler(config)
+    table = handler(config, settings)
     table.provenance = {
         "config_hash": config.config_hash(),
         "artifact_version": __version__,
@@ -163,15 +226,14 @@ def run(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _run_errors(cfg: ExperimentConfig) -> ResultTable:
+def _run_errors(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
-    alphas = _alpha_grid(cfg)
-    grid_size = int(cfg.numerics.get("grid_size", 201))
+    alphas = _alpha_grid(s)
 
     def row(alpha):
         try:
-            sol = replica.solve(prior, channel, float(alpha), grid_size=grid_size)
+            sol = replica.solve(prior, channel, float(alpha), grid_size=s["grid_size"])
             # the exact uninformative-start SE run of solve's Route A
             q_se = sol.se_uninformative.limit(float(alpha))
             gen_se = replica.generalization_error(channel, rho, q_se)
@@ -191,39 +253,34 @@ def _run_errors(cfg: ExperimentConfig) -> ResultTable:
         rows=rows)
 
 
-def _run_se(cfg: ExperimentConfig) -> ResultTable:
+def _run_se(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
-    alpha = float(cfg.grid.get("alpha", 1.0))
-    q0 = float(cfg.grid.get("q0", 1e-6 * rho))
-    opts = FixedPointOptions(
-        damping=float(cfg.numerics.get("damping", 0.0)),
-        tol=float(cfg.numerics.get("se_tol", 1e-10)),
-        max_iter=int(cfg.numerics.get("se_max_iter", 5000)))
-    traj = se_mod.se_run(prior, channel, alpha, q0, opts)
+    q0 = 1e-6 * rho if s["q0"] is None else s["q0"]
+    if q0 > rho:
+        raise ConfigError(f"grid.q0 must lie in [0, rho = {rho!r}], got {q0!r}")
+    opts = FixedPointOptions(damping=s["damping"], tol=s["se_tol"],
+                             max_iter=s["se_max_iter"])
+    traj = se_mod.se_run(prior, channel, s["alpha"], q0, opts)
     rows = [(t, float(q), float(r), rho - float(q))
             for t, (q, r) in enumerate(zip(traj.q_seq[1:], traj.r_seq))]
-    return ResultTable(columns=("t", "q", "r", "mse_pred"), rows=rows)
+    failures = [] if traj.converged else [
+        f"se: stopped at the iteration cap se_max_iter = {opts.max_iter} "
+        f"without converging to se_tol = {opts.tol!r}"]
+    return ResultTable(columns=("t", "q", "r", "mse_pred"), rows=rows,
+                       failures=failures)
 
 
-def _run_gamp(cfg: ExperimentConfig) -> ResultTable:
+def _run_gamp(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
-    g = cfg.grid
-    n = int(g.get("n", 1000))
-    alpha = float(g.get("alpha", 1.0))
-    n_test = int(g.get("n_test", 0))
-    if n_test < 0:
-        raise ConfigError(f"grid.n_test must be >= 0, got {n_test}")
+    n, alpha, n_test = s["n"], s["alpha"], s["n_test"]
     try:
         inst = generate_instance(prior, channel, n, alpha, seed=cfg.seed)
-        opts = GampOptions(
-            max_iter=int(cfg.numerics.get("gamp_max_iter", 500)),
-            tol=float(cfg.numerics.get("gamp_tol", 1e-7)),
-            damping=float(cfg.numerics.get("damping", 0.0)),
-            seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    opts = GampOptions(max_iter=s["gamp_max_iter"], tol=s["gamp_tol"],
+                       damping=s["damping"], seed=cfg.seed)
     result = gamp_run(inst, opts)
     rows = []
     for t in range(len(result.overlap_seq)):
@@ -251,21 +308,12 @@ def _scalar_fields(spec: dict) -> set:
     return {k for k, v in spec.items() if k != "kind" and isinstance(v, float)}
 
 
-def _run_phase_diagram(cfg: ExperimentConfig) -> ResultTable:
-    g = cfg.grid
-    try:
-        params = [float(p) for p in str(g["param_values"]).split(",")]
-    except KeyError as exc:
-        raise ConfigError("phase-diagram needs grid.param_values") from exc
-    alpha_lo = float(g.get("alpha_lo", 0.1))
-    alpha_hi = float(g.get("alpha_hi", 2.0))
-    tol = float(cfg.numerics.get("bisect_tol", 1e-3))
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"numerics.bisect_tol must be finite and positive, got {tol!r}")
+def _run_phase_diagram(cfg: ExperimentConfig, s: dict) -> ResultTable:
+    params, alpha_lo, alpha_hi = s["param_values"], s["alpha_lo"], s["alpha_hi"]
     if not alpha_lo < alpha_hi:
         raise ConfigError(f"need grid.alpha_lo < grid.alpha_hi, got {alpha_lo!r} "
                           f"and {alpha_hi!r}")
-    param_target = str(g.get("param", "sparsity"))
+    param_target = s["param"]
     key = "sparsity" if param_target == "rho" else param_target
     prior_keys = _scalar_fields(to_spec(cfg.prior()))
     channel_keys = _scalar_fields(to_spec(cfg.channel()))
@@ -274,18 +322,18 @@ def _run_phase_diagram(cfg: ExperimentConfig) -> ResultTable:
             f"grid.param {param_target!r} is not a field of the configured "
             f"prior ({sorted(prior_keys)}) or channel ({sorted(channel_keys)})")
 
-    def make_prior(p):
-        if key in prior_keys:
-            return from_spec({**cfg.prior_spec, key: p}, Prior)
-        return cfg.prior()
+    def at_params(spec, base, keys):
+        return {p: from_spec({**spec, key: p} if key in keys else spec, base)
+                for p in params}
 
-    def make_channel(p):
-        if key in channel_keys:
-            return from_spec({**cfg.channel_spec, key: p}, Channel)
-        return cfg.channel()
-
-    reports = se_mod.phase_sweep(make_prior, make_channel, params,
-                                 alpha_lo, alpha_hi, tol=tol)
+    # a value the swept prior or channel rejects is a config error
+    try:
+        priors = at_params(cfg.prior_spec, Prior, prior_keys)
+        channels = at_params(cfg.channel_spec, Channel, channel_keys)
+    except ValueError as exc:
+        raise ConfigError(f"grid.param_values: {exc}") from exc
+    reports = se_mod.phase_sweep(priors.get, channels.get, params,
+                                 alpha_lo, alpha_hi, tol=s["bisect_tol"])
     rows = [(r.param,
              math.nan if r.alpha_it is None else r.alpha_it,
              math.nan if r.alpha_amp is None else r.alpha_amp,
@@ -295,12 +343,11 @@ def _run_phase_diagram(cfg: ExperimentConfig) -> ResultTable:
                                 "error"), rows=rows)
 
 
-def _run_potential(cfg: ExperimentConfig) -> ResultTable:
+def _run_potential(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
-    alpha = float(cfg.grid.get("alpha", 1.0))
-    n_q = int(cfg.grid.get("q_points", 101))
-    qs = np.linspace(0.0, rho * (1.0 - 1e-6), n_q)
+    alpha = s["alpha"]
+    qs = np.linspace(0.0, rho * (1.0 - 1e-6), s["q_points"])
     psi_rho = replica._psi_pout_at_rho(channel, rho)
 
     def row(q):
@@ -439,7 +486,7 @@ def _validate_checks(seed: int):
     ]
 
 
-def _run_validate(cfg: ExperimentConfig) -> ResultTable:
+def _run_validate(cfg: ExperimentConfig, _: dict) -> ResultTable:
     rows = []
     for name, fn in _validate_checks(cfg.seed):
         try:
@@ -502,7 +549,7 @@ def main(argv=None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--override", action="append", default=[])
     args = parser.parse_args(argv)
 
@@ -510,23 +557,17 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.override)
         if cfg.task != args.task:
             cfg = dataclasses.replace(cfg, task=args.task)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        # an unknown output format fails before the run, not after it
+        fmt = args.format or cfg.output.get("format", "csv")
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         table = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    fmt = args.format or cfg.output.get("format", "csv")
+    payload = emit(table, fmt)
     out_path = args.out or cfg.output.get("path")
-    try:
-        payload = emit(table, fmt)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(payload)

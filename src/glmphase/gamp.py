@@ -36,11 +36,14 @@ import numpy as np
 
 from .channels import Abs, Channel, GoutUnderflowError, LinearAWGN, ReLU, \
     Sigmoid, Sign, SymmetricDoor
+from .numerics import FixedPointOptions
 from .priors import GaussBernoulliPrior, GaussianPrior, Prior, \
     RademacherPrior, TwoPointPrior
 
 _V_FLOOR = 1e-12
 _JITTER_SCALE = 1e-4  # variance of the init jitter, relative to rho
+# the threshold shift of an even channel's assumed channel
+_EVEN_EPSILON = 1e-4
 
 
 @dataclass(frozen=True)
@@ -90,25 +93,13 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class GampOptions:
+class GampOptions(FixedPointOptions):
+    """The fixed-point options with GAMP's defaults, and the seed of the
+    initial jitter."""
+
     max_iter: int = 500
     tol: float = 1e-7
-    damping: float = 0.0
-    channel_epsilon: float | None = None  # None: 1e-4 for even channels else 0
     seed: int = 0
-
-    def __post_init__(self):
-        # damping 1 never moves x_hat, which would read as convergence
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError(f"damping must be in [0, 1), got {self.damping}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        eps = self.channel_epsilon
-        if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(
-                f"channel_epsilon must be finite and >= 0, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -166,16 +157,9 @@ def generate_instance(prior: Prior, channel: Channel, n: int, alpha: float,
                     channel=channel, seed=seed)
 
 
-def _default_epsilon(channel: Channel) -> float:
-    return 1e-4 if channel.is_even else 0.0
-
-
 def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
     prior, channel = instance.prior, instance.channel
-    eps = opts.channel_epsilon
-    if eps is None:
-        eps = _default_epsilon(channel)
-    assumed = channel.with_epsilon(eps) if eps > 0 else channel
+    assumed = channel.with_epsilon(_EVEN_EPSILON) if channel.is_even else channel
 
     phi, y, x_star = instance.phi, instance.y, instance.x_star
     m, n = instance.m, instance.n

@@ -151,9 +151,8 @@ PANEL_CHUNK = 0.6
 PANEL_ORDER = 16
 
 
-def gauss_panels(features=(), widths=(), half_range: float = GAUSS_RANGE,
-                 chunk: float = PANEL_CHUNK, order: int = PANEL_ORDER,
-                 bounds=None) -> QuadratureRule:
+def gauss_panels(features=(), widths=(), chunk: float = PANEL_CHUNK,
+                 order: int = PANEL_ORDER, bounds=None) -> QuadratureRule:
     """Composite Gauss-Legendre rule for E[f(Z)], Z ~ N(0,1), with panels
     refined around each feature +- a few widths.
 
@@ -166,7 +165,7 @@ def gauss_panels(features=(), widths=(), half_range: float = GAUSS_RANGE,
     zero width is a plain break point.  Each row's nodes and weights are
     bit-identical to the rule built for that row alone.
 
-    The rule covers (-half_range, half_range), or, with ``bounds`` = (lo,
+    The rule covers (-GAUSS_RANGE, GAUSS_RANGE), or, with ``bounds`` = (lo,
     hi) of one value per row, (lo, hi) for each row: it then integrates
     f(Z) times the indicator of that interval, and a row with lo = hi gets
     no nodes.
@@ -178,7 +177,7 @@ def gauss_panels(features=(), widths=(), half_range: float = GAUSS_RANGE,
     s = np.asarray(widths, dtype=float).reshape(f.shape)
     rows = len(f)
     if bounds is None:
-        hi = np.full((rows, 1), half_range)
+        hi = np.full((rows, 1), GAUSS_RANGE)
         lo = -hi
     else:
         lo, hi = (np.asarray(e, dtype=float).reshape(rows, 1) for e in bounds)
@@ -400,9 +399,10 @@ class FixedPointOptions:
     max_iter: int = 5000
 
     def __post_init__(self):
+        # damping 1 never moves the iterate, which would read as convergence
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")

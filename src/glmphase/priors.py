@@ -145,8 +145,9 @@ class GaussianPrior(Prior):
     prior_variance: float = field(default=1.0, metadata={"spec_key": "variance"})
 
     def __post_init__(self):
-        if self.prior_variance <= 0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.prior_variance < np.inf:
+            raise ValueError(f"variance must be finite and positive, got "
+                             f"{self.prior_variance}")
 
     @property
     def second_moment(self) -> float:
@@ -292,8 +293,10 @@ class TwoPointPrior(_AtomicPrior):
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (2,) or np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
+        if p.shape != (2,) or not np.all(p > 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be two positive numbers summing to 1")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"atoms must be finite, got {self.values}")
         if self.values[0] == self.values[1]:
             raise ValueError("atoms must be distinct")
         if np.dot(p, np.asarray(self.values, dtype=float) ** 2) <= 0:

@@ -32,6 +32,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReLU(0.0)
 
+    @pytest.mark.parametrize("make,field", [
+        (lambda: Sign(delta=math.nan), "delta"), (lambda: Sign(epsilon=math.inf), "epsilon"),
+        (lambda: Abs(epsilon=-0.1), "epsilon"), (lambda: ReLU(math.nan), "delta"),
+        (lambda: SymmetricDoor(K=math.inf), "K"), (lambda: SymmetricDoor(K=0.0), "K"),
+        (lambda: Sigmoid(math.nan), "slope"), (lambda: Sigmoid(epsilon=0.1), "epsilon"),
+        (lambda: LinearAWGN(epsilon=0.3), "epsilon"), (lambda: LinearAWGN(-1.0), "delta")])
+    def test_one_parameter_rule(self, make, field):
+        """Every field is finite, delta and epsilon are >= 0, and a field the
+        channel ignores is 0.  Sign(delta=nan) and LinearAWGN(epsilon=0.3),
+        which gave the psi_pout of LinearAWGN(), were accepted."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            make()
+
     def test_flags(self):
         assert Abs(0.0).is_even and SymmetricDoor().is_even
         assert not Sign().is_even and not LinearAWGN().is_even
@@ -747,8 +760,8 @@ class TestKernelLevels:
         omega = rng.uniform(-3.0, 3.0, size=(3, 300))
         y = rng.choice([-1.0, 1.0], size=omega.shape)
         v = np.where(rng.random(omega.shape) < 0.1, 0.0, 0.6)
-        full = Sigmoid(2.0)._w_posterior(y, omega, v, _VAR)
-        got = Sigmoid(2.0)._w_posterior(y, omega, v, _MASS)
+        full = Sigmoid(2.0)._w_stats(y, omega, v, _VAR)
+        got = Sigmoid(2.0)._w_stats(y, omega, v, _MASS)
         assert len(full) == 3 and len(got) == 1
         assert np.array_equal(got[0], full[0])
 
@@ -952,8 +965,7 @@ def _unfolded_v_rules(self, q, rho):
         feats = np.hstack([feats, np.zeros((q.size, 1))])
         widths = np.hstack([widths, np.zeros((q.size, 1))])
     prof = channels._prof()
-    rule = gauss_panels(feats, widths, half_range=9.0, chunk=prof["v_chunk"],
-                        order=prof["v_gl"])
+    rule = gauss_panels(feats, widths, chunk=prof["v_chunk"], order=prof["v_gl"])
     return rule.nodes, rule.weights, rule.row
 
 

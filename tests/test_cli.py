@@ -397,6 +397,51 @@ class TestCliEntry:
         assert main(["se", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task,setting", [
+        ("errors", "channel.delta=nan"),
+        ("errors", "grid.alpha_step=nan"), ("errors", "grid.alpha_stop=inf"),
+        ("errors", "grid.alpha_stpe=0.1"), ("errors", "numerics.grid_size=2.5"),
+        ("errors", "numerics.grid_size=2"), ("errors", "grid.alpha_start=1.5"),
+        ("se", "grid.alpha=-1"), ("se", "grid.q0=2"), ("se", "numerics.se_tol=0"),
+        ("se", "numerics.se_tol=nan"), ("se", "grid.alpha_step=0.1"),
+        ("potential", "grid.alpha=-1"), ("potential", "grid.q_points=0"),
+        ("potential", "prior.kind=gaussian"), ("potential", "numerics.bisect_tol=1"),
+        ("phase-diagram", "grid.param_values=0.6,,0.7"),
+        ("phase-diagram", "grid.alpha_lo=nan"), ("phase-diagram", "grid.param_values=1.5"),
+        ("gamp", "grid.n=2.5"), ("gamp", "numerics.gamp_tol=inf"),
+        ("validate", "grid.alpha=1"), ("potential", "output.format=xml"),
+    ])
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, task, setting):
+        """Each of these once ended in a traceback, a row without an error,
+        an empty table, or a setting silently read as another value."""
+        path = tmp_path / "cfg.ini"
+        path.write_text("[experiment]\ntask = errors\nseed = 1\n"
+                        "[prior]\nkind = rademacher\n[channel]\nkind = sign\n"
+                        "[grid]\n[numerics]\n")
+        grid = {"errors": ["grid.alpha_start=1.0", "grid.alpha_stop=1.2"],
+                "phase-diagram": ["grid.param=p_plus", "grid.param_values=0.5"]}
+        overrides = [x for ov in grid.get(task, []) + [setting]
+                     for x in ("--override", ov)]
+        if setting == "prior.kind=gaussian":
+            overrides += ["--override", "prior.variance=inf"]
+        out = tmp_path / "out.csv"
+        assert main([task, "--config", str(path), "--out", str(out)] + overrides) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    def test_se_run_cut_at_its_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "se.ini"
+        path.write_text("[experiment]\ntask = se\nseed = 1\n"
+                        "[prior]\nkind = rademacher\n[channel]\nkind = sign\n"
+                        "[numerics]\nse_max_iter = 3\n")
+        out = tmp_path / "se.csv"
+        assert main(["se", "--config", str(path), "--out", str(out)]) == 1
+        assert "se_max_iter = 3" in capsys.readouterr().err
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "t,q,r,mse_pred" and len(lines) == 4
+        assert main(["se", "--config", str(path), "--out", str(out),
+                     "--override", "numerics.se_max_iter=5000"]) == 0
+
     @pytest.mark.parametrize("grid,numerics,named", [
         ("n_test = -1", "", "n_test"),
         ("n_test = 0", "damping = 1.0", "damping"),

@@ -17,10 +17,11 @@ from glmphase.numerics import FixedPointOptions
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior, Prior,
                              RademacherPrior, TwoPointPrior)
 
-# every prior and channel, with non-default fields
+# every prior and channel, with non-default fields (an ignored field,
+# such as the epsilon of LinearAWGN and Sigmoid, must be 0)
 SPEC_PRIORS = [GaussianPrior(2.0), RademacherPrior(0.3), GaussBernoulliPrior(0.2),
                TwoPointPrior((1.0, -0.5), (0.25, 0.75))]
-SPEC_CHANNELS = [LinearAWGN(0.3, epsilon=0.1), Sign(0.2, epsilon=0.1),
+SPEC_CHANNELS = [LinearAWGN(0.3), Sign(0.2, epsilon=0.1),
                  Abs(0.1, epsilon=0.2), ReLU(0.3, epsilon=0.1),
                  SymmetricDoor(K=1.2, delta=0.1, epsilon=0.05),
                  Sigmoid(3.0)]
@@ -31,7 +32,7 @@ PARENT_SPECS = [
     ({"kind": "gauss_bernoulli", "sparsity": 0.2}, Prior),
     ({"kind": "two_point", "values": [1.0, -0.5],
       "probabilities": [0.25, 0.75]}, Prior),
-    ({"kind": "linear", "epsilon": 0.1, "delta": 0.3}, Channel),
+    ({"kind": "linear", "epsilon": 0.0, "delta": 0.3}, Channel),
     ({"kind": "sign", "epsilon": 0.1, "delta": 0.2}, Channel),
     ({"kind": "abs", "epsilon": 0.2, "delta": 0.1}, Channel),
     ({"kind": "relu", "epsilon": 0.1, "delta": 0.3}, Channel),
@@ -206,9 +207,8 @@ class TestGampRun:
 
     @pytest.mark.parametrize("bad", [
         {"damping": 1.0}, {"damping": -0.1}, {"damping": 1.5},
-        {"tol": 0.0}, {"tol": -1e-7}, {"max_iter": 0}, {"max_iter": -3},
-        {"channel_epsilon": -0.3}, {"channel_epsilon": math.nan},
-        {"channel_epsilon": math.inf}],
+        {"tol": 0.0}, {"tol": -1e-7}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_iter": 0}, {"max_iter": -3}],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_bad_options_rejected(self, bad):
         # damping 1 would leave x_hat at its start and report convergence

@@ -128,7 +128,8 @@ class TestGaussPanelsRows:
 
     def test_other_rule_parameters(self):
         feats, widths = self._rows(40, 2, seed=3)
-        many = gauss_panels(feats, widths, half_range=6.0, chunk=0.25, order=7)
+        many = gauss_panels(feats, widths, chunk=0.25, order=7,
+                            bounds=(np.full(len(feats), -6.0), np.full(len(feats), 6.0)))
         for i in range(len(feats)):
             ok = ~np.isnan(feats[i])
             ref_nodes, ref_weights = _one_row_reference(
@@ -407,6 +408,10 @@ class TestFixedPointOptions:
             FixedPointOptions(tol=0.0)
         with pytest.raises(ValueError):
             FixedPointOptions(max_iter=0)
+        # tol = nan was accepted
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                FixedPointOptions(tol=tol)
 
 
 # -- erfcx, expit and log_expit ----------------------------------------------

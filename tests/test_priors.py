@@ -36,6 +36,15 @@ class TestConstruction:
             RademacherPrior(1.0)
         with pytest.raises(ValueError):
             TwoPointPrior(values=(1.0, 1.0), probabilities=(0.5, 0.5))
+        # GaussianPrior(nan) and a NaN atom were accepted, with a NaN psi_p0
+        for make in (lambda: GaussianPrior(math.nan), lambda: GaussianPrior(math.inf),
+                     lambda: TwoPointPrior((1.0, math.nan), (0.5, 0.5)),
+                     lambda: TwoPointPrior((math.inf, -1.0), (0.5, 0.5)),
+                     lambda: TwoPointPrior((1.0, -1.0), (math.nan, 0.5)),
+                     lambda: RademacherPrior(math.nan),
+                     lambda: GaussBernoulliPrior(math.nan)):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestSampling:
