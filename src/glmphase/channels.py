@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,23 +260,17 @@ _PROFILES = {
 _profile = "exact"
 
 
-class quad_profile:
+@contextmanager
+def quad_profile(name: str):
     """Context manager switching the active quadrature profile."""
-
-    def __init__(self, name: str):
-        if name not in _PROFILES:
-            raise ValueError(f"unknown profile {name!r}")
-        self.name = name
-
-    def __enter__(self):
-        global _profile
-        self.saved, _profile = _profile, self.name
-        return self
-
-    def __exit__(self, *exc):
-        global _profile
-        _profile = self.saved
-        return False
+    global _profile
+    if name not in _PROFILES:
+        raise ValueError(f"unknown profile {name!r}")
+    saved, _profile = _profile, name
+    try:
+        yield
+    finally:
+        _profile = saved
 
 
 def _prof():

@@ -108,6 +108,10 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     if "seed" not in exp:
         raise ConfigError("missing experiment.seed (no wall-clock defaults)")
+    try:  # SeedSequence takes a nonnegative integer only
+        seed = _COUNT[0](_to_number(exp["seed"]))
+    except ValueError as exc:
+        raise ConfigError(f"experiment.seed {exc}") from None
 
     prior_spec = {k: _to_number(v) for k, v in _section(cp, "prior").items()}
     channel_spec = {k: _to_number(v) for k, v in _section(cp, "channel").items()}
@@ -126,7 +130,7 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
         grid={k: _to_number(v) for k, v in _section(cp, "grid").items()},
         numerics={k: _to_number(v) for k, v in _section(cp, "numerics").items()},
         output={k: v for k, v in _section(cp, "output").items()},
-        seed=int(exp["seed"]),
+        seed=seed,
     )
     return cfg
 
@@ -153,24 +157,27 @@ _POSITIVE = _number(lambda x: x > 0.0, "finite and positive")
 _DAMPING = (0.0, _number(lambda x: 0.0 <= x < 1.0, "in [0, 1)"))
 _COUNT = {k: _number(lambda n, k=k: n >= k, f"an integer >= {k}", int) for k in (0, 1, 3)}
 # The [grid] and [numerics] keys each task reads: key -> (default, parser).
-# A task reads no other key.  q0's default, None, is 1e-6 rho.
+# A task reads no other key.  A numerics default is the library's own;
+# q0's, None, is the uninformative start UNINFORMATIVE_FRAC * rho.
 SETTINGS = {
     "errors": {"grid.alpha_start": (_REQUIRED, _POSITIVE),
                "grid.alpha_stop": (_REQUIRED, _POSITIVE),
                "grid.alpha_step": (0.1, _POSITIVE),
-               "numerics.grid_size": (201, _COUNT[3])},
+               "numerics.grid_size": (replica.GRID_SIZE, _COUNT[3])},
     "se": {"grid.alpha": (1.0, _POSITIVE),
            "grid.q0": (None, _number(lambda x: x >= 0.0, "finite and nonnegative")),
-           "numerics.damping": _DAMPING, "numerics.se_tol": (1e-10, _POSITIVE),
-           "numerics.se_max_iter": (5000, _COUNT[1])},
+           "numerics.damping": _DAMPING,
+           "numerics.se_tol": (se_mod.DEFAULT_SE_OPTS.tol, _POSITIVE),
+           "numerics.se_max_iter": (se_mod.DEFAULT_SE_OPTS.max_iter, _COUNT[1])},
     "gamp": {"grid.n": (1000, _COUNT[1]), "grid.alpha": (1.0, _POSITIVE),
-             "grid.n_test": (0, _COUNT[0]), "numerics.gamp_max_iter": (500, _COUNT[1]),
-             "numerics.gamp_tol": (1e-7, _POSITIVE), "numerics.damping": _DAMPING},
+             "grid.n_test": (0, _COUNT[0]),
+             "numerics.gamp_max_iter": (GampOptions.max_iter, _COUNT[1]),
+             "numerics.gamp_tol": (GampOptions.tol, _POSITIVE), "numerics.damping": _DAMPING},
     "phase-diagram": {"grid.param": ("sparsity", str),
                       "grid.param_values": (_REQUIRED, _numbers),
                       "grid.alpha_lo": (0.1, _POSITIVE),
                       "grid.alpha_hi": (2.0, _POSITIVE),
-                      "numerics.bisect_tol": (1e-3, _POSITIVE)},
+                      "numerics.bisect_tol": (se_mod.BISECT_TOL, _POSITIVE)},
     "potential": {"grid.alpha": (1.0, _POSITIVE), "grid.q_points": (101, _COUNT[1])},
     "validate": {},
 }
@@ -196,12 +203,21 @@ def _settings(cfg: ExperimentConfig) -> dict:
     return out
 
 
+# the most alphas of an errors grid: at about 0.25 s per solve, some forty
+# minutes; a finer grid is a mistyped step
+MAX_ALPHAS = 10_000
+
+
 def _alpha_grid(s: dict) -> np.ndarray:
     start, stop, step = s["alpha_start"], s["alpha_stop"], s["alpha_step"]
     if stop < start:
         raise ConfigError("need alpha_stop >= alpha_start")
-    n = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(n)
+    span = (stop - start) / step
+    # round(span) + 1 <= MAX_ALPHAS; an infinite span fails too
+    if not span < MAX_ALPHAS - 0.5:
+        raise ConfigError(f"grid.alpha_step {step!r} makes more than "
+                          f"{MAX_ALPHAS} alphas")
+    return start + step * np.arange(int(round(span)) + 1)
 
 
 def run(config: ExperimentConfig) -> ResultTable:
@@ -256,7 +272,7 @@ def _run_errors(cfg: ExperimentConfig, s: dict) -> ResultTable:
 def _run_se(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
-    q0 = 1e-6 * rho if s["q0"] is None else s["q0"]
+    q0 = se_mod.UNINFORMATIVE_FRAC * rho if s["q0"] is None else s["q0"]
     if q0 > rho:
         raise ConfigError(f"grid.q0 must lie in [0, rho = {rho!r}], got {q0!r}")
     opts = FixedPointOptions(damping=s["damping"], tol=s["se_tol"],
@@ -347,7 +363,7 @@ def _run_potential(cfg: ExperimentConfig, s: dict) -> ResultTable:
     prior, channel = cfg.prior(), cfg.channel()
     rho = prior.second_moment
     alpha = s["alpha"]
-    qs = np.linspace(0.0, rho * (1.0 - 1e-6), s["q_points"])
+    qs = np.linspace(0.0, rho * (1.0 - replica.EVAL_DEPTH), s["q_points"])
     psi_rho = replica._psi_pout_at_rho(channel, rho)
 
     def row(q):

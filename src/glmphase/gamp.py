@@ -105,7 +105,6 @@ class GampOptions(FixedPointOptions):
 @dataclass(frozen=True)
 class GampRun:
     x_hat_final: np.ndarray
-    v_final: np.ndarray
     overlap_seq: np.ndarray     # x_hat . x* / n per iteration
     norm_sq_seq: np.ndarray     # |x_hat|^2 / n per iteration
     mse_seq: np.ndarray
@@ -211,7 +210,7 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
             converged = True
             break
     return GampRun(
-        x_hat_final=x_hat, v_final=v,
+        x_hat_final=x_hat,
         overlap_seq=np.asarray(overlaps), norm_sq_seq=np.asarray(norms),
         mse_seq=np.asarray(mses), converged=converged, iterations=t_done,
         attempts=1, damping=damping,

@@ -52,13 +52,6 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=64)
-def _gh_cached(order: int):
-    x, w = hermgauss(order)
-    nodes = np.sqrt(2.0) * x
-    weights = w / np.sqrt(np.pi)
-    return nodes, weights
-
-
 def gauss_hermite(order: int) -> QuadratureRule:
     """Probabilists' Gauss-Hermite rule: E[f(Z)] ~ sum(w_i * f(z_i)), Z ~ N(0,1).
 
@@ -66,8 +59,8 @@ def gauss_hermite(order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = _gh_cached(int(order))
-    return QuadratureRule(nodes=nodes, weights=weights)
+    x, w = hermgauss(int(order))
+    return QuadratureRule(nodes=np.sqrt(2.0) * x, weights=w / np.sqrt(np.pi))
 
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)

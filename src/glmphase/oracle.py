@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import Channel
-from .gamp import Instance, draw_labels
+from .gamp import Instance, draw_labels, generate_instance
 from .numerics import logsumexp
 from .priors import Prior
 
@@ -80,8 +80,6 @@ def nishimori_check(prior: Prior, channel: Channel, n: int, alpha: float,
                     k: int = 2) -> NishimoriReport:
     """Monte Carlo over teachers of E<g(Y, x1..xk)> vs E<g(Y, x1..x_{k-1}, X*)>,
     replicas drawn from the exact posterior."""
-    from .gamp import generate_instance
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     lhs = np.empty(samples)
     rhs = np.empty(samples)

@@ -12,15 +12,22 @@ Every prior exposes the same surface:
 
 ``psi_p0``, ``psi_p0_prime`` and ``psi_p0_and_prime`` take a scalar r (and
 return floats) or an array of r, evaluated in one pass over blocks of r
-values; a scalar is an array of one.  Discrete support is summed exactly;
-the expectation over Y0 uses panel quadrature refined where the posterior
-switches regime, one rule per block for every integrand of the pass.  The
-integrand of psi_p0' takes only the posterior mean; ``psi_p0_and_prime``
-returns the floats of the two separate calls.
+values; a scalar is an array of one.  ``GaussianPrior`` has closed forms.
+Every other prior is a finite mixture, and its family supplies two hooks:
+``_components(r)``, the Gaussian law of Y0 given each component and the Y0
+values where the posterior switches regime, and
+``_posterior_components(theta, lam)``, the weight, mean and variance of
+each posterior component.  ``Prior`` sums over the components exactly and
+takes the expectation over Y0 by panel quadrature refined at those values,
+one rule per block for every integrand of the pass.  The integrand of
+psi_p0' takes only the posterior mean; ``psi_p0_and_prime`` returns the
+floats of the two separate calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -48,7 +55,8 @@ def _check_r(r) -> np.ndarray:
 
 
 class Prior:
-    """Base class; concrete priors implement the private hooks below."""
+    """Base class; each family supplies the hooks named in the module
+    docstring, ``log_partition`` and ``_sample``."""
 
     is_discrete: bool = False
 
@@ -76,13 +84,23 @@ class Prior:
 
     # -- posterior under exp(theta * x - lam * x^2 / 2) dP0(x) --------------
 
-    def posterior_mean_var(self, theta, lam):
+    def _posterior_components(self, theta, lam):
+        """(weight, mean, variance) of each posterior component that carries
+        a moment, on a leading component axis against theta."""
         raise NotImplementedError
+
+    def posterior_mean_var(self, theta, lam):
+        w, m, v = self._posterior_components(theta, lam)
+        # summed in order from the first component, not from +0.0 as np.sum
+        # does: a one-component mean is that component's, -0.0 included
+        mean = reduce(add, w * m)
+        return mean, np.maximum(reduce(add, w * (v + m ** 2)) - mean ** 2, 0.0)
 
     def _posterior_mean(self, theta, lam):
         """The mean of ``posterior_mean_var``, to the bit, without the
         variance."""
-        raise NotImplementedError
+        w, m, _ = self._posterior_components(theta, lam)
+        return reduce(add, w * m)
 
     def log_partition(self, y, r):
         """ln integral dP0(x) exp(sqrt(r) y x - r x^2 / 2), elementwise in
@@ -100,11 +118,33 @@ class Prior:
 
     # -- scalar-channel free entropy ----------------------------------------
 
+    def _components(self, r: np.ndarray):
+        """(probs (K,), shift (n, K), sd (n, K), features (n, F), widths
+        (n, F)) for each r of a 1-D array: Y0 = shift + sd Z given component
+        k, and the integrands switch regime within a few widths of each
+        feature, a Y0 value (NaN marks none)."""
+        raise NotImplementedError
+
     def _expect_y0(self, r: np.ndarray, gs) -> np.ndarray:
         """E over Y0 = sqrt(r) X0 + Z0 of each g(Y0, r) of gs, for each r > 0
         of a 1-D array, shape (len(gs), len(r)); one panel rule serves every
         g, and each g is evaluated once on the flat nodes of all rows."""
-        raise NotImplementedError
+        probs, shift, sd, feats, widths = self._components(r)
+        # one panel row per (r, component), in that component's Z-coordinates
+        feats = (feats[:, None, :] - shift[:, :, None]) / sd[:, :, None]
+        widths = widths[:, None, :] / sd[:, :, None]
+        rows = shift.size
+        rule = gauss_panels(feats.reshape(rows, -1), widths.reshape(rows, -1))
+        y = shift.reshape(-1)[rule.row] + sd.reshape(-1)[rule.row] * rule.nodes
+        rr = np.repeat(r, len(probs))[rule.row]
+        e = np.array([np.bincount(rule.row, weights=rule.weights * g(y, rr),
+                                  minlength=rows) for g in gs])
+        e = e.reshape((len(gs),) + shift.shape)
+        # elementwise, so an r's value does not depend on the rest of its block
+        total = 0.0
+        for j, p in enumerate(probs):
+            total = total + p * e[:, :, j]
+        return total
 
     def _over_r(self, r, at_zero, gs):
         """(E[g(Y0, r)] for each g of gs) for each r of a scalar or array,
@@ -210,22 +250,11 @@ class _AtomicPrior(Prior):
         shape = (-1,) + (1,) * np.ndim(x)
         return self.atoms.reshape(shape), np.log(self.probs).reshape(shape)
 
-    def _posterior_weights(self, theta, lam):
-        """(atoms, posterior weights) on a leading atom axis."""
+    def _posterior_components(self, theta, lam):
         theta = np.asarray(theta, dtype=float)
         a, logp = self._atom_axis(theta)
         logw = logp + a * theta - 0.5 * np.asarray(lam) * a ** 2
-        return a, np.exp(logw - logsumexp(logw))
-
-    def posterior_mean_var(self, theta, lam):
-        a, w = self._posterior_weights(theta, lam)
-        m = np.sum(w * a, axis=0)
-        m2 = np.sum(w * a ** 2, axis=0)
-        return m, np.maximum(m2 - m ** 2, 0.0)
-
-    def _posterior_mean(self, theta, lam):
-        a, w = self._posterior_weights(theta, lam)
-        return np.sum(w * a, axis=0)
+        return np.exp(logw - logsumexp(logw)), a, 0.0
 
     def log_partition(self, y, r):
         y = np.asarray(y, dtype=float)
@@ -244,25 +273,10 @@ class _AtomicPrior(Prior):
         y = 0.5 * sqr * (a[k] + a[j]) - np.log(p[k] / p[j]) / (sqr * da)
         return y, np.broadcast_to(1.0 / (sqr * np.abs(da)), y.shape)
 
-    def _expect_y0(self, r, gs):
-        # one panel row per (r, atom): Y0 = sqrt(r) a + Z given the atom
-        flips, widths = self._flip_points(r)
-        shift = np.sqrt(r)[:, None] * self.atoms                 # (n, atoms)
-        # Z-coordinates of the posterior flips for each atom's channel
-        feats = flips[:, None, :] - shift[:, :, None]
-        widths = np.broadcast_to(widths[:, None, :], feats.shape)
-        rows = shift.size
-        rule = gauss_panels(feats.reshape(rows, -1), widths.reshape(rows, -1))
-        y = shift.reshape(-1)[rule.row] + rule.nodes
-        rr = np.repeat(r, len(self.atoms))[rule.row]
-        e = np.array([np.bincount(rule.row, weights=rule.weights * g(y, rr),
-                                  minlength=rows) for g in gs])
-        e = e.reshape((len(gs),) + shift.shape)
-        # elementwise, so an r's value does not depend on the rest of its block
-        total = 0.0
-        for j, p in enumerate(self.probs):
-            total = total + p * e[:, :, j]
-        return total
+    def _components(self, r):
+        # Y0 = sqrt(r) a + Z given the atom a
+        shift = np.sqrt(r)[:, None] * self.atoms
+        return (self.probs, shift, np.ones_like(shift)) + self._flip_points(r)
 
 
 @dataclass(frozen=True)
@@ -334,11 +348,11 @@ class GaussBernoulliPrior(Prior):
         mask = rng.random(count) < self.sparsity
         return np.where(mask, x, 0.0)
 
-    def _slab_weight(self, theta, lam):
-        """(posterior weight of the slab, slab posterior mean)."""
+    def _posterior_components(self, theta, lam):
+        # The slab posterior is N(theta / (1 + lam), 1 / (1 + lam)); the
+        # spike, at 0 with no spread, adds nothing to either moment.
         theta = np.asarray(theta, dtype=float)
         rho = self.sparsity
-        # Slab posterior is N(theta / (1 + lam), 1 / (1 + lam)).
         log_w_slab = np.log(rho) - 0.5 * np.log1p(lam) + theta ** 2 / (2.0 * (1.0 + lam))
         if rho < 1.0:
             log_w_spike = np.log(1.0 - rho) + np.zeros_like(theta)
@@ -346,18 +360,7 @@ class GaussBernoulliPrior(Prior):
             p_slab = np.exp(log_w_slab - norm)
         else:
             p_slab = np.ones_like(theta)
-        return p_slab, theta / (1.0 + lam)
-
-    def posterior_mean_var(self, theta, lam):
-        p_slab, m_slab = self._slab_weight(theta, lam)
-        v_slab = 1.0 / (1.0 + lam)
-        m = p_slab * m_slab
-        m2 = p_slab * (v_slab + m_slab ** 2)
-        return m, np.maximum(m2 - m ** 2, 0.0)
-
-    def _posterior_mean(self, theta, lam):
-        p_slab, m_slab = self._slab_weight(theta, lam)
-        return p_slab * m_slab
+        return p_slab[None], (theta / (1.0 + lam))[None], 1.0 / (1.0 + lam)
 
     def log_partition(self, y, r):
         y = np.asarray(y, dtype=float)
@@ -380,19 +383,11 @@ class GaussBernoulliPrior(Prior):
         width = (1.0 + r) / (r * np.maximum(y, 1.0))
         return y, width
 
-    def _expect_y0(self, r, gs):
-        # Conditionally on spike/slab, Y0 is exactly Gaussian; the integrands
-        # switch regime where spike and slab weights balance.  One panel row
-        # per (r, spike) and (r, slab), in Z-coordinates of that component.
-        rho = self.sparsity
-        y_star, width = self._spike_slab_flip(r)
-        sd = np.stack([np.ones_like(r), np.sqrt(1.0 + r)], axis=1)   # (n, 2)
-        feats = np.stack([-y_star[:, None] / sd, y_star[:, None] / sd], axis=2)
-        widths = np.repeat((width[:, None] / sd)[:, :, None], 2, axis=2)
-        rule = gauss_panels(feats.reshape(-1, 2), widths.reshape(-1, 2))
-        y, rr = sd.reshape(-1)[rule.row] * rule.nodes, np.repeat(r, 2)[rule.row]
-        e = np.array([np.bincount(rule.row, weights=rule.weights * g(y, rr),
-                                  minlength=sd.size) for g in gs])
-        e = e.reshape((len(gs),) + sd.shape)
-        return (1.0 - rho) * e[:, :, 0] + rho * e[:, :, 1]
-
+    def _components(self, r):
+        # Y0 is N(0, 1 + r s2) given the component, whose variance s2 is 0
+        # for the spike and 1 for the slab; the integrands switch regime at
+        # the Y0 = +-y where spike and slab weights balance
+        y, width = self._spike_slab_flip(r)
+        sd = np.sqrt(1.0 + r[:, None] * [0.0, 1.0])
+        return (np.array([1.0 - self.sparsity, self.sparsity]), np.zeros_like(sd),
+                sd, y[:, None] * [-1.0, 1.0], np.repeat(width[:, None], 2, axis=1))

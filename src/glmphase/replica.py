@@ -51,6 +51,8 @@ if TYPE_CHECKING:
 RECOVERY_FRAC = 1e-4
 # depth at which the recovery branch's free entropy is evaluated
 EVAL_DEPTH = 1e-6
+# points of Route B's grid, placed near uniform in q (_direct_sup_inf)
+GRID_SIZE = 201
 # two optimizers are "the same" when |dq| < UNIQUE_FRAC * rho
 UNIQUE_FRAC = 1e-4
 _TIE_TOL = 1e-6
@@ -197,7 +199,7 @@ def _clamp_terms(prior: Prior, depth: float) -> tuple[float, float]:
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,
-          grid_size: int = 201) -> ReplicaSolution:
+          grid_size: int = GRID_SIZE) -> ReplicaSolution:
     """Optimize the potential by both routes; see module docstring."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

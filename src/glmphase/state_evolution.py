@@ -108,6 +108,8 @@ SNAP_FRAC = 1e-8
 SENTINEL_DEPTH = 1e-10
 
 DEFAULT_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=5000)
+# alpha width at which the threshold bisections stop
+BISECT_TOL = 1e-3
 SPINODAL_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=200_000)
 
 
@@ -147,7 +149,6 @@ class TransitionReport:
     alpha_it: float | None
     alpha_amp: float | None
     alpha_c: float | None
-    bracket_width: float
     error: str | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -506,7 +507,7 @@ def _bisect_bool(pred, lo: float, hi: float, tol: float) -> float:
 
 
 def find_alpha_amp(prior: Prior, channel: Channel, alpha_lo: float,
-                   alpha_hi: float, tol: float = 1e-3,
+                   alpha_hi: float, tol: float = BISECT_TOL,
                    opts: FixedPointOptions | None = None) -> float:
     """Spinodal of the uninformative initialization; bisects the recovery flag."""
     _check_tol(tol)
@@ -575,7 +576,7 @@ def _informative_wins(prior: Prior, channel: Channel, alpha: float,
 
 
 def find_alpha_it(prior: Prior, channel: Channel, alpha_lo: float,
-                  alpha_hi: float, tol: float = 1e-3,
+                  alpha_hi: float, tol: float = BISECT_TOL,
                   opts: FixedPointOptions | None = None) -> float | None:
     """First-order transition where the informative branch becomes the global
     optimizer; None when the branches merge (no transition)."""
@@ -615,7 +616,7 @@ def find_alpha_c(channel: Channel, rho: float) -> float:
 def phase_sweep(make_prior: Callable[[float], Prior],
                 make_channel: Callable[[float], Channel],
                 params, alpha_lo: float, alpha_hi: float,
-                tol: float = 1e-3) -> list[TransitionReport]:
+                tol: float = BISECT_TOL) -> list[TransitionReport]:
     """One TransitionReport per secondary-parameter value; row errors are
     recorded in-row and the sweep continues."""
     params = list(params)
@@ -635,12 +636,10 @@ def phase_sweep(make_prior: Callable[[float], Prior],
             alpha_it = find_alpha_it(prior, channel, alpha_lo, alpha_hi, tol)
             return TransitionReport(param=param, alpha_it=alpha_it,
                                     alpha_amp=alpha_amp, alpha_c=alpha_c,
-                                    bracket_width=tol,
                                     metadata={"alpha_lo": alpha_lo,
                                               "alpha_hi": alpha_hi})
         except Exception as exc:  # per-row isolation
             return TransitionReport(param=param, alpha_it=None, alpha_amp=None,
-                                    alpha_c=None, bracket_width=tol,
-                                    error=f"{type(exc).__name__}: {exc}")
+                                    alpha_c=None, error=f"{type(exc).__name__}: {exc}")
 
     return [row(p) for p in params]

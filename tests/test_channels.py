@@ -788,6 +788,19 @@ EVIDENCE_PINS = [
 ]
 
 
+def test_quad_profile_restores_and_rejects_unknown_names():
+    from glmphase import channels
+    with quad_profile("fast"):
+        with quad_profile("exact"):
+            assert channels._profile == "exact"
+        assert channels._profile == "fast"
+        with pytest.raises(ValueError, match="unknown profile"):
+            with quad_profile("fastest"):
+                pass
+        assert channels._profile == "fast"
+    assert channels._profile == "exact"
+
+
 @pytest.mark.parametrize("ch,psi,prime", EVIDENCE_PINS, ids=repr)
 def test_evidence_levels_keep_the_bits(ch, psi, prime):
     """psi_pout reads the log mass only; it and psi_pout' keep every

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from glmphase import gamp
+from glmphase import cli, gamp, replica
+from glmphase import state_evolution as se
 from glmphase.channels import ReLU, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
@@ -51,9 +52,46 @@ class TestConfigParsing:
     def test_round_trip(self, errors_cfg):
         cfg = parse_config(str(errors_cfg))
         assert cfg.task == "errors"
-        assert cfg.seed == 77
+        assert cfg.seed == 77 and type(cfg.seed) is int
         assert cfg.prior_spec["kind"] == "rademacher"
         assert cfg.grid["alpha_step"] == 0.2
+        # pinned: parsing the seed as a checked integer keeps the hash
+        assert cfg.config_hash() == "55cb64ce2294c459"
+
+    def test_defaults_are_the_library_values(self, tmp_path, monkeypatch):
+        """Each default of a numerics key is read from the one library value
+        it stands for, and keeps the number it has always had."""
+        import inspect
+        default = {name: value for keys in cli.SETTINGS.values()
+                   for name, (value, _) in keys.items()}
+        library = {
+            "numerics.grid_size":
+                inspect.signature(replica.solve).parameters["grid_size"].default,
+            "numerics.se_tol": se.DEFAULT_SE_OPTS.tol,
+            "numerics.se_max_iter": se.DEFAULT_SE_OPTS.max_iter,
+            "numerics.gamp_tol": gamp.GampOptions().tol,
+            "numerics.gamp_max_iter": gamp.GampOptions().max_iter}
+        for fn in (se.find_alpha_amp, se.find_alpha_it, se.phase_sweep):
+            assert default["numerics.bisect_tol"] == \
+                inspect.signature(fn).parameters["tol"].default == 1e-3
+        assert {k: default[k] for k in library} == library == {
+            "numerics.grid_size": 201, "numerics.se_tol": 1e-10,
+            "numerics.se_max_iter": 5000, "numerics.gamp_tol": 1e-7,
+            "numerics.gamp_max_iter": 500}
+        # q0 starts SE at the uninformative start; the potential's q grid
+        # stops at the depth of the recovery point
+        assert se.UNINFORMATIVE_FRAC == replica.EVAL_DEPTH == 1e-6
+        starts, se_run = [], se.se_run
+        monkeypatch.setattr(se, "se_run", lambda *a: starts.append(a[3]) or se_run(*a))
+        base = "[experiment]\nseed = 1\n[prior]\nkind = gauss_bernoulli\nsparsity = 0.2\n" \
+               "[channel]\nkind = sign\n"
+        path = tmp_path / "cfg.ini"
+        path.write_text(base)
+        run(parse_config(str(path), ["experiment.task=se", "numerics.se_max_iter=2"]))
+        assert starts == [se.UNINFORMATIVE_FRAC * 0.2]
+        table = run(parse_config(str(path), ["experiment.task=potential",
+                                             "grid.q_points=2"]))
+        assert table.rows[-1][0] == 0.2 * (1.0 - replica.EVAL_DEPTH)
 
     def test_missing_seed_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -410,6 +448,10 @@ class TestCliEntry:
         ("phase-diagram", "grid.alpha_lo=nan"), ("phase-diagram", "grid.param_values=1.5"),
         ("gamp", "grid.n=2.5"), ("gamp", "numerics.gamp_tol=inf"),
         ("validate", "grid.alpha=1"), ("potential", "output.format=xml"),
+        ("errors", "experiment.seed=abc"), ("errors", "experiment.seed=1.5"),
+        ("errors", "experiment.seed=-3"), ("errors", "grid.alpha_step=1e-320"),
+        # 0.2 / 2e-5 + 1 = MAX_ALPHAS + 1 alphas
+        ("errors", "grid.alpha_step=2e-5"),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, task, setting):
         """Each of these once ended in a traceback, a row without an error,
@@ -428,6 +470,11 @@ class TestCliEntry:
         assert main([task, "--config", str(path), "--out", str(out)] + overrides) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+    def test_alpha_grid_takes_max_alphas(self):
+        grid = cli._alpha_grid({"alpha_start": 1.0, "alpha_stop": 2.0,
+                                "alpha_step": 1.0 / (cli.MAX_ALPHAS - 1)})
+        assert len(grid) == cli.MAX_ALPHAS
 
     def test_se_run_cut_at_its_cap_exits_1(self, tmp_path, capsys):
         path = tmp_path / "se.ini"

@@ -44,6 +44,9 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             gauss_hermite(0)
 
+    def test_rule_is_built_once_per_order(self):
+        assert gauss_hermite(7) is gauss_hermite(7)
+
     def test_weights_sum_to_one(self):
         for order in (1, 2, 7, 99):
             rule = gauss_hermite(order)

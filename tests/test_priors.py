@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
+from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior, TwoPointPrior)
 
 ALL_PRIORS = [
@@ -339,3 +342,52 @@ class TestOnePriorPass:
         for lam in (0.0, 0.7, 40.0):
             mean, _ = prior.posterior_mean_var(theta, lam)
             assert np.array_equal(prior._posterior_mean(theta, lam), mean)
+
+
+# The posterior moments, the denoiser, and psi_p0 / psi_p0' at r = 0 and
+# R_CAP of every mixture prior, pinned in prior_pins.json from before the
+# Y0 expectation and the posterior moments moved onto Prior: SHA-256
+# digests of the arrays, float.hex of the scalars.  To rewrite the file
+# after a deliberate change of the numbers, run this module as a script.
+PRIOR_PIN_FILE = Path(__file__).with_name("prior_pins.json")
+PIN_PRIORS = [RademacherPrior(), RademacherPrior(0.3),
+              TwoPointPrior((1.0, -0.5), (0.4, 0.6)),
+              GaussBernoulliPrior(0.2), GaussBernoulliPrior(1.0)]
+PIN_THETAS = np.concatenate([[-0.0, 0.0], np.linspace(-40.0, 40.0, 401)])
+PIN_LAMS = (0.0, 0.7, 40.0)
+PIN_RS = np.array([0.0, R_CAP])
+
+
+def _prior_surface(prior) -> dict:
+    out = {}
+    for lam in PIN_LAMS:
+        mean, var = prior.posterior_mean_var(PIN_THETAS, lam)
+        den = prior.denoise(PIN_THETAS, lam)
+        for name, vals in (("mean", mean), ("var", var),
+                           ("mean only", prior._posterior_mean(PIN_THETAS, lam)),
+                           ("denoise.mean", den.mean), ("denoise.var", den.variance)):
+            out[f"{name} {lam} sha256"] = hashlib.sha256(
+                np.asarray(vals).tobytes()).hexdigest()
+        out[f"denoise scalar {lam}"] = [
+            v.hex() for theta in (-0.0, 1.3) for v in vars(prior.denoise(theta, lam)).values()]
+    for name, vals in (("psi_p0", prior.psi_p0(PIN_RS)),
+                       ("psi_p0'", prior.psi_p0_prime(PIN_RS)),
+                       ("psi_p0 scalar", [prior.psi_p0(r) for r in PIN_RS.tolist()]),
+                       ("psi_p0' scalar", [prior.psi_p0_prime(r) for r in PIN_RS.tolist()]),
+                       ("fused", np.concatenate(prior.psi_p0_and_prime(PIN_RS)))):
+        out[name] = [float(v).hex() for v in vals]
+    return out
+
+
+class TestPriorSurfacePins:
+    @pytest.mark.parametrize("prior", PIN_PRIORS, ids=repr)
+    def test_surface_keeps_its_bits(self, prior):
+        assert _prior_surface(prior) == json.loads(PRIOR_PIN_FILE.read_text())[repr(prior)]
+
+    def test_every_pinned_prior_is_tested(self):
+        assert sorted(json.loads(PRIOR_PIN_FILE.read_text())) == sorted(map(repr, PIN_PRIORS))
+
+
+if __name__ == "__main__":
+    PRIOR_PIN_FILE.write_text(json.dumps(
+        {repr(p): _prior_surface(p) for p in PIN_PRIORS}, indent=1) + "\n")
