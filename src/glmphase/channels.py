@@ -336,11 +336,6 @@ class Channel:
     def is_discrete(self) -> bool:
         raise NotImplementedError
 
-    @property
-    def is_deterministic(self) -> bool:
-        """The label is ``phi(z)``: sampling it draws no randomness."""
-        raise NotImplementedError
-
     # -- sampling and densities ----------------------------------------------
 
     def sample_label(self, z, seed: int):
@@ -552,7 +547,7 @@ class _PiecewiseChannel(Channel):
 
     @property
     def is_discrete(self) -> bool:
-        return self.is_deterministic and all(p[3] == 0.0 for p in self.pieces())
+        return self.delta == 0.0 and all(p[3] == 0.0 for p in self.pieces())
 
     @property
     def _mirror(self):
@@ -564,10 +559,6 @@ class _PiecewiseChannel(Channel):
         if {(a, b, -c, -d) for a, b, c, d in mirrored} == pieces:
             return -1
         return None
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.delta == 0.0
 
     @property
     def scale_free(self) -> bool:
@@ -1009,7 +1000,6 @@ class Sigmoid(Channel):
     epsilon: float = 0.0
     labels = (-1.0, 1.0)
     is_discrete = True
-    is_deterministic = False
     delta = 0.0
     _mirror = -1    # P(-y | -z) = expit(slope y z) = P(y | z)
     _positive = ("slope",)

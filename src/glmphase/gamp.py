@@ -26,7 +26,6 @@ manifold); the data are always generated at epsilon = 0.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import typing
@@ -114,32 +113,15 @@ class GampRun:
     damping: float              # damping of the attempt returned
 
 
-def _label_seeds(seed: int, m: int) -> np.ndarray:
-    ss = np.random.SeedSequence((seed, 2))
-    return np.array([int(c.generate_state(1)[0]) for c in ss.spawn(m)],
-                    dtype=np.uint64)
-
-
-def draw_labels(channel: Channel, z: np.ndarray, row_seeds) -> np.ndarray:
-    """Labels at the pre-activations z (1-D).
-
-    A deterministic channel gives phi(z) in one call and never asks for
-    seeds.  Any other channel draws label mu from its own generator, seeded
-    by the mu-th of the ``row_seeds(len(z))`` integers, so a label depends
-    on its row's seed alone.
-    """
-    if channel.is_deterministic:
-        return channel.phi(z)
-    y = np.empty(z.size)
-    for mu, s in enumerate(row_seeds(z.size)):
-        y[mu] = channel.sample_label(z[mu], int(s))
-    return y
+def _stream_seed(seed: int, k: int) -> int:
+    """The integer seed of stream k of an instance or test seed."""
+    return int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
 
 
 def generate_instance(prior: Prior, channel: Channel, n: int, alpha: float,
                       seed: int) -> Instance:
     """m = round(alpha n) >= 1 rows of iid N(0,1) and their labels, all
-    regenerable from the seed alone."""
+    regenerable from the seed alone (instance format version 2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= 0:
@@ -147,11 +129,13 @@ def generate_instance(prior: Prior, channel: Channel, n: int, alpha: float,
     m = int(round(alpha * n))
     if m < 1:
         raise ValueError(f"round(alpha * n) must be >= 1, got alpha={alpha}, n={n}")
-    x_star = prior.sample(n, int(np.random.SeedSequence((seed, 0)).generate_state(1)[0]))
+    x_star = prior.sample(n, _stream_seed(seed, 0))
     rng_phi = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     phi = rng_phi.standard_normal((m, n))
-    z = phi @ x_star / math.sqrt(n)
-    y = draw_labels(channel, z, functools.partial(_label_seeds, seed))
+    # einsum sums each row in one thread; a threaded BLAS product may split
+    # the rows, and rows at a split can differ in the last bit
+    z = np.einsum("ij,j->i", phi, x_star) / math.sqrt(n)
+    y = channel.sample_label(z, _stream_seed(seed, 2))
     return Instance(phi=phi, x_star=x_star, y=y, prior=prior,
                     channel=channel, seed=seed)
 
@@ -287,8 +271,7 @@ def empirical_generalization_error(instance_train: Instance, x_hat: np.ndarray,
     rho = prior.second_moment
     _check_q_t(q_t, rho)
     z_new, omega = _test_projections(instance_train.x_star, x_hat, n_test, seed)
-    label_seed = int(np.random.SeedSequence((seed, 5)).generate_state(1)[0])
-    y_new = channel.sample_label(z_new, label_seed)
+    y_new = channel.sample_label(z_new, _stream_seed(seed, 5))
     y_pred = channel.mean_label_gauss(omega, rho - q_t)
     return float(np.mean((y_new - y_pred) ** 2))
 
@@ -370,11 +353,11 @@ def _spec_value(name: str, value, many: bool):
 
 
 def save_instance(instance: Instance, path, include_phi: bool = False) -> None:
-    """Self-describing JSON container; Phi regenerable from the seed when
-    omitted."""
+    """Self-describing JSON container, format version 2; Phi regenerable
+    from the seed when omitted."""
     doc = {
         "format": "glmphase-instance",
-        "version": 1,
+        "version": 2,
         "n": instance.n,
         "m": instance.m,
         "seed": instance.seed,
@@ -389,22 +372,46 @@ def save_instance(instance: Instance, path, include_phi: bool = False) -> None:
         json.dump(doc, fh)
 
 
+def _int_field(doc: dict, key: str, low: int, high: float = math.inf) -> int:
+    value = doc.get(key)
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"instance file: {key} must be an integer in "
+                         f"[{low}, {high}], got {value!r}")
+    return value
+
+
+def _array_field(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    try:
+        value = np.asarray(doc.get(key), dtype=float)
+    except (TypeError, ValueError):   # ragged, or not numbers
+        value = None
+    if value is None or value.shape != shape:
+        raise ValueError(f"instance file: {key} must be an array of shape {shape}")
+    return value
+
+
 def load_instance(path) -> Instance:
+    """The instance of a ``save_instance`` file of version 1 or 2; a file
+    without phi is regenerated from its seed, which version 1 cannot be."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != "glmphase-instance":
         raise ValueError(f"not a glmphase instance file: {path}")
+    version = _int_field(doc, "version", 1, 2)
+    n, m = _int_field(doc, "n", 1), _int_field(doc, "m", 1)
+    seed = _int_field(doc, "seed", 0)
     prior = from_spec(doc["prior"], Prior)
     channel = from_spec(doc["channel"], Channel)
-    n, m, seed = doc["n"], doc["m"], doc["seed"]
     if "phi" in doc:
         return Instance(
-            phi=np.asarray(doc["phi"], dtype=float),
-            x_star=np.asarray(doc["x_star"], dtype=float),
-            y=np.asarray(doc["y"], dtype=float),
+            phi=_array_field(doc, "phi", (m, n)),
+            x_star=_array_field(doc, "x_star", (n,)),
+            y=_array_field(doc, "y", (m,)),
             prior=prior, channel=channel, seed=seed,
         )
-    inst = generate_instance(prior, channel, n, m / n, seed)
-    if inst.m != m:
-        raise ValueError(f"regenerated m={inst.m} does not match stored m={m}")
-    return inst
+    if version == 1:
+        raise ValueError(f"{path}: a version 1 file without phi cannot be "
+                         "regenerated, since version 2 draws other labels; save "
+                         "the instance with include_phi=True")
+    # integers m, n >= 1 give round(m / n * n) = m
+    return generate_instance(prior, channel, n, m / n, seed)

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import Channel
-from .gamp import Instance, draw_labels, generate_instance
+from .gamp import Instance, generate_instance
 from .numerics import logsumexp
 from .priors import Prior
 
@@ -80,6 +80,8 @@ def nishimori_check(prior: Prior, channel: Channel, n: int, alpha: float,
                     k: int = 2) -> NishimoriReport:
     """Monte Carlo over teachers of E<g(Y, x1..xk)> vs E<g(Y, x1..x_{k-1}, X*)>,
     replicas drawn from the exact posterior."""
+    if samples < 2:
+        raise ValueError(f"the z-score needs at least 2 samples, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     lhs = np.empty(samples)
     rhs = np.empty(samples)
@@ -117,6 +119,6 @@ def mc_psi_pout(channel: Channel, q: float, rho: float, samples: int, seed: int)
     v = rng.standard_normal(samples)
     w = rng.standard_normal(samples)
     z = math.sqrt(q) * v + math.sqrt(rho - q) * w
-    y = draw_labels(channel, z, lambda k: (rng.integers(2 ** 62) for _ in range(k)))
+    y = channel.sample_label(z, int(rng.integers(2 ** 62)))
     vals = np.asarray(channel.log_zout(y, math.sqrt(q) * v, rho - q))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -53,10 +53,6 @@ class TestConstruction:
         assert Sigmoid().is_discrete
         assert not Sign(0.1).is_discrete
         assert not Abs(0.0).is_discrete  # continuous labels even at delta=0
-        assert Sign().is_deterministic and Abs(0.0).is_deterministic
-        assert SymmetricDoor().is_deterministic and LinearAWGN(0.0).is_deterministic
-        assert not Sign(0.1).is_deterministic and not ReLU(1e-8).is_deterministic
-        assert not Sigmoid().is_deterministic  # draws its labels
 
     def test_mirror(self):
         assert Abs(0.0)._mirror == SymmetricDoor(K=1.2)._mirror == 1

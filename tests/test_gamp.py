@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +14,7 @@ from glmphase import gamp
 from glmphase.channels import (Abs, Channel, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor)
 from glmphase.gamp import (GampDivergenceError, GampOptions, GampState,
-                           Instance, _label_seeds, draw_labels,
-                           empirical_generalization_error, from_spec,
+                           Instance, empirical_generalization_error, from_spec,
                            gamp_predict, gamp_run, generate_instance,
                            load_instance, save_instance, to_spec)
 from glmphase.numerics import FixedPointOptions
@@ -41,27 +45,27 @@ PARENT_SPECS = [
 ]
 from glmphase.state_evolution import se_run
 
-# deterministic and noisy piecewise channels, and Sigmoid
+# noise-free and noisy piecewise channels, and Sigmoid
 LABEL_CHANNELS = [Sign(), Sign(0.2), Abs(0.0), ReLU(0.3), SymmetricDoor(),
                   LinearAWGN(0.0), LinearAWGN(0.5), Sigmoid(2.0)]
 
 
-def _per_row_labels(channel, z, seed):
-    """Every label from its own generator, as instance files of version 1
-    were first written."""
-    return np.array([channel.sample_label(z[mu], int(s))
-                     for mu, s in enumerate(_label_seeds(seed, z.size))])
+def _label_inputs(inst):
+    """(z, label seed) of format version 2: z = phi x* / sqrt(n) summed row
+    by row, and the integer seed of stream 2 of the instance seed."""
+    z = np.einsum("ij,j->i", inst.phi, inst.x_star) / math.sqrt(inst.n)
+    return z, int(np.random.SeedSequence((inst.seed, 2)).generate_state(1)[0])
 
 
 def _full_matrix_error(inst, x_hat, q_t, n_test, seed):
     """The per-row squared errors of empirical_generalization_error as it
-    first was: the whole (n_test, n) test design in one draw, and every label
-    from its own generator."""
+    first was: the whole (n_test, n) test design in one draw, and the
+    labels from a stream of their own."""
     n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
     phi_new = rng.standard_normal((n_test, n))
     z_new = phi_new @ inst.x_star / math.sqrt(n)
-    y_new = _per_row_labels(inst.channel, z_new, seed ^ 0x5EED)
+    y_new = inst.channel.sample_label(z_new, seed ^ 0x5EED)
     y_pred = gamp_predict(x_hat, q_t, phi_new, inst.channel,
                           inst.prior.second_moment)
     return (y_new - y_pred) ** 2
@@ -86,16 +90,6 @@ class TestGenerateInstance:
         var = inst.phi.var()
         assert abs(var - 1.0) < 3 * math.sqrt(2.0 / inst.phi.size)
 
-    def test_labels_regenerable_pointwise(self):
-        from glmphase.gamp import _label_seeds
-        inst = generate_instance(RademacherPrior(), SymmetricDoor(), 30, 1.0,
-                                 seed=7)
-        z = inst.phi @ inst.x_star / math.sqrt(30)
-        seeds = _label_seeds(7, inst.m)
-        regen = np.array([inst.channel.sample_label(z[mu], int(s))
-                          for mu, s in enumerate(seeds)])
-        assert np.array_equal(regen, inst.y)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_instance(RademacherPrior(), Sign(), 0, 1.0, seed=0)
@@ -108,25 +102,47 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("channel", LABEL_CHANNELS, ids=repr)
     @pytest.mark.parametrize("seed", [0, 5, 123])
-    def test_labels_match_per_row_reference(self, channel, seed):
+    def test_labels_are_one_sample_label_call(self, channel, seed):
         inst = generate_instance(GaussBernoulliPrior(0.3), channel, 60, 1.5,
                                  seed=seed)
-        z = inst.phi @ inst.x_star / math.sqrt(60)
-        assert np.array_equal(inst.y, _per_row_labels(channel, z, seed))
+        z, label_seed = _label_inputs(inst)
+        assert np.array_equal(inst.y, channel.sample_label(z, label_seed))
 
-    def test_deterministic_labels_draw_no_seeds(self, monkeypatch):
-        def no_seeds(*args):
-            raise AssertionError("a deterministic channel asked for seeds")
+    @pytest.mark.parametrize("channel", [Sign(), Abs(0.0), SymmetricDoor(),
+                                         LinearAWGN(0.0)], ids=repr)
+    def test_noise_free_labels_are_phi_z(self, channel):
+        inst = generate_instance(GaussianPrior(1.0), channel, 60, 1.5, seed=2)
+        z, _ = _label_inputs(inst)
+        assert np.array_equal(inst.y, channel.phi(z))
 
-        z = np.linspace(-2.0, 2.0, 9)
-        for channel in (Sign(), Abs(0.0), SymmetricDoor(), LinearAWGN(0.0)):
-            assert channel.is_deterministic
-            assert np.array_equal(draw_labels(channel, z, no_seeds),
-                                  channel.phi(z))
-        monkeypatch.setattr(gamp, "_label_seeds", no_seeds)
-        generate_instance(RademacherPrior(), Sign(), 20, 1.0, seed=3)
-        with pytest.raises(AssertionError):
-            generate_instance(RademacherPrior(), Sign(0.1), 20, 1.0, seed=3)
+    # with n = 1000 and m = 601, a 2-thread BLAS product phi @ x_star gave
+    # last-bit differences in rows 300 and 600, and so other LinearAWGN(0)
+    # labels
+    @pytest.mark.parametrize("prior,channel", [
+        (GaussianPrior(1.0), LinearAWGN(0.0)),
+        (GaussBernoulliPrior(0.2), Sign(0.2))], ids=repr)
+    def test_instance_bytes_independent_of_blas_threads(self, prior, channel):
+        src = str(Path(gamp.__file__).resolve().parents[1])
+        script = (
+            f"import hashlib, sys; sys.path.insert(0, {src!r})\n"
+            "from glmphase import gamp\n"
+            "from glmphase.channels import *\n"
+            "from glmphase.priors import *\n"
+            f"inst = gamp.generate_instance({prior!r}, {channel!r}, 1000, 0.601, 0)\n"
+            "print([hashlib.sha1(a.tobytes()).hexdigest()"
+            " for a in (inst.phi, inst.x_star, inst.y)])\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=120)
+            digests.append(out.stdout)
+        inst = generate_instance(prior, channel, 1000, 0.601, seed=0)
+        assert digests[0] == digests[1] == str(
+            [hashlib.sha1(a.tobytes()).hexdigest()
+             for a in (inst.phi, inst.x_star, inst.y)]) + "\n"
 
 
 class TestGampRun:
@@ -346,12 +362,12 @@ class TestSerialization:
         assert back.channel == inst.channel
 
     def test_round_trip_without_phi_noisy_channel(self, tmp_path):
-        # noisy labels come from per-row streams, which the file does not hold
+        # noisy labels come from a seed stream, which the file does not hold
         inst = generate_instance(GaussBernoulliPrior(0.3), ReLU(0.3), 40, 1.2,
                                  seed=21)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
-        assert json.loads(path.read_text())["version"] == 1
+        assert json.loads(path.read_text())["version"] == 2
         back = load_instance(path)
         assert np.array_equal(back.phi, inst.phi)
         assert np.array_equal(back.y, inst.y)
@@ -398,28 +414,54 @@ class TestSerialization:
         assert to_spec(obj) == spec
 
     def test_parent_format_instance_file_loads(self, tmp_path):
-        inst = generate_instance(GaussianPrior(2.0), SymmetricDoor(K=1.2),
-                                 10, 1.5, seed=3)
+        # a version 1 file with phi loads as it was written
+        rng = np.random.default_rng(3)
+        phi, x_star, y = rng.standard_normal((3, 2)), rng.standard_normal(2), \
+            rng.standard_normal(3)
         path = tmp_path / "parent.json"
         path.write_text(json.dumps({
-            "format": "glmphase-instance", "version": 1, "n": 10, "m": 15,
+            "format": "glmphase-instance", "version": 1, "n": 2, "m": 3,
             "seed": 3, "prior": {"kind": "gaussian", "variance": 2.0},
             "channel": {"kind": "door", "epsilon": 0.0, "delta": 0.0,
-                        "K": 1.2}}))
+                        "K": 1.2}, "phi": phi.tolist(), "x_star": x_star.tolist(),
+            "y": y.tolist()}))
         back = load_instance(path)
-        assert (back.prior, back.channel) == (inst.prior, inst.channel)
-        assert np.array_equal(back.y, inst.y)
+        assert (back.prior, back.channel) == (GaussianPrior(2.0), SymmetricDoor(K=1.2))
+        assert np.array_equal(back.phi, phi) and np.array_equal(back.x_star, x_star)
+        assert np.array_equal(back.y, y) and back.seed == 3
 
     def test_parent_format_sigmoid_file_loads(self, tmp_path):
         path = tmp_path / "parent.json"
         path.write_text(json.dumps({
-            "format": "glmphase-instance", "version": 1, "n": 10, "m": 15,
+            "format": "glmphase-instance", "version": 2, "n": 10, "m": 15,
             "seed": 3, "prior": {"kind": "rademacher", "p_plus": 0.5},
             "channel": {"kind": "sigmoid", "epsilon": 0.0, "slope": 2.0}}))
         back = load_instance(path)
         assert back.channel == Sigmoid(2.0)
         assert np.array_equal(back.y, generate_instance(
             RademacherPrior(), Sigmoid(2.0), 10, 1.5, seed=3).y)
+
+    @pytest.mark.parametrize("change,match", [
+        ({"version": 1}, "version 1 file without phi.*include_phi=True"),
+        ({"version": 7}, "version"),
+        ({"version": True}, "version"),
+        ({"n": 20.5}, "n must"),
+        ({"m": 0}, "m must"),
+        ({"seed": -1}, "seed must"),
+        ({"phi": [[1.0, 2.0]] * 3, "x_star": [1.0], "y": [0.0] * 3}, "phi must"),
+        ({"phi": [[1.0]] * 3, "x_star": [1.0, 2.0], "y": [0.0] * 3}, "x_star must"),
+        ({"phi": [[1.0]] * 3, "x_star": [1.0], "y": [0.0] * 2}, "y must"),
+        ({"phi": [[1.0], [1.0, 2.0], [1.0]], "x_star": [1.0], "y": [0.0] * 3},
+         "phi must"),
+    ])
+    def test_bad_files_rejected(self, tmp_path, change, match):
+        doc = {"format": "glmphase-instance", "version": 2, "n": 1, "m": 3,
+               "seed": 0, "prior": {"kind": "rademacher"},
+               "channel": {"kind": "sign"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ValueError, match=match):
+            load_instance(path)
 
     def test_defaults_and_list_strings(self):
         assert from_spec({"kind": "relu"}, Channel) == ReLU(1e-8)

@@ -97,6 +97,14 @@ class TestNishimori:
         assert rep.lhs_mc == pytest.approx(1.0)
         assert rep.rhs_mc == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        # one sample has no standard error, and none gives NaN means; both
+        # once read as z = 0, a pass
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            nishimori_check(RademacherPrior(), LinearAWGN(0.5), n=4, alpha=1.0,
+                            samples=samples)
+
     def test_discrete_noiseless_channel(self):
         rep = nishimori_check(RademacherPrior(), Sign(), n=8, alpha=1.5,
                               samples=800, seed=3)
@@ -138,11 +146,11 @@ class TestMCFreeEntropies:
 
     @pytest.mark.parametrize("channel,pinned", [
         (Sign(), SIGN_PINNED),
-        (ReLU(0.3), (-1.0992155991194144, 0.017135748748909194)),
+        (ReLU(0.3), (-1.091797645929476, 0.017286695341818734)),
     ], ids=repr)
     def test_psi_pout_pinned(self, channel, pinned):
-        # Sign draws nothing and skips the label seeds; ReLU keeps its
-        # per-sample streams; both give the values of per-sample generators
+        # Sign's labels are phi(z); ReLU draws all its label noise in one
+        # sample_label call, from one integer of the sample generator
         assert mc_psi_pout(channel, 0.3, 1.0, 2000, seed=4) == pinned
 
     def test_sign_repin_stays_near_scipy_value(self):
