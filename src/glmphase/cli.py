@@ -312,7 +312,7 @@ def _run_gamp(cfg: ExperimentConfig, s: dict) -> ResultTable:
         f"without converging to gamp_tol = {opts.tol!r}; gen_error_mc is NaN"]
     notes = [] if result.attempts == 1 else [
         f"gamp: n = {n}, alpha = {alpha!r}, seed = {cfg.seed}: the run at "
-        f"damping {opts.damping!r} diverged; the rows are from attempt "
+        f"damping {opts.damping!r} did not converge; the rows are from attempt "
         f"{result.attempts}, at damping {result.damping!r}"]
     return ResultTable(
         columns=("t", "overlap", "norm_sq", "mse", "gen_error_mc"), rows=rows,

@@ -109,7 +109,7 @@ class GampRun:
     mse_seq: np.ndarray
     converged: bool
     iterations: int
-    attempts: int               # 2 after a divergence retry
+    attempts: int               # 2 after a damping retry
     damping: float              # damping of the attempt returned
 
 
@@ -202,16 +202,24 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
 
 
 def gamp_run(instance: Instance, opts: GampOptions | None = None) -> GampRun:
-    """Run GAMP; on divergence retry once with damping 0.5, recorded in the
-    run's ``attempts`` and ``damping``."""
+    """Run GAMP; if it diverges or stops at max_iter (a period-2 cycle can
+    hold it), retry once at damping 0.5 unless damping >= 0.5.  The retry,
+    with ``attempts`` 2, replaces an unconverged run only if it converges."""
     if opts is None:
         opts = GampOptions()
     try:
-        return _gamp_iterate(instance, opts, opts.damping)
+        run = _gamp_iterate(instance, opts, opts.damping)
     except (GampDivergenceError, GoutUnderflowError):
         if opts.damping >= 0.5:
             raise
         return dataclasses.replace(_gamp_iterate(instance, opts, 0.5), attempts=2)
+    if run.converged or opts.damping >= 0.5:
+        return run
+    try:
+        retry = _gamp_iterate(instance, opts, 0.5)
+    except (GampDivergenceError, GoutUnderflowError):
+        return run
+    return dataclasses.replace(retry, attempts=2) if retry.converged else run
 
 
 def _check_q_t(q_t: float, rho: float) -> None:
@@ -313,9 +321,11 @@ def from_spec(spec: dict, base: type):
     """The prior (base=Prior) or channel (base=Channel) a spec describes.
 
     Omitted fields take the class default.  A tuple field reads a list or a
-    comma-separated string.  Unknown keys, a kind of the other layer,
-    missing required fields and non-numeric values raise ValueError.
+    comma-separated string.  A non-dict spec, unknown keys, a kind of the
+    other layer, missing fields and non-numeric values raise ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a {base.__name__.lower()} spec is a dict, got {spec!r}")
     kind = spec.get("kind")
     cls = SPEC_KINDS.get(kind)
     if cls is None or not issubclass(cls, base):
@@ -400,8 +410,8 @@ def load_instance(path) -> Instance:
     version = _int_field(doc, "version", 1, 2)
     n, m = _int_field(doc, "n", 1), _int_field(doc, "m", 1)
     seed = _int_field(doc, "seed", 0)
-    prior = from_spec(doc["prior"], Prior)
-    channel = from_spec(doc["channel"], Channel)
+    prior = from_spec(doc.get("prior"), Prior)
+    channel = from_spec(doc.get("channel"), Channel)
     if "phi" in doc:
         return Instance(
             phi=_array_field(doc, "phi", (m, n)),

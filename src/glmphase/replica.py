@@ -24,12 +24,12 @@ its free-entropy value is the limit inf_r f_rs(rho, r), approximated at
 q = rho (1 - 1e-6).  For setups where that limit diverges (continuous prior
 or continuous noiseless channel) the transition finders in
 ``state_evolution`` compare branches through the divergence slope instead.
-The alpha-independent terms of that branch are cached: the inner-inf r
-per (prior, depth), the exact-profile psi_pout per (prior, channel,
-depth).  The cache is exact, not an approximation: ``recovery_f`` returns
-the same float as ``f_hat`` at the clamp.  ``solve`` solves the clamp root
-once for both routes: Route A's recovery point is ``recovery_f`` at
-EVAL_DEPTH, and the top of Route B's t range is the same cached r.
+``f_hat`` reads its two alpha-independent terms from exact point caches:
+(r, psi_p0(r)) at the inner-inf r per (prior, q), and psi_pout under the
+exact profile, whichever is active, per (channel, q, rho).
+``recovery_f`` is ``f_hat`` at the clamp, so its root is solved once per
+(prior, depth) and serves both routes of ``solve``: Route A's recovery
+point is ``recovery_f`` at EVAL_DEPTH, and Route B's t range ends at its r.
 """
 from __future__ import annotations
 
@@ -160,9 +160,27 @@ def inner_inf_r(prior: Prior, q):
 
 
 def f_hat(prior: Prior, channel: Channel, alpha: float, q: float) -> tuple[float, float]:
-    """(inf_r f_rs(q, r), argmin r)."""
+    """(inf_r f_rs(q, r), argmin r): the float of ``f_rs`` at ``inner_inf_r``
+    under the exact profile, from the point caches; psi_pout rejects a q
+    outside [0, rho] before a root is solved."""
+    psi_out = _exact_psi_pout(channel, q, prior.second_moment)
+    r, psi_in = _inner_point(prior, q)
+    return _f_rs_terms(psi_in, psi_out, alpha, q, r), r
+
+
+@lru_cache(maxsize=256)
+def _inner_point(prior: Prior, q: float) -> tuple[float, float]:
+    """(r, psi_p0(r)) at the inner-inf r of q: one root solve per (prior,
+    q), shared by every channel and alpha."""
     r = inner_inf_r(prior, q)
-    return f_rs(prior, channel, alpha, q, r), r
+    return r, prior.psi_p0(r)
+
+
+@lru_cache(maxsize=256)
+def _exact_psi_pout(channel: Channel, q: float, rho: float) -> float:
+    """psi_pout(q; rho) under the exact profile, per (channel, q, rho)."""
+    with quad_profile("exact"):
+        return channel.psi_pout(q, rho)
 
 
 def recovery_f(prior: Prior, channel: Channel, alpha: float,
@@ -170,32 +188,9 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
     """Free entropy of the exact-recovery branch at clamp q = rho (1 - depth).
 
     f_rs(rho, r) decreases in r, so lim_{r->inf} f_rs(rho, r) = inf_r, which
-    this approximates from inside the domain.  It returns the same float as
-    ``f_hat(prior, channel, alpha, rho * (1 - depth))[0]`` (under the exact
-    profile), from terms cached per (prior, depth) and (prior, channel,
-    depth).
+    this approximates from inside the domain: it is ``f_hat`` at the clamp.
     """
-    q, psi_out = _recovery_terms(prior, channel, depth)
-    r, psi_in = _clamp_terms(prior, depth)
-    return _f_rs_terms(psi_in, psi_out, alpha, q, r)
-
-
-@lru_cache(maxsize=256)
-def _recovery_terms(prior: Prior, channel: Channel, depth: float):
-    """(q, psi_pout(q)) at the clamp q = rho (1 - depth); neither depends on
-    alpha.  psi_pout is always taken under the exact profile."""
-    rho = prior.second_moment
-    q = rho * (1.0 - depth)
-    with quad_profile("exact"):
-        return q, channel.psi_pout(q, rho)
-
-
-@lru_cache(maxsize=64)
-def _clamp_terms(prior: Prior, depth: float) -> tuple[float, float]:
-    """(r, psi_p0(r)) for the inner-inf r at the clamp q = rho (1 - depth):
-    one root solve per (prior, depth), shared by every channel and alpha."""
-    r = inner_inf_r(prior, prior.second_moment * (1.0 - depth))
-    return r, prior.psi_p0(r)
+    return f_hat(prior, channel, alpha, prior.second_moment * (1.0 - depth))[0]
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,
@@ -264,7 +259,7 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     for every t >= 0, so the sup over q needs no root solve.  The t = 0 end
     is q = mean^2; below it the inner inf is r = 0, where f increases in q.
     The top of the t range is the clamp root that Route A's recovery point
-    uses (``_clamp_terms``).  The grid is placed near uniform in q by
+    uses (``_inner_point`` at q_hi).  The grid is placed near uniform in q by
     inverting a coarse q(t), then refined by Brent's method in t, seeded
     with the grid points around the best one, until the bracket is 1e-9
     max(rho, 1) wide in q.  A NaN anywhere on the grid, or an infinite
@@ -280,7 +275,7 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
         q = np.minimum(2.0 * prime, q_hi)
         return q, _f_rs_terms(psi_in, channel.psi_pout(q, rho), alpha, q, r)
 
-    r_hi = _clamp_terms(prior, EVAL_DEPTH)[0]
+    r_hi = _inner_point(prior, q_hi)[0]
     t_coarse = np.linspace(0.0, math.log1p(r_hi), 65)
     q_coarse = np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t_coarse)), q_hi)
     ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),

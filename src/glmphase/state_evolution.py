@@ -54,12 +54,13 @@ A scale-free channel (``Channel.scale_free``: sign with any noise, and
 noiseless abs, both with epsilon = 0) has
 psi_pout'(q; rho) = psi_pout'(q / rho; 1) / rho, and u is the same at q
 and q / rho, so its table at rho is its rho = 1 table with the values and
-psi'(0) divided by rho and the lowest node q multiplied by rho.  The
-rho = 1 values of ``Sign()`` and ``Abs()`` ship in ``_channel_tables``
-(written by ``tools/channel_tables.py`` from ``_table_values``, the one
-array call of a table build) and are parsed on first use; any other
-scale-free channel builds its rho = 1 values once.  Every other channel,
-and any object that is not a ``Channel``, builds its table at each rho.
+psi'(0) divided by rho and the lowest node q multiplied by rho; it builds
+its rho = 1 values once.  Every other channel, and any object that is not
+a ``Channel``, builds its table at each rho.  ``_se_tables`` ships the
+values of three tables, the rho = 1 ones of ``Sign()`` and ``Abs()`` and
+the prior table of ``RademacherPrior()`` (perceptron and door), written by
+``tools/se_tables.py`` from the one array call of their build; one lookup
+(``_shipped``) serves the channel and the prior tables.
 
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
@@ -76,7 +77,8 @@ rho.  One rule, ``_symmetric_snap``, reads a q below SNAP_FRAC * rho =
 (``_se_limit``) and to every branch of ``gamma_branches``, and nowhere
 else: ``se_run``, and the SE generalization error that ``replica.solve``
 takes from its run, keep the limit as the run left it.  At a snapped q_un
-the alpha_IT comparison takes r = 0 without a root solve.
+the alpha_IT comparison takes r = 0 without a root solve, and later
+bisection steps read f_hat's terms there from ``replica``'s point caches.
 """
 from __future__ import annotations
 
@@ -226,32 +228,34 @@ class _ChannelTable:
         return math.exp(self.spline(min(u, self.spline.knots[-1])))
 
 
+@lru_cache(maxsize=16)
+def _shipped(obj, build, *args) -> np.ndarray:
+    """build(obj, *args), or the values ``_se_tables`` (imported on first
+    lookup) ships under obj's module and repr, so only for the shipped class."""
+    from ._se_tables import VALUES
+    text = VALUES.get(f"{type(obj).__module__}.{obj!r}")
+    return build(obj, *args) if text is None else np.array(text.split(), dtype=float)
+
+
+def _prior_values(prior: Prior) -> np.ndarray:
+    """2 psi_p0' at PRIOR_TABLE_NODES, from one array call."""
+    return 2.0 * prior.psi_p0_prime(np.expm1(PRIOR_TABLE_NODES))
+
+
 @lru_cache(maxsize=32)
 def _prior_table(prior: Prior) -> _PriorTable:
     """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r) on PRIOR_TABLE_NODES."""
-    ts = PRIOR_TABLE_NODES
-    return _PriorTable(cubic_spline(ts, 2.0 * prior.psi_p0_prime(np.expm1(ts))))
+    return _PriorTable(cubic_spline(PRIOR_TABLE_NODES, _shipped(prior, _prior_values)))
 
 
 def _table_values(channel: Channel, rho: float) -> np.ndarray:
     """Fast-profile psi_pout' at the channel-table nodes, then at q = 0, from
     one array call.  psi'(0) comes last: the node values keep the q blocks
     of the call without it, on which a continuous channel's last bit
-    depends.  ``tools/channel_tables.py`` takes the shipped rho = 1 values
+    depends.  ``tools/se_tables.py`` takes the shipped rho = 1 values
     from this call too."""
     with quad_profile("fast"):
         return channel.psi_pout_prime(np.append(_UNIT_NODES * rho, 0.0), rho)
-
-
-@lru_cache(maxsize=8)
-def _unit_values(channel: Channel) -> np.ndarray:
-    """``_table_values`` at rho = 1 of a scale-free channel: the shipped ones
-    of ``_channel_tables`` when it holds the channel, else built."""
-    from ._channel_tables import VALUES
-    text = VALUES.get(repr(channel))
-    if text is None:
-        return _table_values(channel, 1.0)
-    return np.array(text.split(), dtype=float)
 
 
 @lru_cache(maxsize=32)
@@ -264,7 +268,7 @@ def _channel_table(channel: Channel, rho: float) -> _ChannelTable:
     divided by rho: psi'(q; rho) = psi'(q / rho; 1) / rho, and u is the
     same at q and q / rho."""
     if isinstance(channel, Channel) and channel.scale_free:
-        vals, node_rho = _unit_values(channel) / rho, 1.0
+        vals, node_rho = _shipped(channel, _table_values, 1.0) / rho, 1.0
     else:
         vals, node_rho = _table_values(channel, rho), rho
     vals, v_zero = vals[:-1], float(vals[-1])

@@ -553,7 +553,7 @@ class TestCliEntry:
         assert main(["gamp", "--config", str(path), "--out", str(out)]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "gamp: n = 300, alpha = 1.5, seed = 3: the run at damping 0.0 "
-            "diverged; the rows are from attempt 2, at damping 0.5"]
+            "did not converge; the rows are from attempt 2, at damping 0.5"]
         assert data(out) == data(damped)
 
     def test_workers_option_is_gone(self, errors_cfg):

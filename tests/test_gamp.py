@@ -257,6 +257,42 @@ class TestGampRun:
         assert (run.attempts, run.damping) == (2, 0.5)
         assert run.converged
 
+    @pytest.mark.parametrize("seed,iterations", [(3, 202), (5, 193)])
+    def test_period_two_cycle_is_retried_damped(self, seed, iterations):
+        """Undamped, these instances cycle with period 2 until max_iter
+        = 500; the retry at damping 0.5 converges."""
+        inst = generate_instance(GaussBernoulliPrior(0.2), Sign(0.1), 400, 1.5,
+                                 seed=seed)
+        run = gamp_run(inst, GampOptions(seed=seed))
+        assert (run.converged, run.iterations) == (True, iterations)
+        assert (run.attempts, run.damping) == (2, 0.5)
+
+    def test_unconverged_runs_keep_the_first_attempt(self, monkeypatch):
+        """No retry at damping 0.5; below it, an unconverged first run is
+        returned when the retry does not converge either, or diverges."""
+        inst = generate_instance(GaussBernoulliPrior(0.2), Sign(0.1), 400, 1.5,
+                                 seed=3)
+        run = gamp_run(inst, GampOptions(seed=3, damping=0.5, max_iter=20))
+        assert (run.converged, run.iterations, run.attempts) == (False, 20, 1)
+        first = gamp._gamp_iterate(inst, GampOptions(seed=3, max_iter=20), 0.0)
+        run = gamp_run(inst, GampOptions(seed=3, max_iter=20))
+        assert (run.converged, run.attempts, run.damping) == (False, 1, 0.0)
+        assert np.array_equal(run.x_hat_final, first.x_hat_final)
+        iterate = gamp._gamp_iterate
+
+        def diverge_damped(instance, opts, damping):
+            if damping == 0.5:
+                raise GampDivergenceError(GampState(
+                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
+                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
+                    V_scalar=1.0, lam=1.0, t=1))
+            return iterate(instance, opts, damping)
+
+        monkeypatch.setattr(gamp, "_gamp_iterate", diverge_damped)
+        run = gamp_run(inst, GampOptions(seed=3, max_iter=20))
+        assert np.array_equal(run.x_hat_final, first.x_hat_final)
+        assert (run.converged, run.attempts) == (False, 1)
+
 
 class TestPrediction:
     def test_linear_is_projection(self):
@@ -453,13 +489,18 @@ class TestSerialization:
         ({"phi": [[1.0]] * 3, "x_star": [1.0], "y": [0.0] * 2}, "y must"),
         ({"phi": [[1.0], [1.0, 2.0], [1.0]], "x_star": [1.0], "y": [0.0] * 3},
          "phi must"),
+        # ... drops the key
+        ({"prior": ...}, "prior spec is a dict, got None"),
+        ({"prior": "rademacher"}, "prior spec is a dict, got 'rademacher'"),
+        ({"channel": ["sign"]}, "channel spec is a dict"),
     ])
     def test_bad_files_rejected(self, tmp_path, change, match):
         doc = {"format": "glmphase-instance", "version": 2, "n": 1, "m": 3,
                "seed": 0, "prior": {"kind": "rademacher"},
                "channel": {"kind": "sign"}}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**doc, **change}))
+        path.write_text(json.dumps({k: v for k, v in {**doc, **change}.items()
+                                    if v is not ...}))
         with pytest.raises(ValueError, match=match):
             load_instance(path)
 

@@ -54,3 +54,17 @@ def test_no_scipy_at_run_time():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_shipped_tables_load_on_first_lookup():
+    """Importing glmphase and its CLI leaves the generated table module
+    unread; the first table lookup imports it."""
+    script = ("import sys, glmphase, glmphase.cli\n"
+              "print('glmphase._se_tables' in sys.modules)\n"
+              "from glmphase import RademacherPrior, state_evolution as se\n"
+              "se._prior_table(RademacherPrior())\n"
+              "print('glmphase._se_tables' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

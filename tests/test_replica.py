@@ -160,7 +160,7 @@ class TestRecoveryTermCache:
 
     @pytest.mark.parametrize("prior,ch,depth", CASES)
     def test_bitwise_equal_to_f_hat(self, prior, ch, depth):
-        replica._recovery_terms.cache_clear()
+        replica._exact_psi_pout.cache_clear()
         rho = prior.second_moment
         for alpha in (0.3, 0.75, 1.1, 1.6):
             got = replica.recovery_f(prior, ch, alpha, depth)
@@ -168,7 +168,7 @@ class TestRecoveryTermCache:
 
     @pytest.mark.parametrize("prior,ch,depth", CASES)
     def test_first_call_under_fast_profile(self, prior, ch, depth):
-        replica._recovery_terms.cache_clear()
+        replica._exact_psi_pout.cache_clear()
         with quad_profile("fast"):
             first = replica.recovery_f(prior, ch, 0.9, depth)
         rho = prior.second_moment
@@ -186,8 +186,8 @@ class TestRecoveryTermCache:
             calls.append(r)
             return real(self, r)
 
-        replica._clamp_terms.cache_clear()
-        replica._recovery_terms.cache_clear()
+        replica._inner_point.cache_clear()
+        replica._exact_psi_pout.cache_clear()
         alphas = (0.3, 0.75, 1.1, 1.6)
         monkeypatch.setattr(cls, "psi_p0", spy)
         got = [replica.recovery_f(prior, ch, a, depth) for a in alphas]
@@ -197,6 +197,28 @@ class TestRecoveryTermCache:
         rho = prior.second_moment
         assert got == [f_hat(prior, ch, a, rho * (1.0 - d))[0]
                        for d in (depth, 10.0 * depth) for a in alphas]
+
+    @pytest.mark.parametrize("prior,ch,depth", CASES)
+    def test_f_hat_is_f_rs_at_the_inner_inf_r(self, prior, ch, depth):
+        """f_hat reads psi_p0 and psi_pout from the point caches: the same
+        floats as f_rs at inner_inf_r under the exact profile, whether the
+        caches are cold or warm and whichever profile is active."""
+        rho = prior.second_moment
+        qs = (0.0, 0.3 * rho, rho * (1.0 - depth))
+        want = [(f_rs(prior, ch, 0.9, q, inner_inf_r(prior, q)), inner_inf_r(prior, q))
+                for q in qs]
+        replica._inner_point.cache_clear()
+        replica._exact_psi_pout.cache_clear()
+        with quad_profile("fast"):
+            assert [f_hat(prior, ch, 0.9, q) for q in qs] == want
+        assert [f_hat(prior, ch, 0.9, q) for q in qs] == want
+        with quad_profile("fast"):
+            assert [f_hat(prior, ch, 0.9, q) for q in qs] == want
+
+    def test_f_hat_rejects_q_outside_0_rho(self):
+        for q in (-1e-9, 1.0 + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="0 <= q <= rho"):
+                f_hat(RademacherPrior(), Sign(), 1.0, q)
 
     def test_clamp_root_solved_once_per_prior(self, monkeypatch):
         """The inner-inf r at the clamp depends on (prior, depth) only: two
@@ -209,8 +231,8 @@ class TestRecoveryTermCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._clamp_terms.cache_clear()
-        replica._recovery_terms.cache_clear()
+        replica._inner_point.cache_clear()
+        replica._exact_psi_pout.cache_clear()
         prior, doors = RademacherPrior(), (SymmetricDoor(), SymmetricDoor(K=0.9))
         got = [replica.recovery_f(prior, ch, 1.2, 1e-10) for ch in doors]
         assert len(calls) == 1
@@ -457,7 +479,7 @@ def test_route_b_solves_one_root(monkeypatch):
         return original(prior, q, *args)
 
     monkeypatch.setattr(replica, "inner_inf_r", counted)
-    replica._clamp_terms.cache_clear()
+    replica._inner_point.cache_clear()
     prior, ch = RademacherPrior(), Sign()
     sol = solve(prior, ch, 1.35)
     assert sol.q_star == 1.0
@@ -472,7 +494,7 @@ def test_route_b_takes_one_prior_pass_per_block(prior, monkeypatch):
     """Route B builds each prior block's panel rule once: its 201-point
     grid and each Brent step take psi_p0 and psi_p0' from one pass, and
     only the 65-point coarse grid takes psi_p0' alone."""
-    replica._clamp_terms(prior, replica.EVAL_DEPTH)
+    replica._inner_point(prior, prior.second_moment * (1.0 - replica.EVAL_DEPTH))
     blocks, rules = [], []
     expect, panels = type(prior)._expect_y0, priors.gauss_panels
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from glmphase import replica, state_evolution as se
-from glmphase.channels import (Abs, LinearAWGN, Sign, SymmetricDoor,
-                               quad_profile)
-from glmphase.numerics import BracketError, FixedPointOptions
+from glmphase.channels import (Abs, Channel, LinearAWGN, Sign,
+                               SymmetricDoor, quad_profile)
+from glmphase.numerics import BracketError, FixedPointOptions, cubic_spline
 from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior, TwoPointPrior)
 from glmphase.state_evolution import (CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES,
@@ -121,10 +121,26 @@ class TestSymmetricSnap:
             return real(f, a, b, t, **kw)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._clamp_terms.cache_clear()
+        replica._inner_point.cache_clear()
         alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
         assert alpha_it == pytest.approx(1.0, abs=0.005)
         assert targets and min(targets) >= se.SNAP_FRAC
+
+    def test_door_alpha_it_takes_psi_pout_at_zero_once(self, monkeypatch):
+        """f_hat at the snapped q_un = 0 does not depend on alpha: every
+        bisection step reads its psi_pout from the point cache."""
+        qs = []
+        real = Channel.psi_pout
+
+        def spy(self, q, rho):
+            qs.extend(np.ravel(q).tolist())
+            return real(self, q, rho)
+
+        monkeypatch.setattr(Channel, "psi_pout", spy)
+        replica._exact_psi_pout.cache_clear()
+        alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
+        assert alpha_it == pytest.approx(1.0, abs=0.005)
+        assert qs.count(0.0) == 1
 
 
 class TestStabilityThreshold:
@@ -459,28 +475,36 @@ class TestChannelTable:
         assert f"q={q_bad!r}" in msg
 
 
+def test_shipped_keys():
+    """glmphase._se_tables ships the rho = 1 tables of Sign() and Abs() and
+    the prior table of RademacherPrior(), each keyed by module and repr."""
+    from glmphase._se_tables import VALUES
+    assert set(VALUES) == {"glmphase.channels.Sign(delta=0.0, epsilon=0.0)",
+                           "glmphase.channels.Abs(delta=0.0, epsilon=0.0)",
+                           "glmphase.priors.RademacherPrior(p_plus=0.5)"}
+
+
 class TestScaleFreeTable:
     """Sign and noiseless abs serve every rho from their rho = 1 table,
-    whose values ship in glmphase._channel_tables."""
+    whose values ship in glmphase._se_tables."""
 
     @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
     def test_shipped_values_are_fresh(self, ch):
         """numpy's SIMD exp and log move the last bits between CPUs, hence
         rtol 1e-12 and not equality."""
-        from glmphase._channel_tables import VALUES
-        assert set(VALUES) == {repr(Sign()), repr(Abs())}
-        shipped = np.array(VALUES[repr(ch)].split(), dtype=float)
+        from glmphase._se_tables import VALUES
+        shipped = np.array(VALUES[f"glmphase.channels.{ch!r}"].split(), dtype=float)
         assert shipped.size == LOGITS.size + 1
         np.testing.assert_allclose(
             shipped, se._table_values(ch, 1.0), rtol=1e-12, atol=0.0,
             err_msg="stale shipped channel-table values: rerun "
-                    "tools/channel_tables.py")
+                    "tools/se_tables.py")
 
     @pytest.mark.parametrize("rho", [1.0, 0.6])
     @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
     def test_shipped_channels_build_nothing(self, ch, rho, q_sizes):
         se._channel_table.cache_clear()
-        se._unit_values.cache_clear()
+        se._shipped.cache_clear()
         sizes = q_sizes("psi_pout_prime")
         _channel_table(ch, rho)
         assert sizes == []
@@ -488,7 +512,7 @@ class TestScaleFreeTable:
     def test_other_scale_free_channels_build_once(self, q_sizes):
         """Sign(0.2) ships no values: one rho = 1 build serves every rho."""
         se._channel_table.cache_clear()
-        se._unit_values.cache_clear()
+        se._shipped.cache_clear()
         sizes = q_sizes("psi_pout_prime")
         for rho in (0.6, 0.3, 1.0):
             _channel_table(Sign(0.2), rho)
@@ -498,6 +522,59 @@ class TestScaleFreeTable:
     def test_rescaled_error_bound(self, ch):
         """At a rho the other table tests do not take."""
         assert _table_rel_error(ch, MID, 0.73) <= TABLE_REL_BOUND
+
+
+class TestShippedPriorTable:
+    """RademacherPrior(), the prior of the perceptron and the door, ships
+    its table values in glmphase._se_tables."""
+
+    @staticmethod
+    def _shipped():
+        from glmphase._se_tables import VALUES
+        return np.array(VALUES[f"glmphase.priors.{RademacherPrior()!r}"].split(),
+                        dtype=float)
+
+    def test_shipped_values_are_fresh(self):
+        shipped = self._shipped()
+        assert shipped.size == PRIOR_TABLE_NODES.size
+        np.testing.assert_allclose(
+            shipped, se._prior_values(RademacherPrior()), rtol=1e-12, atol=0.0,
+            err_msg="stale shipped prior-table values: rerun tools/se_tables.py")
+
+    @staticmethod
+    def _r_sizes(monkeypatch):
+        sizes, real = [], RademacherPrior.psi_p0_prime
+
+        def spy(self, r):
+            sizes.append(np.size(r))
+            return real(self, r)
+
+        monkeypatch.setattr(RademacherPrior, "psi_p0_prime", spy)
+        return sizes
+
+    def test_shipped_prior_builds_nothing(self, monkeypatch):
+        se._prior_table.cache_clear()
+        se._shipped.cache_clear()
+        sizes = self._r_sizes(monkeypatch)
+        got = _prior_table(RademacherPrior()).spline
+        assert sizes == []
+        want = cubic_spline(PRIOR_TABLE_NODES, self._shipped())
+        assert (got.c0, got.c1, got.c2, got.c3) == (want.c0, want.c1, want.c2, want.c3)
+
+    def test_other_priors_build_in_one_call(self, monkeypatch):
+        """RademacherPrior(0.3) ships no values, nor does a subclass of the
+        shipped class whose repr names the base class."""
+
+        class Tilted(RademacherPrior):
+            def __repr__(self):
+                return "RademacherPrior(p_plus=0.5)"
+
+        se._prior_table.cache_clear()
+        se._shipped.cache_clear()
+        sizes = self._r_sizes(monkeypatch)
+        _prior_table(RademacherPrior(0.3))
+        _prior_table(Tilted())
+        assert sizes == [PRIOR_TABLE_NODES.size] * 2
 
 
 def _stepped_through_tables(prior, ch, alpha, q0, opts):
