@@ -10,9 +10,8 @@ from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
                    Instance, empirical_generalization_error, from_spec,
                    gamp_predict, gamp_run, generate_instance, load_instance,
                    save_instance, to_spec)
-from .numerics import (BracketError, FixedPointOptions,
-                       NonFiniteIntegrandError, QuadratureRule, gauss_hermite,
-                       integrate_1d)
+from .numerics import (BracketError, FixedPointOptions, QuadratureRule,
+                       gauss_hermite)
 from .oracle import (ExactPosterior, NishimoriReport, exact_posterior,
                      mc_psi_p0, mc_psi_pout, nishimori_check)
 from .priors import (DenoiserOutput, GaussBernoulliPrior, GaussianPrior,

@@ -1,5 +1,5 @@
-"""Quadrature, integration, interpolation, root finding, fixed-point
-iteration options, and the special functions erfcx, expit and log_expit.
+"""Quadrature, interpolation, root finding, fixed-point iteration options,
+and the special functions erfcx, expit and log_expit.
 
 Every Gaussian expectation in this package goes through the probabilists'
 Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
@@ -19,15 +19,6 @@ from ._erfcx_table import COEFFS as _ERFCX_COEFFS
 from ._erfcx_table import SCALE as _ERFCX_SCALE
 
 DEFAULT_GH_ORDER = 99
-
-
-class NonFiniteIntegrandError(ValueError):
-    """Integrand returned NaN or inf; carries the offending abscissa."""
-
-    def __init__(self, x, value):
-        super().__init__(f"integrand returned {value!r} at x={x!r}")
-        self.x = x
-        self.value = value
 
 
 class BracketError(ValueError):
@@ -201,43 +192,6 @@ def gauss_panels(features=(), widths=(), chunk: float = PANEL_CHUNK,
     return QuadratureRule(nodes=nodes, weights=weights, row=row)
 
 
-def integrate_1d(f: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-9) -> float:
-    """Adaptive Simpson integration of f over [lo, hi] to absolute tolerance tol."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def ev(x):
-        v = float(f(x))
-        if not np.isfinite(v):
-            raise NonFiniteIntegrandError(x, v)
-        return v
-
-    width_floor = 1e-13 * (abs(hi - lo) + abs(lo) + abs(hi))
-    mid = 0.5 * (lo + hi)
-    fl, fm, fh = ev(lo), ev(mid), ev(hi)
-    whole = (hi - lo) / 6.0 * (fl + 4.0 * fm + fh)
-    stack = [(lo, hi, fl, fm, fh, whole, tol)]
-    total = 0.0
-    while stack:
-        a, b, fa, fab, fb, s, eps = stack.pop()
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = ev(lm), ev(rm)
-        sl = (m - a) / 6.0 * (fa + 4.0 * flm + fab)
-        sr = (b - m) / 6.0 * (fab + 4.0 * frm + fb)
-        err = sl + sr - s
-        if abs(err) <= 15.0 * eps or (b - a) <= width_floor:
-            total += sl + sr + err / 15.0
-        else:
-            half = 0.5 * eps
-            stack.append((a, m, fa, flm, fab, sl, half))
-            stack.append((m, b, fab, frm, fb, sr, half))
-    return total
-
-
 class Spline:
     """A piecewise cubic on Python floats: on piece k, from ``knots[k]``,
     the value at v is c0[k] + c1[k] dv + c2[k] dv^2 + c3[k] dv^3 with
@@ -247,8 +201,8 @@ class Spline:
     summed by ascending powers, in the order of scipy's ``PPoly``: the value
     then equals ``CubicSpline``'s to the last bit at most points, where
     Horner's order misses it by an ulp at about a third of them.
-    ``state_evolution`` evaluates the coefficient lists inline in its fast
-    step, with the same operations.
+    The state-evolution tables evaluate the coefficient lists in closures
+    of their own, with the same operations.
     """
 
     __slots__ = ("knots", "c0", "c1", "c2", "c3")

@@ -23,11 +23,10 @@ potential; the transition finders bisect on branch indicators:
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
 (``numerics.cubic_spline``, not-a-knot, on Python floats; built once per
 (prior) and (channel, rho), each from one array call of psi'), which is
-what makes near-spinodal runs with ~1e5 iterations affordable.  One loop
-serves both modes, stepping q -> (r, q_new); the fast step
-(``_table_step``) reads the two splines' knot and coefficient lists in one
-function, with the float operations of calling the tables, so its runs are
-theirs to the bit.  The tables serve the phase finders
+what makes near-spinodal runs with ~1e5 iterations affordable.  Each
+table is a closure over its spline's knot and coefficient lists, and one
+step (``_se_step``) serves both modes, calling either the two tables or
+the exact derivatives.  The tables serve the phase finders
 (``find_alpha_amp``, ``find_alpha_it``) only: ``gamma_branches`` and
 ``replica.solve`` run the exact recursion, and the CLI ``errors`` task
 reads its SE limit from ``solve``, so it builds no table.  Their node sets
@@ -92,8 +91,7 @@ import numpy as np
 
 from . import replica
 from .channels import Channel, quad_profile
-from .numerics import (BracketError, FixedPointOptions, Spline, cubic_spline,
-                       find_root)
+from .numerics import BracketError, FixedPointOptions, cubic_spline, find_root
 from .priors import Prior, R_CAP
 from .replica import RECOVERY_FRAC
 
@@ -191,43 +189,6 @@ CHANNEL_TABLE_LOGITS = _channel_logits()
 _UNIT_NODES = 1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS))
 
 
-class _PriorTable:
-    """2 psi_p0'(r) from a spline in t = ln(1 + r) (``_prior_table``)."""
-
-    __slots__ = ("spline",)
-
-    def __init__(self, spline: Spline):
-        self.spline = spline
-
-    def __call__(self, r: float) -> float:
-        return self.spline(min(math.log1p(max(r, 0.0)), self.spline.knots[-1]))
-
-
-class _ChannelTable:
-    """psi_pout'(q; rho) from a spline of its log in u = ln(q / (rho - q)),
-    linear in q between psi'(0) = v_zero and the lowest node (q_min, v_min)
-    (``_channel_table``)."""
-
-    __slots__ = ("rho", "spline", "q_min", "v_min", "v_zero")
-
-    def __init__(self, rho: float, spline: Spline, q_min: float, v_min: float,
-                 v_zero: float):
-        self.rho, self.spline, self.q_min = rho, spline, q_min
-        self.v_min, self.v_zero = v_min, v_zero
-
-    def __call__(self, q: float) -> float:
-        rho = self.rho
-        q = min(q, rho * (1.0 - _Q_GUARD))
-        if q <= 0.0:
-            return self.v_zero
-        u = math.log(q / (rho - q))
-        if u < self.spline.knots[0]:
-            # psi'(0) is 0 for an even channel, whose psi' grows like
-            # kappa q there
-            return self.v_zero + (self.v_min - self.v_zero) * (q / self.q_min)
-        return math.exp(self.spline(min(u, self.spline.knots[-1])))
-
-
 @lru_cache(maxsize=16)
 def _shipped(obj, build, *args) -> np.ndarray:
     """build(obj, *args), or the values ``_se_tables`` (imported on first
@@ -243,9 +204,25 @@ def _prior_values(prior: Prior) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _prior_table(prior: Prior) -> _PriorTable:
-    """Cubic spline of 2 psi_p0'(r) in t = ln(1 + r) on PRIOR_TABLE_NODES."""
-    return _PriorTable(cubic_spline(PRIOR_TABLE_NODES, _shipped(prior, _prior_values)))
+def _prior_table(prior: Prior) -> Callable[[float], float]:
+    """2 psi_p0'(r) from a cubic spline in t = ln(1 + r) on
+    PRIOR_TABLE_NODES, with r clamped to 0 and t to the top node."""
+    sp = cubic_spline(PRIOR_TABLE_NODES, _shipped(prior, _prior_values))
+    ts, b0, b1, b2, b3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
+    t_max, t_hi = ts[-1], len(ts) - 1
+    log1p = math.log1p
+
+    def table(r: float) -> float:
+        if 0.0 > r:
+            r = 0.0
+        t = log1p(r)
+        if t_max < t:
+            t = t_max
+        k = bisect_right(ts, t, 1, t_hi) - 1
+        dt = t - ts[k]
+        return b0[k] + b1[k] * dt + b2[k] * (dt * dt) + b3[k] * (dt * dt * dt)
+
+    return table
 
 
 def _table_values(channel: Channel, rho: float) -> np.ndarray:
@@ -259,10 +236,13 @@ def _table_values(channel: Channel, rho: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _channel_table(channel: Channel, rho: float) -> _ChannelTable:
-    """Cubic spline of ln psi_pout'(q) in u = ln(q / (rho - q)), on the
-    nodes CHANNEL_TABLE_LOGITS: uniform (spacing 0.158) up to u = 10, 8
-    times sparser above, from one array call of fast-profile psi_pout'.
+def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
+    """psi_pout'(q; rho) from a cubic spline of its log in
+    u = ln(q / (rho - q)), on the nodes CHANNEL_TABLE_LOGITS: uniform
+    (spacing 0.158) up to u = 10, 8 times sparser above, from one array call
+    of fast-profile psi_pout'.  q is clamped below rho and u to the top
+    node; below the lowest node (q_min, v_min) the table is linear in q
+    from psi'(0) = v_zero.
 
     A scale-free channel's table is its rho = 1 table, with the values
     divided by rho: psi'(q; rho) = psi'(q / rho; 1) / rho, and u is the
@@ -282,9 +262,30 @@ def _channel_table(channel: Channel, rho: float) -> _ChannelTable:
     # for q >= rho / 2, where 1 - q / rho rounds away up to 1e-3 of it near
     # q = rho unless rho is a power of two
     qs = _UNIT_NODES * node_rho
-    spline = cubic_spline(np.log(qs / (node_rho - qs)), np.log(vals))
-    return _ChannelTable(rho=rho, spline=spline, q_min=float(_UNIT_NODES[0] * rho),
-                         v_min=float(vals[0]), v_zero=v_zero)
+    sp = cubic_spline(np.log(qs / (node_rho - qs)), np.log(vals))
+    us, a0, a1, a2, a3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
+    u_min, u_max, u_hi = us[0], us[-1], len(us) - 1
+    q_cap, q_min = rho * (1.0 - _Q_GUARD), float(_UNIT_NODES[0] * rho)
+    v_min = float(vals[0])
+    log, exp = math.log, math.exp
+
+    def table(q: float) -> float:
+        if q_cap < q:
+            q = q_cap
+        if q <= 0.0:
+            return v_zero
+        u = log(q / (rho - q))
+        if u < u_min:
+            # psi'(0) is 0 for an even channel, whose psi' grows like
+            # kappa q there
+            return v_zero + (v_min - v_zero) * (q / q_min)
+        if u_max < u:
+            u = u_max
+        k = bisect_right(us, u, 1, u_hi) - 1
+        du = u - us[k]
+        return exp(a0[k] + a1[k] * du + a2[k] * (du * du) + a3[k] * (du * du * du))
+
+    return table
 
 
 def _se_functions(prior: Prior, channel: Channel, rho: float):
@@ -307,72 +308,26 @@ def _classify_init(q0: float, rho: float) -> str:
 
 def _se_step(prior: Prior, channel: Channel, alpha: float, damping: float,
              fast: bool) -> Callable[[float], tuple[float, float]]:
-    """One step of the recursion, q -> (r, q_new), with q_new damped and
-    both clamped."""
+    """One step of the recursion, q -> (r, q_new), with r and q_new clamped
+    and q_new damped; q itself is at most the cap (``se_run``).  ``fast``
+    reads both derivatives from their tables, unless psi_pout' is a closed
+    form."""
     rho = prior.second_moment
-    q_cap = rho * (1.0 - _Q_GUARD)
     if fast and not channel.closed_form_prime:
-        return _table_step(_prior_table(prior), _channel_table(channel, rho),
-                           alpha, damping, q_cap)
-    psi0p, psioutp = _se_functions(prior, channel, rho)
-
-    def step(q: float) -> tuple[float, float]:
-        r = min(2.0 * alpha * psioutp(min(q, q_cap)), R_CAP)
-        return r, min((1.0 - damping) * psi0p(r) + damping * q, q_cap)
-
-    return step
-
-
-def _table_step(prior_table: _PriorTable, channel_table: _ChannelTable,
-                alpha: float, damping: float,
-                q_cap: float) -> Callable[[float], tuple[float, float]]:
-    """The step of ``_se_step`` through the two tables, evaluated on their
-    coefficient lists in one function: the float operations and
-    comparisons of calling the tables (``_ChannelTable``, ``_PriorTable``,
-    ``numerics.Spline``), in the same order, without their calls."""
-    sp = channel_table.spline
-    us, a0, a1, a2, a3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
-    sp = prior_table.spline
-    ts, b0, b1, b2, b3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
-    rho, q_min = channel_table.rho, channel_table.q_min
-    v_min, v_zero = channel_table.v_min, channel_table.v_zero
-    u_min, u_max, u_hi = us[0], us[-1], len(us) - 1
-    t_max, t_hi = ts[-1], len(ts) - 1
+        psi0p, psioutp = _prior_table(prior), _channel_table(channel, rho)
+    else:
+        psi0p, psioutp = _se_functions(prior, channel, rho)
+    q_cap = rho * (1.0 - _Q_GUARD)
     two_alpha, keep = 2.0 * alpha, 1.0 - damping
-    log, exp, log1p = math.log, math.exp, math.log1p
 
-    # "if b < a: a = b" is min(a, b), and "if b > a: a = b" max(a, b), NaN
-    # included
+    # here and in the tables "if b < a: a = b" is min(a, b), and
+    # "if b > a: a = b" max(a, b), NaN included: a builtin call costs about
+    # a third of a table step
     def step(q: float) -> tuple[float, float]:
-        x = q
-        if q_cap < x:
-            x = q_cap
-        if x <= 0.0:
-            v = v_zero
-        else:
-            u = log(x / (rho - x))
-            if u < u_min:
-                v = v_zero + (v_min - v_zero) * (x / q_min)
-            else:
-                if u_max < u:
-                    u = u_max
-                k = bisect_right(us, u, 1, u_hi) - 1
-                du = u - us[k]
-                v = exp(a0[k] + a1[k] * du + a2[k] * (du * du)
-                        + a3[k] * (du * du * du))
-        r = two_alpha * v
+        r = two_alpha * psioutp(q)
         if R_CAP < r:
             r = R_CAP
-        x = r
-        if 0.0 > x:
-            x = 0.0
-        t = log1p(x)
-        if t_max < t:
-            t = t_max
-        k = bisect_right(ts, t, 1, t_hi) - 1
-        dt = t - ts[k]
-        p = b0[k] + b1[k] * dt + b2[k] * (dt * dt) + b3[k] * (dt * dt * dt)
-        q_new = keep * p + damping * q
+        q_new = keep * psi0p(r) + damping * q
         if q_cap < q_new:
             q_new = q_cap
         return r, q_new

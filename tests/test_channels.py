@@ -12,9 +12,10 @@ from glmphase.channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
                                ReLU, Sigmoid, Sign, SymmetricDoor,
                                _MASS, _VAR, _PiecewiseChannel,
                                _log_gauss_prob, _trunc_moments, quad_profile)
-from glmphase.numerics import (DEFAULT_GH_ORDER, gauss_hermite, gauss_panels,
-                               integrate_1d)
+from glmphase.numerics import DEFAULT_GH_ORDER, gauss_hermite, gauss_panels
 from glmphase.replica import denoising_error, generalization_error
+
+from adaptive_simpson import integrate_1d
 
 RHO1_CHANNELS = [
     LinearAWGN(0.5),

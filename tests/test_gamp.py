@@ -192,6 +192,29 @@ class TestGampRun:
                      float(np.mean((run.x_hat_final + inst.x_star) ** 2)))
         assert mse_pm < 1e-6
 
+    @pytest.mark.parametrize("prior,ch,n,alpha,seed,max_iter", [
+        (GaussBernoulliPrior(0.2), LinearAWGN(0.0), 1000, 0.6, 0, 500),
+        (GaussianPrior(1.0), Abs(0.0), 2000, 3.0, 4, 300)], ids=["linear", "abs"])
+    def test_noiseless_run_stops_at_the_floor(self, prior, ch, n, alpha, seed,
+                                              max_iter):
+        """Once mean(v) is below _V_FLOOR these runs circled their fixed
+        point at steps of 2e-7 to 5e-7 against tol = 1e-7, ran to max_iter
+        and paid for a damped retry that was then discarded."""
+        inst = generate_instance(prior, ch, n, alpha, seed=seed)
+        run = gamp_run(inst, GampOptions(seed=seed, max_iter=max_iter))
+        assert (run.converged, run.attempts) == (True, 1)
+        assert run.iterations < 40
+        mse_pm = min(float(np.mean((run.x_hat_final - inst.x_star) ** 2)),
+                     float(np.mean((run.x_hat_final + inst.x_star) ** 2)))
+        assert mse_pm <= 1e-10
+
+    def test_collapsed_variance_far_from_the_signal_is_not_converged(self):
+        """v reaches the floor at iteration 66 while the MSE is 0.73: the
+        floor's step test must not read that state as converged."""
+        inst = generate_instance(GaussBernoulliPrior(0.5), Abs(0.0), 1000, 2.0, seed=0)
+        run = gamp_run(inst, GampOptions(seed=0, max_iter=100))
+        assert (run.converged, run.iterations) == (False, 100)
+
     def test_nishimori_at_fixed_point(self):
         # cross-overlap equals squared norm within 5e-2 at n=2000 over 10 seeds
         prior, ch, alpha = GaussBernoulliPrior(0.2), Sign(), 1.2

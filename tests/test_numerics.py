@@ -15,11 +15,12 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from glmphase import numerics
 from glmphase.numerics import (_LOG_SQRT_2PI, BracketError, FixedPointOptions,
-                               NonFiniteIntegrandError, _leggauss_unit,
-                               cubic_spline, erfcx, expit, find_root,
-                               gauss_hermite, log_expit,
-                               gauss_panels, integrate_1d, logsumexp)
+                               _leggauss_unit, cubic_spline, erfcx, expit,
+                               find_root, gauss_hermite, log_expit,
+                               gauss_panels, logsumexp)
 from glmphase.state_evolution import CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES
+
+from adaptive_simpson import NonFiniteIntegrandError, integrate_1d
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0,
                     6: 15.0, 7: 0.0, 8: 105.0, 9: 0.0, 10: 945.0}

@@ -7,7 +7,7 @@ from glmphase import replica, state_evolution as se
 from glmphase.channels import (Abs, Channel, LinearAWGN, Sign,
                                SymmetricDoor, quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions, cubic_spline
-from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
+from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior, TwoPointPrior)
 from glmphase.state_evolution import (CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES,
                                       SPINODAL_SE_OPTS, SENonConvergenceError,
@@ -234,6 +234,19 @@ class TestAlphaITComparison:
     def test_alpha_it_bits(self, prior, ch, lo, hi, tol, expected):
         # the values of the finder that ran SE at every step
         assert find_alpha_it(prior, ch, lo, hi, tol=tol).hex() == expected
+
+    @pytest.mark.parametrize("prior,ch,lo,hi,expected", [
+        (RademacherPrior(), Sign(), 1.2, 1.8, "0x1.7e20000000001p+0"),
+        (RademacherPrior(), SymmetricDoor(), 0.8, 1.8, "0x1.90ecccccccccdp+0"),
+        (RademacherPrior(), SymmetricDoor(K=0.85), 0.8, 1.8, "0x1.59acccccccccdp+0"),
+        (GaussianPrior(1.0), Abs(0.0), 0.8, 1.4, "0x1.20e0000000001p+0"),
+        (GaussBernoulliPrior(0.5), Abs(0.0), 0.6, 1.2, "0x1.d1c0000000000p-1"),
+    ], ids=["rademacher-sign", "rademacher-door", "rademacher-door0.85",
+            "gauss-abs", "gb0.5-abs"])
+    def test_alpha_amp_bits(self, prior, ch, lo, hi, expected):
+        # the values of the fast step that evaluated the table coefficient
+        # lists inline, equal to the table callables of its time
+        assert find_alpha_amp(prior, ch, lo, hi, tol=1e-3).hex() == expected
 
     def test_bracket_error_message_kept(self):
         with pytest.raises(BracketError, match=r"^informative branch already "
@@ -553,13 +566,17 @@ class TestShippedPriorTable:
         return sizes
 
     def test_shipped_prior_builds_nothing(self, monkeypatch):
+        """The table is the spline of the shipped values, to the bit, at
+        the nodes and halfway between them."""
         se._prior_table.cache_clear()
         se._shipped.cache_clear()
         sizes = self._r_sizes(monkeypatch)
-        got = _prior_table(RademacherPrior()).spline
+        table = _prior_table(RademacherPrior())
         assert sizes == []
         want = cubic_spline(PRIOR_TABLE_NODES, self._shipped())
-        assert (got.c0, got.c1, got.c2, got.c3) == (want.c0, want.c1, want.c2, want.c3)
+        t_mid = 0.5 * (PRIOR_TABLE_NODES[:-1] + PRIOR_TABLE_NODES[1:])
+        for r in np.expm1(np.concatenate([PRIOR_TABLE_NODES, t_mid])).tolist():
+            assert table(r) == want(min(math.log1p(r), want.knots[-1]))
 
     def test_other_priors_build_in_one_call(self, monkeypatch):
         """RademacherPrior(0.3) ships no values, nor does a subclass of the
@@ -577,53 +594,38 @@ class TestShippedPriorTable:
         assert sizes == [PRIOR_TABLE_NODES.size] * 2
 
 
-def _stepped_through_tables(prior, ch, alpha, q0, opts):
-    """(q_seq, r_seq) of the fast recursion stepped through the table
-    callables, as se_run once ran it."""
-    rho = prior.second_moment
-    prior_table, channel_table = _prior_table(prior), _channel_table(ch, rho)
-    q_cap = rho * (1.0 - se._Q_GUARD)
-    q = min(q0, q_cap)
-    qs, rs = [q], []
-    for _ in range(opts.max_iter):
-        r = min(2.0 * alpha * channel_table(min(q, q_cap)), R_CAP)
-        q_new = (1.0 - opts.damping) * prior_table(r) + opts.damping * q
-        q_new = min(q_new, q_cap)
-        rs.append(r)
-        qs.append(q_new)
-        if abs(q_new - q) < opts.tol:
-            break
-        q = q_new
-    return np.array(qs), np.array(rs)
-
-
 UNINFORMATIVE, INFORMATIVE = se.UNINFORMATIVE_FRAC, 1.0 - se.INFORMATIVE_FRAC
 DAMPED = FixedPointOptions(damping=0.3, tol=1e-10, max_iter=200_000)
 CUT = FixedPointOptions(tol=1e-14, max_iter=40)
 
 
-@pytest.mark.parametrize("prior,ch,alpha,start,opts", [
-    (GaussBernoulliPrior(1.0), Abs(), 1.1, UNINFORMATIVE, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(1.0), Abs(), 1.3, 0.0, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(0.6), Abs(), 0.5, INFORMATIVE, SPINODAL_SE_OPTS),
-    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, SPINODAL_SE_OPTS),
-    (RademacherPrior(), SymmetricDoor(), 0.9, INFORMATIVE, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(0.3), Sign(), 1.2, 0.0, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(0.3), Sign(), 1.2, INFORMATIVE, SPINODAL_SE_OPTS),
-    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, DAMPED),
-    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, CUT),
+@pytest.mark.parametrize("prior,ch,alpha,start,opts,q_limit,iterations,converged", [
+    (GaussBernoulliPrior(1.0), Abs(), 1.1, UNINFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.61af11233f32dp-1", 302, True),
+    (GaussBernoulliPrior(1.0), Abs(), 1.3, 0.0, SPINODAL_SE_OPTS, "0x0.0p+0", 1, True),
+    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.e9a5161b16b66p-3", 154, True),
+    (GaussBernoulliPrior(0.6), Abs(), 0.5, INFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.d0bf9f121465cp-19", 34704, True),
+    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.240607ffbe59bp-3", 439, True),
+    (RademacherPrior(), SymmetricDoor(), 0.9, INFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.fffffffffffa6p-1", 2, True),
+    (GaussBernoulliPrior(0.3), Sign(), 1.2, 0.0, SPINODAL_SE_OPTS,
+     "0x1.bbddcd2f0f596p-3", 26, True),
+    (GaussBernoulliPrior(0.3), Sign(), 1.2, INFORMATIVE, SPINODAL_SE_OPTS,
+     "0x1.bbddcd3317366p-3", 29, True),
+    (GaussBernoulliPrior(0.6), Abs(), 0.9, UNINFORMATIVE, DAMPED,
+     "0x1.e9a5160d9c882p-3", 217, True),
+    (RademacherPrior(), SymmetricDoor(), 1.5, UNINFORMATIVE, CUT,
+     "0x1.a093a448beed2p-15", 40, False),
 ], ids=repr)
-def test_fast_step_matches_the_table_callables(prior, ch, alpha, start, opts):
-    """The fast step evaluates the tables' coefficient lists inline; its
-    runs must be those of the table callables, to the bit."""
-    q0 = start * prior.second_moment
-    run = se_run(prior, ch, alpha, q0, opts, fast=True)
-    qs, rs = _stepped_through_tables(prior, ch, alpha, q0, opts)
-    assert run.q_seq.tobytes() == qs.tobytes()
-    assert run.r_seq.tobytes() == rs.tobytes()
-    assert run.converged == (len(rs) < opts.max_iter)
-    assert opts is not CUT or not run.converged
+def test_fast_run_bits(prior, ch, alpha, start, opts, q_limit, iterations, converged):
+    """Fast runs as the inlined step of the table coefficient lists left
+    them, which equalled stepping through the table callables."""
+    run = se_run(prior, ch, alpha, start * prior.second_moment, opts, fast=True)
+    assert (run.q_limit.hex(), len(run.r_seq), run.converged) == (
+        q_limit, iterations, converged)
 
 
 # about 3x the largest error measured, 6.7e-6 (GaussBernoulli(0.2) at
