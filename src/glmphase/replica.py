@@ -26,7 +26,11 @@ or continuous noiseless channel) the transition finders in
 ``state_evolution`` compare branches through the divergence slope instead.
 ``f_hat`` reads its two alpha-independent terms from exact point caches:
 (r, psi_p0(r)) at the inner-inf r per (prior, q), and psi_pout under the
-exact profile, whichever is active, per (channel, q, rho).
+exact profile, whichever is active, per (channel, q, rho).  It takes an
+array of q too, whose uncached q share one root solve.  At an SE limit
+short of recovery the finders need no ``f_hat``: the limit (q, r) is a
+stationary point of f_rs, so its inner inf is at the run's own r, and
+``state_evolution`` reads f_rs there with psi_pout from the same cache.
 ``recovery_f`` is ``f_hat`` at the clamp, so its root is solved once per
 (prior, depth) and serves both routes of ``solve``: Route A's recovery
 point is ``recovery_f`` at EVAL_DEPTH, and Route B's t range ends at its r.
@@ -159,21 +163,46 @@ def inner_inf_r(prior: Prior, q):
     return float(r[0]) if q_arr.ndim == 0 else r.reshape(q_arr.shape)
 
 
-def f_hat(prior: Prior, channel: Channel, alpha: float, q: float) -> tuple[float, float]:
+def f_hat(prior: Prior, channel: Channel, alpha: float, q):
     """(inf_r f_rs(q, r), argmin r): the float of ``f_rs`` at ``inner_inf_r``
     under the exact profile, from the point caches; psi_pout rejects a q
-    outside [0, rho] before a root is solved."""
-    psi_out = _exact_psi_pout(channel, q, prior.second_moment)
-    r, psi_in = _inner_point(prior, q)
-    return _f_rs_terms(psi_in, psi_out, alpha, q, r), r
+    outside [0, rho] before a root is solved.
+
+    q may be an array: f and r come back as arrays of its shape, each
+    element the float of the scalar call.  psi_pout is one cached call per
+    q (a continuous channel's last bits depend on which q share its pass),
+    and the q the prior's point cache lacks share one root solve
+    (``_inner_points``)."""
+    rho = prior.second_moment
+    q_arr = np.asarray(q, dtype=float)
+    qs = q_arr.reshape(-1).tolist()
+    psi_out = np.array([_exact_psi_pout(channel, x, rho) for x in qs])
+    r, psi_in = _inner_points(prior, qs)
+    f = _f_rs_terms(psi_in, psi_out, alpha, q_arr.reshape(-1), r)
+    if q_arr.ndim == 0:
+        return float(f[0]), float(r[0])
+    return f.reshape(q_arr.shape), r.reshape(q_arr.shape)
 
 
-@lru_cache(maxsize=256)
-def _inner_point(prior: Prior, q: float) -> tuple[float, float]:
-    """(r, psi_p0(r)) at the inner-inf r of q: one root solve per (prior,
-    q), shared by every channel and alpha."""
-    r = inner_inf_r(prior, q)
-    return r, prior.psi_p0(r)
+# (prior, q) -> (r, psi_p0(r)) at the inner-inf r of q, shared by every
+# channel and alpha; the oldest entries go beyond _POINTS_MAX
+_INNER_POINTS: dict = {}
+_POINTS_MAX = 256
+
+
+def _inner_points(prior: Prior, qs: list) -> tuple[np.ndarray, np.ndarray]:
+    """(r, psi_p0(r)) at the inner-inf r of each q of qs, from the point
+    cache; the q it lacks share one batched ``inner_inf_r`` call and one
+    psi_p0 array call, whose floats are those of separate calls."""
+    missing = [q for q in dict.fromkeys(qs) if (prior, q) not in _INNER_POINTS]
+    if missing:
+        r = inner_inf_r(prior, np.array(missing))
+        _INNER_POINTS.update(zip(((prior, q) for q in missing),
+                                 zip(r.tolist(), prior.psi_p0(r).tolist())))
+    out = np.array([_INNER_POINTS[prior, q] for q in qs]).reshape(-1, 2)
+    while len(_INNER_POINTS) > _POINTS_MAX:
+        del _INNER_POINTS[next(iter(_INNER_POINTS))]
+    return out[:, 0], out[:, 1]
 
 
 @lru_cache(maxsize=256)
@@ -184,13 +213,15 @@ def _exact_psi_pout(channel: Channel, q: float, rho: float) -> float:
 
 
 def recovery_f(prior: Prior, channel: Channel, alpha: float,
-               depth: float = EVAL_DEPTH) -> float:
+               depth=EVAL_DEPTH):
     """Free entropy of the exact-recovery branch at clamp q = rho (1 - depth).
 
     f_rs(rho, r) decreases in r, so lim_{r->inf} f_rs(rho, r) = inf_r, which
     this approximates from inside the domain: it is ``f_hat`` at the clamp.
+    depth may be an array, as q of ``f_hat``.
     """
-    return f_hat(prior, channel, alpha, prior.second_moment * (1.0 - depth))[0]
+    return f_hat(prior, channel, alpha,
+                 prior.second_moment * (1.0 - np.asarray(depth, dtype=float)))[0]
 
 
 def solve(prior: Prior, channel: Channel, alpha: float,
@@ -259,7 +290,7 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
     for every t >= 0, so the sup over q needs no root solve.  The t = 0 end
     is q = mean^2; below it the inner inf is r = 0, where f increases in q.
     The top of the t range is the clamp root that Route A's recovery point
-    uses (``_inner_point`` at q_hi).  The grid is placed near uniform in q by
+    uses (``_inner_points`` at q_hi).  The grid is placed near uniform in q by
     inverting a coarse q(t), then refined by Brent's method in t, seeded
     with the grid points around the best one, until the bracket is 1e-9
     max(rho, 1) wide in q.  A NaN anywhere on the grid, or an infinite
@@ -275,7 +306,7 @@ def _direct_sup_inf(prior: Prior, channel: Channel, alpha: float,
         q = np.minimum(2.0 * prime, q_hi)
         return q, _f_rs_terms(psi_in, channel.psi_pout(q, rho), alpha, q, r)
 
-    r_hi = _inner_point(prior, q_hi)[0]
+    r_hi = float(_inner_points(prior, [q_hi])[0][0])
     t_coarse = np.linspace(0.0, math.log1p(r_hi), 65)
     q_coarse = np.minimum(2.0 * prior.psi_p0_prime(np.expm1(t_coarse)), q_hi)
     ts = np.interp(np.linspace(q_coarse[0], q_coarse[-1], grid_size),

@@ -15,9 +15,13 @@ potential; the transition finders bisect on branch indicators:
   entropy diverges in the clamp depth (prior and channel not both discrete)
   and psi_pout' blows up toward q = rho, the sign of the divergence slope
   d f / d ln(1/depth) decides, and only alpha_hi runs SE, to tell a merged
-  row (no transition).  Otherwise every alpha compares f_hat at its two SE
-  limits; under a discrete prior and channel a recovered one is taken at
-  the clamp q = rho (1 - SENTINEL_DEPTH).
+  row (no transition).  Otherwise every alpha compares the free entropy
+  of its two SE limits.  A limit (q, r) is a stationary point of f_rs, so
+  short of recovery and off the snapped q = 0 the inner inf over r is at
+  the run's own r: f_rs is read there, with psi_pout from ``replica``'s
+  point cache and no root solve (``_limit_f``).  A snapped or recovered
+  limit takes ``f_hat`` at q; under a discrete prior and channel a
+  recovered one is taken at the clamp q = rho (1 - SENTINEL_DEPTH).
 * alpha_c = 1 / stability_integral for even channels.
 
 ``fast=True`` evaluates both scalar derivatives through cubic-spline tables
@@ -56,10 +60,13 @@ and q / rho, so its table at rho is its rho = 1 table with the values and
 psi'(0) divided by rho and the lowest node q multiplied by rho; it builds
 its rho = 1 values once.  Every other channel, and any object that is not
 a ``Channel``, builds its table at each rho.  ``_se_tables`` ships the
-values of three tables, the rho = 1 ones of ``Sign()`` and ``Abs()`` and
-the prior table of ``RademacherPrior()`` (perceptron and door), written by
-``tools/se_tables.py`` from the one array call of their build; one lookup
-(``_shipped``) serves the channel and the prior tables.
+values of four tables, the rho = 1 ones of ``Sign()``, ``Abs()`` and
+``SymmetricDoor()`` and the prior table of ``RademacherPrior()``
+(perceptron and door), written by ``tools/se_tables.py`` from the one
+array call of their build; one lookup (``_shipped``) serves the channel
+and the prior tables.  A channel table built at node rho 1 (a scale-free
+channel at any rho, any channel at rho = 1) reads shipped values where
+there are some, so the door's serve it at rho = 1 only.
 
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
@@ -104,7 +111,8 @@ _Q_GUARD = 1e-14
 # a fixed point below SNAP_FRAC * rho is the exact symmetric one, q = 0,
 # where that exists (_symmetric_snap)
 SNAP_FRAC = 1e-8
-# clamp depth of both sides of the f_hat comparison of alpha_IT
+# clamp depth of a recovered limit in the alpha_IT comparison under a
+# discrete prior and channel
 SENTINEL_DEPTH = 1e-10
 
 DEFAULT_SE_OPTS = FixedPointOptions(damping=0.0, tol=1e-10, max_iter=5000)
@@ -246,11 +254,13 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
 
     A scale-free channel's table is its rho = 1 table, with the values
     divided by rho: psi'(q; rho) = psi'(q / rho; 1) / rho, and u is the
-    same at q and q / rho."""
-    if isinstance(channel, Channel) and channel.scale_free:
-        vals, node_rho = _shipped(channel, _table_values, 1.0) / rho, 1.0
+    same at q and q / rho.  Values at node rho 1 are the shipped ones
+    where ``_se_tables`` has them (``_shipped``)."""
+    node_rho = 1.0 if isinstance(channel, Channel) and channel.scale_free else rho
+    if node_rho == 1.0:
+        vals = _shipped(channel, _table_values, 1.0) / rho
     else:
-        vals, node_rho = _table_values(channel, rho), rho
+        vals = _table_values(channel, rho)
     vals, v_zero = vals[:-1], float(vals[-1])
     bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0.0))
     if bad.size:
@@ -437,12 +447,14 @@ def _symmetric_snap(prior: Prior, channel: Channel, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
-              opts: FixedPointOptions) -> float:
-    """Limit of a fast SE run from q0, snapped onto the symmetric fixed
-    point (``_symmetric_snap``); a run stopped by the iteration cap raises
-    instead of being read as a limit."""
-    q = se_run(prior, channel, alpha, q0, opts, fast=True).limit(alpha)
-    return _symmetric_snap(prior, channel, q)
+              opts: FixedPointOptions) -> tuple[float, float]:
+    """(q, r) at the limit of a fast SE run from q0: q snapped onto the
+    symmetric fixed point (``_symmetric_snap``), and the run's last r; a
+    run stopped by the iteration cap raises instead of being read as a
+    limit."""
+    run = se_run(prior, channel, alpha, q0, opts, fast=True)
+    q = _symmetric_snap(prior, channel, run.limit(alpha))
+    return q, float(run.r_seq[-1])
 
 
 def _check_tol(tol: float) -> None:
@@ -475,7 +487,7 @@ def find_alpha_amp(prior: Prior, channel: Channel, alpha_lo: float,
         opts = SPINODAL_SE_OPTS
 
     def recovered(alpha: float) -> bool:
-        q_limit = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
+        q_limit = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)[0]
         return q_limit > rho * (1.0 - RECOVERY_FRAC)
 
     if not recovered(alpha_hi):
@@ -500,14 +512,29 @@ def _recovery_slope(prior: Prior, channel: Channel, alpha: float) -> float:
     """
     rho = prior.second_moment
     d_min = max(1e-7, 100.0 * channel.delta / rho)
-    depths = [1000.0 * d_min, 100.0 * d_min, 10.0 * d_min, d_min]
-    fs = [replica.recovery_f(prior, channel, alpha, depth=d) for d in depths]
+    fs = replica.recovery_f(prior, channel, alpha,
+                            d_min * np.array([1000.0, 100.0, 10.0, 1.0])).tolist()
     slopes = [(fs[i + 1] - fs[i]) / math.log(10.0) for i in range(3)]
     d10, d21 = slopes[1] - slopes[0], slopes[2] - slopes[1]
     if abs(d10) > 1e-12 and 0.0 < d21 / d10 < 0.9:
         ratio = d21 / d10
         return slopes[2] + d21 * ratio / (1.0 - ratio)
     return slopes[2]
+
+
+def _limit_f(prior: Prior, channel: Channel, alpha: float, q: float,
+             r: float) -> float:
+    """inf_r f_rs(q, r) at an SE limit (q, r).  A limit is a stationary
+    point of f_rs, so short of recovery and off the snapped q = 0 its inner
+    inf is at the run's own r: f_rs there, with psi_pout from ``replica``'s
+    point cache, needs no root solve.  A snapped or recovered limit is
+    ``f_hat`` at q: at q = 0 its terms are cached, and near q = rho the
+    run's r is far above the inner-inf one."""
+    rho = prior.second_moment
+    if q == 0.0 or q > rho * (1.0 - RECOVERY_FRAC):
+        return replica.f_hat(prior, channel, alpha, q)[0]
+    psi_out = replica._exact_psi_pout(channel, q, rho)
+    return replica._f_rs_terms(prior.psi_p0(r), psi_out, alpha, q, r)
 
 
 def _informative_wins(prior: Prior, channel: Channel, alpha: float,
@@ -517,20 +544,19 @@ def _informative_wins(prior: Prior, channel: Channel, alpha: float,
     branch need not be SE-reachable: at tiny delta > 0 its endpoint shifts
     by O(1/ln(1/delta)), and the slope extrapolates the noiseless limit."""
     rho = prior.second_moment
-    q_inf = _se_limit(prior, channel, alpha, rho * (1.0 - INFORMATIVE_FRAC),
-                      opts)
-    q_un = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
+    q_inf, r_inf = _se_limit(prior, channel, alpha,
+                             rho * (1.0 - INFORMATIVE_FRAC), opts)
+    q_un, r_un = _se_limit(prior, channel, alpha, UNINFORMATIVE_FRAC * rho, opts)
     recovered = q_inf > rho * (1.0 - RECOVERY_FRAC)
     if abs(q_inf - q_un) < 1e-4 * rho:
         return True if recovered else None
     if slope:
         return _recovery_slope(prior, channel, alpha) > 0.0
-    f_un = replica.f_hat(prior, channel, alpha,
-                         min(q_un, rho * (1.0 - SENTINEL_DEPTH)))[0]
+    f_un = _limit_f(prior, channel, alpha, q_un, r_un)
     if recovered and prior.is_discrete and channel.is_discrete:
         f_inf = replica.recovery_f(prior, channel, alpha, depth=SENTINEL_DEPTH)
     else:
-        f_inf = replica.f_hat(prior, channel, alpha, q_inf)[0]
+        f_inf = _limit_f(prior, channel, alpha, q_inf, r_inf)
     return f_inf >= f_un
 
 

@@ -186,7 +186,7 @@ class TestRecoveryTermCache:
             calls.append(r)
             return real(self, r)
 
-        replica._inner_point.cache_clear()
+        replica._INNER_POINTS.clear()
         replica._exact_psi_pout.cache_clear()
         alphas = (0.3, 0.75, 1.1, 1.6)
         monkeypatch.setattr(cls, "psi_p0", spy)
@@ -207,7 +207,7 @@ class TestRecoveryTermCache:
         qs = (0.0, 0.3 * rho, rho * (1.0 - depth))
         want = [(f_rs(prior, ch, 0.9, q, inner_inf_r(prior, q)), inner_inf_r(prior, q))
                 for q in qs]
-        replica._inner_point.cache_clear()
+        replica._INNER_POINTS.clear()
         replica._exact_psi_pout.cache_clear()
         with quad_profile("fast"):
             assert [f_hat(prior, ch, 0.9, q) for q in qs] == want
@@ -231,12 +231,80 @@ class TestRecoveryTermCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._inner_point.cache_clear()
+        replica._INNER_POINTS.clear()
         replica._exact_psi_pout.cache_clear()
         prior, doors = RademacherPrior(), (SymmetricDoor(), SymmetricDoor(K=0.9))
         got = [replica.recovery_f(prior, ch, 1.2, 1e-10) for ch in doors]
         assert len(calls) == 1
         assert got == [f_hat(prior, ch, 1.2, 1.0 - 1e-10)[0] for ch in doors]
+
+
+class TestBatchedFHat:
+    """f_hat and recovery_f take an array of q (depths): the q the point
+    cache lacks share one inner_inf_r call, and every element is the float
+    of the scalar call."""
+
+    PRIORS = [RademacherPrior(), GaussBernoulliPrior(1.0), GaussBernoulliPrior(0.6),
+              TwoPointPrior((1.0, -0.5), (0.3, 0.7))]
+
+    @staticmethod
+    def _root_sizes(monkeypatch):
+        sizes, real = [], replica.inner_inf_r
+
+        def spy(prior, q):
+            sizes.append(np.size(q))
+            return real(prior, q)
+
+        monkeypatch.setattr(replica, "inner_inf_r", spy)
+        return sizes
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=repr)
+    def test_array_equals_scalar_calls(self, prior, monkeypatch):
+        rho = prior.second_moment
+        qs = np.array([0.0, 0.2, 0.5, 0.9, 1.0 - 1e-6]) * rho
+        replica._INNER_POINTS.clear()
+        sizes = self._root_sizes(monkeypatch)
+        f, r = f_hat(prior, Sign(), 1.1, qs)
+        assert sizes == [qs.size]
+        f2, r2 = f_hat(prior, Sign(), 0.7, qs[::-1])
+        assert sizes == [qs.size]
+        monkeypatch.setattr(replica, "inner_inf_r", inner_inf_r)
+        replica._INNER_POINTS.clear()
+        assert list(zip(f.tolist(), r.tolist())) == [
+            f_hat(prior, Sign(), 1.1, q) for q in qs.tolist()]
+        assert f2.tolist() == [f_hat(prior, Sign(), 0.7, q)[0] for q in qs[::-1].tolist()]
+
+    def test_only_missing_q_are_solved(self, monkeypatch):
+        prior = GaussBernoulliPrior(0.6)
+        replica._INNER_POINTS.clear()
+        sizes = self._root_sizes(monkeypatch)
+        f_hat(prior, Abs(0.0), 1.0, 0.3)
+        f, r = f_hat(prior, Abs(0.0), 1.0, np.array([[0.1, 0.3], [0.5, 0.1]]))
+        assert sizes == [1, 2]
+        assert f.shape == r.shape == (2, 2)
+
+    @pytest.mark.parametrize("prior", [GaussBernoulliPrior(1.0),
+                                       GaussBernoulliPrior(0.6)], ids=repr)
+    def test_recovery_slope_solves_its_depths_at_once(self, prior, monkeypatch):
+        """The four clamp depths of the divergence slope: one root call."""
+        from glmphase import state_evolution as se
+        replica._INNER_POINTS.clear()
+        sizes = self._root_sizes(monkeypatch)
+        se._recovery_slope(prior, Abs(0.0), 0.9)
+        assert sizes == [4]
+        depths = 1e-7 * np.array([1000.0, 100.0, 10.0, 1.0])
+        batched = replica.recovery_f(prior, Abs(0.0), 0.9, depths)
+        replica._INNER_POINTS.clear()
+        assert batched.tolist() == [replica.recovery_f(prior, Abs(0.0), 0.9, d)
+                                    for d in depths.tolist()]
+
+    def test_cache_keeps_the_newest_points(self):
+        replica._INNER_POINTS.clear()
+        qs = np.linspace(0.0, 0.9, replica._POINTS_MAX + 10)
+        f_hat(RademacherPrior(), Sign(), 1.0, qs)
+        assert len(replica._INNER_POINTS) == replica._POINTS_MAX
+        assert (RademacherPrior(), float(qs[-1])) in replica._INNER_POINTS
+        assert (RademacherPrior(), float(qs[0])) not in replica._INNER_POINTS
 
 
 class TestGeneralizationError:
@@ -479,7 +547,7 @@ def test_route_b_solves_one_root(monkeypatch):
         return original(prior, q, *args)
 
     monkeypatch.setattr(replica, "inner_inf_r", counted)
-    replica._inner_point.cache_clear()
+    replica._INNER_POINTS.clear()
     prior, ch = RademacherPrior(), Sign()
     sol = solve(prior, ch, 1.35)
     assert sol.q_star == 1.0
@@ -494,7 +562,7 @@ def test_route_b_takes_one_prior_pass_per_block(prior, monkeypatch):
     """Route B builds each prior block's panel rule once: its 201-point
     grid and each Brent step take psi_p0 and psi_p0' from one pass, and
     only the 65-point coarse grid takes psi_p0' alone."""
-    replica._inner_point(prior, prior.second_moment * (1.0 - replica.EVAL_DEPTH))
+    replica._inner_points(prior, [prior.second_moment * (1.0 - replica.EVAL_DEPTH)])
     blocks, rules = [], []
     expect, panels = type(prior)._expect_y0, priors.gauss_panels
 

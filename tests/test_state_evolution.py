@@ -108,7 +108,7 @@ class TestSymmetricSnap:
         prior, ch = RademacherPrior(), SymmetricDoor()
         run = se_run(prior, ch, 1.2, 1e-6, SPINODAL_SE_OPTS, fast=True)
         assert 0.0 < run.q_limit < se.SNAP_FRAC
-        assert se._se_limit(prior, ch, 1.2, 1e-6, SPINODAL_SE_OPTS) == 0.0
+        assert se._se_limit(prior, ch, 1.2, 1e-6, SPINODAL_SE_OPTS)[0] == 0.0
 
     def test_door_alpha_it_solves_no_root_at_zero(self, monkeypatch):
         """Each bisection step once solved 2 psi_p0'(r) = q_un for a q_un
@@ -121,7 +121,7 @@ class TestSymmetricSnap:
             return real(f, a, b, t, **kw)
 
         monkeypatch.setattr(replica, "find_root", spy)
-        replica._inner_point.cache_clear()
+        replica._INNER_POINTS.clear()
         alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(), 0.8, 1.8)
         assert alpha_it == pytest.approx(1.0, abs=0.005)
         assert targets and min(targets) >= se.SNAP_FRAC
@@ -254,6 +254,81 @@ class TestAlphaITComparison:
             find_alpha_it(RademacherPrior(), Abs(0.0), 0.3, 1.5)
 
 
+UNINFORMATIVE, INFORMATIVE = se.UNINFORMATIVE_FRAC, 1.0 - se.INFORMATIVE_FRAC
+# |f_rs(q, r_run) - f_hat(q)| at a sub-recovery SE limit: at most 3.6e-15
+# measured over the cases below, where r_run / r_inner - 1 is up to 3e-7
+# and f_rs is stationary in r; about 280x margin
+PAIR_F_BOUND = 1e-12
+TWO_POINT = TwoPointPrior((1.0, -0.5), (0.3, 0.7))
+
+
+class TestPairRule:
+    """alpha_IT takes f at a sub-recovery SE limit (q, r) as f_rs at the
+    run's own r, with no root solve; snapped and recovered limits keep
+    f_hat and recovery_f."""
+
+    @pytest.mark.parametrize("prior,ch,alpha,start", [
+        (RademacherPrior(), SymmetricDoor(K=0.87), 1.2, UNINFORMATIVE),
+        (RademacherPrior(), SymmetricDoor(K=0.96), 1.2, UNINFORMATIVE),
+        (RademacherPrior(), Sign(0.1), 1.0, UNINFORMATIVE),
+        (GaussBernoulliPrior(0.5), Sign(0.05), 0.8, UNINFORMATIVE),
+        (GaussBernoulliPrior(0.5), Sign(0.05), 1.5, INFORMATIVE),
+        (TWO_POINT, SymmetricDoor(), 1.0, UNINFORMATIVE),
+        (TWO_POINT, Sign(), 0.5, UNINFORMATIVE),
+    ], ids=repr)
+    def test_error_bound(self, prior, ch, alpha, start):
+        rho = prior.second_moment
+        q, r = se._se_limit(prior, ch, alpha, start * rho, SPINODAL_SE_OPTS)
+        assert 0.0 < q <= rho * (1.0 - replica.RECOVERY_FRAC)
+        f_hat, r_inner = replica.f_hat(prior, ch, alpha, q)
+        assert r != r_inner
+        assert abs(se._limit_f(prior, ch, alpha, q, r) - f_hat) <= PAIR_F_BOUND
+
+    @pytest.mark.parametrize("prior,ch,alpha,start", [
+        (RademacherPrior(), SymmetricDoor(), 1.2, UNINFORMATIVE),
+        (RademacherPrior(), Sign(0.1), 1.5, INFORMATIVE),
+        (GaussBernoulliPrior(0.6), Abs(0.0), 1.2, INFORMATIVE),
+    ], ids=repr)
+    def test_snapped_and_recovered_limits_keep_f_hat(self, prior, ch, alpha,
+                                                     start, monkeypatch):
+        rho = prior.second_moment
+        q, r = se._se_limit(prior, ch, alpha, start * rho, SPINODAL_SE_OPTS)
+        assert q == 0.0 or q > rho * (1.0 - replica.RECOVERY_FRAC)
+        qs, real = [], replica.f_hat
+        monkeypatch.setattr(replica, "f_hat",
+                            lambda *a: qs.append(a[3]) or real(*a))
+        assert se._limit_f(prior, ch, alpha, q, r) == real(prior, ch, alpha, q)[0]
+        assert qs == [q]
+
+    def test_recovered_door_limit_reads_recovery_f(self, monkeypatch):
+        """Above alpha_c both door limits are off q = 0: the recovered one
+        is recovery_f at SENTINEL_DEPTH, the other f_rs at its pair."""
+        depths, real = [], replica.recovery_f
+        monkeypatch.setattr(replica, "recovery_f",
+                            lambda *a, **kw: depths.append(kw["depth"]) or real(*a, **kw))
+        qs, real_hat = [], replica.f_hat
+        monkeypatch.setattr(replica, "f_hat", lambda *a: qs.append(a[3]) or real_hat(*a))
+        assert se._informative_wins(RademacherPrior(), SymmetricDoor(), 1.5,
+                                    SPINODAL_SE_OPTS, False)
+        assert depths == [se.SENTINEL_DEPTH]
+        assert qs == [1.0 - se.SENTINEL_DEPTH]
+
+    def test_door_alpha_it_solves_no_sub_recovery_root(self, monkeypatch):
+        """At K = 0.96 alpha_IT lies above alpha_c, so q_un > 0 at every
+        bisection step; each step once solved 2 psi_p0'(r) = q_un."""
+        qs, real = [], replica.inner_inf_r
+
+        def spy(prior, q):
+            qs.extend(np.ravel(q).tolist())
+            return real(prior, q)
+
+        monkeypatch.setattr(replica, "inner_inf_r", spy)
+        replica._INNER_POINTS.clear()
+        alpha_it = find_alpha_it(RademacherPrior(), SymmetricDoor(K=0.96), 0.8, 1.8)
+        assert alpha_it.hex() == "0x1.15acccccccccdp+0"
+        assert qs and all(q == 0.0 or q > 1.0 - replica.RECOVERY_FRAC for q in qs)
+
+
 class TestBisectionTolerance:
     """tol <= 0 never ended (the bracket stops at one ulp) and a NaN tol
     returned the midpoint at once."""
@@ -384,6 +459,8 @@ class TestChannelTable:
 
     def test_built_in_one_call(self, q_sizes):
         # the 211 nodes and q = 0
+        se._channel_table.cache_clear()
+        se._shipped.cache_clear()
         sizes = q_sizes("psi_pout_prime")
         _channel_table(SymmetricDoor(K=0.5), 1.0)
         assert sizes == [212]
@@ -489,19 +566,23 @@ class TestChannelTable:
 
 
 def test_shipped_keys():
-    """glmphase._se_tables ships the rho = 1 tables of Sign() and Abs() and
-    the prior table of RademacherPrior(), each keyed by module and repr."""
+    """glmphase._se_tables ships the rho = 1 tables of Sign(), Abs() and
+    SymmetricDoor() and the prior table of RademacherPrior(), each keyed
+    by module and repr."""
     from glmphase._se_tables import VALUES
-    assert set(VALUES) == {"glmphase.channels.Sign(delta=0.0, epsilon=0.0)",
-                           "glmphase.channels.Abs(delta=0.0, epsilon=0.0)",
-                           "glmphase.priors.RademacherPrior(p_plus=0.5)"}
+    assert set(VALUES) == {
+        "glmphase.channels.Sign(delta=0.0, epsilon=0.0)",
+        "glmphase.channels.Abs(delta=0.0, epsilon=0.0)",
+        "glmphase.channels.SymmetricDoor(K=0.67449, delta=0.0, epsilon=0.0)",
+        "glmphase.priors.RademacherPrior(p_plus=0.5)"}
 
 
 class TestScaleFreeTable:
     """Sign and noiseless abs serve every rho from their rho = 1 table,
-    whose values ship in glmphase._se_tables."""
+    whose values ship in glmphase._se_tables, as do those of the door's
+    rho = 1 table."""
 
-    @pytest.mark.parametrize("ch", [Sign(), Abs()], ids=repr)
+    @pytest.mark.parametrize("ch", [Sign(), Abs(), SymmetricDoor()], ids=repr)
     def test_shipped_values_are_fresh(self, ch):
         """numpy's SIMD exp and log move the last bits between CPUs, hence
         rtol 1e-12 and not equality."""
@@ -535,6 +616,26 @@ class TestScaleFreeTable:
     def test_rescaled_error_bound(self, ch):
         """At a rho the other table tests do not take."""
         assert _table_rel_error(ch, MID, 0.73) <= TABLE_REL_BOUND
+
+
+class TestShippedDoorTable:
+    """SymmetricDoor() is not scale-free: its shipped rho = 1 values serve
+    rho = 1 only, where the door's Rademacher prior puts it."""
+
+    def test_builds_nothing_at_rho_1(self, q_sizes):
+        se._channel_table.cache_clear()
+        se._shipped.cache_clear()
+        sizes = q_sizes("psi_pout_prime")
+        _channel_table(SymmetricDoor(), 1.0)
+        assert sizes == []
+
+    def test_other_rho_and_width_build_their_own(self, q_sizes):
+        se._channel_table.cache_clear()
+        se._shipped.cache_clear()
+        sizes = q_sizes("psi_pout_prime")
+        _channel_table(SymmetricDoor(), 0.6)
+        _channel_table(SymmetricDoor(K=0.9), 1.0)
+        assert sizes == [LOGITS.size + 1] * 2
 
 
 class TestShippedPriorTable:
@@ -594,7 +695,6 @@ class TestShippedPriorTable:
         assert sizes == [PRIOR_TABLE_NODES.size] * 2
 
 
-UNINFORMATIVE, INFORMATIVE = se.UNINFORMATIVE_FRAC, 1.0 - se.INFORMATIVE_FRAC
 DAMPED = FixedPointOptions(damping=0.3, tol=1e-10, max_iter=200_000)
 CUT = FixedPointOptions(tol=1e-14, max_iter=40)
 

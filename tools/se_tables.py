@@ -1,6 +1,7 @@
 """Write ``src/glmphase/_se_tables.py``, the state-evolution table values
 that ``glmphase.state_evolution`` ships: the rho = 1 channel tables of
-``Sign()`` and ``Abs()`` and the prior table of ``RademacherPrior()``.
+``Sign()``, ``Abs()`` and ``SymmetricDoor()`` and the prior table of
+``RademacherPrior()``.
 
     python tools/se_tables.py
 
@@ -8,8 +9,11 @@ A channel whose law of y given c z is that of y given z, up to a
 relabelling of y, for every c > 0 (``Channel.scale_free``: sign with any
 noise, noiseless abs, both without epsilon) has
 psi_pout'(q; rho) = psi_pout'(q / rho; 1) / rho, so its fast-profile
-state-evolution table at any rho is its rho = 1 table rescaled.  For
-``Sign()`` and ``Abs()`` this script writes the 212 values of that table:
+state-evolution table at any rho is its rho = 1 table rescaled.  Any other
+channel builds its table at its own rho, so a shipped rho = 1 table of it
+serves rho = 1 only: ``SymmetricDoor()``, the door of the paper's phase
+diagram, whose prior is the Rademacher one of rho = 1.  For each of the
+three channels this script writes the 212 values of that table:
 fast-profile psi_pout'(q; 1) at the 211 nodes
 q = 1 / (1 + exp(-u)), u in ``CHANNEL_TABLE_LOGITS``, then at q = 0.  They
 come from ``state_evolution._table_values``, the one array call that a
@@ -43,13 +47,14 @@ PER_LINE = 4
 
 
 def render() -> str:
-    from glmphase.channels import Abs, Sign
+    from glmphase.channels import Abs, Sign, SymmetricDoor
     from glmphase.priors import RademacherPrior
     from glmphase.state_evolution import _prior_values, _table_values
 
     blocks = []
     for obj, values in ((Sign(), _table_values(Sign(), 1.0)),
                         (Abs(), _table_values(Abs(), 1.0)),
+                        (SymmetricDoor(), _table_values(SymmetricDoor(), 1.0)),
                         (RademacherPrior(), _prior_values(RademacherPrior()))):
         vals = [repr(v) for v in values.tolist()]
         lines = "\n".join(" ".join(vals[i:i + PER_LINE])
@@ -61,9 +66,11 @@ tools/se_tables.py.
 
 VALUES[f"{{type(obj).__module__}}.{{obj!r}}"] holds, as text:
 
-* for Sign() and Abs(), fast-profile psi_pout'(q; 1) at the 211 channel-table
-  nodes q = 1 / (1 + exp(-u)), u in state_evolution.CHANNEL_TABLE_LOGITS,
-  then at q = 0; state_evolution divides them by rho for a table at rho;
+* for Sign(), Abs() and SymmetricDoor(), fast-profile psi_pout'(q; 1) at
+  the 211 channel-table nodes q = 1 / (1 + exp(-u)), u in
+  state_evolution.CHANNEL_TABLE_LOGITS, then at q = 0; state_evolution
+  divides the Sign() and Abs() ones by rho for a table at rho, and reads
+  the SymmetricDoor() ones at rho = 1 only;
 * for RademacherPrior(), 2 psi_p0'(r) at the 253 prior-table nodes
   r = expm1(t), t in state_evolution.PRIOR_TABLE_NODES.
 
