@@ -7,7 +7,8 @@ deterministic seeded sweeps, plot-ready CSV/JSON tables.
 Tasks: potential, se, gamp, phase-diagram, errors, validate.
 Exit codes: 0 success, 1 a failed validate check or an SE or GAMP run cut
 at its iteration cap (the table is still written), 2 config error, such as
-a [grid] or [numerics] key that the task does not read (``SETTINGS``).
+a section outside ``SECTIONS`` or a [grid] or [numerics] key that the task
+does not read (``SETTINGS``).
 """
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ class ResultTable:
     notes: list[str] = field(default_factory=list)
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> dict:
-    return dict(cp[name]) if cp.has_section(name) else {}
+# the sections the CLI reads, each with the keys it takes (None: any)
+SECTIONS = {"experiment": ("task", "seed"), "prior": None, "channel": None,
+            "grid": None, "numerics": None, "output": ("path", "format")}
 
 
 def _to_number(s: str):
@@ -85,22 +87,42 @@ def _to_number(s: str):
             return s
 
 
-def parse_config(path: str, overrides=()) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+def _read(path: str, overrides) -> dict:
+    """{section: {key: value}} of the file with the overrides applied, for
+    every section of SECTIONS.  A
+    file configparser cannot parse, a section outside SECTIONS, and a key
+    a section does not take are config errors."""
+    # [DEFAULT] is no special section, so it is rejected as unknown
+    cp = configparser.ConfigParser(default_section="")
     cp.optionxform = str  # keys keep their case: the door channel's "K"
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path!r}: {' '.join(str(exc).split())}") from None
     for ov in overrides:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override must be section.key=value, got {ov!r}")
         key, value = ov.split("=", 1)
-        section, option = key.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), option.strip(), value.strip())
+        section, option = (part.strip() for part in key.split(".", 1))
+        sections.setdefault(section, {})[option] = value.strip()
+    for section, keys in sections.items():
+        if section not in SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; the sections "
+                              f"are {', '.join(SECTIONS)}")
+        unknown = sorted(set(keys) - set(SECTIONS[section] or keys))
+        if unknown:
+            raise ConfigError(f"unknown key {section}.{unknown[0]}; "
+                              f"[{section}] takes {', '.join(SECTIONS[section])}")
+    return {name: sections.get(name, {}) for name in SECTIONS}
 
-    exp = _section(cp, "experiment")
+
+def parse_config(path: str, overrides=()) -> ExperimentConfig:
+    sections = _read(path, overrides)
+    numbers = {name: {k: _to_number(v) for k, v in keys.items()}
+               for name, keys in sections.items()}
+    exp = sections["experiment"]
     if "task" not in exp:
         raise ConfigError("missing experiment.task")
     task = exp["task"].strip()
@@ -109,30 +131,20 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
     if "seed" not in exp:
         raise ConfigError("missing experiment.seed (no wall-clock defaults)")
     try:  # SeedSequence takes a nonnegative integer only
-        seed = _COUNT[0](_to_number(exp["seed"]))
+        seed = _COUNT[0](numbers["experiment"]["seed"])
     except ValueError as exc:
         raise ConfigError(f"experiment.seed {exc}") from None
 
-    prior_spec = {k: _to_number(v) for k, v in _section(cp, "prior").items()}
-    channel_spec = {k: _to_number(v) for k, v in _section(cp, "channel").items()}
     if task != "validate":
-        for layer, spec, base in (("prior", prior_spec, Prior),
-                                  ("channel", channel_spec, Channel)):
+        for layer, base in (("prior", Prior), ("channel", Channel)):
             try:
-                from_spec(spec, base)
+                from_spec(numbers[layer], base)
             except ValueError as exc:
                 raise ConfigError(f"bad {layer} spec: {exc}") from exc
-
-    cfg = ExperimentConfig(
-        task=task,
-        prior_spec=prior_spec,
-        channel_spec=channel_spec,
-        grid={k: _to_number(v) for k, v in _section(cp, "grid").items()},
-        numerics={k: _to_number(v) for k, v in _section(cp, "numerics").items()},
-        output={k: v for k, v in _section(cp, "output").items()},
-        seed=seed,
-    )
-    return cfg
+    return ExperimentConfig(
+        task=task, prior_spec=numbers["prior"], channel_spec=numbers["channel"],
+        grid=numbers["grid"], numerics=numbers["numerics"],
+        output=sections["output"], seed=seed)
 
 
 def _number(test, need: str, kind: type = float):
@@ -329,13 +341,12 @@ def _run_phase_diagram(cfg: ExperimentConfig, s: dict) -> ResultTable:
     if not alpha_lo < alpha_hi:
         raise ConfigError(f"need grid.alpha_lo < grid.alpha_hi, got {alpha_lo!r} "
                           f"and {alpha_hi!r}")
-    param_target = s["param"]
-    key = "sparsity" if param_target == "rho" else param_target
+    key = s["param"]
     prior_keys = _scalar_fields(to_spec(cfg.prior()))
     channel_keys = _scalar_fields(to_spec(cfg.channel()))
     if key not in prior_keys | channel_keys:
         raise ConfigError(
-            f"grid.param {param_target!r} is not a field of the configured "
+            f"grid.param {key!r} is not a field of the configured "
             f"prior ({sorted(prior_keys)}) or channel ({sorted(channel_keys)})")
 
     def at_params(spec, base, keys):
@@ -565,9 +576,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config, args.override)
-        if cfg.task != args.task:
-            cfg = dataclasses.replace(cfg, task=args.task)
+        cfg = dataclasses.replace(parse_config(args.config, args.override),
+                                  task=args.task)
         # an unknown output format fails before the run, not after it
         fmt = args.format or cfg.output.get("format", "csv")
         if fmt not in FORMATS:

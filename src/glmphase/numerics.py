@@ -1,9 +1,11 @@
 """Quadrature, interpolation, root finding, fixed-point iteration options,
 and the special functions erfcx, expit and log_expit.
 
-Every Gaussian expectation in this package goes through the probabilists'
-Gauss-Hermite rule of :func:`gauss_hermite`: nodes and weights for
-E[f(Z)] with Z ~ N(0,1), weights forming a probability vector.
+Gaussian expectations E[f(Z)], Z ~ N(0,1), without a closed form take the
+composite Gauss-Legendre panels of :func:`gauss_panels`, refined around
+the integrand's features; the probabilists' Gauss-Hermite rule of
+:func:`gauss_hermite` serves only the E_V rules of channels without
+thresholds (linear, sigmoid) and ``Channel.second_moment_phi``.
 """
 from __future__ import annotations
 
@@ -192,41 +194,20 @@ def gauss_panels(features=(), widths=(), chunk: float = PANEL_CHUNK,
     return QuadratureRule(nodes=nodes, weights=weights, row=row)
 
 
-class Spline:
-    """A piecewise cubic on Python floats: on piece k, from ``knots[k]``,
-    the value at v is c0[k] + c1[k] dv + c2[k] dv^2 + c3[k] dv^3 with
-    dv = v - knots[k]; the end pieces extend beyond the end knots.
-
-    Calling it is one bisect and a few float operations.  The cubic is
-    summed by ascending powers, in the order of scipy's ``PPoly``: the value
-    then equals ``CubicSpline``'s to the last bit at most points, where
-    Horner's order misses it by an ulp at about a third of them.
-    The state-evolution tables evaluate the coefficient lists in closures
-    of their own, with the same operations.
-    """
-
-    __slots__ = ("knots", "c0", "c1", "c2", "c3")
-
-    def __init__(self, knots: list, c0: list, c1: list, c2: list, c3: list):
-        self.knots, self.c0, self.c1, self.c2, self.c3 = knots, c0, c1, c2, c3
-
-    def __call__(self, v: float) -> float:
-        xs = self.knots
-        # bisect_right clamped to [1, n - 1]: the end pieces extrapolate
-        k = bisect_right(xs, v, 1, len(xs) - 1) - 1
-        dv = v - xs[k]
-        return (self.c0[k] + self.c1[k] * dv + self.c2[k] * (dv * dv)
-                + self.c3[k] * (dv * dv * dv))
-
-
-def cubic_spline(x, y) -> Spline:
+def cubic_spline(x, y) -> Callable[[float], float]:
     """Not-a-knot cubic spline through the points (x, y), x increasing, as a
-    scalar function; outside [x[0], x[-1]] the end cubics extrapolate.
+    function of one Python float; outside [x[0], x[-1]] the end cubics
+    extrapolate.
 
     The node slopes come from one dense solve of the tridiagonal system
     (with the not-a-knot end rows, the boundary condition scipy's
-    ``CubicSpline`` uses by default).  Each interval keeps its cubic in
-    powers of x - x_i as Python floats (``Spline``).
+    ``CubicSpline`` uses by default).  Piece k keeps its cubic in powers of
+    dv = v - x[k] as lists of Python floats, so a call is one bisect and a
+    few float operations.  The powers are summed in ascending order, as
+    scipy's ``PPoly`` sums them: the value then equals ``CubicSpline``'s to
+    the last bit at most points, where Horner's order misses it by an ulp
+    at about a third of them.  The state-evolution tables call this
+    evaluator inside their own transforms and clamps.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -255,8 +236,17 @@ def cubic_spline(x, y) -> Spline:
     b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
     s = np.linalg.solve(a, b)
     t = (s[:-1] + s[1:] - 2.0 * slope) / h
-    return Spline(knots=x.tolist(), c0=y[:-1].tolist(), c1=s[:-1].tolist(),
-                  c2=((slope - s[:-1]) / h - t).tolist(), c3=(t / h).tolist())
+    xs, c0, c1 = x.tolist(), y[:-1].tolist(), s[:-1].tolist()
+    c2, c3 = ((slope - s[:-1]) / h - t).tolist(), (t / h).tolist()
+    k_hi = n - 1
+
+    def spline(v: float) -> float:
+        # bisect_right clamped to [1, n - 1]: the end pieces extrapolate
+        k = bisect_right(xs, v, 1, k_hi) - 1
+        dv = v - xs[k]
+        return c0[k] + c1[k] * dv + c2[k] * (dv * dv) + c3[k] * (dv * dv * dv)
+
+    return spline
 
 
 # the most bisections between the smallest normal and the largest double

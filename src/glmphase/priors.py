@@ -48,9 +48,10 @@ class DenoiserOutput:
 
 
 def _check_r(r) -> np.ndarray:
+    """r as an array capped at R_CAP (inf too); a negative or NaN r raises."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError(f"r must be nonnegative, got {r}")
+    if not np.all(r >= 0.0):
+        raise ValueError(f"r must be nonnegative and not NaN, got {r}")
     return np.minimum(r, R_CAP)
 
 

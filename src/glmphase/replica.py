@@ -108,7 +108,7 @@ def f_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> fl
     rho = prior.second_moment
     if not 0.0 <= q <= rho:
         raise ValueError(f"need 0 <= q <= rho, got q={q}")
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"need r >= 0, got r={r}")
     return _f_rs_terms(prior.psi_p0(r), channel.psi_pout(q, rho), alpha, q, r)
 
@@ -141,10 +141,12 @@ def inner_inf_r(prior: Prior, q):
     (Chandrupatla's method, ``numerics.find_root``), with psi_p0' evaluated
     on the array of active iterates at each step.  Where no q exceeds
     2 psi_p0'(0) = mean^2, every r is 0 and psi_p0' is taken at no r > 0;
-    r is capped at R_CAP.
+    r is capped at R_CAP.  A negative or NaN q raises.
     """
     q_arr = np.asarray(q, dtype=float)
     qf = q_arr.reshape(-1)
+    if not np.all(qf >= 0.0):
+        raise ValueError(f"inner_inf_r needs q >= 0 and not NaN, got q={q}")
     r = np.zeros(qf.size)
     above = qf > 2.0 * prior.psi_p0_prime(0.0)
     if above.any():

@@ -28,13 +28,13 @@ potential; the transition finders bisect on branch indicators:
 (``numerics.cubic_spline``, not-a-knot, on Python floats; built once per
 (prior) and (channel, rho), each from one array call of psi'), which is
 what makes near-spinodal runs with ~1e5 iterations affordable.  Each
-table is a closure over its spline's knot and coefficient lists, and one
-step (``_se_step``) serves both modes, calling either the two tables or
-the exact derivatives.  The tables serve the phase finders
-(``find_alpha_amp``, ``find_alpha_it``) only: ``gamma_branches`` and
-``replica.solve`` run the exact recursion, and the CLI ``errors`` task
-reads its SE limit from ``solve``, so it builds no table.  Their node sets
-are module constants:
+table transforms and clamps its argument and calls the evaluator that
+``cubic_spline`` returns, and one step (``_se_step``) serves both modes,
+calling either the two tables or the exact derivatives.  The tables serve
+the phase finders (``find_alpha_amp``, ``find_alpha_it``) only:
+``gamma_branches`` and ``replica.solve`` run the exact recursion, and the
+CLI ``errors`` task reads its SE limit from ``solve``, so it builds no
+table.  Their node sets are module constants:
 
 * PRIOR_TABLE_NODES, in t = ln(1 + r): steps of h = ln(1 + R_CAP) / 240,
   except near r = 0, where 2 psi_p0' bends fastest relative to its value:
@@ -58,15 +58,15 @@ noiseless abs, both with epsilon = 0) has
 psi_pout'(q; rho) = psi_pout'(q / rho; 1) / rho, and u is the same at q
 and q / rho, so its table at rho is its rho = 1 table with the values and
 psi'(0) divided by rho and the lowest node q multiplied by rho; it builds
-its rho = 1 values once.  Every other channel, and any object that is not
-a ``Channel``, builds its table at each rho.  ``_se_tables`` ships the
-values of four tables, the rho = 1 ones of ``Sign()``, ``Abs()`` and
-``SymmetricDoor()`` and the prior table of ``RademacherPrior()``
-(perceptron and door), written by ``tools/se_tables.py`` from the one
-array call of their build; one lookup (``_shipped``) serves the channel
-and the prior tables.  A channel table built at node rho 1 (a scale-free
-channel at any rho, any channel at rho = 1) reads shipped values where
-there are some, so the door's serve it at rho = 1 only.
+its rho = 1 values once.  Every other channel builds its table at each
+rho.  ``_se_tables`` ships the values of four tables, the rho = 1 ones of
+``Sign()``, ``Abs()`` and ``SymmetricDoor()`` and the prior table of
+``RademacherPrior()`` (perceptron and door), written by
+``tools/se_tables.py`` from the one array call of their build; one lookup
+(``_shipped``) serves the channel and the prior tables.  A channel table
+built at node rho 1 (a scale-free channel at any rho, any channel at
+rho = 1) reads shipped values where there are some, so the door's serve
+it at rho = 1 only.
 
 A finder that needs an SE limit raises SENonConvergenceError
 when the run stops at its iteration cap instead of reading the last iterate
@@ -89,7 +89,6 @@ bisection steps read f_hat's terms there from ``replica``'s point caches.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -215,9 +214,8 @@ def _prior_values(prior: Prior) -> np.ndarray:
 def _prior_table(prior: Prior) -> Callable[[float], float]:
     """2 psi_p0'(r) from a cubic spline in t = ln(1 + r) on
     PRIOR_TABLE_NODES, with r clamped to 0 and t to the top node."""
-    sp = cubic_spline(PRIOR_TABLE_NODES, _shipped(prior, _prior_values))
-    ts, b0, b1, b2, b3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
-    t_max, t_hi = ts[-1], len(ts) - 1
+    spline = cubic_spline(PRIOR_TABLE_NODES, _shipped(prior, _prior_values))
+    t_max = float(PRIOR_TABLE_NODES[-1])
     log1p = math.log1p
 
     def table(r: float) -> float:
@@ -226,9 +224,7 @@ def _prior_table(prior: Prior) -> Callable[[float], float]:
         t = log1p(r)
         if t_max < t:
             t = t_max
-        k = bisect_right(ts, t, 1, t_hi) - 1
-        dt = t - ts[k]
-        return b0[k] + b1[k] * dt + b2[k] * (dt * dt) + b3[k] * (dt * dt * dt)
+        return spline(t)
 
     return table
 
@@ -256,7 +252,7 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     divided by rho: psi'(q; rho) = psi'(q / rho; 1) / rho, and u is the
     same at q and q / rho.  Values at node rho 1 are the shipped ones
     where ``_se_tables`` has them (``_shipped``)."""
-    node_rho = 1.0 if isinstance(channel, Channel) and channel.scale_free else rho
+    node_rho = 1.0 if channel.scale_free else rho
     if node_rho == 1.0:
         vals = _shipped(channel, _table_values, 1.0) / rho
     else:
@@ -272,9 +268,9 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
     # for q >= rho / 2, where 1 - q / rho rounds away up to 1e-3 of it near
     # q = rho unless rho is a power of two
     qs = _UNIT_NODES * node_rho
-    sp = cubic_spline(np.log(qs / (node_rho - qs)), np.log(vals))
-    us, a0, a1, a2, a3 = sp.knots, sp.c0, sp.c1, sp.c2, sp.c3
-    u_min, u_max, u_hi = us[0], us[-1], len(us) - 1
+    us = np.log(qs / (node_rho - qs))
+    spline = cubic_spline(us, np.log(vals))
+    u_min, u_max = float(us[0]), float(us[-1])
     q_cap, q_min = rho * (1.0 - _Q_GUARD), float(_UNIT_NODES[0] * rho)
     v_min = float(vals[0])
     log, exp = math.log, math.exp
@@ -291,9 +287,7 @@ def _channel_table(channel: Channel, rho: float) -> Callable[[float], float]:
             return v_zero + (v_min - v_zero) * (q / q_min)
         if u_max < u:
             u = u_max
-        k = bisect_right(us, u, 1, u_hi) - 1
-        du = u - us[k]
-        return exp(a0[k] + a1[k] * du + a2[k] * (du * du) + a3[k] * (du * du * du))
+        return exp(spline(u))
 
     return table
 

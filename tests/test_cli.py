@@ -305,6 +305,8 @@ bisect_tol = 5e-3
         ("kind = rademacher", "kind = door", "sparsity"),
         ("kind = rademacher", "kind = sign", "K"),
         ("kind = gauss_bernoulli\nsparsity = 0.5", "kind = abs", "p_plus"),
+        # once an undocumented second name of sparsity
+        ("kind = gauss_bernoulli\nsparsity = 0.5", "kind = abs", "rho"),
     ])
     def test_phase_diagram_rejects_unknown_param(self, tmp_path, prior,
                                                  channel, param):
@@ -452,6 +454,9 @@ class TestCliEntry:
         ("errors", "experiment.seed=-3"), ("errors", "grid.alpha_step=1e-320"),
         # 0.2 / 2e-5 + 1 = MAX_ALPHAS + 1 alphas
         ("errors", "grid.alpha_step=2e-5"),
+        # a section or key the CLI does not read
+        ("errors", "numeric.grid_size=5"), ("errors", "grdi.alpha_step=0.1"),
+        ("errors", "experiment.sede=2"), ("errors", "output.formt=json"),
     ])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, task, setting):
         """Each of these once ended in a traceback, a row without an error,
@@ -470,6 +475,30 @@ class TestCliEntry:
         assert main([task, "--config", str(path), "--out", str(out)] + overrides) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda t: t + "[grdi]\nalpha_step = 0.1\n", "[grdi]"),
+        (lambda t: t + "[DEFAULT]\nalpha_step = 0.1\n", "[DEFAULT]"),
+        (lambda t: t.replace("seed = 1\n", "seed = 1\nsede = 2\n"), "experiment.sede"),
+        (lambda t: t + "[output]\nformt = json\n", "output.formt"),
+        (lambda t: "seed = 1\n" + t, "no section headers"),
+        (lambda t: t.replace("seed = 1\n", "seed = 1\nseed = 2\n"), "'seed'"),
+        (lambda t: t + "[grid]\nalpha_step = 0.1\n", "'grid'"),
+    ], ids=["section", "default", "experiment-key", "output-key", "no-header",
+            "duplicate-key", "duplicate-section"])
+    def test_config_file_it_would_ignore_or_cannot_parse(self, tmp_path, capsys,
+                                                         edit, named):
+        """Unknown sections and keys were once dropped without a word (exit
+        0), and a file configparser rejects ended in a traceback."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(edit("[experiment]\ntask = errors\nseed = 1\n"
+                             "[prior]\nkind = rademacher\n[channel]\nkind = sign\n"
+                             "[grid]\nalpha_start = 1.0\nalpha_stop = 1.0\n"))
+        out = tmp_path / "out.csv"
+        assert main(["errors", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_alpha_grid_takes_max_alphas(self):
         grid = cli._alpha_grid({"alpha_start": 1.0, "alpha_stop": 2.0,

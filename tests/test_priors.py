@@ -157,6 +157,23 @@ class TestPsiP0:
         with pytest.raises(ValueError):
             GaussianPrior().psi_p0(-0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: RademacherPrior().psi_p0(math.nan),
+        lambda: RademacherPrior().psi_p0_prime(math.nan),
+        lambda: RademacherPrior().psi_p0_and_prime(math.nan),
+        lambda: GaussianPrior().psi_p0(math.nan),
+        lambda: GaussBernoulliPrior(0.3).psi_p0_prime(np.array([1.0, math.nan])),
+    ])
+    def test_nan_r_rejected(self, call):
+        """A NaN r once came back as a NaN free entropy."""
+        with pytest.raises(ValueError, match="nan"):
+            call()
+
+    def test_infinite_r_reads_as_r_cap(self):
+        for prior in (RademacherPrior(), GaussianPrior()):
+            assert prior.psi_p0(math.inf) == prior.psi_p0(R_CAP)
+            assert prior.psi_p0_prime(math.inf) == prior.psi_p0_prime(R_CAP)
+
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_convexity_on_grid(self, prior):
         rs = np.linspace(0.0, 8.0, 20)

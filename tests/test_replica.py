@@ -64,6 +64,10 @@ class TestPotential:
         assert i_rs(RademacherPrior(), Sign(0.3), 1.0, 1.0, 0.0) == pytest.approx(
             0.0, abs=1e-10)
 
+    def test_f_rs_rejects_nan_r(self):
+        with pytest.raises(ValueError, match="r=nan"):
+            f_rs(RademacherPrior(), Sign(), 1.0, 0.5, math.nan)
+
 
 class TestInnerInf:
     def test_stationarity(self):
@@ -74,6 +78,12 @@ class TestInnerInf:
 
     def test_zero_for_small_q(self):
         assert inner_inf_r(RademacherPrior(), 0.0) == 0.0
+
+    @pytest.mark.parametrize("q", [math.nan, -0.1, np.array([0.5, math.nan])])
+    def test_rejects_nan_or_negative_q(self, q):
+        """Such a q once gave r = 0."""
+        with pytest.raises(ValueError, match="q="):
+            inner_inf_r(RademacherPrior(), q)
 
     def test_inf_is_a_minimum(self):
         prior, ch = RademacherPrior(), Sign()

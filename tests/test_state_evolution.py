@@ -7,7 +7,7 @@ from glmphase import replica, state_evolution as se
 from glmphase.channels import (Abs, Channel, LinearAWGN, Sign,
                                SymmetricDoor, quad_profile)
 from glmphase.numerics import BracketError, FixedPointOptions, cubic_spline
-from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
+from glmphase.priors import (R_CAP, GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior, TwoPointPrior)
 from glmphase.state_evolution import (CHANNEL_TABLE_LOGITS, PRIOR_TABLE_NODES,
                                       SPINODAL_SE_OPTS, SENonConvergenceError,
@@ -551,7 +551,7 @@ class TestChannelTable:
         """A psi_pout' of 0 at a node once became 1e-300 in the table."""
         q_bad = float((1.0 / (1.0 + np.exp(-CHANNEL_TABLE_LOGITS)) * 0.3)[100])
 
-        class ZeroAtOneNode:
+        class ZeroAtOneNode(Channel):
             def psi_pout_prime(self, q, rho):
                 return np.where(q == q_bad, 0.0, 1.0 + q)
 
@@ -675,9 +675,10 @@ class TestShippedPriorTable:
         table = _prior_table(RademacherPrior())
         assert sizes == []
         want = cubic_spline(PRIOR_TABLE_NODES, self._shipped())
+        t_max = float(PRIOR_TABLE_NODES[-1])
         t_mid = 0.5 * (PRIOR_TABLE_NODES[:-1] + PRIOR_TABLE_NODES[1:])
         for r in np.expm1(np.concatenate([PRIOR_TABLE_NODES, t_mid])).tolist():
-            assert table(r) == want(min(math.log1p(r), want.knots[-1]))
+            assert table(r) == want(min(math.log1p(r), t_max))
 
     def test_other_priors_build_in_one_call(self, monkeypatch):
         """RademacherPrior(0.3) ships no values, nor does a subclass of the
@@ -693,6 +694,51 @@ class TestShippedPriorTable:
         _prior_table(RademacherPrior(0.3))
         _prior_table(Tilted())
         assert sizes == [PRIOR_TABLE_NODES.size] * 2
+
+
+# node indices of the table pins: the two lowest, two inside, and the one
+# below the top
+PIN_NODES = (0, 1, 40, 120, -2)
+
+
+def _pin_args(nodes):
+    """The pinned nodes, then the midpoint after each."""
+    return np.array([nodes[i] for i in PIN_NODES]
+                    + [0.5 * (nodes[i] + nodes[i + 1]) for i in PIN_NODES])
+
+
+def _pin_qs(rho):
+    """q at the pinned channel nodes and midpoints, then half the lowest
+    node's q and q = rho, which the table clamps to its top node."""
+    q = (rho / (1.0 + np.exp(-_pin_args(LOGITS)))).tolist()
+    return q + [0.5 * q[0], rho]
+
+
+@pytest.mark.parametrize("table,args,want", [
+    (lambda: _prior_table(GaussBernoulliPrior(0.5)),
+     lambda: np.expm1(_pin_args(PRIOR_TABLE_NODES)).tolist() + [2.0 * R_CAP],
+     ["0x0.0p+0", "0x1.3a61511f5328ap-11", "0x1.a9fa0a76c4f9ap-2",
+      "0x1.ffdc058457337p-2", "0x1.ffffffa30d9f1p-2", "0x1.3a61371ce6be6p-12",
+      "0x1.fede7f77912eep-11", "0x1.ad3a1a985fe28p-2", "0x1.ffdd6ae1b7c71p-2",
+      "0x1.ffffffa68d11dp-2", "0x1.ffffffa9ead95p-2"]),
+    (lambda: _channel_table(SymmetricDoor(K=0.9), 1.0), lambda: _pin_qs(1.0),
+     ["0x1.0f15402a8e339p-31", "0x1.3d94526627294p-31", "0x1.29bc860bab4ccp-22",
+      "0x1.2e5e83060c0fdp-4", "0x1.89ffb56c5c216p+19", "0x1.25695f81e4f46p-31",
+      "0x1.57bce0ccf6990p-31", "0x1.4242a913a6c0dp-22", "0x1.444783c0a3641p-4",
+      "0x1.0e6e2b89c9c70p+20", "0x1.0f15402a8e33ep-32", "0x1.733bc36f7eb57p+20"]),
+    (lambda: _channel_table(Sign(0.2), 0.6), lambda: _pin_qs(0.6),
+     ["0x1.052d4fab888b6p-1", "0x1.052d4fac00efap-1", "0x1.052d55aea38f1p-1",
+      "0x1.20c41cc3eeec9p-1", "0x1.d05b4a1da7ff4p+19", "0x1.052d4fabc25f5p-1",
+      "0x1.052d4fac44a99p-1", "0x1.052d562da2a0ap-1", "0x1.22eb8c86f3436p-1",
+      "0x1.3eb1511b8a22ep+20", "0x1.052d4faa2996ep-1", "0x1.b5924f2d5eff2p+20"]),
+], ids=["prior-GB(0.5)", "door-K0.9", "sign-0.2-rho0.6"])
+def test_table_bits(table, args, want):
+    """Built tables keep their values to the bit: at a few nodes, at the
+    midpoints after them, below the lowest channel node and beyond the top
+    node (r = 2 R_CAP, q = rho).  Values from the tables as they were when
+    each closure carried its own copy of the cubic."""
+    lookup = table()
+    assert [lookup(x).hex() for x in args()] == want
 
 
 DAMPED = FixedPointOptions(damping=0.3, tol=1e-10, max_iter=200_000)
