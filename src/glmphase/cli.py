@@ -388,6 +388,8 @@ def _run_potential(cfg: ExperimentConfig, s: dict) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _validate_checks(seed: int):
+    """(name, check) pairs; a check returns None or a failure's detail.
+    Acceptance criterion 8 runs this suite through ``glmphase validate``."""
     from .channels import Abs, LinearAWGN, ReLU, Sigmoid, Sign, SymmetricDoor
     from .priors import GaussBernoulliPrior, GaussianPrior, RademacherPrior
 
@@ -478,7 +480,7 @@ def _validate_checks(seed: int):
                         (LinearAWGN(0.3), 1.0), (Sigmoid(1.5), 1.0),
                         (Sigmoid(8.0), 2.5), (ReLU(1e-8), 0.2)):
             for qf in (0.0, 0.5, 0.99):
-                replica.generalization_error(ch, rho, qf * rho)  # asserts inside
+                replica.generalization_error(ch, rho, qf * rho)  # raises if routes disagree
         return None
 
     def check_se_gamp_tracking():
@@ -529,11 +531,7 @@ def _run_validate(cfg: ExperimentConfig, _: dict) -> ResultTable:
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    s = str(x)
+    s = format(x, ".17g") if isinstance(x, float) else str(x)
     if any(c in s for c in ",\"\n"):
         s = '"' + s.replace('"', '""') + '"'
     return s
@@ -541,24 +539,22 @@ def _fmt_cell(x) -> str:
 
 def emit(table: ResultTable, fmt: str = "csv") -> bytes:
     """Serialize a table; CSV uses 17-significant-digit floats and a
-    '#'-commented provenance header."""
+    '#'-commented provenance header.  A numpy scalar is written as its .item()."""
+    rows = [[x.item() if isinstance(x, np.generic) else x for x in row] for row in table.rows]
     if fmt == "csv":
         buf = io.StringIO()
         for key in sorted(table.provenance):
             buf.write(f"# {key} = {table.provenance[key]}\n")
         buf.write(",".join(table.columns) + "\n")
-        for row in table.rows:
+        for row in rows:
             buf.write(",".join(_fmt_cell(x) for x in row) + "\n")
         return buf.getvalue().encode()
     if fmt == "json":
         doc = {
             "metadata": dict(table.provenance),
             "columns": list(table.columns),
-            "rows": [[(None if isinstance(x, float) and math.isnan(x) else
-                       (bool(x) if isinstance(x, (bool, np.bool_)) else
-                        (float(x) if isinstance(x, (float, np.floating)) else
-                         (int(x) if isinstance(x, (int, np.integer)) else x))))
-                      for x in row] for row in table.rows],
+            "rows": [[None if isinstance(x, float) and math.isnan(x) else x
+                      for x in row] for row in rows],
         }
         return json.dumps(doc, indent=1).encode()
     raise ValueError(f"unknown format {fmt!r}; expected csv or json")

@@ -141,12 +141,13 @@ def inner_inf_r(prior: Prior, q):
     (Chandrupatla's method, ``numerics.find_root``), with psi_p0' evaluated
     on the array of active iterates at each step.  Where no q exceeds
     2 psi_p0'(0) = mean^2, every r is 0 and psi_p0' is taken at no r > 0;
-    r is capped at R_CAP.  A negative or NaN q raises.
+    r is capped at R_CAP.  A q outside [0, rho] or NaN raises.
     """
+    rho = prior.second_moment
     q_arr = np.asarray(q, dtype=float)
     qf = q_arr.reshape(-1)
-    if not np.all(qf >= 0.0):
-        raise ValueError(f"inner_inf_r needs q >= 0 and not NaN, got q={q}")
+    if not np.all((qf >= 0.0) & (qf <= rho)):
+        raise ValueError(f"inner_inf_r needs 0 <= q <= rho = {rho!r}, got q={q}")
     r = np.zeros(qf.size)
     above = qf > 2.0 * prior.psi_p0_prime(0.0)
     if above.any():
@@ -229,8 +230,8 @@ def recovery_f(prior: Prior, channel: Channel, alpha: float,
 def solve(prior: Prior, channel: Channel, alpha: float,
           grid_size: int = GRID_SIZE) -> ReplicaSolution:
     """Optimize the potential by both routes; see module docstring."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if grid_size < 3:
         # Route B seeds its refinement with three grid points
         raise ValueError(f"grid_size must be at least 3, got {grid_size}")

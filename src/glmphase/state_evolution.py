@@ -342,6 +342,8 @@ def _se_step(prior: Prior, channel: Channel, alpha: float, damping: float,
 def se_run(prior: Prior, channel: Channel, alpha: float, q0: float,
            opts: FixedPointOptions | None = None, fast: bool = False) -> SETrajectory:
     """Iterate the two-line recursion from q0, recording the trajectory."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     rho = prior.second_moment
     if not 0.0 <= q0 <= rho:
         raise ValueError(f"q0 must lie in [0, rho], got {q0}")

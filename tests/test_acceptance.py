@@ -2,6 +2,7 @@
 one pass/fail line (forced through the capture so the lines are always
 visible in the terminal output)."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,14 +10,13 @@ import pytest
 
 from glmphase.channels import (Abs, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor)
-from glmphase.cli import emit, parse_config, run
+from glmphase.cli import _validate_checks, main
 from glmphase.gamp import (GampOptions, empirical_generalization_error,
                            gamp_run, generate_instance)
 from glmphase.numerics import FixedPointOptions
-from glmphase.oracle import mc_psi_p0, mc_psi_pout, nishimori_check
 from glmphase.priors import (GaussBernoulliPrior, GaussianPrior,
                              RademacherPrior)
-from glmphase.replica import f_hat, generalization_error, solve
+from glmphase.replica import generalization_error
 from glmphase.state_evolution import (find_alpha_amp, find_alpha_c,
                                       find_alpha_it, se_run)
 
@@ -141,93 +141,15 @@ def test_criterion_7_generalization_error_agreement(capsys):
 
 
 def test_criterion_8_property_suite(capsys, tmp_path):
-    failures = []
-
-    # psi' identities vs finite differences
-    for prior in (RademacherPrior(), GaussBernoulliPrior(0.3), GaussianPrior()):
-        for r in (0.1, 1.0, 10.0):
-            h = 1e-4
-            fd = (prior.psi_p0(r + h) - prior.psi_p0(r - h)) / (2 * h)
-            an = prior.psi_p0_prime(r)
-            if abs(fd - an) > 1e-5 * max(abs(an), 1e-12):
-                failures.append(f"psi_p0' fd {type(prior).__name__} r={r}")
-    for ch, rho in ((Sign(), 1.0), (SymmetricDoor(), 1.0), (Abs(0.0), 1.0),
-                    (ReLU(1e-8), 0.2), (LinearAWGN(0.5), 1.0)):
-        for qf in (0.1, 0.5, 0.9):
-            q, h = qf * rho, 1e-4 * rho
-            fd = (ch.psi_pout(q + h, rho) - ch.psi_pout(q - h, rho)) / (2 * h)
-            an = ch.psi_pout_prime(q, rho)
-            if abs(fd - an) > 1e-4 * max(abs(an), 1e-12):
-                failures.append(f"psi_pout' fd {type(ch).__name__} q={q}")
-
-    # convexity grids
-    for prior in (RademacherPrior(), GaussBernoulliPrior(0.3)):
-        rs = np.linspace(0.0, 10.0, 20)
-        vals = np.array([prior.psi_p0(r) for r in rs])
-        if np.any(vals[:-2] + vals[2:] - 2 * vals[1:-1] < -1e-9):
-            failures.append(f"psi_p0 convexity {type(prior).__name__}")
-    for ch in (Sign(), SymmetricDoor(), Abs(0.0)):
-        qs = np.linspace(0.0, 0.999, 20)
-        vals = np.array([ch.psi_pout(q, 1.0) for q in qs])
-        if np.any(vals[:-2] + vals[2:] - 2 * vals[1:-1] < -1e-9):
-            failures.append(f"psi_pout convexity {type(ch).__name__}")
-
-    # sup-inf duality within 1e-6
-    prior, ch, alpha = RademacherPrior(), Sign(), 1.2
-    sol = solve(prior, ch, alpha)
-    psi_rho = ch.psi_pout(1.0, 1.0)
-    inf_sup = min(alpha * psi_rho - f_hat(prior, ch, alpha, float(q))[0]
-                  for q in np.linspace(0.0, 1.0 - 1e-6, 161))
-    if abs(inf_sup - (alpha * psi_rho - sol.free_entropy)) > 1e-6:
-        failures.append("sup-inf duality")
-
-    # Gamma stationarity residuals (finite-r branch, scaled tolerances)
-    for p in sol.gamma_set:
-        if not math.isfinite(p.r) or p.q >= 1.0 - 1e-4:
-            continue
-        if abs(p.q - 2 * prior.psi_p0_prime(p.r)) > 1e-6:
-            failures.append(f"stationarity q residual at q={p.q}")
-        if abs(p.r - 2 * alpha * ch.psi_pout_prime(p.q, 1.0)) > 1e-6 * 1e8:
-            failures.append(f"stationarity r residual at q={p.q}")
-
-    # Nishimori z-scores at n = 8
-    rep = nishimori_check(RademacherPrior(), LinearAWGN(0.5), n=8, alpha=1.5,
-                          samples=2000, seed=8)
-    if rep.z_score >= 3.0:
-        failures.append(f"nishimori z={rep.z_score:.2f}")
-
-    # quadrature vs Monte-Carlo free entropies within 3 sigma
-    est, se = mc_psi_p0(GaussianPrior(1.0), 1.0, 60000, seed=1)
-    if abs(est - (0.5 - math.log(2.0) / 2)) > 3 * se:
-        failures.append("mc psi_p0 gaussian")
-    est, se = mc_psi_p0(RademacherPrior(), 2.0, 60000, seed=2)
-    if abs(est - RademacherPrior().psi_p0(2.0)) > 3 * se:
-        failures.append("mc psi_p0 rademacher")
-    est, se = mc_psi_pout(SymmetricDoor(), 0.3, 1.0, 60000, seed=3)
-    if abs(est - SymmetricDoor().psi_pout(0.3, 1.0)) > 3 * se:
-        failures.append("mc psi_pout door")
-
-    # bit-identical reruns of a seeded config
-    cfg_path = tmp_path / "rerun.ini"
-    cfg_path.write_text("""
-[experiment]
-task = se
-seed = 123
-[prior]
-kind = gauss_bernoulli
-sparsity = 0.3
-[channel]
-kind = linear
-delta = 0.2
-[grid]
-alpha = 1.5
-""")
-    cfg = parse_config(str(cfg_path))
-    strip = lambda t: [l for l in emit(t, "csv").decode().splitlines()
-                       if not l.startswith("# timestamp")]
-    if strip(run(cfg)) != strip(run(cfg)):
-        failures.append("seeded rerun not byte-identical")
-
-    ok = not failures
+    """The bundled suite of ``glmphase validate`` (``cli._validate_checks``)
+    at seed 1: every check passes."""
+    cfg, out = tmp_path / "validate.ini", tmp_path / "validate.csv"
+    cfg.write_text("[experiment]\ntask = validate\nseed = 1\n")
+    code = main(["validate", "--config", str(cfg), "--out", str(out)])
+    lines = out.read_text().splitlines() if out.exists() else []
+    rows = list(csv.reader(l for l in lines if not l.startswith("#")))[1:]
+    names = [name for name, _ in _validate_checks(1)]
+    ok = code == 0 and rows == [[name, "pass", ""] for name in names]
     _report(capsys, "8 property suite",
-            ok, "all identities hold" if ok else "; ".join(failures))
+            ok, f"glmphase validate exit {code}: "
+                + "; ".join(" ".join(filter(None, row)) for row in rows))

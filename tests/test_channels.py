@@ -267,6 +267,9 @@ class TestGout:
     def test_requires_positive_v(self):
         with pytest.raises(ValueError):
             Sign().gout(1.0, 0.0, 0.0)
+        for v in (0.0, np.array([0.5, -1e-3])):
+            with pytest.raises(ValueError, match="V must be positive"):
+                Abs(0.2).posterior_phi_mean(0.7, 0.5, v)
 
 
 class TestPsiPout:
@@ -456,11 +459,16 @@ class TestMeanLabel:
         each = [ch.mean_label_gauss(float(m), 0.5) for m in mu.reshape(-1)[::37]]
         assert got.reshape(-1)[::37] == pytest.approx(each, abs=1e-15)
         assert isinstance(ch.mean_label_gauss(0.3, 0.5), float)
+        # var = 0 is the mean label itself
+        assert np.array_equal(ch.mean_label_gauss(mu, 0.0), ch.mean_label(mu))
+        assert ch.mean_label_gauss(0.3, 0.0) == ch.mean_label(0.3)
 
     def test_sign_erf_identity(self):
         mu, var = 0.7, 0.3
         assert Sign().mean_label_gauss(mu, var) == pytest.approx(
             erf(mu / math.sqrt(2 * var)), rel=1e-12)
+        with pytest.raises(ValueError, match="var must be scalar"):
+            Sign().mean_label_gauss(mu, np.array([var, var]))
 
     def test_second_moment_phi(self):
         assert LinearAWGN(0.1).second_moment_phi(0.8) == pytest.approx(0.8)

@@ -2,18 +2,19 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from glmphase import cli, gamp, replica
+from glmphase import cli, gamp, oracle, replica
 from glmphase import state_evolution as se
-from glmphase.channels import ReLU, SymmetricDoor
+from glmphase.channels import ReLU, Sign, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
 from glmphase.gamp import GampDivergenceError, GampState
 from glmphase.numerics import FixedPointOptions
-from glmphase.priors import GaussianPrior, TwoPointPrior
+from glmphase.priors import GaussianPrior, RademacherPrior, TwoPointPrior
 
 ERRORS_CFG = """
 [experiment]
@@ -183,6 +184,18 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(self._table(), "xml")
+
+    def test_numpy_scalars_are_written_as_python_values(self):
+        """A numpy bool was once `True` in CSV and `true` in JSON."""
+        def table(*row):
+            return ResultTable(columns=("b", "i", "x", "nan"), rows=[row])
+
+        python = table(True, 3, 0.1, math.nan)
+        numpy = table(np.True_, np.int64(3), np.float64(0.1), np.float64(math.nan))
+        for fmt in ("csv", "json"):
+            assert emit(numpy, fmt) == emit(python, fmt)
+        assert emit(numpy, "csv").decode().splitlines()[-1] == "true,3,0.10000000000000001,nan"
+        assert json.loads(emit(numpy, "json"))["rows"] == [[True, 3, 0.1, None]]
 
 
 class TestRunTasks:
@@ -391,23 +404,70 @@ param_values = 0.67449
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
+    def test_validate_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import glmphase.cli as cli_mod
         monkeypatch.setattr(
             cli_mod, "_validate_checks",
-            lambda seed: [("always_fails", lambda: "broken on purpose")])
+            lambda seed: [("always_fails", lambda: "broken on purpose"),
+                          ("raises", lambda: 1 / 0), ("passes", lambda: None)])
         path = tmp_path / "val.ini"
         path.write_text("[experiment]\ntask = validate\nseed = 1\n")
         out = tmp_path / "val.csv"
         assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
-        assert "fail" in out.read_text()
+        rows = ["always_fails,fail,broken on purpose",
+                "raises,fail,ZeroDivisionError: division by zero", "passes,pass,"]
+        assert out.read_text().splitlines()[-3:] == rows
+        # without --out the table goes to stdout, the failures to stderr
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err.splitlines() == [
+            "validate: always_fails FAILED (broken on purpose)",
+            "validate: raises FAILED (ZeroDivisionError: division by zero)"]
 
-    def test_reruns_are_byte_identical_modulo_timestamp(self, errors_cfg):
-        cfg = parse_config(str(errors_cfg))
+    # a solution whose free entropy is not the potential's and whose one
+    # Gamma point is not stationary
+    BROKEN_SOLUTION = SimpleNamespace(free_entropy=0.0, gamma_set=(
+        replica.ReplicaPoint(q=0.5, r=0.1, f_value=0.0),))
+
+    @pytest.mark.parametrize("check,owner,name,stub", [
+        ("psi_p0_prime_vs_fd", RademacherPrior, "psi_p0_prime", lambda self, r: 0.0),
+        ("psi_pout_prime_vs_fd", Sign, "psi_pout_prime", lambda self, q, rho: 0.0),
+        ("convexity_grids", RademacherPrior, "psi_p0", lambda self, r: -r * r),
+        ("convexity_grids", Sign, "psi_pout", lambda self, q, rho: -q),
+        ("convexity_grids", Sign, "psi_pout", lambda self, q, rho: math.sqrt(q)),
+        ("sup_inf_duality", replica, "solve", lambda *args: TestRunTasks.BROKEN_SOLUTION),
+        ("gamma_stationarity", replica, "solve", lambda *args: TestRunTasks.BROKEN_SOLUTION),
+        ("nishimori_mc", oracle, "nishimori_check",
+         lambda *args, **kwargs: SimpleNamespace(z_score=3.0)),
+        ("mc_free_entropies", oracle, "mc_psi_p0", lambda *args: (1.0, 1e-3)),
+        ("mc_free_entropies", oracle, "mc_psi_pout", lambda *args: (1.0, 1e-3)),
+        ("se_gamp_tracking", gamp, "gamp_run",
+         lambda inst, opts: SimpleNamespace(overlap_seq=np.zeros(5))),
+    ], ids=["psi_p0_prime", "psi_pout_prime", "psi_p0-concave", "psi_pout-decreasing",
+            "psi_pout-concave", "sup_inf", "stationarity", "nishimori", "mc-psi_p0",
+            "mc-psi_pout", "tracking"])
+    def test_each_validate_check_can_fail(self, monkeypatch, check, owner, name, stub):
+        """Each check of the suite returns a detail when its identity is
+        broken."""
+        monkeypatch.setattr(owner, name, stub)
+        detail = dict(cli._validate_checks(1))[check]()
+        assert isinstance(detail, str) and detail
+
+    def test_reruns_are_byte_identical_modulo_timestamp(self, errors_cfg, tmp_path):
+        se_cfg = tmp_path / "se.ini"
+        se_cfg.write_text("[experiment]\ntask = se\nseed = 123\n"
+                          "[prior]\nkind = gauss_bernoulli\nsparsity = 0.3\n"
+                          "[channel]\nkind = linear\ndelta = 0.2\n"
+                          "[grid]\nalpha = 1.5\n")
+
         def body(t):
             return [l for l in emit(t, "csv").decode().splitlines()
                     if not l.startswith("# timestamp")]
-        assert body(run(cfg)) == body(run(cfg))
+        for path in (errors_cfg, se_cfg):
+            cfg = parse_config(str(path))
+            assert body(run(cfg)) == body(run(cfg))
 
 
 class TestCliEntry:
@@ -418,10 +478,13 @@ class TestCliEntry:
         text = out.read_text()
         assert text.splitlines()[-1].count(",") == 9
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[experiment]\ntask = errors\n")
         assert main(["errors", "--config", str(bad)]) == 2
+        missing = tmp_path / "missing.ini"
+        assert main(["errors", "--config", str(missing)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prior,channel,named", [
         ("kind = rademacher", "kind = sign\nK = 3.0", "'K'"),
@@ -484,8 +547,10 @@ class TestCliEntry:
         (lambda t: "seed = 1\n" + t, "no section headers"),
         (lambda t: t.replace("seed = 1\n", "seed = 1\nseed = 2\n"), "'seed'"),
         (lambda t: t + "[grid]\nalpha_step = 0.1\n", "'grid'"),
+        (lambda t: t.replace("task = errors\n", ""), "missing experiment.task"),
+        (lambda t: t.replace("alpha_start = 1.0\n", ""), "errors needs grid.alpha_start"),
     ], ids=["section", "default", "experiment-key", "output-key", "no-header",
-            "duplicate-key", "duplicate-section"])
+            "duplicate-key", "duplicate-section", "no-task", "no-alpha-start"])
     def test_config_file_it_would_ignore_or_cannot_parse(self, tmp_path, capsys,
                                                          edit, named):
         """Unknown sections and keys were once dropped without a word (exit

@@ -153,6 +153,9 @@ class TestGampRun:
         b = gamp_run(inst, GampOptions(seed=3))
         assert np.array_equal(a.x_hat_final, b.x_hat_final)
         assert np.array_equal(a.overlap_seq, b.overlap_seq)
+        # no options are GampOptions()
+        assert np.array_equal(gamp_run(inst).x_hat_final,
+                              gamp_run(inst, GampOptions()).x_hat_final)
 
     def test_noisy_linear_matches_se(self):
         prior, ch, alpha = GaussianPrior(1.0), LinearAWGN(0.1), 2.0
@@ -315,6 +318,9 @@ class TestGampRun:
         run = gamp_run(inst, GampOptions(seed=3, max_iter=20))
         assert np.array_equal(run.x_hat_final, first.x_hat_final)
         assert (run.converged, run.attempts) == (False, 1)
+        # a run at damping 0.5 that diverges has no retry left
+        with pytest.raises(GampDivergenceError):
+            gamp_run(inst, GampOptions(seed=3, damping=0.5, max_iter=20))
 
 
 class TestPrediction:
@@ -397,6 +403,8 @@ class TestEmpiricalGenError:
         monkeypatch.setattr(gamp, "_test_projections", None)  # never reached
         with pytest.raises(ValueError, match="q_t"):
             empirical_generalization_error(inst, inst.x_star, 1.5, 10, seed=2)
+        with pytest.raises(ValueError, match="n_test must be >= 1, got 0"):
+            empirical_generalization_error(inst, inst.x_star, 1.0, 0, seed=2)
 
     def test_perceptron_generalizes(self):
         inst = generate_instance(RademacherPrior(), Sign(), 2000, 2.0, seed=15)

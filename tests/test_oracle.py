@@ -164,3 +164,5 @@ class TestMCFreeEntropies:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             mc_psi_p0(GaussianPrior(1.0), 1.0, 10, seed=0)
+        with pytest.raises(ValueError, match="at least 100 samples"):
+            mc_psi_pout(Sign(), 0.3, 1.0, 99, seed=0)

@@ -45,7 +45,9 @@ class TestConstruction:
                      lambda: TwoPointPrior((math.inf, -1.0), (0.5, 0.5)),
                      lambda: TwoPointPrior((1.0, -1.0), (math.nan, 0.5)),
                      lambda: RademacherPrior(math.nan),
-                     lambda: GaussBernoulliPrior(math.nan)):
+                     lambda: GaussBernoulliPrior(math.nan),
+                     # finite atoms whose second moment underflows to 0
+                     lambda: TwoPointPrior((1e-170, 0.0), (0.5, 0.5))):
             with pytest.raises(ValueError):
                 make()
 

@@ -59,6 +59,17 @@ class TestPotential:
             rhs = alpha * psi_rho - f_rs(prior, ch, alpha, q, r)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_i_rs_noiseless_continuous_channel(self):
+        """psi_pout(rho) has no value for Abs(0): i_rs takes it at the
+        evaluation depth."""
+        prior, ch, alpha, q, r = GaussianPrior(1.0), Abs(0.0), 1.2, 0.5, 0.7
+        with pytest.raises(ValueError):
+            ch.psi_pout(1.0, 1.0)
+        psi_rho = ch.psi_pout(1.0 - replica.EVAL_DEPTH, 1.0)
+        assert psi_rho == pytest.approx(5.4894, abs=1e-4)
+        assert i_rs(prior, ch, alpha, q, r) == \
+            alpha * psi_rho - f_rs(prior, ch, alpha, q, r)
+
     def test_i_rs_trivial_point(self):
         # q = rho, r = 0: I_P0(0) = 0 and the channel term vanishes
         assert i_rs(RademacherPrior(), Sign(0.3), 1.0, 1.0, 0.0) == pytest.approx(
@@ -67,6 +78,8 @@ class TestPotential:
     def test_f_rs_rejects_nan_r(self):
         with pytest.raises(ValueError, match="r=nan"):
             f_rs(RademacherPrior(), Sign(), 1.0, 0.5, math.nan)
+        with pytest.raises(ValueError, match="q=1.5"):
+            f_rs(RademacherPrior(), Sign(), 1.0, 1.5, 0.5)
 
 
 class TestInnerInf:
@@ -79,10 +92,12 @@ class TestInnerInf:
     def test_zero_for_small_q(self):
         assert inner_inf_r(RademacherPrior(), 0.0) == 0.0
 
-    @pytest.mark.parametrize("q", [math.nan, -0.1, np.array([0.5, math.nan])])
+    @pytest.mark.parametrize("q", [math.nan, -0.1, np.array([0.5, math.nan]),
+                                   1.5, math.inf, np.array([0.5, 1.0 + 1e-12])])
     def test_rejects_nan_or_negative_q(self, q):
-        """Such a q once gave r = 0."""
-        with pytest.raises(ValueError, match="q="):
+        """A NaN or negative q once gave r = 0, and a q above rho = 1 gave
+        R_CAP."""
+        with pytest.raises(ValueError, match=r"q <= rho = 1.0, got q="):
             inner_inf_r(RademacherPrior(), q)
 
     def test_inf_is_a_minimum(self):
@@ -140,8 +155,10 @@ class TestSolve:
         assert any(q < 0.9 for q in qs)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            solve(RademacherPrior(), Sign(), 0.0)
+        # NaN once raised "r must be nonnegative and not NaN"
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                solve(RademacherPrior(), Sign(), alpha)
 
     def test_rejects_a_grid_of_fewer_than_three_points(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -410,6 +427,12 @@ class TestDenoisingError:
     def test_requires_positive_delta(self):
         with pytest.raises(ValueError):
             denoising_error(Sign(), 1.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="no noise parameter"):
+            denoising_error(Sigmoid(2.0), 1.0, 0.5, 0.5)
+
+    def test_q_out_of_range(self):
+        with pytest.raises(ValueError, match="q=1.5"):
+            denoising_error(Sign(), 1.0, 1.5, 0.5)
 
 
 INNER_PRIORS = [GaussianPrior(1.0), RademacherPrior(0.5), RademacherPrior(0.3),

@@ -68,6 +68,14 @@ class TestSERun:
         with pytest.raises(ValueError):
             se_run(RademacherPrior(), Sign(), 1.0, 1.5)
 
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_alpha_validation(self, fast):
+        """A fast run at alpha = NaN once ran all its iterations and returned
+        q_limit = NaN; at alpha = -1 it converged to q = 0."""
+        for alpha in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                se_run(RademacherPrior(), Sign(), alpha, 1e-6, fast=fast)
+
     def test_fixed_points_are_critical_points(self):
         prior, ch, alpha = RademacherPrior(), Sign(), 1.3
         traj = se_run(prior, ch, alpha, 1e-6,
@@ -229,8 +237,11 @@ class TestAlphaITComparison:
         (GaussianPrior(1.0), Abs(0.0), 0.7, 1.3, 2e-3, "0x1.ffb3333333333p-1"),
         (RademacherPrior(), SymmetricDoor(), 0.8, 1.8, 1e-3, "0x1.ffd999999999ap-1"),
         (RademacherPrior(), Sign(), 1.0, 1.45, 1e-3, "0x1.3ea999999999ap+0"),
+        # a noisy channel: the informative limit short of recovery takes the
+        # pair rule too; 1.24462890625
+        (RademacherPrior(), Sign(0.05), 1.0, 2.0, 1e-3, "0x1.3ea0000000000p+0"),
     ], ids=["gb1-abs", "gb0.6-abs", "gb0.45-abs", "gb0.2-linear", "gb0.5-linear",
-            "gauss-abs", "rademacher-door", "rademacher-sign"])
+            "gauss-abs", "rademacher-door", "rademacher-sign", "rademacher-sign0.05"])
     def test_alpha_it_bits(self, prior, ch, lo, hi, tol, expected):
         # the values of the finder that ran SE at every step
         assert find_alpha_it(prior, ch, lo, hi, tol=tol).hex() == expected
@@ -252,6 +263,19 @@ class TestAlphaITComparison:
         with pytest.raises(BracketError, match=r"^informative branch already "
                            r"optimal at alpha_lo=0.3$"):
             find_alpha_it(RademacherPrior(), Abs(0.0), 0.3, 1.5)
+        # alpha_IT of the perceptron is 1.249
+        with pytest.raises(BracketError, match=r"^informative branch not "
+                           r"optimal at alpha_hi=1.1$"):
+            find_alpha_it(RademacherPrior(), Sign(), 0.5, 1.1)
+
+    @pytest.mark.parametrize("fs", [[0.0, 1.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0]],
+                             ids=["ratio-1", "no-change"])
+    def test_recovery_slope_without_a_decaying_correction(self, fs, monkeypatch):
+        """Where the slope differences do not shrink by a ratio in (0, 0.9),
+        Aitken's extrapolation is skipped and the last slope is returned."""
+        monkeypatch.setattr(replica, "recovery_f", lambda *args: np.array(fs))
+        assert se._recovery_slope(GaussianPrior(1.0), Abs(0.0), 1.0) == \
+            (fs[3] - fs[2]) / math.log(10.0)
 
 
 UNINFORMATIVE, INFORMATIVE = se.UNINFORMATIVE_FRAC, 1.0 - se.INFORMATIVE_FRAC
@@ -791,3 +815,5 @@ def test_prior_table_error_bound_at_midpoints(prior):
     exact = 2.0 * prior.psi_p0_prime(r)
     got = np.array([table(x) for x in r])
     assert np.max(np.abs(got - exact) / exact) <= PRIOR_REL_BOUND
+    # a negative r is read as 0
+    assert table(-1.0) == table(0.0)
