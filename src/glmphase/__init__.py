@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .channels import (Abs, Channel, GoutUnderflowError, LinearAWGN,
                        OutputDenoiser, ReLU, Sigmoid, Sign, SymmetricDoor)
-from .gamp import (GampDivergenceError, GampOptions, GampRun, GampState,
-                   Instance, empirical_generalization_error, from_spec,
-                   gamp_predict, gamp_run, generate_instance, load_instance,
-                   save_instance, to_spec)
+from .gamp import (GampDivergenceError, GampOptions, GampRun, Instance,
+                   empirical_generalization_error, from_spec, gamp_predict,
+                   gamp_run, generate_instance, load_instance, save_instance,
+                   to_spec)
 from .numerics import (BracketError, FixedPointOptions, QuadratureRule,
                        gauss_hermite)
 from .oracle import (ExactPosterior, NishimoriReport, exact_posterior,

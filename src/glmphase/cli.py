@@ -4,17 +4,18 @@ deterministic seeded sweeps, plot-ready CSV/JSON tables.
     glmphase <task> --config cfg.ini [--out path] [--format csv|json]
                     [--override section.key=value ...]
 
-Tasks: potential, se, gamp, phase-diagram, errors, validate.
+The tasks, and the [grid] and [numerics] keys each reads, are ``TASKS``.
 Exit codes: 0 success, 1 a failed validate check or an SE or GAMP run cut
 at its iteration cap (the table is still written), 2 config error, such as
 a section outside ``SECTIONS`` or a [grid] or [numerics] key that the task
-does not read (``SETTINGS``).
+does not read.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -32,7 +33,6 @@ from .gamp import (GampOptions, empirical_generalization_error, from_spec,
 from .numerics import FixedPointOptions
 from .priors import Prior
 
-TASKS = ("potential", "se", "gamp", "phase-diagram", "errors", "validate")
 FORMATS = ("csv", "json")
 
 
@@ -127,7 +127,7 @@ def parse_config(path: str, overrides=()) -> ExperimentConfig:
         raise ConfigError("missing experiment.task")
     task = exp["task"].strip()
     if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
+        raise ConfigError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
     if "seed" not in exp:
         raise ConfigError("missing experiment.seed (no wall-clock defaults)")
     try:  # SeedSequence takes a nonnegative integer only
@@ -168,37 +168,12 @@ _PARAM_VALUE = _number(lambda x: True, "comma-separated finite numbers")
 _POSITIVE = _number(lambda x: x > 0.0, "finite and positive")
 _DAMPING = (0.0, _number(lambda x: 0.0 <= x < 1.0, "in [0, 1)"))
 _COUNT = {k: _number(lambda n, k=k: n >= k, f"an integer >= {k}", int) for k in (0, 1, 3)}
-# The [grid] and [numerics] keys each task reads: key -> (default, parser).
-# A task reads no other key.  A numerics default is the library's own;
-# q0's, None, is the uninformative start UNINFORMATIVE_FRAC * rho.
-SETTINGS = {
-    "errors": {"grid.alpha_start": (_REQUIRED, _POSITIVE),
-               "grid.alpha_stop": (_REQUIRED, _POSITIVE),
-               "grid.alpha_step": (0.1, _POSITIVE),
-               "numerics.grid_size": (replica.GRID_SIZE, _COUNT[3])},
-    "se": {"grid.alpha": (1.0, _POSITIVE),
-           "grid.q0": (None, _number(lambda x: x >= 0.0, "finite and nonnegative")),
-           "numerics.damping": _DAMPING,
-           "numerics.se_tol": (se_mod.DEFAULT_SE_OPTS.tol, _POSITIVE),
-           "numerics.se_max_iter": (se_mod.DEFAULT_SE_OPTS.max_iter, _COUNT[1])},
-    "gamp": {"grid.n": (1000, _COUNT[1]), "grid.alpha": (1.0, _POSITIVE),
-             "grid.n_test": (0, _COUNT[0]),
-             "numerics.gamp_max_iter": (GampOptions.max_iter, _COUNT[1]),
-             "numerics.gamp_tol": (GampOptions.tol, _POSITIVE), "numerics.damping": _DAMPING},
-    "phase-diagram": {"grid.param": ("sparsity", str),
-                      "grid.param_values": (_REQUIRED, _numbers),
-                      "grid.alpha_lo": (0.1, _POSITIVE),
-                      "grid.alpha_hi": (2.0, _POSITIVE),
-                      "numerics.bisect_tol": (se_mod.BISECT_TOL, _POSITIVE)},
-    "potential": {"grid.alpha": (1.0, _POSITIVE), "grid.q_points": (101, _COUNT[1])},
-    "validate": {},
-}
 
 
 def _settings(cfg: ExperimentConfig) -> dict:
     """The task's [grid] and [numerics] values by key, parsed and checked,
     with the defaults of the keys not given."""
-    table = SETTINGS[cfg.task]
+    _, table = TASKS[cfg.task]
     given = {f"{section}.{key}": value for section in ("grid", "numerics")
              for key, value in getattr(cfg, section).items()}
     unknown = sorted(set(given) - set(table))
@@ -236,14 +211,7 @@ def run(config: ExperimentConfig) -> ResultTable:
     """Dispatch an experiment; returns the result table (caller writes it)."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     settings = _settings(config)
-    handler = {
-        "errors": _run_errors,
-        "se": _run_se,
-        "gamp": _run_gamp,
-        "phase-diagram": _run_phase_diagram,
-        "potential": _run_potential,
-        "validate": _run_validate,
-    }[config.task]
+    handler, _ = TASKS[config.task]
     table = handler(config, settings)
     table.provenance = {
         "config_hash": config.config_hash(),
@@ -409,7 +377,7 @@ def _validate_checks(seed: int):
 
     def check_psi_pout_prime_fd():
         for ch, rho in ((Sign(), 1.0), (SymmetricDoor(), 1.0), (Abs(0.0), 1.0),
-                        (LinearAWGN(0.5), 1.0), (Sigmoid(2.0), 1.0)):
+                        (LinearAWGN(0.5), 1.0), (Sigmoid(2.0), 1.0), (ReLU(1e-8), 0.2)):
             for qf in (0.1, 0.5, 0.9):
                 q, h = qf * rho, 1e-4 * rho
                 fd = (ch.psi_pout(q + h, rho) - ch.psi_pout(q - h, rho)) / (2 * h)
@@ -433,9 +401,12 @@ def _validate_checks(seed: int):
                 return f"psi_pout not convex for {type(ch).__name__}"
         return None
 
+    # one solve of the perceptron serves the duality and stationarity checks
+    alpha = 1.2
+    solve_perceptron = functools.cache(lambda: replica.solve(rad, Sign(), alpha))
+
     def check_sup_inf():
-        alpha = 1.2
-        sol = replica.solve(rad, Sign(), alpha)
+        sol = solve_perceptron()
         psi_rho = Sign().psi_pout(1.0, 1.0)
         fs, _ = replica.f_hat(rad, Sign(), alpha, np.linspace(0.0, 1.0 - 1e-6, 101))
         inf_sup = float(np.min(alpha * psi_rho - fs))
@@ -446,8 +417,7 @@ def _validate_checks(seed: int):
         return None
 
     def check_stationarity():
-        alpha = 1.2
-        sol = replica.solve(rad, Sign(), alpha)
+        sol = solve_perceptron()
         rho = 1.0
         for p in sol.gamma_set:
             if not math.isfinite(p.r) or p.q >= rho:
@@ -522,6 +492,35 @@ def _run_validate(cfg: ExperimentConfig, _: dict) -> ResultTable:
                        failures=[f"validate: {name} FAILED ({detail})"
                                  for name, status, detail in rows
                                  if status != "pass"])
+
+
+# Each task: its handler, and the [grid] and [numerics] keys it reads, key ->
+# (default, parser).  A task reads no other key.  A numerics default is the
+# library's own; q0's, None, is the uninformative start UNINFORMATIVE_FRAC * rho.
+TASKS = {
+    "potential": (_run_potential, {
+        "grid.alpha": (1.0, _POSITIVE), "grid.q_points": (101, _COUNT[1])}),
+    "se": (_run_se, {
+        "grid.alpha": (1.0, _POSITIVE),
+        "grid.q0": (None, _number(lambda x: x >= 0.0, "finite and nonnegative")),
+        "numerics.damping": _DAMPING,
+        "numerics.se_tol": (se_mod.DEFAULT_SE_OPTS.tol, _POSITIVE),
+        "numerics.se_max_iter": (se_mod.DEFAULT_SE_OPTS.max_iter, _COUNT[1])}),
+    "gamp": (_run_gamp, {
+        "grid.n": (1000, _COUNT[1]), "grid.alpha": (1.0, _POSITIVE),
+        "grid.n_test": (0, _COUNT[0]),
+        "numerics.gamp_max_iter": (GampOptions.max_iter, _COUNT[1]),
+        "numerics.gamp_tol": (GampOptions.tol, _POSITIVE), "numerics.damping": _DAMPING}),
+    "phase-diagram": (_run_phase_diagram, {
+        "grid.param": ("sparsity", str), "grid.param_values": (_REQUIRED, _numbers),
+        "grid.alpha_lo": (0.1, _POSITIVE), "grid.alpha_hi": (2.0, _POSITIVE),
+        "numerics.bisect_tol": (se_mod.BISECT_TOL, _POSITIVE)}),
+    "errors": (_run_errors, {
+        "grid.alpha_start": (_REQUIRED, _POSITIVE),
+        "grid.alpha_stop": (_REQUIRED, _POSITIVE), "grid.alpha_step": (0.1, _POSITIVE),
+        "numerics.grid_size": (replica.GRID_SIZE, _COUNT[3])}),
+    "validate": (_run_validate, {}),
+}
 
 
 # ---------------------------------------------------------------------------

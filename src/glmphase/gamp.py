@@ -48,26 +48,12 @@ _JITTER_SCALE = 1e-4  # variance of the init jitter, relative to rho
 _EVEN_EPSILON = 1e-4
 
 
-@dataclass(frozen=True)
-class GampState:
-    """Per-iteration solver state (the last finite one rides on divergence
-    errors)."""
-
-    x_hat: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-    g: np.ndarray
-    V_scalar: float
-    lam: float
-    t: int
-
-
 class GampDivergenceError(RuntimeError):
     """Iterates left the finite floats even after a damping retry."""
 
-    def __init__(self, state: GampState):
-        super().__init__(f"GAMP diverged at iteration {state.t}")
-        self.state = state
+    def __init__(self, iteration: int):
+        super().__init__(f"GAMP diverged at iteration {iteration}")
+        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -184,8 +170,7 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
             x_new = (1.0 - damping) * out.mean + damping * x_hat
             v_new = np.maximum(out.variance, 0.0)
         if not np.all(np.isfinite(x_new)):
-            raise GampDivergenceError(GampState(
-                x_hat=x_hat, v=v, omega=omega, g=g, V_scalar=V, lam=lam, t=t))
+            raise GampDivergenceError(t)
         delta = float(np.mean(np.abs(x_new - x_hat)))
         x_hat = x_new
         v = v_new
@@ -209,24 +194,25 @@ def _gamp_iterate(instance: Instance, opts: GampOptions, damping: float):
 
 
 def gamp_run(instance: Instance, opts: GampOptions | None = None) -> GampRun:
-    """Run GAMP; if it diverges or stops at max_iter (a period-2 cycle can
-    hold it), retry once at damping 0.5 unless damping >= 0.5.  The retry,
-    with ``attempts`` 2, replaces an unconverged run only if it converges."""
+    """Run GAMP at ``opts.damping`` and, below 0.5, at 0.5 after a divergence
+    or a stop at max_iter (a period-2 cycle can hold it); return the first run
+    that converged, else the first that finished, else raise the last error."""
     if opts is None:
         opts = GampOptions()
-    try:
-        run = _gamp_iterate(instance, opts, opts.damping)
-    except (GampDivergenceError, GoutUnderflowError):
-        if opts.damping >= 0.5:
-            raise
-        return dataclasses.replace(_gamp_iterate(instance, opts, 0.5), attempts=2)
-    if run.converged or opts.damping >= 0.5:
-        return run
-    try:
-        retry = _gamp_iterate(instance, opts, 0.5)
-    except (GampDivergenceError, GoutUnderflowError):
-        return run
-    return dataclasses.replace(retry, attempts=2) if retry.converged else run
+    dampings = (opts.damping,) if opts.damping >= 0.5 else (opts.damping, 0.5)
+    finished = None
+    for attempt, damping in enumerate(dampings, 1):
+        try:
+            run = _gamp_iterate(instance, opts, damping)
+        except (GampDivergenceError, GoutUnderflowError) as exc:
+            error = exc
+            continue
+        if run.converged:
+            return dataclasses.replace(run, attempts=attempt)
+        finished = finished or dataclasses.replace(run, attempts=attempt)
+    if finished is None:
+        raise error
+    return finished
 
 
 def _check_q_t(q_t: float, rho: float) -> None:

@@ -335,6 +335,10 @@ class GaussBernoulliPrior(Prior):
     def __post_init__(self):
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in (0, 1]")
+        # ln(1 - sparsity) is -inf at sparsity 1, where each formula below
+        # reduces to the slab alone: logaddexp(-inf, x) is x
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_spike", np.log(1.0 - self.sparsity))
 
     @property
     def second_moment(self) -> float:
@@ -353,33 +357,22 @@ class GaussBernoulliPrior(Prior):
         # The slab posterior is N(theta / (1 + lam), 1 / (1 + lam)); the
         # spike, at 0 with no spread, adds nothing to either moment.
         theta = np.asarray(theta, dtype=float)
-        rho = self.sparsity
-        log_w_slab = np.log(rho) - 0.5 * np.log1p(lam) + theta ** 2 / (2.0 * (1.0 + lam))
-        if rho < 1.0:
-            log_w_spike = np.log(1.0 - rho) + np.zeros_like(theta)
-            norm = np.logaddexp(log_w_spike, log_w_slab)
-            p_slab = np.exp(log_w_slab - norm)
-        else:
-            p_slab = np.ones_like(theta)
+        log_w_slab = (np.log(self.sparsity) - 0.5 * np.log1p(lam)
+                      + theta ** 2 / (2.0 * (1.0 + lam)))
+        p_slab = np.exp(log_w_slab - np.logaddexp(self._log_spike, log_w_slab))
         return p_slab[None], (theta / (1.0 + lam))[None], 1.0 / (1.0 + lam)
 
     def log_partition(self, y, r):
         y = np.asarray(y, dtype=float)
-        rho = self.sparsity
         log_slab = -0.5 * np.log1p(r) + r * y ** 2 / (2.0 * (1.0 + r))
-        if rho == 1.0:
-            return log_slab
-        return np.logaddexp(np.log(1.0 - rho) + np.zeros_like(y),
-                            np.log(rho) + log_slab)
+        return np.logaddexp(self._log_spike, np.log(self.sparsity) + log_slab)
 
     def _spike_slab_flip(self, r):
         """|Y0| where spike and slab posterior weights balance, and the width
         of the switch, for each r; NaN where they never balance."""
         rho = self.sparsity
-        if rho >= 1.0:
-            return np.full(r.shape, np.nan), np.full(r.shape, np.nan)
-        c = np.log((1.0 - rho) / rho) + 0.5 * np.log1p(r)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.log((1.0 - rho) / rho) + 0.5 * np.log1p(r)
             y = np.sqrt(2.0 * np.where(c > 0.0, c, np.nan) * (1.0 + r) / r)
         width = (1.0 + r) / (r * np.maximum(y, 1.0))
         return y, width

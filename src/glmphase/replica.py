@@ -120,12 +120,10 @@ def _f_rs_terms(psi_in, psi_out, alpha: float, q, r):
 
 
 def _psi_pout_at_rho(channel: Channel, rho: float) -> float:
-    """psi_pout(rho); falls back to the evaluation depth when the literal
-    value diverges (noiseless continuous channels)."""
-    try:
-        return channel.psi_pout(rho, rho)
-    except ValueError:
-        return channel.psi_pout(rho * (1.0 - EVAL_DEPTH), rho)
+    """psi_pout(rho), read at the evaluation depth where the channel has no
+    density at q = rho (noiseless continuous labels)."""
+    has_density = channel.is_discrete or channel.delta > 0.0
+    return channel.psi_pout(rho if has_density else rho * (1.0 - EVAL_DEPTH), rho)
 
 
 def i_rs(prior: Prior, channel: Channel, alpha: float, q: float, r: float) -> float:

@@ -453,8 +453,12 @@ def _se_limit(prior: Prior, channel: Channel, alpha: float, q0: float,
     return q, float(run.r_seq[-1])
 
 
-def _check_tol(tol: float) -> None:
-    """A bisection width is finite and positive: a NaN one ends at once."""
+def _check_bracket(alpha_lo: float, alpha_hi: float, tol: float) -> None:
+    """0 < alpha_lo < alpha_hi < inf and a finite positive bisection width (a
+    NaN one ends at once), checked before any SE run."""
+    if not 0.0 < alpha_lo < alpha_hi < math.inf:
+        raise ValueError(f"need 0 < alpha_lo < alpha_hi < inf, got alpha_lo="
+                         f"{alpha_lo!r} and alpha_hi={alpha_hi!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection tol must be finite and positive, got {tol!r}")
 
@@ -477,7 +481,7 @@ def find_alpha_amp(prior: Prior, channel: Channel, alpha_lo: float,
                    alpha_hi: float, tol: float = BISECT_TOL,
                    opts: FixedPointOptions | None = None) -> float:
     """Spinodal of the uninformative initialization; bisects the recovery flag."""
-    _check_tol(tol)
+    _check_bracket(alpha_lo, alpha_hi, tol)
     rho = prior.second_moment
     if opts is None:
         opts = SPINODAL_SE_OPTS
@@ -561,7 +565,7 @@ def find_alpha_it(prior: Prior, channel: Channel, alpha_lo: float,
                   opts: FixedPointOptions | None = None) -> float | None:
     """First-order transition where the informative branch becomes the global
     optimizer; None when the branches merge (no transition)."""
-    _check_tol(tol)
+    _check_bracket(alpha_lo, alpha_hi, tol)
     if opts is None:
         opts = SPINODAL_SE_OPTS
     # the comparison, chosen once; see the module docstring
@@ -603,7 +607,7 @@ def phase_sweep(make_prior: Callable[[float], Prior],
     params = list(params)
     if not params:
         raise ValueError("empty parameter grid")
-    _check_tol(tol)
+    _check_bracket(alpha_lo, alpha_hi, tol)
 
     def row(param: float) -> TransitionReport:
         try:

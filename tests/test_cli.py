@@ -12,7 +12,7 @@ from glmphase import state_evolution as se
 from glmphase.channels import ReLU, Sign, SymmetricDoor
 from glmphase.cli import (ConfigError, ExperimentConfig, ResultTable, emit,
                           main, parse_config, run)
-from glmphase.gamp import GampDivergenceError, GampState
+from glmphase.gamp import GampDivergenceError
 from glmphase.numerics import FixedPointOptions
 from glmphase.priors import GaussianPrior, RademacherPrior, TwoPointPrior
 
@@ -63,7 +63,7 @@ class TestConfigParsing:
         """Each default of a numerics key is read from the one library value
         it stands for, and keeps the number it has always had."""
         import inspect
-        default = {name: value for keys in cli.SETTINGS.values()
+        default = {name: value for _, keys in cli.TASKS.values()
                    for name, (value, _) in keys.items()}
         library = {
             "numerics.grid_size":
@@ -434,6 +434,7 @@ param_values = 0.67449
     @pytest.mark.parametrize("check,owner,name,stub", [
         ("psi_p0_prime_vs_fd", RademacherPrior, "psi_p0_prime", lambda self, r: 0.0),
         ("psi_pout_prime_vs_fd", Sign, "psi_pout_prime", lambda self, q, rho: 0.0),
+        ("psi_pout_prime_vs_fd", ReLU, "psi_pout_prime", lambda self, q, rho: 0.0),
         ("convexity_grids", RademacherPrior, "psi_p0", lambda self, r: -r * r),
         ("convexity_grids", Sign, "psi_pout", lambda self, q, rho: -q),
         ("convexity_grids", Sign, "psi_pout", lambda self, q, rho: math.sqrt(q)),
@@ -445,9 +446,9 @@ param_values = 0.67449
         ("mc_free_entropies", oracle, "mc_psi_pout", lambda *args: (1.0, 1e-3)),
         ("se_gamp_tracking", gamp, "gamp_run",
          lambda inst, opts: SimpleNamespace(overlap_seq=np.zeros(5))),
-    ], ids=["psi_p0_prime", "psi_pout_prime", "psi_p0-concave", "psi_pout-decreasing",
-            "psi_pout-concave", "sup_inf", "stationarity", "nishimori", "mc-psi_p0",
-            "mc-psi_pout", "tracking"])
+    ], ids=["psi_p0_prime", "psi_pout_prime", "psi_pout_prime-relu", "psi_p0-concave",
+            "psi_pout-decreasing", "psi_pout-concave", "sup_inf", "stationarity",
+            "nishimori", "mc-psi_p0", "mc-psi_pout", "tracking"])
     def test_each_validate_check_can_fail(self, monkeypatch, check, owner, name, stub):
         """Each check of the suite returns a detail when its identity is
         broken."""
@@ -636,10 +637,7 @@ class TestCliEntry:
 
         def diverge_undamped(instance, opts, damping):
             if damping < 0.5:
-                raise GampDivergenceError(GampState(
-                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
-                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
-                    V_scalar=1.0, lam=1.0, t=1))
+                raise GampDivergenceError(1)
             return iterate(instance, opts, damping)
 
         monkeypatch.setattr(gamp, "_gamp_iterate", diverge_undamped)

@@ -13,8 +13,8 @@ from scipy.special import erf
 from glmphase import gamp
 from glmphase.channels import (Abs, Channel, LinearAWGN, ReLU, Sigmoid, Sign,
                                SymmetricDoor)
-from glmphase.gamp import (GampDivergenceError, GampOptions, GampState,
-                           Instance, empirical_generalization_error, from_spec,
+from glmphase.gamp import (GampDivergenceError, GampOptions, Instance,
+                           empirical_generalization_error, from_spec,
                            gamp_predict, gamp_run, generate_instance,
                            load_instance, save_instance, to_spec)
 from glmphase.numerics import FixedPointOptions
@@ -271,10 +271,7 @@ class TestGampRun:
         def diverge_undamped(instance, opts, damping):
             dampings.append(damping)
             if damping < 0.5:
-                raise GampDivergenceError(GampState(
-                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
-                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
-                    V_scalar=1.0, lam=1.0, t=1))
+                raise GampDivergenceError(1)
             return iterate(instance, opts, damping)
 
         monkeypatch.setattr(gamp, "_gamp_iterate", diverge_undamped)
@@ -308,10 +305,7 @@ class TestGampRun:
 
         def diverge_damped(instance, opts, damping):
             if damping == 0.5:
-                raise GampDivergenceError(GampState(
-                    x_hat=np.full(instance.n, np.nan), v=np.ones(instance.n),
-                    omega=np.zeros(instance.m), g=np.zeros(instance.m),
-                    V_scalar=1.0, lam=1.0, t=1))
+                raise GampDivergenceError(1)
             return iterate(instance, opts, damping)
 
         monkeypatch.setattr(gamp, "_gamp_iterate", diverge_damped)
@@ -319,8 +313,30 @@ class TestGampRun:
         assert np.array_equal(run.x_hat_final, first.x_hat_final)
         assert (run.converged, run.attempts) == (False, 1)
         # a run at damping 0.5 that diverges has no retry left
-        with pytest.raises(GampDivergenceError):
+        with pytest.raises(GampDivergenceError) as info:
             gamp_run(inst, GampOptions(seed=3, damping=0.5, max_iter=20))
+        assert info.value.iteration == 1
+        assert str(info.value) == "GAMP diverged at iteration 1"
+
+    def test_divergent_first_attempt_gives_way_to_any_finished_retry(self, monkeypatch):
+        """After an undamped divergence the retry is returned unconverged;
+        when it diverges too, its error is the one raised."""
+        inst = generate_instance(GaussBernoulliPrior(0.2), Sign(0.1), 400, 1.5,
+                                 seed=3)
+        iterate = gamp._gamp_iterate
+
+        def diverge(instance, opts, damping):
+            if damping < 0.5 or opts.max_iter == 1:
+                raise GampDivergenceError(1 if damping < 0.5 else 2)
+            return iterate(instance, opts, damping)
+
+        monkeypatch.setattr(gamp, "_gamp_iterate", diverge)
+        run = gamp_run(inst, GampOptions(seed=3, max_iter=20))
+        assert (run.converged, run.iterations, run.attempts, run.damping) == \
+            (False, 20, 2, 0.5)
+        with pytest.raises(GampDivergenceError) as info:
+            gamp_run(inst, GampOptions(seed=3, max_iter=1))
+        assert info.value.iteration == 2
 
 
 class TestPrediction:

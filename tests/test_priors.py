@@ -363,9 +363,10 @@ class TestOnePriorPass:
             assert np.array_equal(prior._posterior_mean(theta, lam), mean)
 
 
-# The posterior moments, the denoiser, and psi_p0 / psi_p0' at r = 0 and
-# R_CAP of every mixture prior, pinned in prior_pins.json from before the
-# Y0 expectation and the posterior moments moved onto Prior: SHA-256
+# The posterior moments, the denoiser, and psi_p0 / psi_p0' at r = 0, 0.1,
+# 1, 10 and R_CAP of every mixture prior, pinned in prior_pins.json from
+# before the Y0 expectation and the posterior moments moved onto Prior (the
+# interior r from before Gauss-Bernoulli lost its sparsity-1 branches): SHA-256
 # digests of the arrays, float.hex of the scalars.  To rewrite the file
 # after a deliberate change of the numbers, run this module as a script.
 PRIOR_PIN_FILE = Path(__file__).with_name("prior_pins.json")
@@ -374,7 +375,7 @@ PIN_PRIORS = [RademacherPrior(), RademacherPrior(0.3),
               GaussBernoulliPrior(0.2), GaussBernoulliPrior(1.0)]
 PIN_THETAS = np.concatenate([[-0.0, 0.0], np.linspace(-40.0, 40.0, 401)])
 PIN_LAMS = (0.0, 0.7, 40.0)
-PIN_RS = np.array([0.0, R_CAP])
+PIN_RS = np.array([0.0, 0.1, 1.0, 10.0, R_CAP])
 
 
 def _prior_surface(prior) -> dict:

@@ -70,6 +70,26 @@ class TestPotential:
         assert i_rs(prior, ch, alpha, q, r) == \
             alpha * psi_rho - f_rs(prior, ch, alpha, q, r)
 
+    @pytest.mark.parametrize("ch,at_depth,expected", [
+        (Sign(), False, "0x0.0p+0"),
+        (SymmetricDoor(), False, "0x0.0p+0"),
+        (Sigmoid(), False, "-0x1.43183d2e6a182p-1"),
+        (LinearAWGN(0.0), True, "0x1.6fa17502b39d3p+2"),
+        (LinearAWGN(0.5), False, "-0x1.128682473d0dfp+0"),
+        (Abs(0.0), True, "0x1.6fab7a8ffe75bp+2"),
+        (Abs(0.1), False, "-0x1.1211ca1f42910p-2"),
+        (ReLU(0.3), False, "-0x1.a2478cba71790p-1"),
+    ], ids=repr)
+    def test_psi_pout_at_rho_table(self, ch, at_depth, expected, monkeypatch):
+        """psi_pout(rho) at rho = 0.6, and the q it is read at: rho where
+        the channel has a density there (discrete labels or delta > 0),
+        the evaluation depth otherwise."""
+        rho, qs, real = 0.6, [], type(ch).psi_pout
+        monkeypatch.setattr(type(ch), "psi_pout",
+                            lambda self, q, r: qs.append(q) or real(self, q, r))
+        assert replica._psi_pout_at_rho(ch, rho).hex() == expected
+        assert qs[-1] == (rho * (1.0 - replica.EVAL_DEPTH) if at_depth else rho)
+
     def test_i_rs_trivial_point(self):
         # q = rho, r = 0: I_P0(0) = 0 and the channel term vanishes
         assert i_rs(RademacherPrior(), Sign(0.3), 1.0, 1.0, 0.0) == pytest.approx(

@@ -355,17 +355,35 @@ class TestPairRule:
 
 class TestBisectionTolerance:
     """tol <= 0 never ended (the bracket stops at one ulp) and a NaN tol
-    returned the midpoint at once."""
+    returned the midpoint at once.  A bad bracket or tol fails before any
+    SE run: a NaN alpha_lo once cost a whole SE run at alpha_hi, and a
+    swapped bracket read as "no recovery at alpha_hi"."""
+
+    @pytest.fixture(autouse=True)
+    def no_se_run(self, monkeypatch):
+        monkeypatch.setattr(se, "se_run", lambda *args, **kwargs: pytest.fail("SE ran"))
+
+    @staticmethod
+    def _finders(lo, hi, tol):
+        yield lambda: find_alpha_amp(RademacherPrior(), Sign(), lo, hi, tol=tol)
+        yield lambda: find_alpha_it(RademacherPrior(), Sign(), lo, hi, tol=tol)
+        yield lambda: phase_sweep(lambda p: RademacherPrior(), lambda p: Sign(),
+                                  [0.0], lo, hi, tol=tol)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_finders_reject(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            find_alpha_amp(RademacherPrior(), Sign(), 1.2, 1.8, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            find_alpha_it(RademacherPrior(), Sign(), 1.0, 1.45, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            phase_sweep(lambda p: RademacherPrior(), lambda p: Sign(), [0.0],
-                        1.2, 1.8, tol=tol)
+        for call in self._finders(1.2, 1.8, tol):
+            with pytest.raises(ValueError, match="tol"):
+                call()
+
+    @pytest.mark.parametrize("lo,hi", [
+        (math.nan, 1.8), (0.0, 1.8), (-1.0, 1.8), (-math.inf, 1.8), (1.8, 1.2),
+        (1.2, 1.2), (1.2, math.inf), (1.2, math.nan)])
+    def test_finders_reject_bracket(self, lo, hi):
+        for call in self._finders(lo, hi, 1e-3):
+            with pytest.raises(ValueError, match=r"^need 0 < alpha_lo < alpha_hi "
+                               rf"< inf, got alpha_lo={lo!r} and alpha_hi={hi!r}$"):
+                call()
 
     def test_stops_at_adjacent_floats(self):
         mid = se._bisect_bool(lambda a: a >= 1.0, 0.5, 2.0, 1e-300)
